@@ -5,7 +5,7 @@ Runs the Rayleigh-quotient ascent at higher effort (more starts) for each
 (r, N, T, m, s, M) tuple listed in TUPLES and rewrites
 src/perifrac/data/golden_sigmas.txt.  Run from the repository root:
 
-    python scripts/make_golden.py [--starts 48] [--out PATH]
+    python scripts/make_golden.py [--starts 24] [--out PATH]
 """
 
 import argparse
@@ -33,8 +33,8 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parents[1] / \
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--starts", type=int, default=48,
-                    help="random ascent starts per tuple (default 48)")
+    ap.add_argument("--starts", type=int, default=24,
+                    help="random ascent starts per tuple (default 24)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     args = ap.parse_args()

@@ -8,19 +8,22 @@ dual norm of the weak residual
     R_k = (mu_k^s - gamma) c_k - lam g_k,         g = f(., u),
 
 which is what residual_dual_norm reports.  Descent alone converges linearly;
-once the residual is small enough both solvers hand off to a damped Newton
-step on the sample-space residual map (linear part assembled exactly from the
-multiplier, nonlinear part diagonal in samples), accepted only if it
-decreases the true residual and lands inside the caller's guard region.
+once the residual is small enough both solvers hand off to a damped inexact
+Newton polish on the sample-space residual map of the minimal grid.  Its
+Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
+samples, is symmetric and is never formed: preconditioned MINRES applies it
+by real FFTs, with the spectral multiplier as an SPD preconditioner.  A step
+is accepted only if it decreases the true residual and lands inside the
+caller's guard region.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
 from . import spectral as sp
 from . import variational as vr
@@ -191,43 +194,64 @@ def _polish_due(cfg: SolverConfig, res: float, it: int) -> bool:
 
 # -- Newton polish -------------------------------------------------------------
 
+# MINRES stops once its residual is below _KRYLOV_RTOL * |J| |delta|, a
+# backward-error test.  This is tight enough that the polish takes no more
+# Newton steps than with an exact solve, and the Krylov iterations still
+# cost little beside the residual evaluations of the line search.
+_KRYLOV_RTOL = 1e-12
+
 
 def _minimal_params(params: SpectrumParams) -> SpectrumParams:
     return SpectrumParams(params.modes, 2 * params.modes + 1)
 
 
-@lru_cache(maxsize=8)
-def _linear_sample_operator(problem: ProblemSpec, params_min: SpectrumParams):
-    """Dense matrix of v -> samples((mu^s - gamma) * coeffs(v)) on the
-    minimal grid, where the transform pair is a bijection."""
-    n = params_min.grid_points
-    N = problem.N
-    D = n ** N
+def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
+                        d: np.ndarray):
+    """Matrix-free (J, P) on the minimal grid n = 2M+1, where the transform
+    pair is a bijection.  J = L - lam diag(d) acts on flattened samples, L
+    multiplying mode k by the real, even symbol mu_k^s - gamma, so J is
+    symmetric.  P applies the SPD spectral multiplier
+    (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it SPD when
+    a finite-difference d dips negative."""
+    n, N = params_min.grid_points, problem.N
+    shape, axes, size = (n,) * N, tuple(range(N)), n ** N
+    # ifftshift puts k = 0 first; rfftn keeps only k >= 0 on the last axis
     mu_s = sp.multiplier_array(problem, params_min)
-    L = np.empty((D, D))
-    basis = np.zeros((n,) * N)
-    for j in range(D):
-        idx = np.unravel_index(j, basis.shape)
-        basis[idx] = 1.0
-        c = sp.forward_transform(basis, problem, params_min).coeffs
-        w = FourierField((mu_s - problem.gamma) * c, problem, params_min)
-        L[:, j] = sp.inverse_transform(w).reshape(-1)
-        basis[idx] = 0.0
-    return L
+    symbol = np.fft.ifftshift(mu_s - problem.gamma)[..., :params_min.modes + 1]
+    inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
+
+    def fourier_multiply(x, sym):
+        hat = sym * np.fft.rfftn(x.reshape(shape))
+        return np.fft.irfftn(hat, s=shape, axes=axes).reshape(-1)
+
+    jac = LinearOperator(
+        (size, size), dtype=float,
+        matvec=lambda x: (fourier_multiply(x, symbol)
+                          - problem.lam * d * x.reshape(-1)))
+    prec = LinearOperator((size, size), dtype=float,
+                          matvec=lambda x: fourier_multiply(x, inv_prec))
+    return jac, prec
 
 
 def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
-    """Damped Newton on the sample-space weak residual.  Returns
+    """Damped inexact Newton on the sample-space weak residual.  Returns
     (u_out, converged): the polished field if every step decreased the
     true residual and the final point meets grad_tol plus the guard,
     else the input unchanged.  max_move is a trust radius (Hs distance
     from the starting point): Newton from a point with a near-singular
     Jacobian can jump into the basin of a different critical point, and
-    residual backtracking alone does not notice."""
+    residual backtracking alone does not notice.
+
+    Each step solves J delta = -R with preconditioned MINRES on the
+    matrix-free operators of _jacobian_operators, so no D x D matrix is
+    formed.  A MINRES breakdown or a non-finite step ends the attempt the
+    way a failed line search does."""
     problem, params = u.problem, u.params
     params_min = _minimal_params(params)
     x_min = sp.grid_coordinates(problem, params_min.grid_points)
-    L = _linear_sample_operator(problem, params_min)
+
+    def count_iteration(_):
+        _bump(counters, "krylov_iterations")
 
     def to_min(w):
         return FourierField(w.coeffs, problem, params_min)
@@ -246,9 +270,13 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             h = 1e-6 * (1.0 + np.abs(v))
             d = (np.asarray(nl.f(x_min, v + h), dtype=float)
                  - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
-        J = L - problem.lam * np.diag(d.reshape(-1))
+        jac, prec = _jacobian_operators(problem, params_min, d.reshape(-1))
         rhs = -sp.inverse_transform(to_min(vr.weak_residual(cur, nl))).reshape(-1)
-        delta = np.linalg.lstsq(J, rhs, rcond=None)[0].reshape(v.shape)
+        delta, info = minres(jac, rhs, M=prec, rtol=_KRYLOV_RTOL,
+                             callback=count_iteration)
+        if info < 0 or not np.all(np.isfinite(delta)):
+            break
+        delta = delta.reshape(v.shape)
         tau, accepted = 1.0, False
         for _ in range(cfg.max_halvings):
             c_try = sp.forward_transform(v + tau * delta, problem, params_min).coeffs

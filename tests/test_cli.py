@@ -148,6 +148,14 @@ def test_solve_auto_lambda_two_solutions(capsys, tmp_path):
     assert cert["chi_upper"] < cert["inv_two_lambda"]
 
 
+def test_solve_reports_krylov_iterations(capsys):
+    code, rep, _ = run_cli(capsys, "solve")
+    assert code == 0
+    timings = rep["timings"]
+    assert timings["newton_steps"] > 0
+    assert timings["krylov_iterations"] > 0
+
+
 def test_solve_refuses_inadmissible_lambda(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SOLVE_CFG + "problem.lambda = 0.5\n")

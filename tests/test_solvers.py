@@ -9,7 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import minres
 
+from perifrac import solvers
 from perifrac.constants import best_lambda, sigma_estimate
 from perifrac.extension import kappa
 from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
@@ -19,7 +21,8 @@ from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
                               ball_minimize, find_descent_endpoint,
                               mountain_pass, solve_multiplicity)
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
-                               hs_norm, mean_value)
+                               forward_transform, hs_norm, inverse_transform,
+                               mean_value, multiplier_array)
 from perifrac.variational import (get_nonlinearity, make_nonlinearity,
                                   residual_dual_norm)
 
@@ -227,6 +230,84 @@ def test_pipeline_x_dependent_forcing():
         k10 = abs(sol.field.coeffs[5, 4])
         assert k10 > 1e-4 * hs_norm(sol.field)
     assert rep.hs_distance > SolverConfig(rho=1.0).distinct_tol
+
+
+# -- matrix-free Newton operator against the dense basis assembly ----------------
+
+
+def dense_jacobian(problem, params, d):
+    """L - lam diag(d) assembled column by column: transform each sample
+    basis vector of the minimal grid to coefficients, multiply mode k by
+    mu_k^s - gamma, transform back."""
+    n, N = params.grid_points, problem.N
+    D = n ** N
+    sym = multiplier_array(problem, params) - problem.gamma
+    L = np.empty((D, D))
+    basis = np.zeros((n,) * N)
+    for j in range(D):
+        idx = np.unravel_index(j, basis.shape)
+        basis[idx] = 1.0
+        c = forward_transform(basis, problem, params).coeffs
+        L[:, j] = inverse_transform(FourierField(sym * c, problem,
+                                                 params)).reshape(-1)
+        basis[idx] = 0.0
+    return L - problem.lam * np.diag(d)
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
+                                         (3, 0.9, 2)])
+@pytest.mark.parametrize("shift", [1.0, -2.0])
+def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
+    # shift = -2 makes mean(d) negative, which the preconditioner clamps
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
+                          T=2.0 * math.pi, N=N)
+    params = SpectrumParams(modes, 2 * modes + 1)
+    D = params.grid_points ** N
+    rng = np.random.default_rng(N)
+    d = 3.0 * rng.standard_normal(D) ** 2 * shift
+    J_ref = dense_jacobian(problem, params, d)
+    jac, prec = solvers._jacobian_operators(problem, params, d)
+    J = jac.matmat(np.eye(D))
+    scale = np.abs(J_ref).max()
+    assert np.abs(J - J_ref).max() <= 1e-12 * scale
+    assert np.abs(J - J.T).max() <= 1e-12 * scale
+    P = prec.matmat(np.eye(D))
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
+    b = rng.standard_normal(D)
+    want = np.linalg.solve(J_ref, b)
+    got, info = minres(jac, b, M=prec, rtol=solvers._KRYLOV_RTOL)
+    assert info == 0
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("failure", ["nan-step", "breakdown"])
+def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
+    # near the ball minimizer, off the constant subspace: the unpatched
+    # polish converges from here in one attempt
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 8)
+    nl = get_nonlinearity("cubic_plus_one")
+    c_low, _ = scalar_roots(problem)
+    u = (FourierField.constant(problem, params, 1.01 * c_low)
+         + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
+    cfg = SolverConfig(rho=1.0)
+    counters = {}
+    polished, done = solvers._newton_polish(u, nl, cfg, counters)
+    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
+    assert counters["krylov_iterations"] > 0
+
+    def broken(A, b, **kwargs):
+        if failure == "nan-step":
+            return np.full_like(b, np.nan), 0
+        return minres(A, b, **kwargs)[0], -1
+
+    monkeypatch.setattr(solvers, "minres", broken)
+    counters = {}
+    out, done = solvers._newton_polish(u, nl, cfg, counters)
+    assert not done
+    assert out is u
+    assert counters["newton_steps"] == 1
 
 
 # -- config validation ------------------------------------------------------------
