@@ -27,8 +27,7 @@ from .constants import (ball_radius, best_lambda, default_golden_path,
                         example_lambda_interval, golden_key, kappa,
                         lambda_table, load_golden, sigma_estimate)
 from .extension import (WeightedQuadrature, conormal_limit, ode_residual,
-                        profile_energy, set_theta_fault,
-                        verify_trace_identity)
+                        profile_energy, verify_trace_identity)
 from .solvers import (InadmissibleLambdaError, NonConvergenceError,
                       SolverError, solve_multiplicity)
 from .spectral import FourierField, SpectrumParams
@@ -273,38 +272,35 @@ def cmd_verify(cfg: RunConfig) -> dict:
     rep["constants"]["kappa"] = kappa(problem.s)
     checks = []
     s_values = sorted({0.3, 0.5, 0.7, 0.9, float(problem.s)})
-    set_theta_fault(cfg.inject_theta_fault)
-    try:
-        for s in s_values:
-            wq = WeightedQuadrature(1.0 - 2.0 * s)
-            moment = wq.integrate(lambda y: np.exp(-2.0 * y))
-            exact = math.gamma(2.0 - 2.0 * s) / 2.0 ** (2.0 - 2.0 * s)
-            checks.append(_check(f"quadrature_gamma_moment[s={s:g}]",
-                                 abs(moment - exact) / abs(exact), 1e-9))
-            ys = np.geomspace(0.1, 10.0, 25)
-            worst = max(abs(ode_residual(s, float(y))) for y in ys)
-            checks.append(_check(f"ode_residual[s={s:g}]", worst, 1e-5))
-            pe = profile_energy(s)
-            k = kappa(s)
-            entry = _check(f"profile_energy_vs_kappa[s={s:g}]",
-                           abs(pe - k) / k, 1e-6)
-            entry["value"] = float(pe)
-            checks.append(entry)
-        for mu in (1.0, 2.0, 5.0):
-            cl = conormal_limit(problem.s, mu)
-            exact = kappa(problem.s) * mu ** problem.s
-            checks.append(_check(f"conormal_limit[mu={mu:g}]",
-                                 abs(cl - exact) / abs(exact), 1e-4))
+    fault = cfg.inject_theta_fault
+    for s in s_values:
+        wq = WeightedQuadrature(1.0 - 2.0 * s)
+        moment = wq.integrate(lambda y: np.exp(-2.0 * y))
+        exact = math.gamma(2.0 - 2.0 * s) / 2.0 ** (2.0 - 2.0 * s)
+        checks.append(_check(f"quadrature_gamma_moment[s={s:g}]",
+                             abs(moment - exact) / abs(exact), 1e-9))
+        ys = np.geomspace(0.1, 10.0, 25)
+        worst = max(abs(ode_residual(s, float(y), fault)) for y in ys)
+        checks.append(_check(f"ode_residual[s={s:g}]", worst, 1e-5))
+        pe = profile_energy(s, fault)
+        k = kappa(s)
+        entry = _check(f"profile_energy_vs_kappa[s={s:g}]",
+                       abs(pe - k) / k, 1e-6)
+        entry["value"] = float(pe)
+        checks.append(entry)
+    for mu in (1.0, 2.0, 5.0):
+        cl = conormal_limit(problem.s, mu)
+        exact = kappa(problem.s) * mu ** problem.s
+        checks.append(_check(f"conormal_limit[mu={mu:g}]",
+                             abs(cl - exact) / abs(exact), 1e-4))
 
-        n_tr = 11
-        params_tr = SpectrumParams(5, n_tr)
-        rng = np.random.default_rng([cfg.seed, 101])
-        u_tr = sp.forward_transform(
-            rng.standard_normal((n_tr,) * problem.N) * 0.5, problem, params_tr)
-        trace = verify_trace_identity(u_tr)
-        checks.append(_check("trace_identity", trace.rel_gap, 1e-5))
-    finally:
-        set_theta_fault(0.0)
+    n_tr = 11
+    params_tr = SpectrumParams(5, n_tr)
+    rng = np.random.default_rng([cfg.seed, 101])
+    u_tr = sp.forward_transform(
+        rng.standard_normal((n_tr,) * problem.N) * 0.5, problem, params_tr)
+    trace = verify_trace_identity(u_tr, fault)
+    checks.append(_check("trace_identity", trace.rel_gap, 1e-5))
 
     # gradient versus central differences, in a random direction
     params_g = SpectrumParams(4, 9)

@@ -132,7 +132,7 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
             accepted = False
             val_try = val_prev
             for _ in range(40):
-                trial = FourierField(c + step * tangent, problem, params).symmetrized()
+                trial = FourierField(c + step * tangent, problem, params)
                 h = sp.hs_norm(trial)
                 if h > 0.0:
                     c_try = trial.coeffs / h
@@ -168,7 +168,10 @@ def sigma_estimate(r: float, problem: ProblemSpec, params: SpectrumParams,
     ascent over the retained modes.
 
     Ascent results are memoized on (r, s, m, T, N, modes, seed, starts);
-    lambda and gamma do not enter the quotient.
+    lambda and gamma do not enter the quotient.  A cached estimate keeps
+    the starts and iterations of the ascent that produced it, so on a
+    cache hit those counts describe where the estimate came from, not
+    work done in this call.
     """
     r = float(r)
     if r < 1.0:

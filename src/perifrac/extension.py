@@ -51,18 +51,7 @@ __all__ = [
     "conormal_limit",
     "TraceIdentityReport",
     "verify_trace_identity",
-    "set_theta_fault",
 ]
-
-# Fault-injection hook for the verification battery: when nonzero, theta()
-# is perturbed by _THETA_FAULT * y * exp(-y) (keeps theta(0) = 1 but breaks
-# the ODE).  Never set outside verification/tests.
-_THETA_FAULT = 0.0
-
-
-def set_theta_fault(eps: float) -> None:
-    global _THETA_FAULT
-    _THETA_FAULT = float(eps)
 
 
 def _check_order(s: float):
@@ -86,8 +75,13 @@ def bessel_k(s: float, y) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def theta(s: float, y) -> float | np.ndarray:
-    """Profile value theta(y) = (2/Gamma(s)) (y/2)^s K_s(y); theta(0) = 1."""
+def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
+    """Profile value theta(y) = (2/Gamma(s)) (y/2)^s K_s(y); theta(0) = 1.
+
+    A nonzero fault adds fault * y * exp(-y), which keeps theta(0) = 1 but
+    breaks the ODE; the verification battery injects it to prove that its
+    checks can fail.
+    """
     _check_order(s)
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
@@ -96,8 +90,8 @@ def theta(s: float, y) -> float | np.ndarray:
     pos = y > 0.0
     yp = y[pos]
     out[pos] = (2.0 / _gamma(s)) * (yp / 2.0) ** s * _kv(s, yp)
-    if _THETA_FAULT:
-        out = out + _THETA_FAULT * y * np.exp(-y)
+    if fault:
+        out = out + fault * y * np.exp(-y)
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,7 +105,7 @@ def theta_prime(s: float, y) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def ode_residual(s: float, y: float) -> float:
+def ode_residual(s: float, y: float, fault: float = 0.0) -> float:
     """theta'' + ((1-2s)/y) theta' - theta at y, derivatives by 4th-order
     central differences of theta (an implementation-independent check).
 
@@ -122,7 +116,7 @@ def ode_residual(s: float, y: float) -> float:
     if y <= 0.0:
         raise ValueError("ode_residual requires y > 0")
     h = min(1e-3, y / 8.0)
-    t = theta(s, np.array([y - 2 * h, y - h, y, y + h, y + 2 * h]))
+    t = theta(s, np.array([y - 2 * h, y - h, y, y + h, y + 2 * h]), fault)
     d1 = (-t[4] + 8.0 * t[3] - 8.0 * t[1] + t[0]) / (12.0 * h)
     d2 = (-t[4] + 16.0 * t[3] - 30.0 * t[2] + 16.0 * t[1] - t[0]) / (12.0 * h * h)
     return float(d2 + (1.0 - 2.0 * s) / y * d1 - t[2])
@@ -216,7 +210,7 @@ def _dprofile_sq(s: float, y: float, scale: float = 1.0) -> float:
     return y ** (2.0 - 4.0 * s) * theta_prime(s, scale * y) ** 2
 
 
-def profile_energy(s: float) -> float:
+def profile_energy(s: float, fault: float = 0.0) -> float:
     """int_0^inf y^(1-2s) (theta'^2 + theta^2) dy, computed by quadrature.
 
     Equals kappa(s); the two endpoint behaviors y^(1-2s) and y^(2s-1) are
@@ -224,13 +218,13 @@ def profile_energy(s: float) -> float:
     """
     _check_order(s)
     wa = WeightedQuadrature(1.0 - 2.0 * s)
-    a = wa.integrate(lambda y: theta(s, y) ** 2)
+    a = wa.integrate(lambda y: theta(s, y, fault) ** 2)
     wb = WeightedQuadrature(2.0 * s - 1.0)
     b = wb.integrate(lambda y: _dprofile_sq(s, y))
     return a + b
 
 
-def mode_energy(k, problem) -> float:
+def mode_energy(k, problem, fault: float = 0.0) -> float:
     """Weighted energy of the mode profile theta_k(y) = theta(sqrt(mu_k) y):
 
         int_0^inf y^(1-2s) (theta_k'^2 + mu_k theta_k^2) dy  = mu_k^s kappa(s)
@@ -242,7 +236,7 @@ def mode_energy(k, problem) -> float:
     mu = problem.omega ** 2 * float(k @ k) + problem.m ** 2
     rt = math.sqrt(mu)
     wa = WeightedQuadrature(1.0 - 2.0 * s)
-    a = wa.integrate(lambda y: mu * theta(s, rt * y) ** 2)
+    a = wa.integrate(lambda y: mu * theta(s, rt * y, fault) ** 2)
     wb = WeightedQuadrature(2.0 * s - 1.0)
     b = wb.integrate(lambda y: mu * _dprofile_sq(s, y, scale=rt))
     return a + b
@@ -282,7 +276,7 @@ class TraceIdentityReport:
     modes_used: int
 
 
-def verify_trace_identity(u) -> TraceIdentityReport:
+def verify_trace_identity(u, fault: float = 0.0) -> TraceIdentityReport:
     """Cross-check sum_k mode_energy(k)|c_k|^2 against kappa(s)|u|_Hs^2.
 
     Modes with negligible coefficients are skipped; mode energies are
@@ -302,7 +296,7 @@ def verify_trace_identity(u) -> TraceIdentityReport:
         k = idx - M
         ksq = int(k @ k)
         if ksq not in cache:
-            cache[ksq] = mode_energy(k, problem)
+            cache[ksq] = mode_energy(k, problem, fault)
         mode_sum += cache[ksq] * float(np.abs(c[tuple(idx)]) ** 2)
         used += 1
     norm_side = kappa(problem.s) * sp.hs_norm(u) ** 2

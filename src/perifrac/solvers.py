@@ -12,9 +12,9 @@ once the residual is small enough both solvers hand off to a damped inexact
 Newton polish on the sample-space residual map of the minimal grid.  Its
 Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
 samples, is symmetric and is never formed: preconditioned MINRES applies it
-by real FFTs, with the spectral multiplier as an SPD preconditioner.  A step
-is accepted only if it decreases the true residual and lands inside the
-caller's guard region.
+through the field core's transform pair, with the spectral multiplier as an
+SPD preconditioner.  A step is accepted only if it decreases the true
+residual and lands inside the caller's guard region.
 """
 
 from __future__ import annotations
@@ -174,12 +174,6 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
     )
 
 
-def _resolve_problem(field: FourierField, spec: ProblemSpec | None) -> ProblemSpec:
-    if spec is not None and spec != field.problem:
-        raise ValueError("spec disagrees with the problem carried by the field")
-    return field.problem
-
-
 def _polish_due(cfg: SolverConfig, res: float, it: int) -> bool:
     """Newton attempts are prompted by a small residual, and also fire on a
     fixed cadence: the path scheme's max-node residual plateaus at the node
@@ -207,29 +201,27 @@ def _minimal_params(params: SpectrumParams) -> SpectrumParams:
 
 def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
                         d: np.ndarray):
-    """Matrix-free (J, P) on the minimal grid n = 2M+1, where the transform
-    pair is a bijection.  J = L - lam diag(d) acts on flattened samples, L
-    multiplying mode k by the real, even symbol mu_k^s - gamma, so J is
-    symmetric.  P applies the SPD spectral multiplier
-    (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it SPD when
-    a finite-difference d dips negative."""
-    n, N = params_min.grid_points, problem.N
-    shape, axes, size = (n,) * N, tuple(range(N)), n ** N
-    # ifftshift puts k = 0 first; rfftn keeps only k >= 0 on the last axis
-    mu_s = sp.multiplier_array(problem, params_min)
-    symbol = np.fft.ifftshift(mu_s - problem.gamma)[..., :params_min.modes + 1]
+    """Matrix-free (J, P) on the minimal grid n = 2M+1, where the field
+    core's transform pair is a bijection.  J = L - lam diag(d) acts on
+    flattened samples, L multiplying mode k by the real, even symbol
+    mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
+    multiplier (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it
+    SPD when a finite-difference d dips negative."""
+    shape = (params_min.grid_points,) * problem.N
+    size = math.prod(shape)
+    symbol = sp.multiplier_array(problem, params_min) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
-    def fourier_multiply(x, sym):
-        hat = sym * np.fft.rfftn(x.reshape(shape))
-        return np.fft.irfftn(hat, s=shape, axes=axes).reshape(-1)
+    def multiply(x, sym):
+        c = sp.forward_transform(x.reshape(shape), problem, params_min).coeffs
+        return sp.inverse_transform(
+            FourierField(sym * c, problem, params_min)).reshape(-1)
 
     jac = LinearOperator(
         (size, size), dtype=float,
-        matvec=lambda x: (fourier_multiply(x, symbol)
-                          - problem.lam * d * x.reshape(-1)))
+        matvec=lambda x: multiply(x, symbol) - problem.lam * d * x.reshape(-1))
     prec = LinearOperator((size, size), dtype=float,
-                          matvec=lambda x: fourier_multiply(x, inv_prec))
+                          matvec=lambda x: multiply(x, inv_prec))
     return jac, prec
 
 
@@ -307,13 +299,12 @@ def _project_to_ball(u, rho):
 
 
 def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
-                  spec: ProblemSpec | None = None,
                   counters: dict | None = None) -> SolutionReport:
     """Projected Armijo descent for the reduced functional on the closed
     ball e(u)^2 <= cfg.rho (radial rescaling keeps iterates feasible).
     Raises BoundaryActiveError if the converged point has the constraint
     active, NonConvergenceError when the budget runs out."""
-    problem = _resolve_problem(start, spec)
+    problem = start.problem
     if counters is None:
         counters = {}
     rho = cfg.rho
@@ -374,13 +365,12 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
 
 
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
-                          spec: ProblemSpec | None = None,
                           counters: dict | None = None) -> FourierField:
     """March t -> 2t along the constant field of height r0 until the energy
     drops below energy(u_loc) - endpoint_margin.  The superlinear potential
     guarantees success; the doubling budget guards against a nonlinearity
     that is not actually superlinear."""
-    problem = _resolve_problem(u_loc, spec)
+    problem = u_loc.problem
     if counters is None:
         counters = {}
     reference = vr.energy(u_loc, nl)
@@ -430,14 +420,13 @@ def _respace(nodes):
 
 
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
-                  spec: ProblemSpec | None = None,
                   counters: dict | None = None) -> SolutionReport:
     """Saddle search along a discrete path from u_a to u_b: repeatedly take
     a capped Armijo step on the highest-energy node (smallest index on ties)
     along its negative Riesz gradient, then respace the path by arc length.
     The path localizes the ridge to one node spacing; the trust-region
     Newton polish turns that into a critical point to grad_tol."""
-    problem = _resolve_problem(u_a, spec)
+    problem = u_a.problem
     if counters is None:
         counters = {}
     if sp.hs_distance(u_a, u_b) <= cfg.distinct_tol:

@@ -6,8 +6,10 @@ symmetric mode cube max_i |k_i| <= M, with the convention
     u(x) = sum_k c_k exp(i omega k.x) / sqrt(T^N),    omega = 2 pi / T,
 
 so c_k = T^(-N/2) * int u(x) exp(-i omega k.x) dx.  Real fields carry the
-Hermitian symmetry c_{-k} = conj(c_k); it is re-enforced explicitly after
-every nonlinear operation.
+Hermitian symmetry c_{-k} = conj(c_k).  forward_transform is the one place
+that imposes it; every other operation (real even multipliers, real scalars,
+sums) preserves it bit for bit, and inverse_transform refuses coefficients
+that lost it.
 
 The pseudodifferential operator acts diagonally: mode k is multiplied by
 mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
@@ -18,8 +20,10 @@ mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
     ||u||_e^2    = kappa(s) (|u|_{Hs}^2 - gamma |u|_{L2}^2)
 
 Everything here is pure value semantics with no shared mutable state.
-Transforms go through numpy's pocketfft, which is bitwise deterministic
-for a fixed input and thread count.
+This is the only module that knows an FFT layout: the transform pair runs
+numpy's real FFTs (pocketfft, bitwise deterministic for a fixed input and
+thread count), whose half spectrum keeps k_N >= 0 and stores mode k_i at
+index k_i mod n on the leading axes.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "dual_norm",
     "bilinear_form",
     "e_norm",
-    "energy_norm",
     "pairing",
     "hs_distance",
     "mean_value",
@@ -241,27 +244,37 @@ def multiplier_array(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
     return out
 
 
-def _center_slices(n: int, M: int, N: int):
-    return tuple(slice(n // 2 - M, n // 2 + M + 1) for _ in range(N))
+def _half_index(n: int, M: int, N: int):
+    """Positions of the k_N >= 0 half of the mode cube in the rfftn layout
+    of an n^N grid: k % n on the leading axes, 0..M on the last one."""
+    lead = np.arange(-M, M + 1) % n
+    return np.ix_(*([lead] * (N - 1)), np.arange(M + 1))
 
 
 def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: SpectrumParams) -> FourierField:
     """Coefficients of real samples on the n^N grid, truncated to |k_i| <= M.
 
     Exact (to roundoff) for trigonometric polynomials of degree <= M per
-    dimension whenever n >= 2M+1.
+    dimension whenever n >= 2M+1.  The k_N < 0 half is filled by
+    conjugation, so the result is exactly Hermitian.
     """
     n, M, N = params.grid_points, params.modes, problem.N
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (n,) * N:
         raise ValueError(f"sample shape {samples.shape} != {(n,) * N}")
-    hat = np.fft.fftshift(np.fft.fftn(samples))
-    coeffs = hat[_center_slices(n, M, N)] * (problem.T ** (N / 2.0) / n ** N)
+    coeffs = np.empty((2 * M + 1,) * N, dtype=complex)
+    coeffs[..., M:] = np.fft.rfftn(samples)[_half_index(n, M, N)]
+    coeffs[..., :M] = np.conj(np.flip(coeffs[..., M + 1:]))
+    coeffs *= problem.T ** (N / 2.0) / n ** N
     return FourierField(coeffs, problem, params).symmetrized()
 
 
 def inverse_transform(field: FourierField, grid_points: int | None = None) -> np.ndarray:
-    """Real samples of the field on an n^N grid (default: params.grid_points)."""
+    """Real samples of the field on an n^N grid (default: params.grid_points).
+
+    Only the k_N >= 0 half is read, so coefficients that are not Hermitian
+    raise SymmetryError instead of silently giving a different field.
+    """
     problem, params = field.problem, field.params
     n = params.grid_points if grid_points is None else int(grid_points)
     M, N = params.modes, problem.N
@@ -272,10 +285,10 @@ def inverse_transform(field: FourierField, grid_points: int | None = None) -> np
         raise SymmetryError(
             f"Hermitian defect {field.hermitian_defect():.3e} exceeds tolerance"
         )
-    embedded = np.zeros((n,) * N, dtype=complex)
-    embedded[_center_slices(n, M, N)] = field.coeffs
-    u = np.fft.ifftn(np.fft.ifftshift(embedded)) * (n ** N / problem.T ** (N / 2.0))
-    return np.ascontiguousarray(u.real)
+    half = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
+    half[_half_index(n, M, N)] = field.coeffs[..., M:]
+    u = np.fft.irfftn(half, s=(n,) * N, axes=tuple(range(N)))
+    return u * (n ** N / problem.T ** (N / 2.0))
 
 
 def apply_fractional_op(field: FourierField) -> FourierField:
@@ -337,9 +350,6 @@ def e_norm(field: FourierField) -> float:
     pr = field.problem
     val = kappa(pr.s) * (hs_norm(field) ** 2 - pr.gamma * l2_norm(field) ** 2)
     return math.sqrt(max(val, 0.0))
-
-
-energy_norm = e_norm
 
 
 def hs_distance(u: FourierField, v: FourierField) -> float:

@@ -338,33 +338,27 @@ def integral_of_potential(u: FourierField, nl: Nonlinearity) -> float:
 # -- energy and gradient -------------------------------------------------------
 
 
-def _resolve_spec(u: FourierField, spec):
-    if spec is not None and spec != u.problem:
-        raise ValueError("spec disagrees with the problem carried by the field")
-    return u.problem
-
-
-def energy(u: FourierField, nl: Nonlinearity, spec=None,
+def energy(u: FourierField, nl: Nonlinearity,
            include_kappa: bool = False) -> float:
-    """Reduced functional value I(u); multiply by kappa(s) on request.
-    spec is redundant (the field carries its problem) and only validated."""
-    pr = _resolve_spec(u, spec)
+    """Reduced functional value I(u); multiply by kappa(s) on request."""
+    pr = u.problem
     quad_part = (sp.hs_norm(u) ** 2 - pr.gamma * sp.l2_norm(u) ** 2) / (2.0 * pr.lam)
     val = quad_part - integral_of_potential(u, nl)
     return kappa(pr.s) * val if include_kappa else val
 
 
-def gradient(u: FourierField, nl: Nonlinearity, spec=None,
+def gradient(u: FourierField, nl: Nonlinearity,
              include_kappa: bool = False) -> FourierField:
     """Mode-wise gradient r_k = (1/lam)(mu_k^s - gamma) c_k - g_k, g = f(., u),
-    so that d/de I(u + e phi)|_0 = Re sum r_k conj(phi_k)."""
-    pr = _resolve_spec(u, spec)
+    so that d/de I(u + e phi)|_0 = Re sum r_k conj(phi_k).  Real even
+    multipliers and sums keep the Hermitian symmetry of u and g exact."""
+    pr = u.problem
     mu_s = sp.multiplier_array(pr, u.params)
     ghat = nonlinear_image(u, nl)
     r = (mu_s - pr.gamma) / pr.lam * u.coeffs - ghat.coeffs
     if include_kappa:
         r = r * kappa(pr.s)
-    return FourierField(r, pr, u.params).symmetrized()
+    return FourierField(r, pr, u.params)
 
 
 def weak_residual(u: FourierField, nl: Nonlinearity) -> FourierField:
@@ -384,10 +378,9 @@ def riesz_representative(r: FourierField) -> FourierField:
     return FourierField(r.coeffs / mu_s, r.problem, r.params)
 
 
-def riesz_gradient(u: FourierField, nl: Nonlinearity, spec=None) -> FourierField:
+def riesz_gradient(u: FourierField, nl: Nonlinearity) -> FourierField:
     """Riesz representative of gradient(u); the steepest-descent direction
     in the Hs geometry is its negative."""
-    _resolve_spec(u, spec)
     return riesz_representative(gradient(u, nl))
 
 

@@ -92,6 +92,15 @@ def test_sigma_estimate_is_memoized_and_deterministic():
     assert r1 == r2  # bitwise
 
 
+@pytest.mark.parametrize("r", [3.0, 4.0])
+def test_rayleigh_ascent_field_is_exactly_hermitian(r):
+    # the ascent steps without re-symmetrizing: real even multipliers,
+    # real scalars and sums must keep forward_transform's symmetry exact
+    _, field, diag = rayleigh_ascent(PROBLEM, r, modes=2, seed=3, starts=2)
+    assert diag["iterations"] > 2
+    assert field.hermitian_defect() == 0.0
+
+
 def test_sigma_estimate_rejects_supercritical_r():
     # critical exponent is 2N/(N-2s) = 8 here
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from perifrac.extension import (ExtensionProfile, QuadratureError,
                                 WeightedQuadrature, bessel_k, conormal_limit,
                                 kappa, mode_energy, ode_residual,
-                                profile_energy, set_theta_fault, theta,
+                                profile_energy, theta,
                                 theta_prime, verify_trace_identity)
 from perifrac.spectral import FourierField, ProblemSpec, SpectrumParams
 
@@ -21,12 +21,6 @@ from conftest import random_symmetric_coeffs
 mpmath.mp.dps = 50
 
 S_SET = (0.3, 0.5, 0.7, 0.9)
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_fault():
-    yield
-    set_theta_fault(0.0)
 
 
 def kappa_oracle(s):
@@ -176,20 +170,12 @@ def test_trace_identity_detects_theta_fault(example_problem):
     params = SpectrumParams(modes=3, grid_points=7)
     u = FourierField(random_symmetric_coeffs(rng, 3, 2),
                      example_problem, params)
-    set_theta_fault(1e-3)
-    try:
-        rep = verify_trace_identity(u)
-    finally:
-        set_theta_fault(0.0)
+    rep = verify_trace_identity(u, fault=1e-3)
     assert rep.rel_gap > 1e-5   # the battery threshold must trip
 
 
 def test_fault_perturbs_ode_residual():
     base = abs(ode_residual(0.75, 1.0))
-    set_theta_fault(1e-3)
-    try:
-        faulty = abs(ode_residual(0.75, 1.0))
-    finally:
-        set_theta_fault(0.0)
+    faulty = abs(ode_residual(0.75, 1.0, fault=1e-3))
     assert base < 1e-6
     assert faulty > 1e-4

@@ -52,34 +52,42 @@ def eval_field_at(field, points):
     return vals.real
 
 
-def test_forward_transform_matches_direct_summation(example_problem):
-    rng = np.random.default_rng(7)
-    params = SpectrumParams(modes=2, grid_points=6)
-    samples = rng.standard_normal((6, 6))
-    got = forward_transform(samples, example_problem, params).coeffs
-    want = direct_coefficients(samples, example_problem, 2)
-    assert np.abs(got - want).max() < 1e-12 * (1.0 + np.abs(want).max())
+def oracle_problem(N):
+    return ProblemSpec(s=(0.4, 0.75, 0.9)[N - 1], m=1.0, gamma=0.5, lam=0.1,
+                       T=3.0, N=N)
 
 
-def test_forward_transform_direct_summation_n1():
-    problem = ProblemSpec(s=0.3, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=1)
-    rng = np.random.default_rng(8)
-    params = SpectrumParams(modes=3, grid_points=9)
-    samples = rng.standard_normal(9)
-    got = forward_transform(samples, problem, params).coeffs
-    want = direct_coefficients(samples, problem, 3)
-    assert np.abs(got - want).max() < 1e-12 * (1.0 + np.abs(want).max())
+# odd and even grids, the minimal n = 2M+1 included; at N=3 the half-axis
+# layout has two full axes to flip
+GRID_CASES = [(N, M, n) for N in (1, 2, 3) for M in (1, 2)
+              for n in (2 * M + 1, 2 * M + 2)]
+GRID_IDS = [f"N{N}-M{M}-n{n}" for N, M, n in GRID_CASES]
 
 
-def test_inverse_transform_matches_pointwise_sum(example_problem):
-    rng = np.random.default_rng(11)
-    params = SpectrumParams(modes=2, grid_points=7)
-    u = FourierField(random_symmetric_coeffs(rng, 2, 2), example_problem, params)
+@pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
+def test_forward_transform_matches_direct_summation(N, M, n):
+    problem = oracle_problem(N)
+    rng = np.random.default_rng([N, M, n])
+    samples = rng.standard_normal((n,) * N)
+    got = forward_transform(samples, problem, SpectrumParams(M, n))
+    want = direct_coefficients(samples, problem, M)
+    assert np.abs(got.coeffs - want).max() < 1e-12 * (1.0 + np.abs(want).max())
+    # the one place Hermitian symmetry is imposed; downstream code relies
+    # on it holding exactly
+    assert got.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
+def test_inverse_transform_matches_pointwise_sum(N, M, n):
+    problem = oracle_problem(N)
+    rng = np.random.default_rng([N, M, n, 1])
+    u = FourierField(random_symmetric_coeffs(rng, M, N), problem,
+                     SpectrumParams(M, n))
     samples = inverse_transform(u)
-    xs = grid_coordinates(example_problem, 7)
-    pts = [(xs[0][i, j], xs[1][i, j]) for i in (0, 3, 5) for j in (1, 4, 6)]
+    xs = grid_coordinates(problem, n)
+    pts = list(zip(*(x.reshape(-1) for x in xs)))
     direct = eval_field_at(u, pts)
-    got = np.array([samples[i, j] for i in (0, 3, 5) for j in (1, 4, 6)])
+    got = samples.reshape(-1)
     assert np.abs(got - direct).max() < 1e-11 * (1.0 + np.abs(direct).max())
 
 

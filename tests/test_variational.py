@@ -256,6 +256,21 @@ def test_energy_include_kappa_scales_everything():
     assert np.abs(g_k - k * g_plain).max() < 1e-12 * (1.0 + np.abs(g_plain).max())
 
 
+@pytest.mark.parametrize("N, s", [(1, 0.4), (2, 0.75), (3, 0.9)])
+def test_gradient_keeps_exact_hermitian_symmetry(N, s):
+    # gradient no longer re-symmetrizes: its inputs must stay exact
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=3.0, N=N)
+    params = SpectrumParams(modes=2, grid_points=6)
+    rng = np.random.default_rng(N)
+    u = forward_transform(0.5 * rng.standard_normal((6,) * N), problem, params)
+    assert u.hermitian_defect() == 0.0
+    for key in ("cubic_plus_one", "pure_cubic"):
+        nl = get_nonlinearity(key)
+        assert gradient(u, nl).hermitian_defect() == 0.0
+        assert gradient(u, nl, include_kappa=True).hermitian_defect() == 0.0
+        assert riesz_gradient(u, nl).hermitian_defect() == 0.0
+
+
 def test_gradient_matches_central_differences_20_fields():
     problem = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=2)
     params = SpectrumParams(modes=8, grid_points=17)
@@ -318,13 +333,3 @@ def test_energy_report_consistency(example_problem):
     assert abs(rep.value - energy(u, nl)) < 1e-12 * (1.0 + abs(rep.value))
     assert abs(rep.potential_part + integral_of_potential(u, nl)) < 1e-12
     assert rep.hs_norm == hs_norm(u)
-
-
-def test_spec_argument_must_agree(example_problem):
-    params = SpectrumParams(modes=1, grid_points=3)
-    u = FourierField.constant(example_problem, params, 1.0)
-    other = ProblemSpec(s=0.6, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=2)
-    nl = get_nonlinearity("cubic_plus_one")
-    assert energy(u, nl, spec=example_problem) == energy(u, nl)
-    with pytest.raises(ValueError):
-        energy(u, nl, spec=other)
