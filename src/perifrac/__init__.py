@@ -24,10 +24,10 @@ from .solvers import (BoundaryActiveError, DegeneratePathError,
                       SolverError, ball_minimize, find_descent_endpoint,
                       mountain_pass, solve_multiplicity)
 from .spectral import (FourierField, ProblemSpec, SpectrumParams,
-                       SymmetryError, apply_fractional_op, bilinear_form,
-                       dual_norm, e_norm, forward_transform, grid_coordinates,
-                       hs_distance, hs_norm, inverse_transform, l2_norm,
-                       lr_norm, mean_value, multiplier, pairing)
+                       SymmetryError, apply_fractional_op, dual_norm, e_norm,
+                       forward_transform, grid_coordinates, hs_distance,
+                       hs_norm, inverse_transform, l2_norm, lr_norm,
+                       mean_value, multiplier, pairing)
 from .variational import (CheckReport, Nonlinearity, check_ar, check_growth,
                           check_superhomogeneity, dealias_points, energy,
                           energy_report, get_nonlinearity, gradient,
@@ -55,7 +55,7 @@ __all__ = [
     "ball_minimize", "find_descent_endpoint", "mountain_pass",
     "solve_multiplicity",
     "FourierField", "ProblemSpec", "SpectrumParams", "SymmetryError",
-    "apply_fractional_op", "bilinear_form", "dual_norm", "e_norm",
+    "apply_fractional_op", "dual_norm", "e_norm",
     "forward_transform", "grid_coordinates", "hs_distance", "hs_norm",
     "inverse_transform", "l2_norm", "lr_norm", "mean_value", "multiplier",
     "pairing",

@@ -97,23 +97,19 @@ def _problem_sans_lambda(cfg: RunConfig):
     return cfg.problem(lam=1.0) if cfg.lam == AUTO else cfg.problem()
 
 
-def _solver_probe(cfg: RunConfig):
-    return cfg.solver(rho=1.0) if cfg.rho_raw == AUTO else cfg.solver()
-
-
 def _is_plain_quartic(nl) -> bool:
     return nl.q == 4.0 and nl.a1 == 1.0 and nl.a2 == 1.0
 
 
-def _fill_constants(rep, cfg, problem, params, nl, seed, starts):
+def _fill_constants(rep, problem, params, nl, seed):
     """Shared constants section: kappa, sigmas, best rho, both lambda
     tables, and the quartic interval when it applies.  Returns
-    (sigmas, rho_star, lam_star)."""
+    (sigmas, rho_star, lam_star, sigma_q estimate)."""
     cons = rep["constants"]
     cons["kappa"] = kappa(problem.s)
-    sig1 = sigma_estimate(1.0, problem, params, seed=seed, starts=starts)
-    sig2 = sigma_estimate(2.0, problem, params, seed=seed, starts=starts)
-    sigq = sigma_estimate(nl.q, problem, params, seed=seed, starts=starts)
+    sig1 = sigma_estimate(1.0, problem, params, seed=seed)
+    sig2 = sigma_estimate(2.0, problem, params, seed=seed)
+    sigq = sigma_estimate(nl.q, problem, params, seed=seed)
     estimates = [sig1, sig2] + ([sigq] if nl.q not in (1.0, 2.0) else [])
     cons["sigmas"] = [rp.estimate_dict(e) for e in estimates]
     sigmas = (sig1.value, sigq.value)
@@ -150,9 +146,7 @@ def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
     nl = cfg.nonlinearity()
     problem = _problem_sans_lambda(cfg)
     params = cfg.params()
-    probe = _solver_probe(cfg)
-    sigmas, rho_star, lam_star, sigq = _fill_constants(
-        rep, cfg, problem, params, nl, probe.seed, probe.sigma_starts)
+    *_, sigq = _fill_constants(rep, problem, params, nl, cfg.seed)
 
     if sigq.status == "truncated-lower-bound":
         key = golden_key(nl.q, problem, params.modes)
@@ -191,15 +185,16 @@ def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
 # -- solve -------------------------------------------------------------------
 
 
-def _run_pipeline(rep, cfg, params, nl, lam, rho, dump_dir):
+def _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir):
     """Shared by solve and reproduce-example: realize the problem at the
-    resolved lambda/rho, run the pipeline, map errors to statuses."""
+    resolved lambda/rho, run the pipeline on the sigmas the constants
+    section computed, map errors to statuses."""
     problem = cfg.problem(lam=lam)
     scfg = cfg.solver(rho=rho)
     rep["constants"]["resolved_lambda"] = float(lam)
     rep["constants"]["resolved_rho"] = float(rho)
     try:
-        mrep = solve_multiplicity(scfg, nl, problem, params)
+        mrep = solve_multiplicity(scfg, nl, problem, params, *sigmas)
     except InadmissibleLambdaError as exc:
         rep["status"] = "refused-inadmissible-lambda"
         rep["diagnostics"]["error"] = str(exc)
@@ -240,13 +235,12 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
     params = cfg.params()
-    probe = _solver_probe(cfg)
     problem0 = _problem_sans_lambda(cfg)
     sigmas, rho_star, lam_star, _ = _fill_constants(
-        rep, cfg, problem0, params, nl, probe.seed, probe.sigma_starts)
+        rep, problem0, params, nl, cfg.seed)
     rho = rho_star if cfg.rho_raw == AUTO else float(cfg.rho_raw)
     lam = 0.5 * lam_star if cfg.lam == AUTO else float(cfg.lam)
-    _run_pipeline(rep, cfg, params, nl, lam, rho, dump_dir)
+    _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir)
     return rep
 
 
@@ -379,10 +373,9 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
                                       "--config was ignored")
     nl = cfg.nonlinearity()
     params = cfg.params(modes=modes, grid_points=grid)
-    probe = _solver_probe(cfg)
     problem0 = _problem_sans_lambda(cfg)
     sigmas, rho_star, lam_star, _ = _fill_constants(
-        rep, cfg, problem0, params, nl, probe.seed, probe.sigma_starts)
+        rep, problem0, params, nl, cfg.seed)
     interval = example_lambda_interval(sigmas, problem0)
     lam = 0.01 if smoke else interval.midpoint
     rho = interval.best_rho
@@ -395,7 +388,7 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     rep["diagnostics"]["f_at_zero"] = f0
     rep["diagnostics"]["f_at_zero_nonzero"] = bool(f0 != 0.0)
 
-    mrep = _run_pipeline(rep, cfg, params, nl, lam, rho, dump_dir)
+    mrep = _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir)
     if mrep is not None:
         scfg_tol = cfg.solver(rho=rho).distinct_tol
         nontrivial = [bool(s.hs_norm > scfg_tol) for s in mrep.solutions]

@@ -1,8 +1,8 @@
 """Flat key-value run configuration.
 
 Format: UTF-8 text, one `section.key = value` per line, '#' comments, blank
-lines ignored.  Values are ints, floats, booleans (true/false), the literal
-string "auto" (for problem.lambda and solver.rho), or bare strings.
+lines ignored.  Values are ints, floats, the literal string "auto" (for
+problem.lambda and solver.rho), or bare strings.
 serialize(parse(text)) is idempotent.
 
 Sections and keys:
@@ -11,7 +11,9 @@ Sections and keys:
     discretization.M .grid_points
     nonlinearity.key .a1 .a2 .q .alpha .r0      (params optional: registry
                                                  defaults apply when absent)
-    solver.<any SolverConfig field>, with solver.rho also accepting "auto"
+    solver.rho .grad_tol .max_iter .distinct_tol .max_doublings .seed
+                                                (the SolverConfig fields;
+                                                 rho also accepts "auto")
     verify.inject_theta_fault
     command                                      (optional echo/default)
 """
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .solvers import SolverConfig
 from .spectral import ProblemSpec, SpectrumParams
-from .variational import Nonlinearity, get_nonlinearity
+from .variational import (Nonlinearity, get_nonlinearity,
+                          validate_growth_exponent)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
            "load_config", "default_example_text", "AUTO"]
@@ -32,9 +35,9 @@ AUTO = "auto"
 
 _COMMANDS = ("constants", "solve", "verify", "reproduce-example")
 
-_SOLVER_FIELDS = {f.name: f.type for f in dataclass_fields(SolverConfig)}
-
-_BOOL_WORDS = {"true": True, "false": False}
+# SolverConfig field name -> whether it takes an integer
+_SOLVER_FIELDS = {f.name: f.type in (int, "int")
+                  for f in dataclass_fields(SolverConfig)}
 
 
 class ConfigError(ValueError):
@@ -44,10 +47,7 @@ class ConfigError(ValueError):
 
 def _parse_value(raw: str):
     word = raw.strip()
-    low = word.lower()
-    if low in _BOOL_WORDS:
-        return _BOOL_WORDS[low]
-    if low == AUTO:
+    if word.lower() == AUTO:
         return AUTO
     try:
         return int(word)
@@ -61,11 +61,7 @@ def _parse_value(raw: str):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -171,7 +167,7 @@ class RunConfig:
 
 
 def _require_number(key: str, value, integer: bool = False):
-    if isinstance(value, bool) or isinstance(value, str):
+    if isinstance(value, str):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if integer:
         if isinstance(value, float) and not value.is_integer():
@@ -241,17 +237,9 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
             raise ConfigError(f"unknown configuration key {key!r}")
         if name == "rho" and value == AUTO:
             cfg.solver_values["rho"] = AUTO
-        elif name == "polish":
-            if not isinstance(value, bool):
-                raise ConfigError(f"solver.polish must be true or false, "
-                                  f"got {value!r}")
-            cfg.solver_values["polish"] = value
-        elif name in ("max_iter", "path_points", "max_halvings",
-                      "max_doublings", "polish_every", "polish_max_steps",
-                      "seed", "sigma_starts"):
-            cfg.solver_values[name] = _require_number(key, value, integer=True)
         else:
-            cfg.solver_values[name] = _require_number(key, value)
+            cfg.solver_values[name] = _require_number(
+                key, value, integer=_SOLVER_FIELDS[name])
     elif key == "verify.inject_theta_fault":
         cfg.inject_theta_fault = _require_number(key, value)
     elif key == "command":
@@ -296,7 +284,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"solver.rho = {rho!r} violates rho > 0 (or 'auto')")
     # realize the blocks that do not depend on auto values, so bad numbers
     # surface at parse time with their constraint text
-    cfg.nonlinearity()
+    try:
+        validate_growth_exponent(cfg.nonlinearity(), cfg.problem(lam=1.0))
+    except ValueError as exc:
+        raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
     if rho != AUTO:
         cfg.solver()
     else:

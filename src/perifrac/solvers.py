@@ -89,19 +89,9 @@ class SolverConfig:
     rho: float = 1.0               # ball parameter: constraint is e(u)^2 <= rho
     grad_tol: float = 1e-8
     max_iter: int = 2000
-    path_points: int = 16          # segments P; the path carries P+1 nodes
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_halvings: int = 30
     distinct_tol: float = 1e-3
-    endpoint_margin: float = 1.0
     max_doublings: int = 40
-    polish: bool = True
-    polish_trigger: float = 1e-3   # residual level that prompts a Newton attempt
-    polish_every: int = 10         # also attempt periodically (0 disables)
-    polish_max_steps: int = 20
     seed: int = 0
-    sigma_starts: int = 16
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -110,12 +100,21 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if self.distinct_tol <= 0:
             raise ValueError("distinct_tol must be positive")
-        if self.path_points < 8:
-            raise ValueError("path_points must be at least 8")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not (0.0 < self.armijo_c1 < 0.5):
-            raise ValueError("armijo_c1 must lie in (0, 0.5)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.max_doublings < 0:
+            raise ValueError("max_doublings must be non-negative")
+
+
+# Fixed tuning of the descent stages and the Newton polish.
+_PATH_POINTS = 16          # segments P; the path carries P+1 nodes
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_MAX_HALVINGS = 30
+_ENDPOINT_MARGIN = 1.0     # energy drop the descent endpoint must reach
+_POLISH_TRIGGER = 1e-3     # residual level that prompts a Newton attempt
+_POLISH_EVERY = 10         # also attempt on this iteration cadence
+_POLISH_MAX_STEPS = 20
 
 
 @dataclass
@@ -174,16 +173,12 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
     )
 
 
-def _polish_due(cfg: SolverConfig, res: float, it: int) -> bool:
+def _polish_due(res: float, it: int) -> bool:
     """Newton attempts are prompted by a small residual, and also fire on a
     fixed cadence: the path scheme's max-node residual plateaus at the node
     spacing scale, so waiting for a small residual alone can starve the
     polish that would finish the job."""
-    if not cfg.polish:
-        return False
-    if res <= cfg.polish_trigger:
-        return True
-    return cfg.polish_every > 0 and it % cfg.polish_every == 0
+    return res <= _POLISH_TRIGGER or it % _POLISH_EVERY == 0
 
 
 # -- Newton polish -------------------------------------------------------------
@@ -251,7 +246,7 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     cur = u
     res_cur = vr.residual_dual_norm(cur, nl)
     res_start = res_cur
-    for _ in range(cfg.polish_max_steps):
+    for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
             break
         _bump(counters, "newton_steps")
@@ -270,17 +265,17 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             break
         delta = delta.reshape(v.shape)
         tau, accepted = 1.0, False
-        for _ in range(cfg.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             c_try = sp.forward_transform(v + tau * delta, problem, params_min).coeffs
             u_try = FourierField(c_try, problem, params)
             if max_move is not None and sp.hs_distance(u_try, u) > max_move:
-                tau *= cfg.backtrack
+                tau *= _BACKTRACK
                 continue
             res_try = vr.residual_dual_norm(u_try, nl)
             if res_try < res_cur * (1.0 - 1e-4):
                 cur, res_cur, accepted = u_try, res_try, True
                 break
-            tau *= cfg.backtrack
+            tau *= _BACKTRACK
         if not accepted:
             break
     ok = (res_cur <= cfg.grad_tol and res_cur < res_start
@@ -288,7 +283,24 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     return (cur, True) if ok else (u, False)
 
 
-# -- constrained descent ---------------------------------------------------------
+# -- descent stages ----------------------------------------------------------------
+
+
+def _armijo(u, riesz, I_cur, tau, nl, counters, project=None):
+    """Backtracking Armijo search from u along -riesz, starting at step tau.
+    project, if given, maps each trial point back to the feasible set.
+    Returns the accepted (u, I, tau), or None when every halving fails."""
+    decrease = -sp.hs_norm(riesz) ** 2   # <r, -riesz> in the duality pairing
+    for _ in range(_MAX_HALVINGS):
+        u_try = u + riesz * (-tau)
+        if project is not None:
+            u_try = project(u_try)
+        _bump(counters, "line_search_trials")
+        I_try = _energy(u_try, nl, counters)
+        if I_try <= I_cur + _ARMIJO_C1 * tau * decrease:
+            return u_try, I_try, tau
+        tau *= _BACKTRACK
+    return None
 
 
 def _project_to_ball(u, rho):
@@ -316,7 +328,6 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         e = sp.e_norm(w)
         return e * e < rho
 
-    it = 0
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_ball")
         r = _gradient(u, nl, counters)
@@ -324,30 +335,23 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         history.append(res)
         if res <= cfg.grad_tol:
             break
-        if _polish_due(cfg, res, it):
+        if _polish_due(res, it):
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
                                          max_move=2.0 * ball_radius(rho, problem))
             if done:
                 u = u_new
                 history.append(vr.residual_dual_norm(u, nl))
                 break
-        riesz = vr.riesz_representative(r)
-        decrease = -sp.hs_norm(riesz) ** 2   # <r, -riesz> in the duality pairing
-        I_cur = _energy(u, nl, counters)
-        tau, moved = step, False
-        for _ in range(cfg.max_halvings):
-            u_try = _project_to_ball(u + riesz * (-tau), rho)
-            _bump(counters, "line_search_trials")
-            if _energy(u_try, nl, counters) <= I_cur + cfg.armijo_c1 * tau * decrease:
-                u, moved = u_try, True
-                step = tau / cfg.backtrack
-                break
-            tau *= cfg.backtrack
-        if not moved:
+        accepted = _armijo(u, vr.riesz_representative(r),
+                           _energy(u, nl, counters), step, nl, counters,
+                           project=lambda w: _project_to_ball(w, rho))
+        if accepted is None:
             raise NonConvergenceError(
                 f"ball descent stalled at residual {res:.3e} after {it} iterations",
                 residual_history=history,
             )
+        u, _, tau = accepted
+        step = tau / _BACKTRACK
     else:
         raise NonConvergenceError(
             f"ball descent did not reach grad_tol={cfg.grad_tol:.1e} in "
@@ -367,7 +371,7 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
                           counters: dict | None = None) -> FourierField:
     """March t -> 2t along the constant field of height r0 until the energy
-    drops below energy(u_loc) - endpoint_margin.  The superlinear potential
+    drops below energy(u_loc) - _ENDPOINT_MARGIN.  The superlinear potential
     guarantees success; the doubling budget guards against a nonlinearity
     that is not actually superlinear."""
     problem = u_loc.problem
@@ -379,12 +383,12 @@ def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
     for _ in range(cfg.max_doublings):
         _bump(counters, "endpoint_probes")
         cand = v0 * t
-        if _energy(cand, nl, counters) < reference - cfg.endpoint_margin:
+        if _energy(cand, nl, counters) < reference - _ENDPOINT_MARGIN:
             return cand
         t *= 2.0
     raise EndpointSearchError(
         f"no endpoint with energy below {reference:.6g} - "
-        f"{cfg.endpoint_margin:g} within {cfg.max_doublings} doublings of the "
+        f"{_ENDPOINT_MARGIN:g} within {cfg.max_doublings} doublings of the "
         f"constant direction; superlinearity looks violated numerically"
     )
 
@@ -432,7 +436,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     if sp.hs_distance(u_a, u_b) <= cfg.distinct_tol:
         raise DegeneratePathError("path endpoints coincide")
 
-    P = cfg.path_points
+    P = _PATH_POINTS
     nodes = _interpolate_path(u_a, u_b, P)
     energies = [_energy(w, nl, counters) for w in nodes]
     end_max = max(energies[0], energies[P])
@@ -445,7 +449,6 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     step = 1.0
     history = []
     candidate = None
-    it = 0
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_path")
         jmax = int(np.argmax(energies))
@@ -462,7 +465,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         if res <= cfg.grad_tol:
             candidate = u
             break
-        if _polish_due(cfg, res, it):
+        if _polish_due(res, it):
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
                                          max_move=2.0 * arc / P)
             if done:
@@ -470,31 +473,20 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                 history.append(vr.residual_dual_norm(u_new, nl))
                 break
         riesz = vr.riesz_representative(r)
-        riesz_norm = sp.hs_norm(riesz)
-        decrease = -riesz_norm ** 2
-        I_cur = energies[jmax]
         # cap the displacement at one node spacing: a longer move would
         # tunnel the node past the saddle into the far well (the Armijo
         # test happily accepts that) and shred the path discretization
-        cap = arc / P / max(riesz_norm, 1e-300)
-        tau, moved = min(step, cap), False
-        for _ in range(cfg.max_halvings):
-            u_try = u + riesz * (-tau)
-            _bump(counters, "line_search_trials")
-            I_try = _energy(u_try, nl, counters)
-            if I_try <= I_cur + cfg.armijo_c1 * tau * decrease:
-                nodes[jmax] = u_try
-                energies[jmax] = I_try
-                step = tau / cfg.backtrack
-                moved = True
-                break
-            tau *= cfg.backtrack
-        if not moved:
+        cap = arc / P / max(sp.hs_norm(riesz), 1e-300)
+        accepted = _armijo(u, riesz, energies[jmax], min(step, cap), nl,
+                           counters)
+        if accepted is None:
             raise NonConvergenceError(
                 f"saddle search stalled at residual {res:.3e} "
                 f"(node {jmax}, iteration {it})",
                 residual_history=history,
             )
+        nodes[jmax], energies[jmax], tau = accepted
+        step = tau / _BACKTRACK
         # unconditional arc-length respacing; without it nodes drain into
         # the two wells and the ridge crossing ends up inside an unsampled
         # segment (the discrete max then has nothing to do with the saddle)
@@ -530,11 +522,9 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
     lets solver errors propagate if the ball stage itself fails."""
     vr.validate_growth_exponent(nl, spec)
     if sigma1 is None:
-        sigma1 = sigma_estimate(1.0, spec, params,
-                                seed=cfg.seed, starts=cfg.sigma_starts).value
+        sigma1 = sigma_estimate(1.0, spec, params, seed=cfg.seed).value
     if sigmaq is None:
-        sigmaq = sigma_estimate(nl.q, spec, params,
-                                seed=cfg.seed, starts=cfg.sigma_starts).value
+        sigmaq = sigma_estimate(nl.q, spec, params, seed=cfg.seed).value
     sigmas = (sigma1, sigmaq)
     rho = cfg.rho
     lam_max = lambda_max(rho, spec, nl, sigmas)

@@ -51,7 +51,6 @@ __all__ = [
     "l2_norm",
     "lr_norm",
     "dual_norm",
-    "bilinear_form",
     "e_norm",
     "pairing",
     "hs_distance",
@@ -168,12 +167,15 @@ class FourierField:
             k = tuple(int(ki) for ki in np.atleast_1d(k))
             if len(k) != problem.N or any(abs(ki) > M for ki in k):
                 raise ValueError(f"mode {k} outside the retained cube")
+            if not any(k):
+                # c_0 is its own conjugate partner: it must be real
+                if abs(np.imag(amp)) > 1e-12 * (1.0 + abs(amp)):
+                    raise SymmetryError("the k = 0 amplitude must be real")
+                amp = np.real(amp)
             idx = tuple(M + ki for ki in k)
             neg = tuple(M - ki for ki in k)
             u.coeffs[idx] = amp
             u.coeffs[neg] = np.conj(amp)
-        if abs(u.hermitian_defect()) > 1e-12 * (1.0 + np.abs(u.coeffs).max()):
-            raise SymmetryError("amplitudes are not Hermitian-consistent")
         return u
 
     # -- light vector arithmetic (solvers treat fields as vectors) --------
@@ -327,13 +329,6 @@ def dual_norm(field: FourierField) -> float:
     """Norm of Sum g_k e_k as a functional against the Hs norm."""
     mu_s = multiplier_array(field.problem, field.params)
     return math.sqrt(float(np.sum(np.abs(field.coeffs) ** 2 / mu_s)))
-
-
-def bilinear_form(u: FourierField, v: FourierField) -> float:
-    """Q(u, v) = sum mu_k^s c_k conj(d_k); the Hs inner product (real part)."""
-    u._check_compatible(v)
-    mu_s = multiplier_array(u.problem, u.params)
-    return float(np.real(np.sum(mu_s * u.coeffs * np.conj(v.coeffs))))
 
 
 def pairing(g: FourierField, u: FourierField) -> float:

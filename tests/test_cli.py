@@ -122,8 +122,7 @@ def test_verify_is_fault_free_after_failed_run(capsys, tmp_path):
 
 
 SOLVE_CFG = ("discretization.M = 4\n"
-             "discretization.grid_points = 18\n"
-             "solver.sigma_starts = 6\n")
+             "discretization.grid_points = 18\n")
 
 
 def test_solve_auto_lambda_two_solutions(capsys, tmp_path):
@@ -239,6 +238,44 @@ def test_config_error_paths(capsys, tmp_path):
 
     code, rep, _ = run_cli(capsys, "solve", "--frobnicate")
     assert code == 4 and rep["status"] == "config-error"
+
+
+# tuning values that were solver.* keys once and are fixed constants now
+REMOVED_SOLVER_KEYS = {
+    "path_points": "16", "armijo_c1": "1e-4", "backtrack": "0.5",
+    "max_halvings": "30", "endpoint_margin": "1.0", "polish": "true",
+    "polish_trigger": "1e-3", "polish_every": "10", "polish_max_steps": "20",
+    "sigma_starts": "16",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_SOLVER_KEYS))
+def test_removed_solver_key_is_rejected(capsys, tmp_path, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"solver.{key} = {REMOVED_SOLVER_KEYS[key]}\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    assert (f"unknown configuration key 'solver.{key}'"
+            in rep["diagnostics"]["error"])
+
+
+def test_config_echo_holds_the_six_solver_keys(capsys):
+    code, rep, _ = run_cli(capsys, "reproduce-example", "--smoke")
+    assert code == 0
+    solver_keys = {k for k in rep["config"] if k.startswith("solver.")}
+    assert solver_keys == {"solver.rho", "solver.grad_tol", "solver.max_iter",
+                           "solver.distinct_tol", "solver.max_doublings",
+                           "solver.seed"}
+
+
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_supercritical_growth_is_a_config_error(capsys, tmp_path, command):
+    # 2N/(N-2s) = 5 for N = 3, s = 0.9, so q = 5.5 is supercritical
+    cfg = tmp_path / "super.cfg"
+    cfg.write_text("problem.N = 3\nproblem.s = 0.9\nnonlinearity.q = 5.5\n")
+    code, rep, _ = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    assert "critical exponent" in rep["diagnostics"]["error"]
 
 
 def test_seed_flag_is_recorded(capsys):

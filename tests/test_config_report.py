@@ -34,7 +34,6 @@ def test_parse_scalars_and_sentinels():
         "discretization.M = 4\n"
         "discretization.grid_points = 18\n"
         "solver.rho = auto\n"
-        "solver.polish = false\n"
         "solver.max_iter = 500\n"
         "solver.seed = 3\n"
         "verify.inject_theta_fault = 0.001\n"
@@ -42,7 +41,6 @@ def test_parse_scalars_and_sentinels():
     )
     assert cfg.s == 0.6 and cfg.lam == AUTO and cfg.modes == 4
     assert cfg.rho_raw == AUTO
-    assert cfg.solver_values["polish"] is False
     assert cfg.solver_values["max_iter"] == 500
     assert cfg.seed == 3
     assert cfg.inject_theta_fault == 0.001
@@ -67,7 +65,6 @@ def test_parse_comments_blanks_and_inline_comments():
     ("problem.N = 2.5\n", "integer"),
     ("problem.s = maybe\n", "number"),
     ("problem.s = true\n", "number"),
-    ("solver.polish = 1\n", "true or false"),
     ("command = launch\n", "command must be one of"),
     ("problem.s = 1.5\n", "0 < s < 1"),
     ("problem.s = 0.75\nproblem.N = 1\n", "N > 2s"),
@@ -78,6 +75,11 @@ def test_parse_comments_blanks_and_inline_comments():
     ("discretization.M = 8\ndiscretization.grid_points = 9\n", "2M+1"),
     ("solver.rho = -1\n", "rho > 0"),
     ("solver.path_points = 2\n", "path_points"),
+    ("solver.max_iter = 0\n", "max_iter must be at least 1"),
+    ("solver.max_doublings = -1\n", "max_doublings must be non-negative"),
+    ("solver.max_iter = 2.5\n", "integer"),
+    ("problem.N = 3\nproblem.s = 0.9\nnonlinearity.q = 5.5\n",
+     "critical exponent"),
     ("nonlinearity.key = sine_gordon\n", "nonlinearity block invalid"),
     ("nonlinearity.q = 1.5\n", "nonlinearity block invalid"),
 ])

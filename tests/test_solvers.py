@@ -23,8 +23,9 @@ from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                forward_transform, hs_norm, inverse_transform,
                                mean_value, multiplier_array)
-from perifrac.variational import (get_nonlinearity, make_nonlinearity,
-                                  residual_dual_norm)
+from perifrac.variational import (energy, get_nonlinearity, gradient,
+                                  make_nonlinearity, residual_dual_norm,
+                                  riesz_representative)
 
 BASE = dict(s=0.75, m=1.0, gamma=0.5, T=2.0 * math.pi, N=2)
 
@@ -131,7 +132,6 @@ def test_endpoint_search_budget():
     with pytest.raises(EndpointSearchError):
         find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl)
     ep = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl)
-    from perifrac.variational import energy
     assert energy(ep, nl) < energy(zero, nl) - 1.0
     assert abs(mean_value(ep)) >= nl.r0
 
@@ -140,7 +140,7 @@ def test_nonconvergence_carries_history():
     problem = ProblemSpec(lam=0.01, **BASE)
     params = SpectrumParams(0, 2)
     nl = get_nonlinearity("cubic_plus_one")
-    cfg = SolverConfig(rho=1.0, max_iter=3, polish=False, grad_tol=1e-300)
+    cfg = SolverConfig(rho=1.0, max_iter=3, grad_tol=1e-300)
     with pytest.raises(NonConvergenceError) as exc_info:
         ball_minimize(FourierField.zeros(problem, params), cfg, nl)
     assert len(exc_info.value.residual_history) == 3
@@ -318,11 +318,11 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     dict(rho=-2.0),
     dict(grad_tol=0.0),
     dict(distinct_tol=-1.0),
-    dict(path_points=4),
-    dict(backtrack=1.0),
-    dict(backtrack=0.0),
-    dict(armijo_c1=0.5),
-    dict(armijo_c1=0.0),
+    dict(distinct_tol=0.0),
+    dict(grad_tol=-1e-8),
+    dict(max_iter=0),
+    dict(max_iter=-5),
+    dict(max_doublings=-1),
 ])
 def test_solver_config_rejects(bad):
     with pytest.raises(ValueError):
@@ -331,4 +331,24 @@ def test_solver_config_rejects(bad):
 
 def test_solver_config_defaults_are_valid():
     cfg = SolverConfig()
-    assert cfg.rho == 1.0 and cfg.path_points == 16 and cfg.polish
+    assert cfg.rho == 1.0 and cfg.max_iter == 2000 and cfg.max_doublings == 40
+    # zero doublings is a valid budget: the endpoint search then gives up
+    assert SolverConfig(max_doublings=0).max_doublings == 0
+
+
+def test_armijo_accepts_descent_and_reports_stall():
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(0, 2)
+    nl = get_nonlinearity("cubic_plus_one")
+    u = FourierField.zeros(problem, params)
+    riesz = riesz_representative(gradient(u, nl))
+    I0 = energy(u, nl)
+    counters = {}
+    u_new, I_new, tau = solvers._armijo(u, riesz, I0, 1.0, nl, counters)
+    assert I_new == energy(u_new, nl) < I0
+    assert 0.0 < tau <= 1.0
+    assert counters["line_search_trials"] == counters["energy_evals"] >= 1
+    # uphill along +riesz no step length passes the sufficient-decrease test
+    counters = {}
+    assert solvers._armijo(u, -riesz, I0, 1.0, nl, counters) is None
+    assert counters["line_search_trials"] == solvers._MAX_HALVINGS

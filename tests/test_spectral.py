@@ -194,6 +194,22 @@ def test_from_modes_rejects_out_of_cube(example_problem):
         FourierField.from_modes(example_problem, params, {(3, 0): 1.0})
 
 
+def test_from_modes_stores_a_real_mean_mode(example_problem):
+    # an imaginary part at roundoff level is dropped, so the cube is
+    # exactly Hermitian
+    params = SpectrumParams(modes=2, grid_points=5)
+    u = FourierField.from_modes(example_problem, params,
+                                {(0, 0): 1 + 1e-13j, (1, 0): 0.5 - 0.25j})
+    assert u.coeffs[2, 2] == 1.0
+    assert u.hermitian_defect() == 0.0
+
+
+def test_from_modes_rejects_complex_mean_mode(example_problem):
+    params = SpectrumParams(modes=2, grid_points=5)
+    with pytest.raises(SymmetryError):
+        FourierField.from_modes(example_problem, params, {(0, 0): 1 + 1e-3j})
+
+
 # -- property tests -----------------------------------------------------------
 
 coeff_entries = st.floats(min_value=-5.0, max_value=5.0,
