@@ -77,11 +77,18 @@ def _closed_form(problem: ProblemSpec, r: float) -> float | None:
     return None
 
 
-def _ascent_grid(problem: ProblemSpec, modes: int, r: float) -> int:
-    # |u|^{r-1} sgn(u) for integer r is a degree-(r-1) power of the samples;
-    # use the product-dealiasing rule, generously for fractional r.
-    deg = int(round(r)) if float(r).is_integer() else None
-    n = (deg + 1) * modes + 2 if deg is not None else 4 * modes + 2
+def _ascent_grid(modes: int, r: float) -> int:
+    # For even integer r, |u|^r = u^r and |u|^{r-1} sgn(u) = u^{r-1} are
+    # trigonometric polynomials of degree rM and (r-1)M, so n >= rM+1 makes
+    # both the rectangle rule for |u|_r^r and the truncated forward transform
+    # of w exact.  For odd r, w is not a polynomial (r = 3 gives u|u|), and
+    # for fractional r neither |u|^r nor w is: those keep the generous
+    # product-dealiasing rule, which is only spectrally accurate.
+    if float(r).is_integer():
+        deg = int(r)
+        n = deg * modes + 1 if deg % 2 == 0 else (deg + 1) * modes + 2
+    else:
+        n = 4 * modes + 2
     return max(n, 2 * modes + 1, 2)
 
 
@@ -96,16 +103,28 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     radial component gives the tangential step.  Multi-start with seeds
     spawned from the master seed; returns (best ratio, best field,
     diagnostics dict).
+
+    For even integer r the grid has n = max(rM+1, 2M+1) points per axis,
+    where u^r and u^{r-1} (degree rM and (r-1)M) are resolved exactly, so
+    the returned ratio is the exact quotient of the returned field.  Odd
+    and fractional r use a finer grid on which |u|^r, which has a kink at
+    the zeros of u, is integrated to spectral accuracy only.
+
+    Each field is inverse-transformed once: the samples of an accepted
+    trial point carry over to the next iteration and to the final ratio.
     """
     if r < 1.0:
         raise ValueError("r must be >= 1")
-    n = _ascent_grid(problem, modes, r)
+    n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = sp.multiplier_array(problem, params)
     dx_weight = (problem.T / n) ** problem.N
 
-    def lr_of(samples):
-        return float(np.sum(np.abs(samples) ** r) * dx_weight) ** (1.0 / r)
+    def sample(c):
+        samples = sp.inverse_transform(FourierField(c, problem, params))
+        magnitude = np.abs(samples)
+        lr = float(np.sum(magnitude ** r) * dx_weight) ** (1.0 / r)
+        return samples, magnitude, lr
 
     best_val, best_field, best_start = -np.inf, None, -1
     total_iters = 0
@@ -114,15 +133,14 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         u0 = sp.forward_transform(rng.standard_normal((n,) * problem.N),
                                   problem, params)
         c = u0.coeffs / max(sp.hs_norm(u0), 1e-300)
+        samples, magnitude, Lr = sample(c)
         step = 0.5
         val_prev = -np.inf
         for _ in range(max_iter):
             total_iters += 1
-            samples = sp.inverse_transform(FourierField(c, problem, params))
-            Lr = lr_of(samples)
             if Lr <= 0.0:
                 break
-            w = np.abs(samples) ** (r - 1.0) * np.sign(samples)
+            w = magnitude ** (r - 1.0) * np.sign(samples)
             what = sp.forward_transform(w, problem, params).coeffs * Lr ** (1.0 - r)
             grad = what / mu_s
             tangent = grad - np.real(np.vdot(c * mu_s, grad)) * c
@@ -130,28 +148,26 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
             if tnorm2 <= (tol * max(Lr, 1.0)) ** 2:
                 break
             accepted = False
-            val_try = val_prev
             for _ in range(40):
                 trial = FourierField(c + step * tangent, problem, params)
                 h = sp.hs_norm(trial)
                 if h > 0.0:
                     c_try = trial.coeffs / h
-                    val_try = lr_of(sp.inverse_transform(
-                        FourierField(c_try, problem, params)))
+                    s_try, m_try, val_try = sample(c_try)
                     if val_try > Lr * (1.0 + 1e-16):
-                        c = c_try
+                        c, samples, magnitude, Lr = c_try, s_try, m_try, val_try
                         step *= 1.3
                         accepted = True
                         break
                 step *= 0.5
             if not accepted:
                 break
-            if abs(val_try - val_prev) <= tol * max(1.0, abs(val_try)):
+            if abs(Lr - val_prev) <= tol * max(1.0, abs(Lr)):
                 break
-            val_prev = val_try
+            val_prev = Lr
         field = FourierField(c, problem, params)
         h = sp.hs_norm(field)
-        val = sp.lr_norm(field, r) / h if h > 0 else 0.0
+        val = Lr / h if h > 0 else 0.0
         if val > best_val:
             best_val, best_field, best_start = val, field, i_start
     diag = {"starts": starts, "iterations": total_iters, "best_start": best_start}

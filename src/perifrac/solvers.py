@@ -321,6 +321,7 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         counters = {}
     rho = cfg.rho
     u = _project_to_ball(start.copy(), rho)
+    I_cur = _energy(u, nl, counters)   # carried: each accepted step returns it
     step = 1.0
     history = []
 
@@ -342,15 +343,14 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
                 u = u_new
                 history.append(vr.residual_dual_norm(u, nl))
                 break
-        accepted = _armijo(u, vr.riesz_representative(r),
-                           _energy(u, nl, counters), step, nl, counters,
-                           project=lambda w: _project_to_ball(w, rho))
+        accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
+                           counters, project=lambda w: _project_to_ball(w, rho))
         if accepted is None:
             raise NonConvergenceError(
                 f"ball descent stalled at residual {res:.3e} after {it} iterations",
                 residual_history=history,
             )
-        u, _, tau = accepted
+        u, I_cur, tau = accepted
         step = tau / _BACKTRACK
     else:
         raise NonConvergenceError(

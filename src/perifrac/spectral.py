@@ -246,11 +246,16 @@ def multiplier_array(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
     return out
 
 
+@lru_cache(maxsize=64)
 def _half_index(n: int, M: int, N: int):
     """Positions of the k_N >= 0 half of the mode cube in the rfftn layout
-    of an n^N grid: k % n on the leading axes, 0..M on the last one."""
+    of an n^N grid: k % n on the leading axes, 0..M on the last one.
+    Cached, returned read-only."""
     lead = np.arange(-M, M + 1) % n
-    return np.ix_(*([lead] * (N - 1)), np.arange(M + 1))
+    index = np.ix_(*([lead] * (N - 1)), np.arange(M + 1))
+    for axis in index:
+        axis.setflags(write=False)
+    return index
 
 
 def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: SpectrumParams) -> FourierField:

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from perifrac import spectral
 from perifrac.constants import (EmbeddingEstimate, LambdaInterval,
                                 ball_radius, best_lambda, chi_upper,
                                 default_golden_path, example_h,
@@ -16,7 +17,8 @@ from perifrac.constants import (EmbeddingEstimate, LambdaInterval,
                                 lambda_max, lambda_table, load_golden,
                                 rayleigh_ascent, sigma_estimate)
 from perifrac.extension import kappa
-from perifrac.spectral import ProblemSpec, SpectrumParams
+from perifrac.spectral import (ProblemSpec, SpectrumParams, hs_norm,
+                               inverse_transform)
 from perifrac.variational import get_nonlinearity
 
 mpmath.mp.dps = 50
@@ -99,6 +101,39 @@ def test_rayleigh_ascent_field_is_exactly_hermitian(r):
     _, field, diag = rayleigh_ascent(PROBLEM, r, modes=2, seed=3, starts=2)
     assert diag["iterations"] > 2
     assert field.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 6), (2, 0.75, 4),
+                                         (3, 0.9, 2)])
+@pytest.mark.parametrize("r", [2.0, 4.0])
+def test_ascent_ratio_is_exact_on_its_grid(N, s, modes, r):
+    # for even r the ascent's grid resolves u^r exactly, so its ratio must
+    # agree with the rectangle rule on a 3x finer grid and the Hs norm
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    ratio, field, _ = rayleigh_ascent(problem, r, modes, seed=5, starts=2)
+    n = field.params.grid_points
+    assert n == max(int(r) * modes + 1, 2 * modes + 1)
+    fine = inverse_transform(field, grid_points=3 * n)
+    lr = (np.sum(np.abs(fine) ** r) * (problem.T / (3 * n)) ** N) ** (1.0 / r)
+    want = lr / hs_norm(field)
+    assert abs(ratio - want) < 1e-12 * want
+
+
+def test_ascent_transforms_each_field_once(monkeypatch):
+    # the samples of an accepted trial point are reused by the next
+    # iteration and by the final ratio, never recomputed
+    seen = []
+    real = spectral.inverse_transform
+
+    def spy(field, grid_points=None):
+        seen.append(field.coeffs.tobytes())
+        return real(field, grid_points)
+
+    monkeypatch.setattr(spectral, "inverse_transform", spy)
+    _, _, diag = rayleigh_ascent(PROBLEM, 4.0, modes=3, seed=2, starts=2)
+    assert diag["iterations"] > 10
+    assert len(seen) > diag["iterations"]
+    assert len(set(seen)) == len(seen)
 
 
 def test_sigma_estimate_rejects_supercritical_r():

@@ -232,6 +232,37 @@ def test_pipeline_x_dependent_forcing():
     assert rep.hs_distance > SolverConfig(rho=1.0).distinct_tol
 
 
+def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
+    # the energy of the current point is carried from the Armijo step that
+    # accepted it: one evaluation for the start, one per line-search trial,
+    # and one for the final report, whatever the number of iterations
+    calls = []
+    real_energy = solvers.vr.energy
+
+    def spy(u, nl, *args, **kwargs):
+        calls.append(u)
+        return real_energy(u, nl, *args, **kwargs)
+
+    monkeypatch.setattr(solvers.vr, "energy", spy)
+    nl = make_nonlinearity(
+        "modulated_cubic",
+        f=lambda x, t: 1.0 + 0.3 * np.cos(x[0]) + t ** 3,
+        F=lambda x, t: (1.0 + 0.3 * np.cos(x[0])) * t + 0.25 * t ** 4,
+        fprime=lambda x, t: 3.0 * t ** 2,
+        a1=1.3, a2=1.0, q=4.0, alpha=3.0, r0=(8.0 * 1.3) ** (1.0 / 3.0),
+        poly_degree=3,
+    )
+    problem = ProblemSpec(lam=0.05, **BASE)
+    params = SpectrumParams(4, 10)
+    rep = ball_minimize(FourierField.zeros(problem, params),
+                        SolverConfig(rho=1.0), nl)
+    trials = rep.counters["line_search_trials"]
+    assert rep.iterations >= 5
+    assert rep.counters["energy_evals"] == 1 + trials
+    assert len(calls) == 1 + trials + 1
+    assert rep.energy == real_energy(rep.field, nl)
+
+
 # -- matrix-free Newton operator against the dense basis assembly ----------------
 
 
