@@ -1,15 +1,21 @@
 """Two-solution solvers: constrained descent in the energy ball and a
-path-climbing saddle search between the ball minimizer and a far downhill
-endpoint.
+climbing-image string search for the saddle between the ball minimizer and
+a far downhill endpoint.
 
 Both return stationary points of the reduced functional measured by the
 dual norm of the weak residual
 
     R_k = (mu_k^s - gamma) c_k - lam g_k,         g = f(., u),
 
-which is what residual_dual_norm reports.  Descent alone converges linearly;
-once the residual is small enough both solvers hand off to a damped inexact
-Newton polish on the sample-space residual map of the minimal grid.  Its
+which is what residual_dual_norm reports.  Each stage tries Newton first:
+it attempts a damped inexact Newton polish on iteration 1, and after each
+rejected attempt the wait before the next one doubles (iterations 1, 2, 4,
+8, ...), so a polish that keeps failing costs a logarithmic number of
+attempts.  Between attempts runs a fallback that converges by itself:
+projected Armijo descent in the ball, a climbing-image string
+(mountain_pass) for the saddle.
+
+The polish works on the sample-space residual map of the minimal grid.  Its
 Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
 samples, is symmetric and is never formed: preconditioned MINRES applies it
 through the field core's transform pair, with the spectral multiplier as an
@@ -112,8 +118,6 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_HALVINGS = 30
 _ENDPOINT_MARGIN = 1.0     # energy drop the descent endpoint must reach
-_POLISH_TRIGGER = 1e-3     # residual level that prompts a Newton attempt
-_POLISH_EVERY = 10         # also attempt on this iteration cadence
 _POLISH_MAX_STEPS = 20
 
 
@@ -171,14 +175,6 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
         counters=dict(counters),
         field=u,
     )
-
-
-def _polish_due(res: float, it: int) -> bool:
-    """Newton attempts are prompted by a small residual, and also fire on a
-    fixed cadence: the path scheme's max-node residual plateaus at the node
-    spacing scale, so waiting for a small residual alone can starve the
-    polish that would finish the job."""
-    return res <= _POLISH_TRIGGER or it % _POLISH_EVERY == 0
 
 
 # -- Newton polish -------------------------------------------------------------
@@ -314,6 +310,7 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None) -> SolutionReport:
     """Projected Armijo descent for the reduced functional on the closed
     ball e(u)^2 <= cfg.rho (radial rescaling keeps iterates feasible).
+    The Newton polish is tried first, with back-off (module docstring).
     Raises BoundaryActiveError if the converged point has the constraint
     active, NonConvergenceError when the budget runs out."""
     problem = start.problem
@@ -324,6 +321,7 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     I_cur = _energy(u, nl, counters)   # carried: each accepted step returns it
     step = 1.0
     history = []
+    due = 1
 
     def guard(w):
         e = sp.e_norm(w)
@@ -336,13 +334,15 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         history.append(res)
         if res <= cfg.grad_tol:
             break
-        if _polish_due(res, it):
+        if it == due:
+            _bump(counters, "polish_attempts")
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
                                          max_move=2.0 * ball_radius(rho, problem))
             if done:
                 u = u_new
                 history.append(vr.residual_dual_norm(u, nl))
                 break
+            due *= 2
         accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
                            counters, project=lambda w: _project_to_ball(w, rho))
         if accepted is None:
@@ -425,12 +425,27 @@ def _respace(nodes):
 
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None) -> SolutionReport:
-    """Saddle search along a discrete path from u_a to u_b: repeatedly take
-    a capped Armijo step on the highest-energy node (smallest index on ties)
-    along its negative Riesz gradient, then respace the path by arc length.
-    The path localizes the ridge to one node spacing; the trust-region
-    Newton polish turns that into a critical point to grad_tol."""
+    """Climbing-image string search for the saddle between u_a and u_b
+    (Henkelman, Uberuaga & Jonsson 2000; E, Ren & Vanden-Eijnden 2007).
+
+    The path starts as the straight polyline of _PATH_POINTS segments; its
+    highest node (smallest index on ties) is the climbing image and keeps
+    its index.  Each iteration attempts the trust-region Newton polish from
+    the climber when due (first on iteration 1, with trust radius two node
+    spacings), and otherwise steps the climber along the Riesz
+    representative of its weak residual with the component along the path
+    tangent reflected: downhill across the path, uphill along it.  A step
+    is accepted when the residual drops and is halved otherwise; it never
+    moves the climber more than one node spacing.  Then the nodes on each
+    side of the climber are respaced by arc length along that side's own
+    polyline, so the climber stays a node and its neighbours give the next
+    tangent.  Near a saddle whose unstable direction the tangent follows,
+    the reflected step contracts every direction, so this fallback reaches
+    grad_tol with no Newton step.  At a saddle with further unstable
+    directions no step lowers the residual, and the search stops with
+    NonConvergenceError unless an earlier Newton attempt has landed."""
     problem = u_a.problem
+    lam = problem.lam
     if counters is None:
         counters = {}
     if sp.hs_distance(u_a, u_b) <= cfg.distinct_tol:
@@ -440,73 +455,78 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     nodes = _interpolate_path(u_a, u_b, P)
     energies = [_energy(w, nl, counters) for w in nodes]
     end_max = max(energies[0], energies[P])
+    j = int(np.argmax(energies))
+    if j == 0 or j == P:
+        raise PathCollapseError(
+            f"path maximum at endpoint (node {j}): no interior ridge "
+            f"between the given endpoints"
+        )
 
     def guard(w):
         return (vr.energy(w, nl) > end_max
                 and sp.hs_distance(w, u_a) > cfg.distinct_tol
                 and sp.hs_distance(w, u_b) > cfg.distinct_tol)
 
+    u = nodes[j]
+    r = _gradient(u, nl, counters)
+    res = lam * sp.dual_norm(r)
     step = 1.0
     history = []
-    candidate = None
+    due = 1
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_path")
-        jmax = int(np.argmax(energies))
-        if jmax == 0 or jmax == P:
-            raise PathCollapseError(
-                f"path maximum at endpoint (node {jmax}): no interior ridge "
-                f"between the given endpoints"
-            )
-        u = nodes[jmax]
-        arc = sum(sp.hs_distance(nodes[i], nodes[i + 1]) for i in range(P))
-        r = _gradient(u, nl, counters)
-        res = problem.lam * sp.dual_norm(r)
         history.append(res)
         if res <= cfg.grad_tol:
-            candidate = u
             break
-        if _polish_due(res, it):
+        spacing = sum(sp.hs_distance(nodes[i], nodes[i + 1])
+                      for i in range(P)) / P
+        if it == due:
+            _bump(counters, "polish_attempts")
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
-                                         max_move=2.0 * arc / P)
+                                         max_move=2.0 * spacing)
             if done:
-                candidate = u_new
-                history.append(vr.residual_dual_norm(u_new, nl))
+                u = u_new
+                history.append(vr.residual_dual_norm(u, nl))
                 break
-        riesz = vr.riesz_representative(r)
-        # cap the displacement at one node spacing: a longer move would
-        # tunnel the node past the saddle into the far well (the Armijo
-        # test happily accepts that) and shred the path discretization
-        cap = arc / P / max(sp.hs_norm(riesz), 1e-300)
-        accepted = _armijo(u, riesz, energies[jmax], min(step, cap), nl,
-                           counters)
-        if accepted is None:
+            due *= 2
+        tangent = nodes[j + 1] - nodes[j - 1]
+        tangent = tangent * (1.0 / max(sp.hs_norm(tangent), 1e-300))
+        # Riesz representative of the weak residual lam r; its Hs product
+        # with the tangent is the mode pairing of lam r with the tangent
+        drift = (vr.riesz_representative(r)
+                 - tangent * (2.0 * sp.pairing(r, tangent))) * lam
+        tau = min(step, spacing / max(sp.hs_norm(drift), 1e-300))
+        for _ in range(_MAX_HALVINGS):
+            _bump(counters, "line_search_trials")
+            u_try = u - drift * tau
+            r_try = _gradient(u_try, nl, counters)
+            res_try = lam * sp.dual_norm(r_try)
+            if res_try < res:
+                break
+            tau *= _BACKTRACK
+        else:
             raise NonConvergenceError(
                 f"saddle search stalled at residual {res:.3e} "
-                f"(node {jmax}, iteration {it})",
+                f"(node {j}, iteration {it})",
                 residual_history=history,
             )
-        nodes[jmax], energies[jmax], tau = accepted
-        step = tau / _BACKTRACK
-        # unconditional arc-length respacing; without it nodes drain into
-        # the two wells and the ridge crossing ends up inside an unsampled
-        # segment (the discrete max then has nothing to do with the saddle)
-        nodes = _respace(nodes)
-        energies = ([energies[0]]
-                    + [_energy(w, nl, counters) for w in nodes[1:-1]]
-                    + [energies[P]])
-    if candidate is None:
+        u, r, res = u_try, r_try, res_try
+        step = min(1.0, tau / _BACKTRACK)
+        nodes[j] = u
+        nodes = _respace(nodes[:j + 1]) + _respace(nodes[j:])[1:]
+    else:
         raise NonConvergenceError(
             f"saddle search did not reach grad_tol={cfg.grad_tol:.1e} in "
             f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
             residual_history=history,
         )
-    cand_energy = vr.energy(candidate, nl)
+    cand_energy = vr.energy(u, nl)
     if cand_energy <= end_max:
         raise DegeneratePathError(
             f"converged node energy {cand_energy:.6g} does not exceed the "
             f"endpoint energies (max {end_max:.6g})"
         )
-    return _solution_report(candidate, nl, "mountain_pass", cfg.rho, it, counters)
+    return _solution_report(u, nl, "mountain_pass", cfg.rho, it, counters)
 
 
 # -- full pipeline ---------------------------------------------------------------

@@ -153,6 +153,11 @@ def test_solve_reports_krylov_iterations(capsys):
     timings = rep["timings"]
     assert timings["newton_steps"] > 0
     assert timings["krylov_iterations"] > 0
+    # Newton first: on the default problem the first attempt of each stage
+    # lands, so neither stage takes a descent step
+    assert timings["iterations_ball"] == timings["iterations_path"] == 1
+    assert timings["polish_attempts"] == 2
+    assert "line_search_trials" not in timings
 
 
 def test_solve_refuses_inadmissible_lambda(capsys, tmp_path):

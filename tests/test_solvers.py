@@ -235,7 +235,9 @@ def test_pipeline_x_dependent_forcing():
 def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     # the energy of the current point is carried from the Armijo step that
     # accepted it: one evaluation for the start, one per line-search trial,
-    # and one for the final report, whatever the number of iterations
+    # and one for the final report, whatever the number of iterations.  The
+    # polish would finish on iteration 1, so it is switched off to leave a
+    # descent-only run
     calls = []
     real_energy = solvers.vr.energy
 
@@ -244,6 +246,8 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
         return real_energy(u, nl, *args, **kwargs)
 
     monkeypatch.setattr(solvers.vr, "energy", spy)
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, *args, **kwargs: (u, False))
     nl = make_nonlinearity(
         "modulated_cubic",
         f=lambda x, t: 1.0 + 0.3 * np.cos(x[0]) + t ** 3,
@@ -261,6 +265,67 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     assert rep.counters["energy_evals"] == 1 + trials
     assert len(calls) == 1 + trials + 1
     assert rep.energy == real_energy(rep.field, nl)
+
+
+# -- Newton first, with back-off; the fallbacks converge alone ---------------------
+
+# lambda at half the seed-0 lambda_max, at its rho: the paper's example
+# (N=2, M=8) and a 3-D problem (N=3, s=0.9, M=5)
+STAGE_CASES = {
+    "paper-N2-M8": (dict(s=0.75, N=2), SpectrumParams(8, 32),
+                    0.5 * 0.14631078198381178, 31.824909523391405),
+    "N3-s0.9-M5": (dict(s=0.9, N=3), SpectrumParams(5, 11),
+                   0.5 * 0.12638961059060816, 364.6907023587712),
+}
+
+
+def run_stages(case):
+    """Ball stage, endpoint and saddle stage, each with its own counters."""
+    dims, params, lam, rho = STAGE_CASES[case]
+    problem = ProblemSpec(m=1.0, gamma=0.5, lam=lam, T=2.0 * math.pi, **dims)
+    nl = get_nonlinearity("cubic_plus_one")
+    cfg = SolverConfig(rho=rho)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl,
+                        counters={})
+    endpoint = find_descent_endpoint(low.field, cfg, nl)
+    high = mountain_pass(low.field, endpoint, cfg, nl, counters={})
+    return cfg, low, high
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_CASES))
+def test_stages_converge_without_the_polish(monkeypatch, case):
+    _, low_ref, high_ref = run_stages(case)
+    assert low_ref.iterations == high_ref.iterations == 1
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, *args, **kwargs: (u, False))
+    cfg, low, high = run_stages(case)
+    assert low.residual_dual_norm <= cfg.grad_tol
+    assert high.residual_dual_norm <= cfg.grad_tol
+    assert high.iterations > 1
+    # the climbing-image fallback lands on the saddle that Newton finds
+    assert hs_norm(high.field - high_ref.field) <= 1e-6
+    assert hs_norm(low.field - low_ref.field) <= 1e-6
+
+
+def test_polish_backs_off_after_rejections(monkeypatch):
+    # every attempt does its work and is then rejected
+    real = solvers._newton_polish
+    attempts = []
+
+    def rejected(u, *args, **kwargs):
+        attempts.append(u)
+        real(u, *args, **kwargs)
+        return u, False
+
+    monkeypatch.setattr(solvers, "_newton_polish", rejected)
+    _, low, high = run_stages("paper-N2-M8")
+    assert len(attempts) == (low.counters["polish_attempts"]
+                             + high.counters["polish_attempts"])
+    for rep in (low, high):
+        n = rep.counters["polish_attempts"]
+        assert n <= math.floor(math.log2(rep.iterations)) + 1
+        # attempts fall on iterations 1, 2, 4, ... before the last one
+        assert n == sum(1 for k in range(rep.iterations) if 2 ** k < rep.iterations)
 
 
 # -- matrix-free Newton operator against the dense basis assembly ----------------

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
-                               SymmetryError, apply_fractional_op, dual_norm,
+                               SymmetryError, _half_index,
+                               apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
                                hs_norm, inverse_transform, l2_norm, lr_norm,
                                mean_value, multiplier, multiplier_array,
@@ -75,6 +76,22 @@ def test_forward_transform_matches_direct_summation(N, M, n):
     # the one place Hermitian symmetry is imposed; downstream code relies
     # on it holding exactly
     assert got.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("N, M, n", GRID_CASES + [(2, 8, 18), (3, 6, 25)],
+                         ids=GRID_IDS + ["N2-M8-n18", "N3-M6-n25"])
+def test_forward_transform_equals_full_cube_symmetrization(N, M, n):
+    # only the k_N = 0 plane is averaged; off it the conjugate fill is exact,
+    # so averaging the whole cube, as the transform once did, changes no bit
+    problem = oracle_problem(N)
+    samples = np.random.default_rng([N, M, n, 2]).standard_normal((n,) * N)
+    c = np.empty((2 * M + 1,) * N, dtype=complex)
+    c[..., M:] = np.fft.rfftn(samples)[_half_index(n, M, N)]
+    c[..., :M] = np.conj(np.flip(c[..., M + 1:]))
+    c *= problem.T ** (N / 2.0) / n ** N
+    want = 0.5 * (c + np.conj(np.flip(c)))
+    got = forward_transform(samples, problem, SpectrumParams(M, n)).coeffs
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
@@ -186,6 +203,27 @@ def test_inverse_rejects_asymmetric_coefficients(example_problem):
     u.coeffs[0, 0] = 1.0  # no conjugate partner
     with pytest.raises(SymmetryError):
         inverse_transform(u)
+
+
+@pytest.mark.parametrize("N, M", [(1, 2), (2, 2), (3, 1)])
+def test_symmetry_check_covers_every_conjugate_pair(N, M):
+    # the check reads each pair from its k_N <= 0 member (pairs inside the
+    # k_N = 0 plane twice); a defect anywhere in the cube, that plane
+    # included, must still trip it, and roundoff must not
+    problem = oracle_problem(N)
+    params = SpectrumParams(M, 2 * M + 1)
+    rng = np.random.default_rng([N, M])
+    base = random_symmetric_coeffs(rng, M, N)
+    for idx in np.ndindex(base.shape):
+        for kick, rejected in ((1e-6j, True), (1e-12j, False)):
+            c = base.copy()
+            c[idx] += kick
+            u = FourierField(c, problem, params)
+            if rejected:
+                with pytest.raises(SymmetryError):
+                    inverse_transform(u)
+            else:
+                inverse_transform(u)
 
 
 def test_from_modes_rejects_out_of_cube(example_problem):
