@@ -8,7 +8,7 @@ so no process-global cache carries over between commands.  Stage spans
 come from perfbench/tracer.py, which wraps the stage functions from the
 outside; src/ holds no timing code.  Writes BENCH_<label>.json:
 
-    python scripts/bench.py --label LABEL [--repeats 3] [--out DIR]
+    python scripts/bench.py --label LABEL [--repeats 3]
 
 For each command the file holds the median over the repeats of its wall
 time and of each stage's inclusive time and call count, the exit code,
@@ -105,7 +105,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out", type=pathlib.Path, default=ROOT)
     ap.add_argument("--one", nargs=2, metavar=("COMMAND", "CONFIG"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -151,7 +150,7 @@ def main() -> int:
         "stages": [attr for _, attr in STAGES],
         "rungs": rungs,
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(path.name, file=sys.stderr)
     return 0

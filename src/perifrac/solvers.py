@@ -13,7 +13,8 @@ rejected attempt the wait before the next one doubles (iterations 1, 2, 4,
 8, ...), so a polish that keeps failing costs a logarithmic number of
 attempts.  Between attempts runs a fallback that converges by itself:
 projected Armijo descent in the ball, a climbing-image string
-(mountain_pass) for the saddle.
+(mountain_pass) for the saddle.  A fallback step that stalls brings the
+next attempt forward to the following iteration before the stage gives up.
 
 The polish works on the sample-space residual map of the minimal grid.  Its
 Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
@@ -310,8 +311,10 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None) -> SolutionReport:
     """Projected Armijo descent for the reduced functional on the closed
     ball e(u)^2 <= cfg.rho (radial rescaling keeps iterates feasible).
-    The Newton polish is tried first, with back-off (module docstring).
-    Raises BoundaryActiveError if the converged point has the constraint
+    The Newton polish is tried first, with back-off (module docstring); its
+    result must lie in the open ball and not above the start's energy.  A
+    stalled descent step is retried once through the polish unless it was
+    just tried from the same point.  Raises BoundaryActiveError if the converged point has the constraint
     active, NonConvergenceError when the budget runs out."""
     problem = start.problem
     if counters is None:
@@ -322,10 +325,13 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     step = 1.0
     history = []
     due = 1
+    I_start = I_cur
 
     def guard(w):
+        # inside the ball and downhill from the start: a Newton landing on
+        # a saddle above the start is not the ball minimizer
         e = sp.e_norm(w)
-        return e * e < rho
+        return e * e < rho and vr.energy(w, nl) <= I_start
 
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_ball")
@@ -334,7 +340,8 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         history.append(res)
         if res <= cfg.grad_tol:
             break
-        if it == due:
+        tried = it == due
+        if tried:
             _bump(counters, "polish_attempts")
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
                                          max_move=2.0 * ball_radius(rho, problem))
@@ -346,6 +353,9 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
                            counters, project=lambda w: _project_to_ball(w, rho))
         if accepted is None:
+            if not tried:
+                due = it + 1    # a Newton attempt from here may still land
+                continue
             raise NonConvergenceError(
                 f"ball descent stalled at residual {res:.3e} after {it} iterations",
                 residual_history=history,
@@ -441,9 +451,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     polyline, so the climber stays a node and its neighbours give the next
     tangent.  Near a saddle whose unstable direction the tangent follows,
     the reflected step contracts every direction, so this fallback reaches
-    grad_tol with no Newton step.  At a saddle with further unstable
-    directions no step lowers the residual, and the search stops with
-    NonConvergenceError unless an earlier Newton attempt has landed."""
+    grad_tol with no Newton step.  Near a saddle with further unstable
+    directions no step lowers the residual.  Such a stall moves the
+    climber one Armijo step downhill across the path and retries the
+    polish from there on the next iteration; a second stall before any
+    climbing step is accepted raises NonConvergenceError."""
     problem = u_a.problem
     lam = problem.lam
     if counters is None:
@@ -473,6 +485,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     step = 1.0
     history = []
     due = 1
+    stalled = False
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_path")
         history.append(res)
@@ -491,10 +504,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
             due *= 2
         tangent = nodes[j + 1] - nodes[j - 1]
         tangent = tangent * (1.0 / max(sp.hs_norm(tangent), 1e-300))
-        # Riesz representative of the weak residual lam r; its Hs product
-        # with the tangent is the mode pairing of lam r with the tangent
-        drift = (vr.riesz_representative(r)
-                 - tangent * (2.0 * sp.pairing(r, tangent))) * lam
+        # Riesz representative of r and its part across the path; the Hs
+        # product of riesz(r) with the tangent is the mode pairing of r
+        riesz, along = vr.riesz_representative(r), sp.pairing(r, tangent)
+        across = riesz - tangent * along
+        drift = (riesz - tangent * (2.0 * along)) * lam
         tau = min(step, spacing / max(sp.hs_norm(drift), 1e-300))
         for _ in range(_MAX_HALVINGS):
             _bump(counters, "line_search_trials")
@@ -502,16 +516,28 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
             r_try = _gradient(u_try, nl, counters)
             res_try = lam * sp.dual_norm(r_try)
             if res_try < res:
+                step, stalled = min(1.0, tau / _BACKTRACK), False
                 break
             tau *= _BACKTRACK
         else:
-            raise NonConvergenceError(
-                f"saddle search stalled at residual {res:.3e} "
-                f"(node {j}, iteration {it})",
-                residual_history=history,
-            )
+            # stalled: one Armijo step downhill across the path gives the
+            # polish a new start on the next iteration; a second stall
+            # before any climbing step is accepted ends the search
+            cap = spacing / max(sp.hs_norm(across), 1e-300)
+            moved = None if stalled else _armijo(
+                u, across, _energy(u, nl, counters), min(1.0, cap), nl,
+                counters)
+            if moved is None:
+                raise NonConvergenceError(
+                    f"saddle search stalled at residual {res:.3e} "
+                    f"(node {j}, iteration {it})",
+                    residual_history=history,
+                )
+            stalled, due = True, it + 1
+            u_try = moved[0]
+            r_try = _gradient(u_try, nl, counters)
+            res_try = lam * sp.dual_norm(r_try)
         u, r, res = u_try, r_try, res_try
-        step = min(1.0, tau / _BACKTRACK)
         nodes[j] = u
         nodes = _respace(nodes[:j + 1]) + _respace(nodes[j:])[1:]
     else:

@@ -208,8 +208,10 @@ class FourierField:
     # -- symmetry ----------------------------------------------------------
 
     def hermitian_defect(self) -> float:
-        flipped = np.conj(np.flip(self.coeffs))
-        return float(np.abs(self.coeffs - flipped).max())
+        """max |c_k - conj(c_{-k})|, checking each conjugate pair once: every
+        pair (k, -k) has one member with k_N <= 0."""
+        c, M = self.coeffs, self.params.modes
+        return float(np.abs(c[..., :M + 1] - np.conj(np.flip(c[..., M:]))).max())
 
 
 # -- grids and transforms ---------------------------------------------------
@@ -287,11 +289,9 @@ def inverse_transform(field: FourierField, grid_points: int | None = None) -> np
     M, N = params.modes, problem.N
     if n < 2 * M + 1:
         raise ValueError(f"grid_points={n} < 2*modes+1 = {2 * M + 1}")
-    # each conjugate pair (k, -k) has one member with k_N <= 0; the scale
-    # is computed only when the defect is not already negligible
-    c = field.coeffs
-    defect = float(np.abs(c[..., :M + 1] - np.conj(np.flip(c[..., M:]))).max())
-    if defect > 1e-8 and defect > 1e-8 * (1.0 + float(np.abs(c).max())):
+    # the scale is computed only when the defect is not already negligible
+    defect = field.hermitian_defect()
+    if defect > 1e-8 and defect > 1e-8 * (1.0 + float(np.abs(field.coeffs).max())):
         raise SymmetryError(f"Hermitian defect {defect:.3e} exceeds tolerance")
     half = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
     half[_half_index(n, M, N)] = field.coeffs[..., M:]

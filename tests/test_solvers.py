@@ -198,10 +198,10 @@ def test_pipeline_constant_subspace_at_m8():
     assert rep.solutions[0].energy < rep.solutions[1].energy
 
 
-def test_pipeline_x_dependent_forcing():
-    # f(x, t) = c(x) + t^3 with c(x) = 1 + 0.3 cos(omega x_0): the bounds
-    # hold with a1 = 1.3, and t f - 3 F = t^4/4 - 2 t c(x) >= 0 beyond
-    # r0 = (8 * 1.3)^(1/3); the branches must pick up the x-dependence
+def solve_x_dependent_forcing():
+    """The pipeline at half the best lambda_max for f(x, t) = c(x) + t^3
+    with c(x) = 1 + 0.3 cos(omega x_0): the bounds hold with a1 = 1.3, and
+    t f - 3 F = t^4/4 - 2 t c(x) >= 0 beyond r0 = (8 * 1.3)^(1/3)."""
     omega = 2.0 * math.pi / BASE["T"]
 
     def cx(x):
@@ -223,6 +223,12 @@ def test_pipeline_x_dependent_forcing():
     problem = replace(probe, lam=0.5 * lam_star)
     rep = solve_multiplicity(SolverConfig(rho=rho_star), nl, problem, params,
                              sigma1=s1, sigmaq=s4)
+    return nl, rep
+
+
+def test_pipeline_x_dependent_forcing():
+    # the branches must pick up the x-dependence
+    nl, rep = solve_x_dependent_forcing()
     assert rep.status == "two-solutions"
     for sol in rep.solutions:
         assert residual_dual_norm(sol.field, nl) <= 1e-8
@@ -230,6 +236,90 @@ def test_pipeline_x_dependent_forcing():
         k10 = abs(sol.field.coeffs[5, 4])
         assert k10 > 1e-4 * hs_norm(sol.field)
     assert rep.hs_distance > SolverConfig(rho=1.0).distinct_tol
+
+
+def test_pipeline_survives_two_rejected_attempts_per_stage(monkeypatch):
+    # the polish does its work and is then rejected from the first two
+    # points each stage tries it from, and again whenever it is retried from
+    # one of them, as a deterministic failure would be.  The climbing string
+    # stalls on this problem right after its second attempt, so the path
+    # stage lands only because its across-path step gives the retry a new
+    # start
+    real = solvers._newton_polish
+    rejected = {"ball": [], "path": []}
+
+    def first_two_rejected(u, nl, cfg, counters, **kwargs):
+        out = real(u, nl, cfg, counters, **kwargs)
+        points = rejected["path" if "iterations_path" in counters else "ball"]
+        if any(np.array_equal(u.coeffs, p) for p in points):
+            return u, False
+        if len(points) < 2:
+            points.append(u.coeffs.copy())
+            return u, False
+        return out
+
+    monkeypatch.setattr(solvers, "_newton_polish", first_two_rejected)
+    nl, rep = solve_x_dependent_forcing()
+    assert [len(p) for p in rejected.values()] == [2, 2]
+    assert rep.status == "two-solutions", rep.detail
+    assert rep.counters["polish_attempts"] >= 6
+    for sol in rep.solutions:
+        assert residual_dual_norm(sol.field, nl) <= 1e-8
+    assert rep.solutions[0].energy < rep.solutions[1].energy
+
+
+@pytest.mark.parametrize("stall_at, lands", [(3, True), (2, False)])
+def test_stalled_ball_descent_retries_the_polish(monkeypatch, stall_at,
+                                                 lands):
+    # attempts 1 and 2 are rejected, and the descent stalls on iteration
+    # stall_at.  From iteration 3 the polish has not been tried, so it is
+    # brought forward to iteration 4 and lands; on iteration 2 it was just
+    # rejected from the stalled point, and retrying would repeat it
+    real_polish, real_armijo = solvers._newton_polish, solvers._armijo
+    calls = {"polish": 0, "armijo": 0}
+
+    def polish(u, *args, **kwargs):
+        calls["polish"] += 1
+        out = real_polish(u, *args, **kwargs)
+        return (u, False) if calls["polish"] <= 2 else out
+
+    def armijo(*args, **kwargs):
+        calls["armijo"] += 1
+        return None if calls["armijo"] == stall_at else real_armijo(*args,
+                                                                    **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton_polish", polish)
+    monkeypatch.setattr(solvers, "_armijo", armijo)
+    problem = ProblemSpec(lam=0.05, **BASE)
+    params = SpectrumParams(4, 10)
+    nl = get_nonlinearity("cubic_plus_one")
+    start = FourierField.zeros(problem, params)
+    if not lands:
+        with pytest.raises(NonConvergenceError, match="stalled"):
+            ball_minimize(start, SolverConfig(rho=1.0), nl)
+        assert calls["polish"] == 2
+        return
+    rep = ball_minimize(start, SolverConfig(rho=1.0), nl)
+    assert rep.iterations == 4 and calls["polish"] == 3
+    assert rep.residual_dual_norm <= 1e-8
+
+
+def test_ball_polish_must_land_downhill_from_the_start(monkeypatch):
+    # from zero, a small negative constant has energy above the start
+    # (F(t) = t + t^4/4), a small positive one below it; both are in the ball
+    guards = []
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, nl, cfg, counters, guard=None, max_move=None:
+                        (guards.append(guard), (u, False))[1])
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 6)
+    nl = get_nonlinearity("cubic_plus_one")
+    ball_minimize(FourierField.zeros(problem, params), SolverConfig(rho=1.0),
+                  nl)
+    guard = guards[0]
+    small = FourierField.constant(problem, params, 1e-3)
+    assert energy(small * -1.0, nl) > 0.0 > energy(small, nl)
+    assert guard(small) and not guard(small * -1.0)
 
 
 def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):

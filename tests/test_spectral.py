@@ -219,6 +219,8 @@ def test_symmetry_check_covers_every_conjugate_pair(N, M):
             c = base.copy()
             c[idx] += kick
             u = FourierField(c, problem, params)
+            # the same maximum as over the whole cube
+            assert u.hermitian_defect() == np.abs(c - np.conj(np.flip(c))).max()
             if rejected:
                 with pytest.raises(SymmetryError):
                     inverse_transform(u)
