@@ -13,9 +13,9 @@ from .constants import (EmbeddingEstimate, LambdaInterval, LambdaRange,
                         ball_radius, best_lambda, chi_upper,
                         example_h, example_lambda_interval, golden_key,
                         lambda_max, lambda_table, load_golden, sigma_estimate)
-from .extension import (ExtensionProfile, QuadratureError, TraceIdentityReport,
-                        WeightedQuadrature, bessel_k, conormal_limit, kappa,
-                        mode_energy, ode_residual, profile_energy, theta,
+from .extension import (QuadratureError, TraceIdentityReport,
+                        WeightedQuadrature, conormal_limit, kappa, mode_energy,
+                        ode_residual, profile_energy, theta,
                         verify_trace_identity)
 from .solvers import (BoundaryActiveError, DegeneratePathError,
                       EndpointSearchError, InadmissibleLambdaError,
@@ -26,14 +26,13 @@ from .solvers import (BoundaryActiveError, DegeneratePathError,
 from .spectral import (FourierField, ProblemSpec, SpectrumParams,
                        SymmetryError, apply_fractional_op, dual_norm, e_norm,
                        forward_transform, grid_coordinates, hs_distance,
-                       hs_norm, inverse_transform, l2_norm, lr_norm,
-                       mean_value, multiplier, pairing)
+                       hs_norm, inverse_transform, l2_norm, mean_value,
+                       multiplier, pairing)
 from .variational import (CheckReport, Nonlinearity, check_ar, check_growth,
                           check_superhomogeneity, dealias_points, energy,
-                          energy_report, get_nonlinearity, gradient,
-                          integral_of_potential, make_nonlinearity,
-                          nonlinear_image, registry_keys, residual_dual_norm,
-                          riesz_gradient, validate_growth_exponent,
+                          get_nonlinearity, gradient, integral_of_potential,
+                          make_nonlinearity, nonlinear_image, registry_keys,
+                          residual_dual_norm, validate_growth_exponent,
                           weak_residual)
 
 __version__ = "0.1.0"
@@ -45,10 +44,9 @@ __all__ = [
     "best_lambda", "chi_upper", "example_h", "example_lambda_interval",
     "golden_key", "lambda_max", "lambda_table", "load_golden",
     "sigma_estimate",
-    "ExtensionProfile", "QuadratureError", "TraceIdentityReport",
-    "WeightedQuadrature", "bessel_k", "conormal_limit", "kappa",
-    "mode_energy", "ode_residual", "profile_energy", "theta",
-    "verify_trace_identity",
+    "QuadratureError", "TraceIdentityReport", "WeightedQuadrature",
+    "conormal_limit", "kappa", "mode_energy", "ode_residual",
+    "profile_energy", "theta", "verify_trace_identity",
     "BoundaryActiveError", "DegeneratePathError", "EndpointSearchError",
     "InadmissibleLambdaError", "MultiplicityReport", "NonConvergenceError",
     "PathCollapseError", "SolutionReport", "SolverConfig", "SolverError",
@@ -57,13 +55,11 @@ __all__ = [
     "FourierField", "ProblemSpec", "SpectrumParams", "SymmetryError",
     "apply_fractional_op", "dual_norm", "e_norm",
     "forward_transform", "grid_coordinates", "hs_distance", "hs_norm",
-    "inverse_transform", "l2_norm", "lr_norm", "mean_value", "multiplier",
-    "pairing",
+    "inverse_transform", "l2_norm", "mean_value", "multiplier", "pairing",
     "CheckReport", "Nonlinearity", "check_ar", "check_growth",
-    "check_superhomogeneity", "dealias_points", "energy", "energy_report",
+    "check_superhomogeneity", "dealias_points", "energy",
     "get_nonlinearity", "gradient", "integral_of_potential",
     "make_nonlinearity", "nonlinear_image", "registry_keys",
-    "residual_dual_norm", "riesz_gradient", "validate_growth_exponent",
-    "weak_residual",
+    "residual_dual_norm", "validate_growth_exponent", "weak_residual",
     "__version__",
 ]

@@ -3,12 +3,17 @@
 Format: UTF-8 text, one `section.key = value` per line, '#' comments, blank
 lines ignored.  Values are ints, floats, the literal string "auto" (for
 problem.lambda and solver.rho), or bare strings.
-serialize(parse(text)) is idempotent.
+serialize(parse(text)) is idempotent.  The bounds on the values are stated
+once, by the model types (ProblemSpec, SpectrumParams, SolverConfig, the
+nonlinearity registry); parsing realizes each block so that a bad value
+fails with that type's message.
 
 Sections and keys:
 
     problem.s .m .gamma .lambda .T .N
-    discretization.M .grid_points
+    discretization.M .grid_points               (grid_points sets only the
+                                                 --dump-fields CSV grid; no
+                                                 reported number uses it)
     nonlinearity.key .a1 .a2 .q .alpha .r0      (params optional: registry
                                                  defaults apply when absent)
     solver.rho .grad_tol .max_iter .distinct_tol .max_doublings .seed
@@ -35,9 +40,13 @@ AUTO = "auto"
 
 _COMMANDS = ("constants", "solve", "verify", "reproduce-example")
 
-# SolverConfig field name -> whether it takes an integer
-_SOLVER_FIELDS = {f.name: f.type in (int, "int")
-                  for f in dataclass_fields(SolverConfig)}
+
+def _integer_fields(cls) -> dict:
+    """Dataclass field name -> whether its declared type is int."""
+    return {f.name: f.type in (int, "int") for f in dataclass_fields(cls)}
+
+
+_SOLVER_FIELDS = _integer_fields(SolverConfig)
 
 
 class ConfigError(ValueError):
@@ -143,18 +152,9 @@ class RunConfig:
     # -- flat mapping ------------------------------------------------------
 
     def to_mapping(self) -> dict:
-        out = {
-            "problem.s": self.s,
-            "problem.m": self.m,
-            "problem.gamma": self.gamma,
-            "problem.lambda": self.lam,
-            "problem.T": self.T,
-            "problem.N": self.N,
-            "discretization.M": self.modes,
-            "discretization.grid_points": self.grid_points,
-            "nonlinearity.key": self.nonlinearity_key,
-            "verify.inject_theta_fault": self.inject_theta_fault,
-        }
+        out = {key: getattr(self, name) for key, name in _NUMBER_KEYS.items()}
+        out["problem.lambda"] = self.lam
+        out["nonlinearity.key"] = self.nonlinearity_key
         for k, v in self.nl_overrides.items():
             out[f"nonlinearity.{k}"] = v
         defaults = SolverConfig()
@@ -164,6 +164,20 @@ class RunConfig:
         if self.command:
             out["command"] = self.command
         return out
+
+
+# flat key -> RunConfig field, for every key that holds one plain number
+_NUMBER_KEYS = {
+    "problem.s": "s",
+    "problem.m": "m",
+    "problem.gamma": "gamma",
+    "problem.T": "T",
+    "problem.N": "N",
+    "discretization.M": "modes",
+    "discretization.grid_points": "grid_points",
+    "verify.inject_theta_fault": "inject_theta_fault",
+}
+_RUN_FIELDS = _integer_fields(RunConfig)
 
 
 def _require_number(key: str, value, integer: bool = False):
@@ -205,22 +219,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _apply(cfg: RunConfig, key: str, value) -> None:
-    if key == "problem.s":
-        cfg.s = _require_number(key, value)
-    elif key == "problem.m":
-        cfg.m = _require_number(key, value)
-    elif key == "problem.gamma":
-        cfg.gamma = _require_number(key, value)
+    if key in _NUMBER_KEYS:
+        name = _NUMBER_KEYS[key]
+        setattr(cfg, name, _require_number(key, value,
+                                                integer=_RUN_FIELDS[name]))
     elif key == "problem.lambda":
         cfg.lam = value if value == AUTO else _require_number(key, value)
-    elif key == "problem.T":
-        cfg.T = _require_number(key, value)
-    elif key == "problem.N":
-        cfg.N = _require_number(key, value, integer=True)
-    elif key == "discretization.M":
-        cfg.modes = _require_number(key, value, integer=True)
-    elif key == "discretization.grid_points":
-        cfg.grid_points = _require_number(key, value, integer=True)
     elif key == "nonlinearity.key":
         if not isinstance(value, str):
             raise ConfigError(f"nonlinearity.key must be a registry name, "
@@ -240,8 +244,6 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
         else:
             cfg.solver_values[name] = _require_number(
                 key, value, integer=_SOLVER_FIELDS[name])
-    elif key == "verify.inject_theta_fault":
-        cfg.inject_theta_fault = _require_number(key, value)
     elif key == "command":
         if value not in _COMMANDS:
             raise ConfigError(f"command must be one of {_COMMANDS}, got "
@@ -252,46 +254,16 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if not (0.0 < cfg.s < 1.0):
-        raise ConfigError(f"problem.s = {cfg.s!r} violates 0 < s < 1")
-    if cfg.m <= 0.0:
-        raise ConfigError(f"problem.m = {cfg.m!r} violates m > 0")
-    threshold = cfg.m ** (2.0 * cfg.s)
-    if not (0.0 <= cfg.gamma < threshold):
-        raise ConfigError(
-            f"problem.gamma = {cfg.gamma!r} violates the constraint "
-            f"0 <= gamma < m^(2s) = {threshold!r}"
-        )
-    if cfg.lam != AUTO and cfg.lam <= 0.0:
-        raise ConfigError(f"problem.lambda = {cfg.lam!r} violates lambda > 0 "
-                          f"(or 'auto')")
-    if cfg.T <= 0.0:
-        raise ConfigError(f"problem.T = {cfg.T!r} violates T > 0")
-    if cfg.N < 1 or cfg.N > 3:
-        raise ConfigError(f"problem.N = {cfg.N!r} must be 1, 2, or 3")
-    if cfg.N <= 2.0 * cfg.s:
-        raise ConfigError(f"problem.N = {cfg.N!r} violates N > 2s "
-                          f"(s = {cfg.s!r})")
-    if cfg.modes < 0:
-        raise ConfigError(f"discretization.M = {cfg.modes!r} must be >= 0")
-    if cfg.grid_points < 2 * cfg.modes + 1:
-        raise ConfigError(
-            f"discretization.grid_points = {cfg.grid_points!r} must be at "
-            f"least 2M+1 = {2 * cfg.modes + 1}"
-        )
-    rho = cfg.solver_values.get("rho", AUTO)
-    if rho != AUTO and rho <= 0.0:
-        raise ConfigError(f"solver.rho = {rho!r} violates rho > 0 (or 'auto')")
-    # realize the blocks that do not depend on auto values, so bad numbers
-    # surface at parse time with their constraint text
+    """Realize every block ('auto' as 1.0), so a bad value fails at parse
+    time with the constraint its model type states."""
+    problem = cfg.problem(lam=1.0 if cfg.lam == AUTO else None)
+    cfg.params()
+    nl = cfg.nonlinearity()
     try:
-        validate_growth_exponent(cfg.nonlinearity(), cfg.problem(lam=1.0))
+        validate_growth_exponent(nl, problem)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
-    if rho != AUTO:
-        cfg.solver()
-    else:
-        cfg.solver(rho=1.0)
+    cfg.solver(rho=1.0 if cfg.rho_raw == AUTO else None)
 
 
 def serialize_config(cfg: RunConfig) -> str:

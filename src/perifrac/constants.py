@@ -6,8 +6,8 @@ r = 2 have closed forms (the constant field is extremal), general r is
 estimated from below by projected Rayleigh-quotient ascent on the H^s
 sphere from randomized starts.
 
-From sigma_1 and sigma_q the certificate machinery produces, for each trial
-ball parameter rho > 0,
+From sigma_1 and sigma_q the certificate machinery produces, for each positive
+trial ball parameter rho,
 
     lambda_max(rho) = q sqrt(rho) (1-g)^{q/2}
         / (2 kappa (a1 sigma_1 q (1-g)^{(q-1)/2} + a2 sigma_q^q rho^{(q-1)/2}))
@@ -104,7 +104,7 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     spawned from the master seed; returns (best ratio, best field,
     diagnostics dict).
 
-    For even integer r the grid has n = max(rM+1, 2M+1) points per axis,
+    For even integer r the grid has n = max(rM, 2M) + 1 points per axis,
     where u^r and u^{r-1} (degree rM and (r-1)M) are resolved exactly, so
     the returned ratio is the exact quotient of the returned field.  Odd
     and fractional r use a finer grid on which |u|^r, which has a kink at

@@ -38,11 +38,9 @@ from scipy.special import kv as _kv
 
 __all__ = [
     "kappa",
-    "bessel_k",
     "theta",
     "theta_prime",
     "ode_residual",
-    "ExtensionProfile",
     "WeightedQuadrature",
     "QuadratureError",
     "ExtrapolationError",
@@ -63,16 +61,6 @@ def kappa(s: float) -> float:
     """Normalization constant 2^(1-2s) Gamma(1-s) / Gamma(s); kappa(1/2) = 1."""
     _check_order(s)
     return 2.0 ** (1.0 - 2.0 * s) * _gamma(1.0 - s) / _gamma(s)
-
-
-def bessel_k(s: float, y) -> float | np.ndarray:
-    """Modified Bessel function K_s(y) for order s in (0, 1), y > 0."""
-    _check_order(s)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("bessel_k requires y > 0")
-    out = _kv(s, y)
-    return float(out) if out.ndim == 0 else out
 
 
 def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
@@ -120,22 +108,6 @@ def ode_residual(s: float, y: float, fault: float = 0.0) -> float:
     d1 = (-t[4] + 8.0 * t[3] - 8.0 * t[1] + t[0]) / (12.0 * h)
     d2 = (-t[4] + 16.0 * t[3] - 30.0 * t[2] + 16.0 * t[1] - t[0]) / (12.0 * h * h)
     return float(d2 + (1.0 - 2.0 * s) / y * d1 - t[2])
-
-
-@dataclass(frozen=True)
-class ExtensionProfile:
-    """Evaluator bundle for theta and theta' at a fixed order s."""
-
-    s: float
-
-    def __post_init__(self):
-        _check_order(self.s)
-
-    def value(self, y):
-        return theta(self.s, y)
-
-    def derivative(self, y):
-        return theta_prime(self.s, y)
 
 
 class QuadratureError(RuntimeError):

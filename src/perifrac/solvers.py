@@ -102,7 +102,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise ValueError(f"rho = {self.rho!r} violates rho > 0")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.distinct_tol <= 0:
@@ -286,9 +286,15 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
 def _armijo(u, riesz, I_cur, tau, nl, counters, project=None):
     """Backtracking Armijo search from u along -riesz, starting at step tau.
     project, if given, maps each trial point back to the feasible set.
-    Returns the accepted (u, I, tau), or None when every halving fails."""
-    decrease = -sp.hs_norm(riesz) ** 2   # <r, -riesz> in the duality pairing
+    Returns the accepted (u, I, tau), or None (a stall) when every halving
+    fails or the step falls below the float resolution of u."""
+    norm = sp.hs_norm(riesz)
+    decrease = -norm ** 2   # <r, -riesz> in the duality pairing
+    # a move shorter than this cannot change u in floating point
+    floor = np.finfo(float).eps * sp.hs_norm(u)
     for _ in range(_MAX_HALVINGS):
+        if tau * norm <= floor:
+            return None
         u_try = u + riesz * (-tau)
         if project is not None:
             u_try = project(u_try)

@@ -49,7 +49,6 @@ __all__ = [
     "apply_fractional_op",
     "hs_norm",
     "l2_norm",
-    "lr_norm",
     "dual_norm",
     "e_norm",
     "pairing",
@@ -79,24 +78,23 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s={self.s} outside (0, 1)")
+            raise ValueError(f"s = {self.s!r} violates 0 < s < 1")
         if self.m <= 0.0:
-            raise ValueError(f"m={self.m} must be positive")
+            raise ValueError(f"m = {self.m!r} violates m > 0")
         m2s = self.m ** (2.0 * self.s)
         if not 0.0 <= self.gamma < m2s:
             raise ValueError(
-                f"gamma={self.gamma} violates 0 <= gamma < m^(2s) = {m2s}"
+                f"gamma = {self.gamma!r} violates 0 <= gamma < m^(2s) = {m2s!r}"
             )
         if self.lam <= 0.0:
-            raise ValueError(f"lambda={self.lam} must be positive")
+            raise ValueError(f"lambda = {self.lam!r} violates lambda > 0")
         if self.T <= 0.0:
-            raise ValueError(f"T={self.T} must be positive")
+            raise ValueError(f"T = {self.T!r} violates T > 0")
         if not isinstance(self.N, int) or not 1 <= self.N <= 3:
-            raise ValueError(f"N={self.N} must be an integer in 1..3")
+            raise ValueError(f"N = {self.N!r} must be an integer in 1..3")
         if self.N <= 2.0 * self.s:
-            raise ValueError(
-                f"N={self.N}, s={self.s}: need N > 2s for a finite critical exponent"
-            )
+            raise ValueError(f"N = {self.N!r}, s = {self.s!r} violates N > 2s "
+                             f"(the critical exponent must be finite)")
 
     @property
     def omega(self) -> float:
@@ -122,11 +120,10 @@ class SpectrumParams:
 
     def __post_init__(self):
         if not isinstance(self.modes, int) or self.modes < 0:
-            raise ValueError(f"modes={self.modes} must be an integer >= 0")
+            raise ValueError(f"M = {self.modes!r} must be an integer >= 0")
         if not isinstance(self.grid_points, int) or self.grid_points < 2 * self.modes + 1:
-            raise ValueError(
-                f"grid_points={self.grid_points} must be an integer >= 2*modes+1"
-            )
+            raise ValueError(f"grid_points = {self.grid_points!r} must be an "
+                             f"integer >= 2M+1 = {2 * self.modes + 1}")
 
 
 @dataclass(eq=False)
@@ -315,20 +312,6 @@ def hs_norm(field: FourierField) -> float:
 
 def l2_norm(field: FourierField) -> float:
     return math.sqrt(float(np.sum(np.abs(field.coeffs) ** 2)))
-
-
-def lr_norm(field: FourierField, r: float) -> float:
-    """L^r norm by the uniform rectangle rule on the collocation grid.
-
-    Spectrally accurate for smooth periodic integrands; exact when |u|^r
-    is a trigonometric polynomial resolved by the grid.
-    """
-    if r < 1.0:
-        raise ValueError(f"r={r} must be >= 1")
-    problem, n = field.problem, field.params.grid_points
-    samples = inverse_transform(field)
-    cell = (problem.T / n) ** problem.N
-    return float((cell * np.sum(np.abs(samples) ** r)) ** (1.0 / r))
 
 
 def dual_norm(field: FourierField) -> float:

@@ -13,9 +13,9 @@ the working functional and carried separately in reports; critical points
 are unchanged (pass include_kappa=True to scale it back in).
 
 Nonlinear terms f(x, u) are evaluated pseudospectrally on an oversampled
-grid: >= (p+1)/2 oversampling relative to 2M+1 for a polynomial of degree
-p (the 3/2-rule for quadratics, 2x for cubics), and plain 2x for
-non-polynomial f.
+grid: >= (p+1)/2 oversampling relative to the minimal 2M + 1 points for a
+polynomial of degree p (the 3/2-rule for quadratics, 2x for cubics), and
+plain 2x for non-polynomial f.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = [
     "weak_residual",
     "residual_dual_norm",
     "riesz_representative",
-    "riesz_gradient",
-    "EnergyReport",
-    "energy_report",
 ]
 
 
@@ -376,38 +373,3 @@ def riesz_representative(r: FourierField) -> FourierField:
     Satisfies hs_norm(riesz)^2 = dual_norm(r)^2."""
     mu_s = sp.multiplier_array(r.problem, r.params)
     return FourierField(r.coeffs / mu_s, r.problem, r.params)
-
-
-def riesz_gradient(u: FourierField, nl: Nonlinearity) -> FourierField:
-    """Riesz representative of gradient(u); the steepest-descent direction
-    in the Hs geometry is its negative."""
-    return riesz_representative(gradient(u, nl))
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Diagnostic breakdown at a field: value = quadratic_part + potential_part
-    (the potential term carries its sign, potential_part = -int F)."""
-
-    value: float
-    quadratic_part: float
-    potential_part: float
-    gradient_dual_norm: float
-    hs_norm: float
-    e_norm: float
-    kappa_scale: float
-
-
-def energy_report(u: FourierField, nl: Nonlinearity) -> EnergyReport:
-    pr = u.problem
-    quad_part = (sp.hs_norm(u) ** 2 - pr.gamma * sp.l2_norm(u) ** 2) / (2.0 * pr.lam)
-    pot = -integral_of_potential(u, nl)
-    return EnergyReport(
-        value=quad_part + pot,
-        quadratic_part=quad_part,
-        potential_part=pot,
-        gradient_dual_norm=sp.dual_norm(gradient(u, nl)),
-        hs_norm=sp.hs_norm(u),
-        e_norm=sp.e_norm(u),
-        kappa_scale=kappa(pr.s),
-    )

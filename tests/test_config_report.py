@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from perifrac.config import (AUTO, ConfigError, RunConfig,
+from perifrac.config import (_NUMBER_KEYS, AUTO, ConfigError, RunConfig,
                              default_example_text, load_config, parse_config,
                              serialize_config)
 from perifrac.report import (EXIT_CODES, STATUSES, dump_fields, empty_report,
@@ -87,6 +87,35 @@ def test_parse_rejects_with_diagnostic(text, needle):
     with pytest.raises(ConfigError) as exc_info:
         parse_config(text)
     assert needle in str(exc_info.value)
+
+
+# every flat number key at a value other than its default
+NUMBER_VALUES = {
+    "problem.s": 0.9, "problem.m": 1.5, "problem.gamma": 0.25,
+    "problem.T": 3.0, "problem.N": 3, "discretization.M": 4,
+    "discretization.grid_points": 12, "verify.inject_theta_fault": 0.002,
+}
+
+
+def test_number_key_table_round_trips():
+    assert set(NUMBER_VALUES) == set(_NUMBER_KEYS)
+    text = "".join(f"{k} = {v!r}\n" for k, v in NUMBER_VALUES.items())
+    cfg = parse_config(text)
+    defaults = RunConfig()
+    for key, name in _NUMBER_KEYS.items():
+        value = getattr(cfg, name)
+        assert value == NUMBER_VALUES[key] != getattr(defaults, name)
+        assert type(value) is type(NUMBER_VALUES[key])
+    assert {k: cfg.to_mapping()[k] for k in NUMBER_VALUES} == NUMBER_VALUES
+    serialized = serialize_config(cfg)
+    for key, value in NUMBER_VALUES.items():
+        assert f"{key} = {value!r}\n" in serialized
+    assert serialize_config(parse_config(serialized)) == serialized
+    # the integer keys still reject a fraction
+    for key, value in NUMBER_VALUES.items():
+        if isinstance(value, int):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                parse_config(f"{key} = 2.5\n")
 
 
 def test_line_numbers_in_diagnostics():

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from perifrac.extension import (ExtensionProfile, QuadratureError,
-                                WeightedQuadrature, bessel_k, conormal_limit,
-                                kappa, mode_energy, ode_residual,
-                                profile_energy, theta,
+from perifrac.extension import (QuadratureError, WeightedQuadrature,
+                                conormal_limit, kappa, mode_energy,
+                                ode_residual, profile_energy, theta,
                                 theta_prime, verify_trace_identity)
 from perifrac.spectral import FourierField, ProblemSpec, SpectrumParams
 
@@ -50,8 +49,6 @@ def test_bessel_and_theta_against_mpmath():
     ys = (0.05, 0.3, 1.0, 4.0, 12.0)
     for s in S_SET:
         for y in ys:
-            want_k = float(mpmath.besselk(s, y))
-            assert abs(bessel_k(s, y) - want_k) <= 1e-12 * abs(want_k)
             want_t = theta_oracle(s, y)
             assert abs(theta(s, y) - want_t) <= 1e-12 * abs(want_t)
 
@@ -101,14 +98,6 @@ def test_ode_residual_lattice():
     for s in S_SET:
         worst = max(abs(ode_residual(s, float(y))) for y in ys)
         assert worst < 1e-5
-
-
-def test_extension_profile_bundle():
-    prof = ExtensionProfile(0.6)
-    assert prof.value(1.2) == theta(0.6, 1.2)
-    assert prof.derivative(1.2) == theta_prime(0.6, 1.2)
-    with pytest.raises(ValueError):
-        ExtensionProfile(1.2)
 
 
 def test_weighted_quadrature_gamma_moments():

@@ -198,10 +198,11 @@ def test_pipeline_constant_subspace_at_m8():
     assert rep.solutions[0].energy < rep.solutions[1].energy
 
 
-def solve_x_dependent_forcing():
-    """The pipeline at half the best lambda_max for f(x, t) = c(x) + t^3
-    with c(x) = 1 + 0.3 cos(omega x_0): the bounds hold with a1 = 1.3, and
-    t f - 3 F = t^4/4 - 2 t c(x) >= 0 beyond r0 = (8 * 1.3)^(1/3)."""
+def x_dependent_problem(modes, factor):
+    """f(x, t) = c(x) + t^3 with c(x) = 1 + 0.3 cos(omega x_0), at factor
+    times the best lambda_max of the modes-M sigmas: the bounds hold with
+    a1 = 1.3, and t f - 3 F = t^4/4 - 2 t c(x) >= 0 beyond
+    r0 = (8 * 1.3)^(1/3).  Returns (nl, problem, params, rho, sigmas)."""
     omega = 2.0 * math.pi / BASE["T"]
 
     def cx(x):
@@ -216,12 +217,19 @@ def solve_x_dependent_forcing():
         poly_degree=3,
     )
     probe = ProblemSpec(lam=1.0, **BASE)
-    params = SpectrumParams(4, 18)
+    params = SpectrumParams(modes, 4 * modes + 2)
     s1 = sigma_estimate(1.0, probe, params).value
     s4 = sigma_estimate(4.0, probe, params, seed=0, starts=6).value
     rho_star, lam_star = best_lambda(probe, nl, (s1, s4))
-    problem = replace(probe, lam=0.5 * lam_star)
-    rep = solve_multiplicity(SolverConfig(rho=rho_star), nl, problem, params,
+    problem = replace(probe, lam=factor * lam_star)
+    return nl, problem, params, rho_star, (s1, s4)
+
+
+def solve_x_dependent_forcing():
+    """The pipeline on x_dependent_problem at M = 4, half the best
+    lambda_max."""
+    nl, problem, params, rho, (s1, s4) = x_dependent_problem(4, 0.5)
+    rep = solve_multiplicity(SolverConfig(rho=rho), nl, problem, params,
                              sigma1=s1, sigmaq=s4)
     return nl, rep
 
@@ -320,6 +328,19 @@ def test_ball_polish_must_land_downhill_from_the_start(monkeypatch):
     small = FourierField.constant(problem, params, 1e-3)
     assert energy(small * -1.0, nl) > 0.0 > energy(small, nl)
     assert guard(small) and not guard(small * -1.0)
+
+
+def test_ball_descent_stalls_when_steps_cannot_move_the_field(monkeypatch):
+    # without the polish, the descent on the x-dependent forcing at M = 8
+    # stops improving at residual 1.7e-8, just above grad_tol: the steps it
+    # still accepts are below the float resolution of the field.  That must
+    # end the stage as a stall, not spend the whole iteration budget
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, *args, **kwargs: (u, False))
+    nl, problem, params, rho, _ = x_dependent_problem(8, 0.5)
+    with pytest.raises(NonConvergenceError, match="stalled"):
+        ball_minimize(FourierField.zeros(problem, params),
+                      SolverConfig(rho=rho, max_iter=100), nl)
 
 
 def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
@@ -538,3 +559,10 @@ def test_armijo_accepts_descent_and_reports_stall():
     counters = {}
     assert solvers._armijo(u, -riesz, I0, 1.0, nl, counters) is None
     assert counters["line_search_trials"] == solvers._MAX_HALVINGS
+    # from a nonzero field, a step too short to move it in floating point
+    # is a stall, reported before any trial
+    u1 = FourierField.constant(problem, params, 1.0)
+    tiny = riesz * (0.5 * np.finfo(float).eps * hs_norm(u1) / hs_norm(riesz))
+    counters = {}
+    assert solvers._armijo(u1, tiny, energy(u1, nl), 1.0, nl, counters) is None
+    assert counters == {}

@@ -13,7 +13,7 @@ from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                SymmetryError, _half_index,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
-                               hs_norm, inverse_transform, l2_norm, lr_norm,
+                               hs_norm, inverse_transform, l2_norm,
                                mean_value, multiplier, multiplier_array,
                                pairing)
 from perifrac.extension import kappa
@@ -166,22 +166,6 @@ def test_constant_field_calibration(example_problem):
     assert abs(hs_norm(u) - 1.7 * example_problem.m ** s * T ** (N / 2.0)) < 1e-12
     samples = inverse_transform(u)
     assert np.abs(samples - 1.7).max() < 1e-12
-
-
-def test_lr_norm_cross_route(example_problem):
-    rng = np.random.default_rng(13)
-    M = 3
-    params = SpectrumParams(modes=M, grid_points=4 * M + 2)
-    u = FourierField(random_symmetric_coeffs(rng, M, 2), example_problem, params)
-    # r=2 through samples must agree with the coefficient route
-    assert abs(lr_norm(u, 2.0) - l2_norm(u)) < 1e-10 * (1.0 + l2_norm(u))
-    # r=4 against brute-force quadrature on a much finer grid
-    fine = inverse_transform(u, grid_points=64)
-    cell = (example_problem.T / 64) ** 2
-    brute = (cell * float(np.sum(np.abs(fine) ** 4))) ** 0.25
-    coarse_params = SpectrumParams(modes=M, grid_points=8 * M + 2)
-    u_fine = FourierField(u.coeffs, example_problem, coarse_params)
-    assert abs(lr_norm(u_fine, 4.0) - brute) < 1e-9 * (1.0 + brute)
 
 
 def test_e_norm_formula_and_sandwich(example_problem):

@@ -14,12 +14,10 @@ from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                pairing)
 from perifrac.variational import (CheckReport, Nonlinearity, check_ar,
                                   check_growth, check_superhomogeneity,
-                                  dealias_points, energy, energy_report,
-                                  get_nonlinearity, gradient,
-                                  integral_of_potential, make_nonlinearity,
+                                  dealias_points, energy, get_nonlinearity,
+                                  gradient, make_nonlinearity,
                                   nonlinear_image, registry_keys,
-                                  residual_dual_norm, riesz_gradient,
-                                  riesz_representative,
+                                  residual_dual_norm, riesz_representative,
                                   validate_growth_exponent, weak_residual)
 
 from conftest import random_symmetric_coeffs
@@ -268,7 +266,7 @@ def test_gradient_keeps_exact_hermitian_symmetry(N, s):
         nl = get_nonlinearity(key)
         assert gradient(u, nl).hermitian_defect() == 0.0
         assert gradient(u, nl, include_kappa=True).hermitian_defect() == 0.0
-        assert riesz_gradient(u, nl).hermitian_defect() == 0.0
+        assert riesz_representative(gradient(u, nl)).hermitian_defect() == 0.0
 
 
 def test_gradient_matches_central_differences_20_fields():
@@ -304,8 +302,6 @@ def test_weak_residual_and_riesz_identities(example_problem):
         1.0 + np.abs(g.coeffs).max())
     # Riesz isometry: |riesz|_Hs == |g|_dual
     assert abs(hs_norm(r) - dual_norm(g)) < 1e-12 * (1.0 + dual_norm(g))
-    rg = riesz_gradient(u, nl)
-    assert np.abs(rg.coeffs - r.coeffs).max() < 1e-13 * (1 + np.abs(r.coeffs).max())
 
 
 def test_gradient_of_stationary_scalar_is_zero():
@@ -320,16 +316,3 @@ def test_gradient_of_stationary_scalar_is_zero():
         c -= fval / (3.0 * c * c - 50.0)
     u = FourierField.constant(problem, params, c)
     assert residual_dual_norm(u, nl) < 1e-12
-
-
-def test_energy_report_consistency(example_problem):
-    rng = np.random.default_rng(53)
-    params = SpectrumParams(modes=2, grid_points=5)
-    u = FourierField(random_symmetric_coeffs(rng, 2, 2), example_problem, params)
-    nl = get_nonlinearity("cubic_plus_one")
-    rep = energy_report(u, nl)
-    assert abs(rep.value - (rep.quadratic_part + rep.potential_part)) < 1e-12 * (
-        1.0 + abs(rep.value))
-    assert abs(rep.value - energy(u, nl)) < 1e-12 * (1.0 + abs(rep.value))
-    assert abs(rep.potential_part + integral_of_potential(u, nl)) < 1e-12
-    assert rep.hs_norm == hs_norm(u)
