@@ -23,14 +23,14 @@ from . import spectral as sp
 from . import variational as vr
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
-from .constants import (ball_radius, best_lambda, default_golden_path,
-                        example_lambda_interval, golden_key, kappa,
-                        lambda_table, load_golden, sigma_estimate)
+from .constants import (ball_radius, best_lambda, example_lambda_interval,
+                        golden_key, kappa, lambda_table, load_golden,
+                        sigma_estimate)
 from .extension import (WeightedQuadrature, conormal_limit, ode_residual,
                         profile_energy, verify_trace_identity)
 from .solvers import (InadmissibleLambdaError, NonConvergenceError,
                       SolverError, solve_multiplicity)
-from .spectral import FourierField, SpectrumParams
+from .spectral import SpectrumParams
 
 __all__ = ["main", "cmd_constants", "cmd_solve", "cmd_verify",
            "cmd_reproduce_example"]
@@ -110,8 +110,7 @@ def _fill_constants(rep, problem, params, nl, seed):
     sig1 = sigma_estimate(1.0, problem, params, seed=seed)
     sig2 = sigma_estimate(2.0, problem, params, seed=seed)
     sigq = sigma_estimate(nl.q, problem, params, seed=seed)
-    estimates = [sig1, sig2] + ([sigq] if nl.q not in (1.0, 2.0) else [])
-    cons["sigmas"] = [rp.estimate_dict(e) for e in estimates]
+    cons["sigmas"] = [rp.estimate_dict(e) for e in (sig1, sig2, sigq)]
     sigmas = (sig1.value, sigq.value)
     rho_star, lam_star = best_lambda(problem, nl, sigmas)
     cons["best_rho"] = float(rho_star)

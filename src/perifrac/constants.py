@@ -62,7 +62,6 @@ class EmbeddingEstimate:
     modes: int
     starts: int = 0
     iterations: int = 0
-    best_start: int = -1
 
 
 def _closed_form(problem: ProblemSpec, r: float) -> float | None:
@@ -126,9 +125,9 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         lr = float(np.sum(magnitude ** r) * dx_weight) ** (1.0 / r)
         return samples, magnitude, lr
 
-    best_val, best_field, best_start = -np.inf, None, -1
+    best_val, best_field = -np.inf, None
     total_iters = 0
-    for i_start, ss in enumerate(np.random.SeedSequence(seed).spawn(starts)):
+    for ss in np.random.SeedSequence(seed).spawn(starts):
         rng = np.random.default_rng(ss)
         u0 = sp.forward_transform(rng.standard_normal((n,) * problem.N),
                                   problem, params)
@@ -169,8 +168,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         h = sp.hs_norm(field)
         val = Lr / h if h > 0 else 0.0
         if val > best_val:
-            best_val, best_field, best_start = val, field, i_start
-    diag = {"starts": starts, "iterations": total_iters, "best_start": best_start}
+            best_val, best_field = val, field
+    diag = {"starts": starts, "iterations": total_iters}
     return best_val, best_field, diag
 
 
@@ -215,20 +214,12 @@ def sigma_estimate(r: float, problem: ProblemSpec, params: SpectrumParams,
         modes=params.modes,
         starts=diag["starts"],
         iterations=diag["iterations"],
-        best_start=diag["best_start"],
     )
     _SIGMA_CACHE[key] = est
     return est
 
 
 # -- certificates ---------------------------------------------------------------
-
-
-def _gap_fraction(problem: ProblemSpec) -> float:
-    g = problem.gamma_fraction
-    if not (0.0 <= g < 1.0):
-        raise ValueError(f"gamma/m^(2s) = {g} must lie in [0, 1)")
-    return g
 
 
 def _sigma_pair(sigmas) -> tuple[float, float]:
@@ -244,7 +235,7 @@ def lambda_max(rho: float, problem: ProblemSpec, nl, sigmas) -> float:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     s1, sq = _sigma_pair(sigmas)
-    g = _gap_fraction(problem)
+    g = problem.gamma_fraction
     q = nl.q
     k = kappa(problem.s)
     num = q * math.sqrt(rho) * (1.0 - g) ** (q / 2.0)
@@ -260,7 +251,7 @@ def chi_upper(rho: float, problem: ProblemSpec, nl, sigmas) -> float:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     s1, sq = _sigma_pair(sigmas)
-    g = _gap_fraction(problem)
+    g = problem.gamma_fraction
     q = nl.q
     k = kappa(problem.s)
     return k * (nl.a1 * s1 / (math.sqrt(rho) * math.sqrt(1.0 - g))
@@ -273,7 +264,7 @@ def ball_radius(rho: float, problem: ProblemSpec) -> float:
     sqrt(rho / (kappa (1 - g)))."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    g = _gap_fraction(problem)
+    g = problem.gamma_fraction
     return math.sqrt(rho / (kappa(problem.s) * (1.0 - g)))
 
 
@@ -359,7 +350,7 @@ def example_h(rho: float, sigmas, problem: ProblemSpec) -> float:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     s1, s4 = _sigma_pair(sigmas)
-    g = _gap_fraction(problem)
+    g = problem.gamma_fraction
     return math.sqrt(rho) / (4.0 * s1 * (1.0 - g) ** 1.5 + s4 ** 4 * rho ** 1.5)
 
 
@@ -383,7 +374,7 @@ class LambdaInterval:
 def example_lambda_interval(sigmas, problem: ProblemSpec) -> LambdaInterval:
     """Certified interval (0, (2/kappa)(1-g)^2 max_rho h(rho)) for the
     quartic case; equals (0, max_rho lambda_max(rho)) there."""
-    g = _gap_fraction(problem)
+    g = problem.gamma_fraction
     k = kappa(problem.s)
     rho_star, h_star = _maximize_profile(
         lambda rho: example_h(rho, sigmas, problem))

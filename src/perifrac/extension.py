@@ -118,11 +118,17 @@ class ExtrapolationError(RuntimeError):
     """Richardson sequence for the conormal limit did not settle."""
 
 
+# WeightedQuadrature integrates over (0, _CROSSOVER] and requires the
+# decay-model tail beyond it to stay below _TAIL_REL_TOL of the value
+_CROSSOVER = 40.0
+_TAIL_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class WeightedQuadrature:
     """Quadrature for int_0^inf y^exponent g(y) dy with exponent in (-1, 1).
 
-    The finite part (0, crossover] goes through an adaptive rule with the
+    The finite part (0, _CROSSOVER] goes through an adaptive rule with the
     algebraic endpoint weight handled analytically; beyond the crossover
     the integrands of interest decay like exp(-2y), so the tail is not
     integrated but bounded by that decay model and required to be
@@ -130,20 +136,16 @@ class WeightedQuadrature:
     """
 
     exponent: float
-    crossover: float = 40.0
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if not -1.0 < self.exponent < 1.0:
             raise ValueError(f"exponent={self.exponent} outside (-1, 1)")
-        if self.crossover <= 0.0:
-            raise ValueError("crossover must be positive")
 
     def integrate(self, g) -> float:
         res = quad(
             g,
             0.0,
-            self.crossover,
+            _CROSSOVER,
             weight="alg",
             wvar=(self.exponent, 0.0),
             epsabs=1e-13,
@@ -160,10 +162,10 @@ class WeightedQuadrature:
                 f"weighted quadrature error estimate {abserr:.2e} exceeds budget"
             )
         # decay-model tail estimate: |g| falls at least like exp(-2(y-Y*))
-        tail = 5.0 * self.crossover ** self.exponent * abs(g(self.crossover)) * 0.5
-        if tail > max(1e-12, self.rel_tol * scale):
+        tail = 5.0 * _CROSSOVER ** self.exponent * abs(g(_CROSSOVER)) * 0.5
+        if tail > max(1e-12, _TAIL_REL_TOL * scale):
             raise QuadratureError(
-                f"tail estimate {tail:.2e} at crossover {self.crossover} "
+                f"tail estimate {tail:.2e} at crossover {_CROSSOVER} "
                 f"exceeds tolerance; integrand decays too slowly"
             )
         return float(value)

@@ -118,7 +118,7 @@ def to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def dump_fields(directory: str, solutions, grid_points: int | None = None) -> list:
+def dump_fields(directory: str, solutions) -> list:
     """Write one CSV per solution: columns are the x coordinates then the
     sampled value of u at that grid point.  Returns the paths written."""
     from . import spectral as sp
@@ -128,7 +128,7 @@ def dump_fields(directory: str, solutions, grid_points: int | None = None) -> li
     for i, sol in enumerate(solutions):
         field = sol.field
         problem = field.problem
-        n = grid_points or field.params.grid_points
+        n = field.params.grid_points
         values = sp.inverse_transform(field, grid_points=n)
         coords = sp.grid_coordinates(problem, n)
         path = os.path.join(directory, f"solution_{i:02d}_{sol.method}.csv")

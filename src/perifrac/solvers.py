@@ -1,6 +1,6 @@
 """Two-solution solvers: constrained descent in the energy ball and a
-climbing-image string search for the saddle between the ball minimizer and
-a far downhill endpoint.
+climbing-image search for the saddle between the ball minimizer and a far
+downhill endpoint.
 
 Both return stationary points of the reduced functional measured by the
 dual norm of the weak residual
@@ -12,9 +12,10 @@ it attempts a damped inexact Newton polish on iteration 1, and after each
 rejected attempt the wait before the next one doubles (iterations 1, 2, 4,
 8, ...), so a polish that keeps failing costs a logarithmic number of
 attempts.  Between attempts runs a fallback that converges by itself:
-projected Armijo descent in the ball, a climbing-image string
-(mountain_pass) for the saddle.  A fallback step that stalls brings the
-next attempt forward to the following iteration before the stage gives up.
+projected Armijo descent in the ball, a climbing image between the two
+fixed endpoints (mountain_pass) for the saddle.  A fallback step that
+stalls brings the next attempt forward to the following iteration before
+the stage gives up.
 
 The polish works on the sample-space residual map of the minimal grid.  Its
 Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
@@ -114,7 +115,7 @@ class SolverConfig:
 
 
 # Fixed tuning of the descent stages and the Newton polish.
-_PATH_POINTS = 16          # segments P; the path carries P+1 nodes
+_PATH_POINTS = 16          # segments P of the straight start path
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_HALVINGS = 30
@@ -412,51 +413,24 @@ def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
 # -- path-climbing saddle search --------------------------------------------------
 
 
-def _interpolate_path(u_a, u_b, segments):
-    return [u_a * (1.0 - i / segments) + u_b * (i / segments)
-            for i in range(segments + 1)]
-
-
-def _respace(nodes):
-    """Redistribute interior nodes uniformly in arc length (Hs metric) along
-    the current polyline; endpoints stay fixed."""
-    P = len(nodes) - 1
-    seg = [sp.hs_distance(nodes[i], nodes[i + 1]) for i in range(P)]
-    total = sum(seg)
-    if total <= 0.0:
-        return nodes
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    out = [nodes[0]]
-    j = 0
-    for i in range(1, P):
-        target = total * i / P
-        while j < P - 1 and cum[j + 1] < target:
-            j += 1
-        span = seg[j]
-        w = 0.0 if span <= 0.0 else (target - cum[j]) / span
-        out.append(nodes[j] * (1.0 - w) + nodes[j + 1] * w)
-    out.append(nodes[P])
-    return out
-
-
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None) -> SolutionReport:
-    """Climbing-image string search for the saddle between u_a and u_b
-    (Henkelman, Uberuaga & Jonsson 2000; E, Ren & Vanden-Eijnden 2007).
+    """Climbing-image search for the saddle between the fixed endpoints u_a
+    and u_b (Henkelman, Uberuaga & Jonsson 2000).
 
-    The path starts as the straight polyline of _PATH_POINTS segments; its
-    highest node (smallest index on ties) is the climbing image and keeps
-    its index.  Each iteration attempts the trust-region Newton polish from
-    the climber when due (first on iteration 1, with trust radius two node
-    spacings), and otherwise steps the climber along the Riesz
-    representative of its weak residual with the component along the path
-    tangent reflected: downhill across the path, uphill along it.  A step
-    is accepted when the residual drops and is halved otherwise; it never
-    moves the climber more than one node spacing.  Then the nodes on each
-    side of the climber are respaced by arc length along that side's own
-    polyline, so the climber stays a node and its neighbours give the next
-    tangent.  Near a saddle whose unstable direction the tangent follows,
-    the reflected step contracts every direction, so this fallback reaches
+    The straight path from u_a to u_b is sampled at _PATH_POINTS + 1 evenly
+    spaced nodes; its highest node (smallest index on ties) is the climbing
+    image.  Each iteration attempts the trust-region Newton polish from the
+    climber when due (first on iteration 1), and otherwise steps the
+    climber along the Riesz representative of its weak residual with the
+    component along the tangent reflected: downhill across the path, uphill
+    along it.  The tangent is the sum of the unit directions from u_a to
+    the climber and from the climber to u_b, and the node spacing is the
+    length of that two-segment path over _PATH_POINTS.  A step is accepted
+    when the residual drops and is halved otherwise; it never moves the
+    climber more than one node spacing, and the polish's trust radius is
+    two.  Near a saddle whose unstable direction the tangent follows, the
+    reflected step contracts every direction, so this fallback reaches
     grad_tol with no Newton step.  Near a saddle with further unstable
     directions no step lowers the residual.  Such a stall moves the
     climber one Armijo step downhill across the path and retries the
@@ -470,8 +444,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         raise DegeneratePathError("path endpoints coincide")
 
     P = _PATH_POINTS
-    nodes = _interpolate_path(u_a, u_b, P)
-    energies = [_energy(w, nl, counters) for w in nodes]
+
+    def node(i):
+        return u_a * (1.0 - i / P) + u_b * (i / P)
+
+    energies = [_energy(node(i), nl, counters) for i in range(P + 1)]
     end_max = max(energies[0], energies[P])
     j = int(np.argmax(energies))
     if j == 0 or j == P:
@@ -485,7 +462,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                 and sp.hs_distance(w, u_a) > cfg.distinct_tol
                 and sp.hs_distance(w, u_b) > cfg.distinct_tol)
 
-    u = nodes[j]
+    u = node(j)
     r = _gradient(u, nl, counters)
     res = lam * sp.dual_norm(r)
     step = 1.0
@@ -497,8 +474,9 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         history.append(res)
         if res <= cfg.grad_tol:
             break
-        spacing = sum(sp.hs_distance(nodes[i], nodes[i + 1])
-                      for i in range(P)) / P
+        to_u, to_b = u - u_a, u_b - u
+        d_a, d_b = sp.hs_norm(to_u), sp.hs_norm(to_b)
+        spacing = (d_a + d_b) / P
         if it == due:
             _bump(counters, "polish_attempts")
             u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
@@ -508,7 +486,8 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                 history.append(vr.residual_dual_norm(u, nl))
                 break
             due *= 2
-        tangent = nodes[j + 1] - nodes[j - 1]
+        tangent = (to_u * (1.0 / max(d_a, 1e-300))
+                   + to_b * (1.0 / max(d_b, 1e-300)))
         tangent = tangent * (1.0 / max(sp.hs_norm(tangent), 1e-300))
         # Riesz representative of r and its part across the path; the Hs
         # product of riesz(r) with the tangent is the mode pairing of r
@@ -544,8 +523,6 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
             r_try = _gradient(u_try, nl, counters)
             res_try = lam * sp.dual_norm(r_try)
         u, r, res = u_try, r_try, res_try
-        nodes[j] = u
-        nodes = _respace(nodes[:j + 1]) + _respace(nodes[j:])[1:]
     else:
         raise NonConvergenceError(
             f"saddle search did not reach grad_tol={cfg.grad_tol:.1e} in "

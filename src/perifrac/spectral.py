@@ -107,7 +107,7 @@ class ProblemSpec:
 
     @property
     def gamma_fraction(self) -> float:
-        """gamma / m^(2s), the spectral-gap fraction in (0, 1)."""
+        """gamma / m^(2s), the spectral-gap fraction in [0, 1)."""
         return self.gamma / self.m ** (2.0 * self.s)
 
 

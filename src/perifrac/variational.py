@@ -10,7 +10,7 @@ whose stationary points solve, per retained mode k,
 
 The overall prefactor kappa(s) of the e-norm formulation is dropped from
 the working functional and carried separately in reports; critical points
-are unchanged (pass include_kappa=True to scale it back in).
+are unchanged.
 
 Nonlinear terms f(x, u) are evaluated pseudospectrally on an oversampled
 grid: >= (p+1)/2 oversampling relative to the minimal 2M + 1 points for a
@@ -28,7 +28,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import spectral as sp
-from .extension import kappa
 from .spectral import FourierField, SpectrumParams
 
 __all__ = [
@@ -335,17 +334,14 @@ def integral_of_potential(u: FourierField, nl: Nonlinearity) -> float:
 # -- energy and gradient -------------------------------------------------------
 
 
-def energy(u: FourierField, nl: Nonlinearity,
-           include_kappa: bool = False) -> float:
-    """Reduced functional value I(u); multiply by kappa(s) on request."""
+def energy(u: FourierField, nl: Nonlinearity) -> float:
+    """Reduced functional value I(u)."""
     pr = u.problem
     quad_part = (sp.hs_norm(u) ** 2 - pr.gamma * sp.l2_norm(u) ** 2) / (2.0 * pr.lam)
-    val = quad_part - integral_of_potential(u, nl)
-    return kappa(pr.s) * val if include_kappa else val
+    return quad_part - integral_of_potential(u, nl)
 
 
-def gradient(u: FourierField, nl: Nonlinearity,
-             include_kappa: bool = False) -> FourierField:
+def gradient(u: FourierField, nl: Nonlinearity) -> FourierField:
     """Mode-wise gradient r_k = (1/lam)(mu_k^s - gamma) c_k - g_k, g = f(., u),
     so that d/de I(u + e phi)|_0 = Re sum r_k conj(phi_k).  Real even
     multipliers and sums keep the Hermitian symmetry of u and g exact."""
@@ -353,8 +349,6 @@ def gradient(u: FourierField, nl: Nonlinearity,
     mu_s = sp.multiplier_array(pr, u.params)
     ghat = nonlinear_image(u, nl)
     r = (mu_s - pr.gamma) / pr.lam * u.coeffs - ghat.coeffs
-    if include_kappa:
-        r = r * kappa(pr.s)
     return FourierField(r, pr, u.params)
 
 

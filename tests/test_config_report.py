@@ -1,7 +1,6 @@
 """Flat key-value configuration round-trips and the canonical JSON report."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from perifrac.config import (_NUMBER_KEYS, AUTO, ConfigError, RunConfig,
 from perifrac.report import (EXIT_CODES, STATUSES, dump_fields, empty_report,
                              estimate_dict, exit_code_for, lambda_row_dict,
                              solution_dict, to_json)
-from perifrac.spectral import FourierField, SpectrumParams, inverse_transform
+from perifrac.spectral import FourierField, SpectrumParams
 
 
 # -- parsing ---------------------------------------------------------------------

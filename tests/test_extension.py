@@ -13,7 +13,7 @@ from perifrac.extension import (QuadratureError, WeightedQuadrature,
                                 conormal_limit, kappa, mode_energy,
                                 ode_residual, profile_energy, theta,
                                 theta_prime, verify_trace_identity)
-from perifrac.spectral import FourierField, ProblemSpec, SpectrumParams
+from perifrac.spectral import FourierField, SpectrumParams
 
 from conftest import random_symmetric_coeffs
 

@@ -249,7 +249,7 @@ def test_pipeline_x_dependent_forcing():
 def test_pipeline_survives_two_rejected_attempts_per_stage(monkeypatch):
     # the polish does its work and is then rejected from the first two
     # points each stage tries it from, and again whenever it is retried from
-    # one of them, as a deterministic failure would be.  The climbing string
+    # one of them, as a deterministic failure would be.  The climbing image
     # stalls on this problem right after its second attempt, so the path
     # stage lands only because its across-path step gives the retry a new
     # start
@@ -416,6 +416,24 @@ def test_stages_converge_without_the_polish(monkeypatch, case):
     # the climbing-image fallback lands on the saddle that Newton finds
     assert hs_norm(high.field - high_ref.field) <= 1e-6
     assert hs_norm(low.field - low_ref.field) <= 1e-6
+
+
+@pytest.mark.parametrize("modes", [4, 8])
+def test_saddle_fallback_converges_off_the_constant_subspace(monkeypatch,
+                                                             modes):
+    # x-dependent forcing at 0.9 of the best lambda_max: the ball stage
+    # keeps the polish, the saddle stage runs on the climbing image alone
+    nl, problem, params, rho, _ = x_dependent_problem(modes, 0.9)
+    cfg = SolverConfig(rho=rho)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    endpoint = find_descent_endpoint(low.field, cfg, nl)
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, *args, **kwargs: (u, False))
+    high = mountain_pass(low.field, endpoint, cfg, nl)
+    assert high.residual_dual_norm <= cfg.grad_tol
+    assert high.energy > max(low.energy, energy(endpoint, nl))
+    for end in (low.field, endpoint):
+        assert hs_norm(high.field - end) > cfg.distinct_tol
 
 
 def test_polish_backs_off_after_rejections(monkeypatch):

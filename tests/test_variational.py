@@ -10,14 +10,13 @@ from scipy.signal import convolve
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                dual_norm, forward_transform, hs_norm,
-                               inverse_transform, l2_norm, multiplier_array,
-                               pairing)
-from perifrac.variational import (CheckReport, Nonlinearity, check_ar,
-                                  check_growth, check_superhomogeneity,
-                                  dealias_points, energy, get_nonlinearity,
-                                  gradient, make_nonlinearity,
-                                  nonlinear_image, registry_keys,
-                                  residual_dual_norm, riesz_representative,
+                               inverse_transform, multiplier_array, pairing)
+from perifrac.variational import (CheckReport, check_ar, check_growth,
+                                  check_superhomogeneity, dealias_points,
+                                  energy, get_nonlinearity, gradient,
+                                  make_nonlinearity, nonlinear_image,
+                                  registry_keys, residual_dual_norm,
+                                  riesz_representative,
                                   validate_growth_exponent, weak_residual)
 
 from conftest import random_symmetric_coeffs
@@ -239,21 +238,6 @@ def test_energy_constant_field_closed_form():
         assert abs(energy(u, nl) - want) < 1e-10 * (1.0 + abs(want))
 
 
-def test_energy_include_kappa_scales_everything():
-    from perifrac.extension import kappa
-    problem = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=2)
-    params = SpectrumParams(modes=2, grid_points=5)
-    rng = np.random.default_rng(41)
-    u = FourierField(random_symmetric_coeffs(rng, 2, 2), problem, params)
-    nl = get_nonlinearity("pure_cubic")
-    k = kappa(problem.s)
-    plain = energy(u, nl)
-    assert abs(energy(u, nl, include_kappa=True) - k * plain) < 1e-12 * (1 + abs(plain))
-    g_plain = gradient(u, nl).coeffs
-    g_k = gradient(u, nl, include_kappa=True).coeffs
-    assert np.abs(g_k - k * g_plain).max() < 1e-12 * (1.0 + np.abs(g_plain).max())
-
-
 @pytest.mark.parametrize("N, s", [(1, 0.4), (2, 0.75), (3, 0.9)])
 def test_gradient_keeps_exact_hermitian_symmetry(N, s):
     # gradient no longer re-symmetrizes: its inputs must stay exact
@@ -265,7 +249,6 @@ def test_gradient_keeps_exact_hermitian_symmetry(N, s):
     for key in ("cubic_plus_one", "pure_cubic"):
         nl = get_nonlinearity(key)
         assert gradient(u, nl).hermitian_defect() == 0.0
-        assert gradient(u, nl, include_kappa=True).hermitian_defect() == 0.0
         assert riesz_representative(gradient(u, nl)).hermitian_defect() == 0.0
 
 
