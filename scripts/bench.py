@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Size-ladder benchmark: per-command and per-stage wall times.
+"""Size-ladder benchmark: per-command, per-stage and import wall times.
 
 Runs `constants` and `solve` (auto lambda and rho, seed 0) at each rung of
 the ladder N=1 (s=0.4, M 8..128), N=2 (s=0.75, M 8..32) and N=3 (s=0.9,
 M 4..8), each command in a fresh process with BLAS pinned to one thread,
 so no process-global cache carries over between commands.  Stage spans
-come from perfbench/tracer.py, which wraps the stage functions from the
-outside; src/ holds no timing code.  Writes BENCH_<label>.json:
+come from perfbench/tracer.py, which wraps the stage functions and the
+MINRES solve of the Newton polish from the outside; src/ holds no timing
+code.  Each child also times its own `import perifrac.cli` (import_s).
+Writes BENCH_<label>.json:
 
     python scripts/bench.py --label LABEL [--repeats 3]
 
 For each command the file holds the median over the repeats of its wall
-time and of each stage's inclusive time and call count, the exit code,
-the report status and the report's operation counters.  Wall clock stays
-out of the stdout reports, as everywhere in perifrac.
+time, of its import time and of each stage's inclusive time and call
+count, the exit code, the report status and the report's operation
+counters.  Wall clock stays out of the stdout reports, as everywhere in
+perifrac.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ STAGES = [
     ("perifrac.solvers", "find_descent_endpoint"),
     ("perifrac.solvers", "mountain_pass"),
     ("perifrac.solvers", "_newton_polish"),
+    ("perifrac.solvers", "_minres"),
     ("perifrac.constants", "rayleigh_ascent"),
 ]
 
@@ -67,7 +71,9 @@ def run_one(command: str, config_path: str) -> dict:
 
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
+    t0 = time.perf_counter()
     import perifrac.cli
+    import_s = time.perf_counter() - t0
     from tracer import Tracer, install
 
     tracer = Tracer()
@@ -81,7 +87,8 @@ def run_one(command: str, config_path: str) -> dict:
     wall = time.perf_counter() - t0
     report = json.loads(out.getvalue())
     return {"exit_code": code, "status": report.get("status"), "wall_s": wall,
-            "stages": tracer.summary(), "timings": report.get("timings", {})}
+            "import_s": import_s, "stages": tracer.summary(),
+            "timings": report.get("timings", {})}
 
 
 def median_run(runs: list[dict]) -> dict:
@@ -93,6 +100,7 @@ def median_run(runs: list[dict]) -> dict:
     first = runs[0]
     return {"exit_code": first["exit_code"], "status": first["status"],
             "wall_s": statistics.median(r["wall_s"] for r in runs),
+            "import_s": statistics.median(r["import_s"] for r in runs),
             "stages": stages, "timings": first["timings"]}
 
 
@@ -135,7 +143,8 @@ def main() -> int:
                     runs.append(json.loads(proc.stdout.splitlines()[-1]))
                 rung[command] = median_run(runs)
                 print(f"{name:14s} {command:9s} {rung[command]['status']:24s} "
-                      f"{rung[command]['wall_s']:8.3f} s", file=sys.stderr)
+                      f"{rung[command]['wall_s']:8.3f} s  import "
+                      f"{rung[command]['import_s']:6.3f} s", file=sys.stderr)
             rungs[name] = rung
     result = {
         "label": args.label,

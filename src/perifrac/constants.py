@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import spectral as sp
 from .extension import kappa
@@ -127,8 +128,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
 
     best_val, best_field = -np.inf, None
     total_iters = 0
-    for ss in np.random.SeedSequence(seed).spawn(starts):
-        rng = np.random.default_rng(ss)
+    for ss in SeedSequence(seed).spawn(starts):
+        rng = default_rng(ss)
         u0 = sp.forward_transform(rng.standard_normal((n,) * problem.N),
                                   problem, params)
         c = u0.coeffs / max(sp.hs_norm(u0), 1e-300)

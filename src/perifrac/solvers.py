@@ -21,7 +21,8 @@ The polish works on the sample-space residual map of the minimal grid.  Its
 Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
 samples, is symmetric and is never formed: preconditioned MINRES applies it
 through the field core's transform pair, with the spectral multiplier as an
-SPD preconditioner.  A step is accepted only if it decreases the true
+SPD preconditioner.  The MINRES is this module's own port of scipy's, so
+solving imports no scipy.  A step is accepted only if it decreases the true
 residual and lands inside the caller's guard region.
 """
 
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from . import spectral as sp
 from . import variational as vr
@@ -192,16 +192,94 @@ def _minimal_params(params: SpectrumParams) -> SpectrumParams:
     return SpectrumParams(params.modes, 2 * params.modes + 1)
 
 
+def _minres(matvec, b, psolve, rtol, callback=None):
+    """Preconditioned MINRES (Paige & Saunders 1975) for A x = b with A
+    symmetric and the preconditioner psolve SPD, from x0 = 0.  The
+    recurrence and stopping tests are those of scipy.sparse.linalg.minres,
+    operation for operation, so the iterates agree with it bit for bit;
+    the iteration limit is 5 len(b).  Returns (x, info): info = 0 on
+    convergence, the iteration limit if it was reached, and -1 when
+    <r, psolve(r)> turns negative (psolve not SPD, or A not symmetric),
+    where scipy raises instead.  callback(x) runs after every iteration."""
+    n = b.shape[0]
+    maxiter = 5 * n
+    eps = np.finfo(float).eps
+    x = np.zeros(n)
+    r1 = b.copy()
+    y = psolve(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        return x, -1
+    if beta1 == 0:     # b = 0 for any SPD psolve
+        return x, 0
+    beta1 = math.sqrt(beta1)
+
+    oldb = dbar = epsln = tnorm2 = gmax = 0
+    beta = phibar = beta1
+    gmin = np.finfo(float).max
+    cs, sn = -1, 0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    for itn in range(1, maxiter + 1):
+        # Lanczos step: v_k, and the next residual r2 with y = psolve(r2)
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb = beta
+        beta = np.inner(r2, y)
+        if beta < 0:
+            return x, -1
+        beta = math.sqrt(beta)
+        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
+        # b an eigenvector of the preconditioned A: this step solves it
+        eigen = itn == 1 and beta / beta1 <= 10 * eps
+        # apply the previous plane rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        # stopping tests: backward error test1, least-squares test2, x
+        # beyond what eps resolves, and the condition estimate gmax/gmin
+        Anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = np.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = np.inf if Anorm == 0 else root / Anorm
+        if callback is not None:
+            callback(x)
+        if (eigen or test1 <= rtol or test2 <= rtol
+                or Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps):
+            return x, 0
+        # tests that hold only when rtol < eps, outranked by the limit
+        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
+            return x, 0
+    return x, maxiter
+
+
 def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
                         d: np.ndarray):
     """Matrix-free (J, P) on the minimal grid n = 2M+1, where the field
-    core's transform pair is a bijection.  J = L - lam diag(d) acts on
-    flattened samples, L multiplying mode k by the real, even symbol
-    mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
+    core's transform pair is a bijection, as functions of flattened
+    samples.  J = L - lam diag(d), L multiplying mode k by the real, even
+    symbol mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
     multiplier (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it
     SPD when a finite-difference d dips negative."""
     shape = (params_min.grid_points,) * problem.N
-    size = math.prod(shape)
     symbol = sp.multiplier_array(problem, params_min) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
@@ -210,11 +288,12 @@ def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
         return sp.inverse_transform(
             FourierField(sym * c, problem, params_min)).reshape(-1)
 
-    jac = LinearOperator(
-        (size, size), dtype=float,
-        matvec=lambda x: multiply(x, symbol) - problem.lam * d * x.reshape(-1))
-    prec = LinearOperator((size, size), dtype=float,
-                          matvec=lambda x: multiply(x, inv_prec))
+    def jac(x):
+        return multiply(x, symbol) - problem.lam * d * x
+
+    def prec(x):
+        return multiply(x, inv_prec)
+
     return jac, prec
 
 
@@ -257,8 +336,8 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
                  - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
         jac, prec = _jacobian_operators(problem, params_min, d.reshape(-1))
         rhs = -sp.inverse_transform(to_min(vr.weak_residual(cur, nl))).reshape(-1)
-        delta, info = minres(jac, rhs, M=prec, rtol=_KRYLOV_RTOL,
-                             callback=count_iteration)
+        delta, info = _minres(jac, rhs, prec, _KRYLOV_RTOL,
+                              callback=count_iteration)
         if info < 0 or not np.all(np.isfinite(delta)):
             break
         delta = delta.reshape(v.shape)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfftn, rfftn
 
 from .extension import kappa
 
@@ -265,7 +266,7 @@ def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: Spectru
     if samples.shape != (n,) * N:
         raise ValueError(f"sample shape {samples.shape} != {(n,) * N}")
     coeffs = np.empty((2 * M + 1,) * N, dtype=complex)
-    coeffs[..., M:] = np.fft.rfftn(samples)[_half_index(n, M, N)]
+    coeffs[..., M:] = rfftn(samples)[_half_index(n, M, N)]
     coeffs[..., :M] = np.conj(np.flip(coeffs[..., M + 1:]))
     coeffs *= problem.T ** (N / 2.0) / n ** N
     # entries off the k_N = 0 plane are now exact conjugate pairs; in the
@@ -292,7 +293,7 @@ def inverse_transform(field: FourierField, grid_points: int | None = None) -> np
         raise SymmetryError(f"Hermitian defect {defect:.3e} exceeds tolerance")
     half = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
     half[_half_index(n, M, N)] = field.coeffs[..., M:]
-    u = np.fft.irfftn(half, s=(n,) * N, axes=tuple(range(N)))
+    u = irfftn(half, s=(n,) * N, axes=tuple(range(N)))
     return u * (n ** N / problem.T ** (N / 2.0))
 
 

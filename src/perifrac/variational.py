@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import spectral as sp
 from .spectral import FourierField, SpectrumParams
@@ -85,6 +84,8 @@ def _with_quadrature_primitive(f) -> Callable:
     """Primitive by adaptive quadrature from 0, for f given without one."""
 
     def F(x, t):
+        from scipy.integrate import quad
+
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.reshape(-1)
         x_flat = tuple(np.asarray(xi, dtype=float).reshape(-1) for xi in x)

@@ -4,9 +4,13 @@ exit codes 0/2/3/4/5, deterministic bytes for fixed seeds."""
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import perifrac
 from perifrac.cli import main
 from perifrac.constants import golden_key
 from perifrac.spectral import ProblemSpec
@@ -306,3 +310,38 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc_info.value.code == 0
     assert "reproduce-example" in capsys.readouterr().out
+
+
+# -- import footprint --------------------------------------------------------------
+
+# Runs commands one after another in a fresh interpreter; prints each exit
+# code and the scipy modules loaded once that command has returned.
+_FRESH_RUN = """
+import contextlib, io, json, sys
+import perifrac.cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = perifrac.cli.main(argv)
+    out.append([code, [m for m in sys.modules if m.split(".")[0] == "scipy"]])
+print(json.dumps(out))
+"""
+
+
+def test_only_verify_loads_scipy(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("problem.N = 2\ndiscretization.M = 3\n")
+    src = str(pathlib.Path(perifrac.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    # M = 3 has no pinned golden sigma_4, so constants computes both sigmas
+    # and then refuses (exit 5); on the default config it certifies, which
+    # runs the golden check too.  verify, last, must still find scipy.
+    argvs = [["solve", "--config", str(cfg)],
+             ["constants", "--config", str(cfg)], ["constants"],
+             ["reproduce-example", "--smoke"], ["verify"]]
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert [code for code, _ in out] == [0, 5, 0, 0, 0]
+    assert [loaded for _, loaded in out[:-1]] == [[]] * 4

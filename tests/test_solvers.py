@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import minres
+from scipy.sparse.linalg import LinearOperator, minres
 
 from perifrac import solvers
 from perifrac.constants import best_lambda, sigma_estimate
@@ -492,18 +492,39 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     d = 3.0 * rng.standard_normal(D) ** 2 * shift
     J_ref = dense_jacobian(problem, params, d)
     jac, prec = solvers._jacobian_operators(problem, params, d)
-    J = jac.matmat(np.eye(D))
+    J = np.column_stack([jac(e) for e in np.eye(D)])
     scale = np.abs(J_ref).max()
     assert np.abs(J - J_ref).max() <= 1e-12 * scale
     assert np.abs(J - J.T).max() <= 1e-12 * scale
-    P = prec.matmat(np.eye(D))
+    P = np.column_stack([prec(e) for e in np.eye(D)])
     assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
     assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
     b = rng.standard_normal(D)
     want = np.linalg.solve(J_ref, b)
-    got, info = minres(jac, b, M=prec, rtol=solvers._KRYLOV_RTOL)
+    ours, theirs = [], []
+    got, info = solvers._minres(jac, b, prec, solvers._KRYLOV_RTOL,
+                                callback=ours.append)
     assert info == 0
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # the port against scipy's minres: same iterates, bit for bit
+    exact, _ = minres(LinearOperator((D, D), matvec=jac, dtype=float), b,
+                      M=LinearOperator((D, D), matvec=prec, dtype=float),
+                      rtol=solvers._KRYLOV_RTOL, callback=theirs.append)
+    assert np.array_equal(got, exact)
+    assert len(ours) == len(theirs)
+    assert all(np.array_equal(a, c) for a, c in zip(ours, theirs))
+
+
+def test_minres_reports_breakdown_instead_of_raising():
+    # psolve not SPD: <b, psolve(b)> < 0 before the first step, and a
+    # psolve indefinite on the second Lanczos vector inside the loop
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    x, info = solvers._minres(lambda v: A @ v, b, lambda v: -v, 1e-12)
+    assert info < 0 and np.array_equal(x, np.zeros(2))
+    x, info = solvers._minres(lambda v: A @ v, b,
+                              lambda v: np.array([v[0], -v[1]]), 1e-12)
+    assert info < 0 and np.all(np.isfinite(x))
 
 
 @pytest.mark.parametrize("failure", ["nan-step", "breakdown"])
@@ -522,12 +543,14 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
     assert counters["krylov_iterations"] > 0
 
-    def broken(A, b, **kwargs):
+    solve = solvers._minres
+
+    def broken(matvec, b, psolve, rtol, **kwargs):
         if failure == "nan-step":
             return np.full_like(b, np.nan), 0
-        return minres(A, b, **kwargs)[0], -1
+        return solve(matvec, b, psolve, rtol, **kwargs)[0], -1
 
-    monkeypatch.setattr(solvers, "minres", broken)
+    monkeypatch.setattr(solvers, "_minres", broken)
     counters = {}
     out, done = solvers._newton_polish(u, nl, cfg, counters)
     assert not done
