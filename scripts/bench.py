@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Size-ladder benchmark: per-command, per-stage and import wall times.
+"""Size-ladder benchmark: per-command, per-stage, per-layer and import walls.
 
 Runs `constants` and `solve` (auto lambda and rho, seed 0) at each rung of
 the ladder N=1 (s=0.4, M 8..128), N=2 (s=0.75, M 8..32) and N=3 (s=0.9,
 M 4..8), each command in a fresh process with BLAS pinned to one thread,
-so no process-global cache carries over between commands.  Stage spans
-come from perfbench/tracer.py, which wraps the stage functions and the
-MINRES solve of the Newton polish from the outside; src/ holds no timing
-code.  Each child also times its own `import perifrac.cli` (import_s).
+so no process-global cache carries over between commands.  Stage and
+layer spans come from perfbench/tracer.py, which wraps the stage
+functions, the MINRES solve of the Newton polish and the transform layer
+(the public pair and the pruned FFT kernels under it) from the outside;
+src/ holds no timing code.  Each child also times its own
+`import perifrac.cli` (import_s).
 Writes BENCH_<label>.json:
 
     python scripts/bench.py --label LABEL [--repeats 3]
 
 For each command the file holds the median over the repeats of its wall
-time, of its import time and of each stage's inclusive time and call
-count, the exit code, the report status and the report's operation
+time, of its import time and of each stage's and layer's inclusive time
+and call count, the exit code, the report status and the report's operation
 counters.  Wall clock stays out of the stdout reports, as everywhere in
 perifrac.
 """
@@ -42,6 +44,14 @@ STAGES = [
     ("perifrac.solvers", "_newton_polish"),
     ("perifrac.solvers", "_minres"),
     ("perifrac.constants", "rayleigh_ascent"),
+]
+
+# (module, attribute) of each timed layer; named by the attribute
+LAYERS = [
+    ("perifrac.spectral", "forward_transform"),
+    ("perifrac.spectral", "inverse_transform"),
+    ("perifrac.spectral", "_half_spectrum"),
+    ("perifrac.spectral", "_half_samples"),
 ]
 
 LADDER = ([(1, 0.4, M) for M in (8, 16, 32, 64, 128)]
@@ -77,7 +87,7 @@ def run_one(command: str, config_path: str) -> dict:
     from tracer import Tracer, install
 
     tracer = Tracer()
-    for module, attr in STAGES:
+    for module, attr in STAGES + LAYERS:
         install(tracer, importlib.import_module(module), attr, attr)
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
@@ -86,22 +96,32 @@ def run_one(command: str, config_path: str) -> dict:
                                   "--seed", "0"])
     wall = time.perf_counter() - t0
     report = json.loads(out.getvalue())
+    spans = tracer.summary()
+    layers = {attr for _, attr in LAYERS}
     return {"exit_code": code, "status": report.get("status"), "wall_s": wall,
-            "import_s": import_s, "stages": tracer.summary(),
+            "import_s": import_s,
+            "stages": {k: v for k, v in spans.items() if k not in layers},
+            "layers": {k: v for k, v in spans.items() if k in layers},
             "timings": report.get("timings", {})}
 
 
+def median_spans(runs: list[dict], key: str) -> dict:
+    out = {}
+    for name in sorted({n for r in runs for n in r[key]}):
+        rows = [r[key].get(name, {"calls": 0, "s": 0.0}) for r in runs]
+        out[name] = {"calls": rows[0]["calls"],
+                     "s": statistics.median(row["s"] for row in rows)}
+    return out
+
+
 def median_run(runs: list[dict]) -> dict:
-    stages = {}
-    for name in sorted({n for r in runs for n in r["stages"]}):
-        rows = [r["stages"].get(name, {"calls": 0, "s": 0.0}) for r in runs]
-        stages[name] = {"calls": rows[0]["calls"],
-                        "s": statistics.median(row["s"] for row in rows)}
     first = runs[0]
     return {"exit_code": first["exit_code"], "status": first["status"],
             "wall_s": statistics.median(r["wall_s"] for r in runs),
             "import_s": statistics.median(r["import_s"] for r in runs),
-            "stages": stages, "timings": first["timings"]}
+            "stages": median_spans(runs, "stages"),
+            "layers": median_spans(runs, "layers"),
+            "timings": first["timings"]}
 
 
 def src_lines() -> int:
@@ -157,6 +177,7 @@ def main() -> int:
         "scipy": scipy.__version__,
         "src_lines": src_lines(),
         "stages": [attr for _, attr in STAGES],
+        "layers": [attr for _, attr in LAYERS],
         "rungs": rungs,
     }
     path = ROOT / f"BENCH_{args.label}.json"

@@ -106,56 +106,69 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
 
     For even integer r the grid has n = max(rM, 2M) + 1 points per axis,
     where u^r and u^{r-1} (degree rM and (r-1)M) are resolved exactly, so
-    the returned ratio is the exact quotient of the returned field.  Odd
-    and fractional r use a finer grid on which |u|^r, which has a kink at
-    the zeros of u, is integrated to spectral accuracy only.
+    the returned ratio is the exact quotient of the returned field.  There
+    u^r and w = u^{r-1} are exact integer powers of u*u times u.  Odd and
+    fractional r use a finer grid on which |u|^r, which has a kink at the
+    zeros of u, is integrated to spectral accuracy only.
 
-    Each field is inverse-transformed once: the samples of an accepted
-    trial point carry over to the next iteration and to the final ratio.
+    The state is the k_N >= 0 half of the mode cube as a raw array, moved
+    by spectral's pruned FFT kernels, which transform only the lines that
+    hold retained modes.  Inner products and H^s norms weight each k_N > 0
+    entry twice, once for its conjugate partner.  Every forward step makes
+    the k_N = 0 plane exactly Hermitian, as forward_transform does, and
+    the steps (real even multipliers, real scalars, sums) keep it so; the
+    returned field is the full cube filled by conjugation.  Each field is inverse-transformed once: the samples of
+    an accepted trial point carry over to the next iteration and to the
+    final ratio.
     """
     if r < 1.0:
         raise ValueError("r must be >= 1")
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
-    mu_s = sp.multiplier_array(problem, params)
+    mu_s, weight = sp._half_weights(problem, params)
     dx_weight = (problem.T / n) ** problem.N
+    # for even r, a = u*u and |u|^r = a^p; otherwise a = |u|
+    even = float(r).is_integer() and int(r) % 2 == 0
+    p = int(r) // 2
+
+    def dot(a, b):
+        return float(np.real(np.vdot(a * weight, b)))
 
     def sample(c):
-        samples = sp.inverse_transform(FourierField(c, problem, params))
-        magnitude = np.abs(samples)
-        lr = float(np.sum(magnitude ** r) * dx_weight) ** (1.0 / r)
-        return samples, magnitude, lr
+        u = sp._half_to_samples(c, problem, n)
+        a = u * u if even else np.abs(u)
+        lr = float(np.sum(a ** p if even else a ** r) * dx_weight) ** (1.0 / r)
+        return u, a, lr
 
-    best_val, best_field = -np.inf, None
+    best_val, best_c = -np.inf, None
     total_iters = 0
     for ss in SeedSequence(seed).spawn(starts):
         rng = default_rng(ss)
-        u0 = sp.forward_transform(rng.standard_normal((n,) * problem.N),
-                                  problem, params)
-        c = u0.coeffs / max(sp.hs_norm(u0), 1e-300)
-        samples, magnitude, Lr = sample(c)
+        c = sp._hermitian_half(rng.standard_normal((n,) * problem.N),
+                               problem, modes)
+        c = c / max(math.sqrt(dot(c, c)), 1e-300)
+        u, a, Lr = sample(c)
         step = 0.5
         val_prev = -np.inf
         for _ in range(max_iter):
             total_iters += 1
             if Lr <= 0.0:
                 break
-            w = magnitude ** (r - 1.0) * np.sign(samples)
-            what = sp.forward_transform(w, problem, params).coeffs * Lr ** (1.0 - r)
-            grad = what / mu_s
-            tangent = grad - np.real(np.vdot(c * mu_s, grad)) * c
-            tnorm2 = float(np.real(np.vdot(tangent * mu_s, tangent)))
+            w = a ** (p - 1) * u if even else a ** (r - 1.0) * np.sign(u)
+            grad = sp._hermitian_half(w, problem, modes) * Lr ** (1.0 - r) / mu_s
+            tangent = grad - dot(c, grad) * c
+            tnorm2 = dot(tangent, tangent)
             if tnorm2 <= (tol * max(Lr, 1.0)) ** 2:
                 break
             accepted = False
             for _ in range(40):
-                trial = FourierField(c + step * tangent, problem, params)
-                h = sp.hs_norm(trial)
+                trial = c + step * tangent
+                h = math.sqrt(dot(trial, trial))
                 if h > 0.0:
-                    c_try = trial.coeffs / h
-                    s_try, m_try, val_try = sample(c_try)
+                    c_try = trial / h
+                    u_try, a_try, val_try = sample(c_try)
                     if val_try > Lr * (1.0 + 1e-16):
-                        c, samples, magnitude, Lr = c_try, s_try, m_try, val_try
+                        c, u, a, Lr = c_try, u_try, a_try, val_try
                         step *= 1.3
                         accepted = True
                         break
@@ -165,13 +178,13 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
             if abs(Lr - val_prev) <= tol * max(1.0, abs(Lr)):
                 break
             val_prev = Lr
-        field = FourierField(c, problem, params)
-        h = sp.hs_norm(field)
+        h = math.sqrt(dot(c, c))
         val = Lr / h if h > 0 else 0.0
         if val > best_val:
-            best_val, best_field = val, field
+            best_val, best_c = val, c
+    field = FourierField(sp._full_cube(best_c), problem, params)
     diag = {"starts": starts, "iterations": total_iters}
-    return best_val, best_field, diag
+    return best_val, field, diag
 
 
 _SIGMA_CACHE: dict[tuple, EmbeddingEstimate] = {}

@@ -6,10 +6,10 @@ symmetric mode cube max_i |k_i| <= M, with the convention
     u(x) = sum_k c_k exp(i omega k.x) / sqrt(T^N),    omega = 2 pi / T,
 
 so c_k = T^(-N/2) * int u(x) exp(-i omega k.x) dx.  Real fields carry the
-Hermitian symmetry c_{-k} = conj(c_k).  forward_transform is the one place
-that imposes it; every other operation (real even multipliers, real scalars,
-sums) preserves it bit for bit, and inverse_transform refuses coefficients
-that lost it.
+Hermitian symmetry c_{-k} = conj(c_k).  _hermitian_half, under
+forward_transform and the sigma ascent, is the one place that imposes it;
+every other operation (real even multipliers, real scalars, sums) preserves
+it bit for bit, and inverse_transform refuses coefficients that lost it.
 
 The pseudodifferential operator acts diagonally: mode k is multiplied by
 mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
@@ -20,10 +20,18 @@ mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
     ||u||_e^2    = kappa(s) (|u|_{Hs}^2 - gamma |u|_{L2}^2)
 
 Everything here is pure value semantics with no shared mutable state.
-This is the only module that knows an FFT layout: the transform pair runs
-numpy's real FFTs (pocketfft, bitwise deterministic for a fixed input and
-thread count), whose half spectrum keeps k_N >= 0 and stores mode k_i at
-index k_i mod n on the leading axes.
+This is the only module that knows an FFT layout.  The transform pair runs
+on two pruned kernels, _half_spectrum and _half_samples, which hold the
+k_N >= 0 half of the mode cube as a raw (2M+1)^(N-1) x (M+1) array, mode
+k_i at index k_i + M on the leading axes and k_N at index k_N on the last.
+They run numpy's 1-D real and complex FFTs (pocketfft, bitwise
+deterministic for a fixed input and thread count) in the axis order of
+rfftn / irfftn, but skip every line that holds no retained mode or whose
+output is discarded: of the 25 x 25 x 13 half spectrum of a 25^3 grid at
+M = 6 they keep 13 x 13 x 7 entries.  The lines they do transform carry
+the same data as in rfftn / irfftn, so every kept entry and every sample
+is bit-identical to numpy's n-D transforms.  The sigma ascent
+(constants.rayleigh_ascent) runs on the raw half cube directly.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import fft, ifft, irfft, rfft
 
 from .extension import kappa
 
@@ -242,16 +250,81 @@ def multiplier_array(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
     return out
 
 
-@lru_cache(maxsize=64)
-def _half_index(n: int, M: int, N: int):
-    """Positions of the k_N >= 0 half of the mode cube in the rfftn layout
-    of an n^N grid: k % n on the leading axes, 0..M on the last one.
-    Cached, returned read-only."""
-    lead = np.arange(-M, M + 1) % n
-    index = np.ix_(*([lead] * (N - 1)), np.arange(M + 1))
-    for axis in index:
-        axis.setflags(write=False)
-    return index
+def _half_spectrum(samples: np.ndarray, M: int) -> np.ndarray:
+    """Unscaled rfftn of real n^N samples on the k_N >= 0 half of the mode
+    cube, with mode k_i at index k_i + M on the leading axes.
+
+    rfft runs on the last axis and keeps columns 0..M; then fft runs on
+    axes N-2, ..., 0, and each keeps only the 2M+1 cube rows k_i % n before
+    the next axis runs.  These are rfftn's 1-D transforms in rfftn's axis
+    order, so every kept entry is bit-identical to rfftn's."""
+    rows = np.arange(-M, M + 1) % samples.shape[-1]
+    half = rfft(samples)[..., :M + 1]
+    for axis in reversed(range(samples.ndim - 1)):
+        half = fft(half, axis=axis).take(rows, axis=axis)
+    return half
+
+
+def _half_samples(half: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled irfftn, on the n^N grid, of the half spectrum that holds the
+    half cube `half` (laid out as _half_spectrum returns it) and zeros
+    elsewhere.
+
+    ifft runs on axes 0, ..., N-2, each on a zero-padded copy that holds
+    only the cube rows of that axis, then irfft on the last axis.  These
+    are irfftn's 1-D transforms in irfftn's axis order, so the samples are
+    bit-identical to irfftn's.  The last ifft writes straight into columns
+    0..M of the zero n//2+1 column spectrum: numpy's irfft is markedly
+    slower when it pads a short input itself."""
+    M, N = half.shape[-1] - 1, half.ndim
+    rows = np.arange(-M, M + 1) % n
+    spectrum = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
+    columns = spectrum[..., :M + 1]
+    if N == 1:
+        columns[...] = half
+    for axis in range(N - 1):
+        padded = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1:],
+                          dtype=complex)
+        padded[(slice(None),) * axis + (rows,)] = half
+        half = ifft(padded, axis=axis, out=columns if axis == N - 2 else None)
+    return irfft(spectrum, n=n)
+
+
+def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int) -> np.ndarray:
+    """The k_N >= 0 half of forward_transform's coefficients: scaled, with
+    the k_N = 0 plane made exactly Hermitian.  Off that plane the partners
+    of the half live in the k_N < 0 half, which _full_cube fills by
+    conjugation; in the plane rfft's pairs agree only to roundoff, so they
+    are averaged."""
+    n, N = samples.shape[-1], samples.ndim
+    half = _half_spectrum(samples, M) * (problem.T ** (N / 2.0) / n ** N)
+    plane = half[..., 0]
+    half[..., 0] = 0.5 * (plane + np.conj(np.flip(plane)))
+    return half
+
+
+def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int) -> np.ndarray:
+    """Real samples on the n^N grid of the field whose k_N >= 0 half is
+    `half`; the inverse of _hermitian_half, with no symmetry check."""
+    return _half_samples(half, n) * (n ** problem.N / problem.T ** (problem.N / 2.0))
+
+
+def _half_weights(problem: ProblemSpec, params: SpectrumParams):
+    """mu_k^s on the k_N >= 0 half cube, and the H^s weight of each entry
+    there: mu_k^s, doubled off the k_N = 0 plane, where an entry also
+    stands for its conjugate partner."""
+    M = params.modes
+    mu_s = multiplier_array(problem, params)[..., M:]
+    return mu_s, np.where(np.arange(M + 1) > 0, 2.0, 1.0) * mu_s
+
+
+def _full_cube(half: np.ndarray) -> np.ndarray:
+    """The mode cube whose k_N >= 0 half is `half`, the rest by conjugation."""
+    M = half.shape[-1] - 1
+    coeffs = np.empty(half.shape[:-1] + (2 * M + 1,), dtype=complex)
+    coeffs[..., M:] = half
+    coeffs[..., :M] = np.conj(np.flip(half[..., 1:]))
+    return coeffs
 
 
 def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: SpectrumParams) -> FourierField:
@@ -265,15 +338,8 @@ def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: Spectru
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (n,) * N:
         raise ValueError(f"sample shape {samples.shape} != {(n,) * N}")
-    coeffs = np.empty((2 * M + 1,) * N, dtype=complex)
-    coeffs[..., M:] = rfftn(samples)[_half_index(n, M, N)]
-    coeffs[..., :M] = np.conj(np.flip(coeffs[..., M + 1:]))
-    coeffs *= problem.T ** (N / 2.0) / n ** N
-    # entries off the k_N = 0 plane are now exact conjugate pairs; in the
-    # plane rfftn's pairs agree only to roundoff, so average them
-    plane = coeffs[..., M]
-    coeffs[..., M] = 0.5 * (plane + np.conj(np.flip(plane)))
-    return FourierField(coeffs, problem, params)
+    return FourierField(_full_cube(_hermitian_half(samples, problem, M)),
+                        problem, params)
 
 
 def inverse_transform(field: FourierField, grid_points: int | None = None) -> np.ndarray:
@@ -282,19 +348,16 @@ def inverse_transform(field: FourierField, grid_points: int | None = None) -> np
     Only the k_N >= 0 half is read, so coefficients that are not Hermitian
     raise SymmetryError instead of silently giving a different field.
     """
-    problem, params = field.problem, field.params
+    params = field.params
     n = params.grid_points if grid_points is None else int(grid_points)
-    M, N = params.modes, problem.N
+    M = params.modes
     if n < 2 * M + 1:
         raise ValueError(f"grid_points={n} < 2*modes+1 = {2 * M + 1}")
     # the scale is computed only when the defect is not already negligible
     defect = field.hermitian_defect()
     if defect > 1e-8 and defect > 1e-8 * (1.0 + float(np.abs(field.coeffs).max())):
         raise SymmetryError(f"Hermitian defect {defect:.3e} exceeds tolerance")
-    half = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
-    half[_half_index(n, M, N)] = field.coeffs[..., M:]
-    u = irfftn(half, s=(n,) * N, axes=tuple(range(N)))
-    return u * (n ** N / problem.T ** (N / 2.0))
+    return _half_to_samples(field.coeffs[..., M:], field.problem, n)
 
 
 def apply_fractional_op(field: FourierField) -> FourierField:

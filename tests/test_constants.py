@@ -14,10 +14,11 @@ from perifrac.constants import (LambdaInterval, ball_radius, best_lambda,
                                 chi_upper, default_golden_path, example_h,
                                 example_lambda_interval, golden_key,
                                 lambda_max, lambda_table, load_golden,
-                                rayleigh_ascent, sigma_estimate)
+                                rayleigh_ascent, sigma_estimate,
+                                _ascent_grid)
 from perifrac.extension import kappa
-from perifrac.spectral import (ProblemSpec, SpectrumParams, hs_norm,
-                               inverse_transform)
+from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
+                               forward_transform, hs_norm, inverse_transform)
 from perifrac.variational import get_nonlinearity
 
 mpmath.mp.dps = 50
@@ -122,17 +123,79 @@ def test_ascent_transforms_each_field_once(monkeypatch):
     # the samples of an accepted trial point are reused by the next
     # iteration and by the final ratio, never recomputed
     seen = []
-    real = spectral.inverse_transform
+    real = spectral._half_samples
 
-    def spy(field, grid_points=None):
-        seen.append(field.coeffs.tobytes())
-        return real(field, grid_points)
+    def spy(half, n):
+        seen.append(half.tobytes())
+        return real(half, n)
 
-    monkeypatch.setattr(spectral, "inverse_transform", spy)
+    monkeypatch.setattr(spectral, "_half_samples", spy)
     _, _, diag = rayleigh_ascent(PROBLEM, 4.0, modes=3, seed=2, starts=2)
     assert diag["iterations"] > 10
     assert len(seen) > diag["iterations"]
     assert len(set(seen)) == len(seen)
+
+
+def full_cube_ascent(problem, r, modes, seed, starts, max_iter=2000,
+                     tol=1e-12):
+    """The ascent on whole FourierFields: full-cube transforms, |u|^r and
+    |u|^{r-1} sgn(u) by float powers, H^s products over the whole cube.
+    Returns (best ratio, total iterations)."""
+    n = _ascent_grid(modes, r)
+    params = SpectrumParams(modes, n)
+    mu_s = spectral.multiplier_array(problem, params)
+    cell = (problem.T / n) ** problem.N
+
+    def sample(c):
+        u = inverse_transform(FourierField(c, problem, params))
+        return u, float(np.sum(np.abs(u) ** r) * cell) ** (1.0 / r)
+
+    best, iters = -np.inf, 0
+    for ss in np.random.SeedSequence(seed).spawn(starts):
+        u0 = forward_transform(np.random.default_rng(ss).standard_normal(
+            (n,) * problem.N), problem, params)
+        c = u0.coeffs / hs_norm(u0)
+        u, lr = sample(c)
+        step, prev = 0.5, -np.inf
+        for _ in range(max_iter):
+            iters += 1
+            w = np.abs(u) ** (r - 1.0) * np.sign(u)
+            grad = (forward_transform(w, problem, params).coeffs
+                    * lr ** (1.0 - r) / mu_s)
+            tangent = grad - np.real(np.vdot(c * mu_s, grad)) * c
+            if (np.real(np.vdot(tangent * mu_s, tangent))
+                    <= (tol * max(lr, 1.0)) ** 2):
+                break
+            for _ in range(40):
+                trial = FourierField(c + step * tangent, problem, params)
+                c_try = trial.coeffs / hs_norm(trial)
+                u_try, lr_try = sample(c_try)
+                if lr_try > lr * (1.0 + 1e-16):
+                    c, u, lr = c_try, u_try, lr_try
+                    step *= 1.3
+                    break
+                step *= 0.5
+            else:
+                break
+            if abs(lr - prev) <= tol * max(1.0, abs(lr)):
+                break
+            prev = lr
+        best = max(best, lr / hs_norm(FourierField(c, problem, params)))
+    return best, iters
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 5), (2, 0.75, 3),
+                                         (3, 0.9, 2)])
+@pytest.mark.parametrize("r", [2.0, 3.0, 3.5, 4.0, 6.0])
+def test_half_cube_ascent_matches_full_cube_ascent(N, s, modes, r):
+    # the half-cube state, the pruned kernels and the integer powers change
+    # only the roundoff: the same path, to the last iteration
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    want, iters = full_cube_ascent(problem, r, modes, seed=4, starts=3)
+    ratio, field, diag = rayleigh_ascent(problem, r, modes, seed=4, starts=3)
+    assert diag["iterations"] == iters
+    assert abs(ratio - want) <= 1e-13 * want
+    assert field.hermitian_defect() == 0.0
 
 
 def test_sigma_estimate_rejects_supercritical_r():

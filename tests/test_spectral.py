@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
-                               SymmetryError, _half_index,
+                               SymmetryError, _half_samples, _half_spectrum,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
                                hs_norm, inverse_transform, l2_norm,
@@ -85,13 +85,38 @@ def test_forward_transform_equals_full_cube_symmetrization(N, M, n):
     # so averaging the whole cube, as the transform once did, changes no bit
     problem = oracle_problem(N)
     samples = np.random.default_rng([N, M, n, 2]).standard_normal((n,) * N)
+    lead = np.arange(-M, M + 1) % n
     c = np.empty((2 * M + 1,) * N, dtype=complex)
-    c[..., M:] = np.fft.rfftn(samples)[_half_index(n, M, N)]
+    c[..., M:] = np.fft.rfftn(samples)[np.ix_(*([lead] * (N - 1)),
+                                              np.arange(M + 1))]
     c[..., :M] = np.conj(np.flip(c[..., M + 1:]))
     c *= problem.T ** (N / 2.0) / n ** N
     want = 0.5 * (c + np.conj(np.flip(c)))
     got = forward_transform(samples, problem, SpectrumParams(M, n)).coeffs
     assert np.array_equal(got, want)
+
+
+# every M with the minimal, the minimal even and the product-dealiasing grids
+PRUNED_CASES = [(N, M, n) for N in (1, 2, 3) for M in (0, 1, 2, 6)
+                for n in sorted({2 * M + 1, 2 * M + 2, 4 * M + 1, 4 * M + 2})]
+
+
+@pytest.mark.parametrize("N, M, n", PRUNED_CASES,
+                         ids=[f"N{N}-M{M}-n{n}" for N, M, n in PRUNED_CASES])
+def test_pruned_kernels_are_bit_identical_to_numpy(N, M, n):
+    # the kernels skip the lines that hold no retained mode but run the
+    # same 1-D transforms in the same axis order as rfftn / irfftn, so
+    # the entries they keep must agree bit for bit
+    rng = np.random.default_rng([N, M, n, 3])
+    samples = rng.standard_normal((n,) * N)
+    cube = np.ix_(*([np.arange(-M, M + 1) % n] * (N - 1)), np.arange(M + 1))
+    half = _half_spectrum(samples, M)
+    assert np.array_equal(half, np.fft.rfftn(samples)[cube])
+    half = half + rng.standard_normal(half.shape)  # any half cube will do
+    padded = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
+    padded[cube] = half
+    want = np.fft.irfftn(padded, s=(n,) * N, axes=tuple(range(N)))
+    assert np.array_equal(_half_samples(half, n), want)
 
 
 @pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
