@@ -182,7 +182,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         val = Lr / h if h > 0 else 0.0
         if val > best_val:
             best_val, best_c = val, c
-    field = FourierField(sp._full_cube(best_c), problem, params)
+    field = (None if best_c is None
+             else FourierField(sp._full_cube(best_c), problem, params))
     diag = {"starts": starts, "iterations": total_iters}
     return best_val, field, diag
 

@@ -297,7 +297,8 @@ def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int) -> np.nda
     conjugation; in the plane rfft's pairs agree only to roundoff, so they
     are averaged."""
     n, N = samples.shape[-1], samples.ndim
-    half = _half_spectrum(samples, M) * (problem.T ** (N / 2.0) / n ** N)
+    half = _half_spectrum(samples, M)
+    half *= problem.T ** (N / 2.0) / n ** N
     plane = half[..., 0]
     half[..., 0] = 0.5 * (plane + np.conj(np.flip(plane)))
     return half
@@ -306,7 +307,9 @@ def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int) -> np.nda
 def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int) -> np.ndarray:
     """Real samples on the n^N grid of the field whose k_N >= 0 half is
     `half`; the inverse of _hermitian_half, with no symmetry check."""
-    return _half_samples(half, n) * (n ** problem.N / problem.T ** (problem.N / 2.0))
+    u = _half_samples(half, n)
+    u *= n ** problem.N / problem.T ** (problem.N / 2.0)
+    return u
 
 
 def _half_weights(problem: ProblemSpec, params: SpectrumParams):
