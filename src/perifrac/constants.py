@@ -113,26 +113,25 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
 
     The state is the k_N >= 0 half of the mode cube as a raw array, moved
     by spectral's pruned FFT kernels, which transform only the lines that
-    hold retained modes.  Inner products and H^s norms weight each k_N > 0
-    entry twice, once for its conjugate partner.  Every forward step makes
-    the k_N = 0 plane exactly Hermitian, as forward_transform does, and
-    the steps (real even multipliers, real scalars, sums) keep it so; the
-    returned field is the full cube filled by conjugation.  Each field is inverse-transformed once: the samples of
-    an accepted trial point carry over to the next iteration and to the
+    hold retained modes, and measured by spectral._half_dot, which weights
+    each k_N > 0 entry twice, once for its conjugate partner.  Every
+    forward step makes the k_N = 0 plane exactly Hermitian, as
+    forward_transform does, and the steps (real even multipliers, real
+    scalars, sums) keep it so; the returned field is the full cube filled
+    by conjugation.  Each field is inverse-transformed once: the samples
+    of an accepted trial point carry over to the next iteration and to the
     final ratio.
     """
     if r < 1.0:
         raise ValueError("r must be >= 1")
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
-    mu_s, weight = sp._half_weights(problem, params)
+    mu_s = sp._half_multiplier(problem, params)
+    dot = sp._half_dot(problem, params)
     dx_weight = (problem.T / n) ** problem.N
     # for even r, a = u*u and |u|^r = a^p; otherwise a = |u|
     even = float(r).is_integer() and int(r) % 2 == 0
     p = int(r) // 2
-
-    def dot(a, b):
-        return float(np.real(np.vdot(a * weight, b)))
 
     def sample(c):
         u = sp._half_to_samples(c, problem, n)

@@ -30,8 +30,16 @@ rfftn / irfftn, but skip every line that holds no retained mode or whose
 output is discarded: of the 25 x 25 x 13 half spectrum of a 25^3 grid at
 M = 6 they keep 13 x 13 x 7 entries.  The lines they do transform carry
 the same data as in rfftn / irfftn, so every kept entry and every sample
-is bit-identical to numpy's n-D transforms.  The sigma ascent
-(constants.rayleigh_ascent) runs on the raw half cube directly.
+is bit-identical to numpy's n-D transforms.
+
+The sigma ascent (constants.rayleigh_ascent) keeps its state as such a raw
+half cube, but only through the helpers here: _hermitian_half (samples to
+half), _half_to_samples (half to samples), _half_multiplier and _half_dot
+(mu^s and the H^s product on the half) and _full_cube (half to
+FourierField coefficients).  A half cube stands for the field
+_full_cube(half); its samples are that field's only while the k_N = 0
+plane is exactly Hermitian, which _hermitian_half makes it and the
+operations above keep it.
 """
 
 from __future__ import annotations
@@ -273,20 +281,18 @@ def _half_samples(half: np.ndarray, n: int) -> np.ndarray:
     ifft runs on axes 0, ..., N-2, each on a zero-padded copy that holds
     only the cube rows of that axis, then irfft on the last axis.  These
     are irfftn's 1-D transforms in irfftn's axis order, so the samples are
-    bit-identical to irfftn's.  The last ifft writes straight into columns
-    0..M of the zero n//2+1 column spectrum: numpy's irfft is markedly
-    slower when it pads a short input itself."""
+    bit-identical to irfftn's.  The last axis is zero-padded to n//2+1
+    columns here: numpy's irfft is markedly slower when it pads a short
+    input itself."""
     M, N = half.shape[-1] - 1, half.ndim
     rows = np.arange(-M, M + 1) % n
-    spectrum = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
-    columns = spectrum[..., :M + 1]
-    if N == 1:
-        columns[...] = half
     for axis in range(N - 1):
         padded = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1:],
                           dtype=complex)
         padded[(slice(None),) * axis + (rows,)] = half
-        half = ifft(padded, axis=axis, out=columns if axis == N - 2 else None)
+        half = ifft(padded, axis=axis)
+    spectrum = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
+    spectrum[..., :M + 1] = half
     return irfft(spectrum, n=n)
 
 
@@ -312,13 +318,24 @@ def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int) -> np.ndarr
     return u
 
 
-def _half_weights(problem: ProblemSpec, params: SpectrumParams):
-    """mu_k^s on the k_N >= 0 half cube, and the H^s weight of each entry
-    there: mu_k^s, doubled off the k_N = 0 plane, where an entry also
-    stands for its conjugate partner."""
+def _half_multiplier(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray:
+    """mu_k^s on the k_N >= 0 half cube."""
+    return multiplier_array(problem, params)[..., params.modes:]
+
+
+def _half_dot(problem: ProblemSpec, params: SpectrumParams):
+    """The H^s inner product Re sum mu_k^s conj(a_k) b_k of the fields
+    _full_cube(a) and _full_cube(b), as a function of the half cubes a, b.
+
+    An entry off the k_N = 0 plane also stands for its conjugate partner,
+    so its weight is doubled; the plane holds both members of its pairs."""
     M = params.modes
-    mu_s = multiplier_array(problem, params)[..., M:]
-    return mu_s, np.where(np.arange(M + 1) > 0, 2.0, 1.0) * mu_s
+    weight = np.where(np.arange(M + 1) > 0, 2.0, 1.0) * _half_multiplier(problem, params)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.real(np.vdot(a * weight, b)))
+
+    return dot
 
 
 def _full_cube(half: np.ndarray) -> np.ndarray:
