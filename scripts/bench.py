@@ -6,8 +6,9 @@ the ladder N=1 (s=0.4, M 8..128), N=2 (s=0.75, M 8..32) and N=3 (s=0.9,
 M 4..8), each command in a fresh process with BLAS pinned to one thread,
 so no process-global cache carries over between commands.  Stage and
 layer spans come from perfbench/tracer.py, which wraps the stage
-functions, the MINRES solve of the Newton polish and the transform layer
-(the public pair and the pruned FFT kernels under it) from the outside;
+functions, the MINRES solve of the Newton polish, the transform layer
+(the public pair and the pruned FFT kernels under it) and the variational
+layer (energy, gradient and the dealiased nonlinear_image) from the outside;
 src/ holds no timing code.  Each child also times its own
 `import perifrac.cli` (import_s).
 Writes BENCH_<label>.json:
@@ -52,6 +53,9 @@ LAYERS = [
     ("perifrac.spectral", "inverse_transform"),
     ("perifrac.spectral", "_half_spectrum"),
     ("perifrac.spectral", "_half_samples"),
+    ("perifrac.variational", "energy"),
+    ("perifrac.variational", "gradient"),
+    ("perifrac.variational", "nonlinear_image"),
 ]
 
 LADDER = ([(1, 0.4, M) for M in (8, 16, 32, 64, 128)]

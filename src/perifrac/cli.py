@@ -23,9 +23,9 @@ from . import spectral as sp
 from . import variational as vr
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
-from .constants import (ball_radius, best_lambda, example_lambda_interval,
-                        golden_key, kappa, lambda_table, load_golden,
-                        sigma_estimate)
+from .constants import (LambdaInterval, ball_radius, best_lambda,
+                        example_lambda_interval, golden_key, kappa,
+                        lambda_table, load_golden, sigma_estimate)
 from .extension import (WeightedQuadrature, conormal_limit, ode_residual,
                         profile_energy, verify_trace_identity)
 from .solvers import (InadmissibleLambdaError, NonConvergenceError,
@@ -87,7 +87,7 @@ def _load(args) -> RunConfig:
     else:
         cfg = parse_config(default_example_text())
     if getattr(args, "seed", None) is not None:
-        cfg.solver_values["seed"] = int(args.seed)
+        cfg.override_seed(args.seed)
     return cfg
 
 
@@ -361,7 +361,7 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     --smoke, which truncates to the constant mode)."""
     cfg = parse_config(default_example_text())
     if seed is not None:
-        cfg.solver_values["seed"] = int(seed)
+        cfg.override_seed(seed)
     if smoke:
         modes, grid = 0, 1
     rep = rp.empty_report("reproduce-example", cfg.to_mapping(), cfg.seed)
@@ -373,9 +373,8 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     nl = cfg.nonlinearity()
     params = cfg.params(modes=modes, grid_points=grid)
     problem0 = _problem_sans_lambda(cfg)
-    sigmas, rho_star, lam_star, _ = _fill_constants(
-        rep, problem0, params, nl, cfg.seed)
-    interval = example_lambda_interval(sigmas, problem0)
+    sigmas, *_ = _fill_constants(rep, problem0, params, nl, cfg.seed)
+    interval = LambdaInterval(**rep["constants"]["example_interval"])
     lam = 0.01 if smoke else interval.midpoint
     rho = interval.best_rho
     rep["diagnostics"]["smoke"] = bool(smoke)

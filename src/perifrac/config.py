@@ -141,6 +141,11 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver block invalid: {exc}") from exc
 
+    def override_seed(self, seed: int) -> None:
+        """Apply --seed, checked by SolverConfig like solver.seed."""
+        self.solver(rho=1.0, seed=seed)
+        self.solver_values["seed"] = int(seed)
+
     @property
     def rho_raw(self):
         return self.solver_values.get("rho", AUTO)
@@ -181,8 +186,11 @@ _RUN_FIELDS = _integer_fields(RunConfig)
 
 
 def _require_number(key: str, value, integer: bool = False):
+    """Number-type rules of every numeric key: finite, integral for ints."""
     if isinstance(value, str):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     if integer:
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer, got {value!r}")

@@ -124,6 +124,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     """
     if r < 1.0:
         raise ValueError("r must be >= 1")
+    if starts < 1:
+        raise ValueError(f"starts = {starts!r} violates starts >= 1")
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = sp._half_multiplier(problem, params)

@@ -229,18 +229,23 @@ def _dprofile_sq(s: float, y: float, scale: float = 1.0) -> float:
     return y ** (2.0 - 4.0 * s) * theta_prime(s, scale * y) ** 2
 
 
-def profile_energy(s: float, fault: float = 0.0) -> float:
-    """int_0^inf y^(1-2s) (theta'^2 + theta^2) dy, computed by quadrature.
-
-    Equals kappa(s); the two endpoint behaviors y^(1-2s) and y^(2s-1) are
-    integrated with their own weighted rules.
-    """
-    _check_order(s)
+def _mode_quadrature(s: float, mu: float, fault: float) -> float:
+    """int_0^inf y^(1-2s) (theta_k'^2 + mu theta_k^2) dy for theta_k(y) =
+    theta(sqrt(mu) y); the two endpoint behaviors y^(1-2s) and y^(2s-1)
+    are integrated with their own weighted rules."""
+    rt = math.sqrt(mu)
     wa = WeightedQuadrature(1.0 - 2.0 * s)
-    a = wa.integrate(lambda y: theta(s, y, fault) ** 2)
+    a = wa.integrate(lambda y: mu * theta(s, rt * y, fault) ** 2)
     wb = WeightedQuadrature(2.0 * s - 1.0)
-    b = wb.integrate(lambda y: _dprofile_sq(s, y))
+    b = wb.integrate(lambda y: mu * _dprofile_sq(s, y, scale=rt))
     return a + b
+
+
+def profile_energy(s: float, fault: float = 0.0) -> float:
+    """int_0^inf y^(1-2s) (theta'^2 + theta^2) dy, computed by quadrature:
+    mode_energy's integral at mu = 1.  Equals kappa(s)."""
+    _check_order(s)
+    return _mode_quadrature(s, 1.0, fault)
 
 
 def mode_energy(k, problem, fault: float = 0.0) -> float:
@@ -250,15 +255,9 @@ def mode_energy(k, problem, fault: float = 0.0) -> float:
 
     computed by raw quadrature (the closed form is the test oracle).
     """
-    s = problem.s
     k = np.asarray(k, dtype=float)
     mu = problem.omega ** 2 * float(k @ k) + problem.m ** 2
-    rt = math.sqrt(mu)
-    wa = WeightedQuadrature(1.0 - 2.0 * s)
-    a = wa.integrate(lambda y: mu * theta(s, rt * y, fault) ** 2)
-    wb = WeightedQuadrature(2.0 * s - 1.0)
-    b = wb.integrate(lambda y: mu * _dprofile_sq(s, y, scale=rt))
-    return a + b
+    return _mode_quadrature(problem.s, mu, fault)
 
 
 def conormal_limit(s: float, mu: float) -> float:

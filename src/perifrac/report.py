@@ -15,7 +15,6 @@ import json
 import os
 
 __all__ = [
-    "STATUSES",
     "EXIT_CODES",
     "exit_code_for",
     "empty_report",
@@ -25,18 +24,6 @@ __all__ = [
     "to_json",
     "dump_fields",
 ]
-
-STATUSES = (
-    "certified",
-    "two-solutions",
-    "one-solution-only",
-    "refused-inadmissible-lambda",
-    "non-convergence",
-    "all-checks-pass",
-    "verification-failure",
-    "config-error",
-    "certification-failed",
-)
 
 EXIT_CODES = {
     "certified": 0,

@@ -17,13 +17,15 @@ fixed endpoints (mountain_pass) for the saddle.  A fallback step that
 stalls brings the next attempt forward to the following iteration before
 the stage gives up.
 
-The polish works on the sample-space residual map of the minimal grid.  Its
-Jacobian, the Fourier multiplier mu_k^s - gamma minus lam f'(u) diagonal in
-samples, is symmetric and is never formed: preconditioned MINRES applies it
-through the field core's transform pair, with the spectral multiplier as an
-SPD preconditioner.  The MINRES is this module's own port of scipy's, so
-solving imports no scipy.  A step is accepted only if it decreases the true
-residual and lands inside the caller's guard region.
+The polish works on the sample-space residual map of the minimal grid
+n = 2M+1.  Its Jacobian, the Fourier multiplier mu_k^s - gamma minus lam
+f'(u) diagonal in samples, is symmetric and is never formed:
+preconditioned MINRES applies it through the field core's transform pair,
+with the spectral multiplier as an SPD preconditioner.  The MINRES is this
+module's own port of scipy's, so solving imports no scipy.  A step is
+accepted only if it decreases the true residual and lands inside the
+caller's guard region.  Each point's weak residual is evaluated once: an
+accepted trial's is the next step's right-hand side.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed!r} violates seed >= 0")
 
 
 # Fixed tuning of the descent stages and the Newton polish.
@@ -186,10 +190,6 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
 # Newton steps than with an exact solve, and the Krylov iterations still
 # cost little beside the residual evaluations of the line search.
 _KRYLOV_RTOL = 1e-12
-
-
-def _minimal_params(params: SpectrumParams) -> SpectrumParams:
-    return SpectrumParams(params.modes, 2 * params.modes + 1)
 
 
 def _minres(matvec, b, psolve, rtol, callback=None):
@@ -271,7 +271,7 @@ def _minres(matvec, b, psolve, rtol, callback=None):
     return x, maxiter
 
 
-def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
+def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
                         d: np.ndarray):
     """Matrix-free (J, P) on the minimal grid n = 2M+1, where the field
     core's transform pair is a bijection, as functions of flattened
@@ -279,14 +279,15 @@ def _jacobian_operators(problem: ProblemSpec, params_min: SpectrumParams,
     symbol mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
     multiplier (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it
     SPD when a finite-difference d dips negative."""
-    shape = (params_min.grid_points,) * problem.N
-    symbol = sp.multiplier_array(problem, params_min) - problem.gamma
+    n = 2 * params.modes + 1
+    symbol = sp.multiplier_array(problem, params) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
     def multiply(x, sym):
-        c = sp.forward_transform(x.reshape(shape), problem, params_min).coeffs
+        c = sp.forward_transform(x.reshape((n,) * problem.N), problem,
+                                 params).coeffs
         return sp.inverse_transform(
-            FourierField(sym * c, problem, params_min)).reshape(-1)
+            FourierField(sym * c, problem, params), n).reshape(-1)
 
     def jac(x):
         return multiply(x, symbol) - problem.lam * d * x
@@ -309,33 +310,32 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     Each step solves J delta = -R with preconditioned MINRES on the
     matrix-free operators of _jacobian_operators, so no D x D matrix is
     formed.  A MINRES breakdown or a non-finite step ends the attempt the
-    way a failed line search does."""
+    way a failed line search does.  The weak residual R of each point is
+    evaluated once: an accepted trial's R is the next step's right-hand
+    side."""
     problem, params = u.problem, u.params
-    params_min = _minimal_params(params)
-    x_min = sp.grid_coordinates(problem, params_min.grid_points)
+    n = 2 * params.modes + 1
+    x_min = sp.grid_coordinates(problem, n)
 
     def count_iteration(_):
         _bump(counters, "krylov_iterations")
 
-    def to_min(w):
-        return FourierField(w.coeffs, problem, params_min)
-
     cur = u
-    res_cur = vr.residual_dual_norm(cur, nl)
-    res_start = res_cur
+    R = vr.weak_residual(cur, nl)
+    res_cur = res_start = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
             break
         _bump(counters, "newton_steps")
-        v = sp.inverse_transform(to_min(cur))
+        v = sp.inverse_transform(cur, n)
         if nl.fprime is not None:
             d = np.asarray(nl.fprime(x_min, v), dtype=float)
         else:
             h = 1e-6 * (1.0 + np.abs(v))
             d = (np.asarray(nl.f(x_min, v + h), dtype=float)
                  - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
-        jac, prec = _jacobian_operators(problem, params_min, d.reshape(-1))
-        rhs = -sp.inverse_transform(to_min(vr.weak_residual(cur, nl))).reshape(-1)
+        jac, prec = _jacobian_operators(problem, params, d.reshape(-1))
+        rhs = -sp.inverse_transform(R, n).reshape(-1)
         delta, info = _minres(jac, rhs, prec, _KRYLOV_RTOL,
                               callback=count_iteration)
         if info < 0 or not np.all(np.isfinite(delta)):
@@ -343,14 +343,14 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
         delta = delta.reshape(v.shape)
         tau, accepted = 1.0, False
         for _ in range(_MAX_HALVINGS):
-            c_try = sp.forward_transform(v + tau * delta, problem, params_min).coeffs
-            u_try = FourierField(c_try, problem, params)
+            u_try = sp.forward_transform(v + tau * delta, problem, params)
             if max_move is not None and sp.hs_distance(u_try, u) > max_move:
                 tau *= _BACKTRACK
                 continue
-            res_try = vr.residual_dual_norm(u_try, nl)
+            R_try = vr.weak_residual(u_try, nl)
+            res_try = sp.dual_norm(R_try)
             if res_try < res_cur * (1.0 - 1e-4):
-                cur, res_cur, accepted = u_try, res_try, True
+                cur, R, res_cur, accepted = u_try, R_try, res_try, True
                 break
             tau *= _BACKTRACK
         if not accepted:
@@ -433,7 +433,6 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
                                          max_move=2.0 * ball_radius(rho, problem))
             if done:
                 u = u_new
-                history.append(vr.residual_dual_norm(u, nl))
                 break
             due *= 2
         accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
@@ -562,7 +561,6 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                                          max_move=2.0 * spacing)
             if done:
                 u = u_new
-                history.append(vr.residual_dual_norm(u, nl))
                 break
             due *= 2
         tangent = (to_u * (1.0 / max(d_a, 1e-300))

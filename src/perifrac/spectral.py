@@ -19,6 +19,11 @@ mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
     |g|_{dual}^2 = sum |g_k|^2 / mu_k^s        (dual norm)
     ||u||_e^2    = kappa(s) (|u|_{Hs}^2 - gamma |u|_{L2}^2)
 
+forward_transform reads the grid size n from the samples it is handed, so
+one field's coefficients come from any n^N grid with n >= 2M+1.  A field's
+params.grid_points is only inverse_transform's default output grid, which
+is also the --dump-fields grid; no coefficient depends on it.
+
 Everything here is pure value semantics with no shared mutable state.
 This is the only module that knows an FFT layout.  The transform pair runs
 on two pruned kernels, _half_spectrum and _half_samples, which hold the
@@ -348,16 +353,20 @@ def _full_cube(half: np.ndarray) -> np.ndarray:
 
 
 def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: SpectrumParams) -> FourierField:
-    """Coefficients of real samples on the n^N grid, truncated to |k_i| <= M.
+    """Coefficients of real samples on an n^N grid, truncated to |k_i| <= M.
 
-    Exact (to roundoff) for trigonometric polynomials of degree <= M per
-    dimension whenever n >= 2M+1.  The k_N < 0 half is filled by
-    conjugation, so the result is exactly Hermitian.
+    n is read from the samples, which may be any n^N cube with n >= 2M+1;
+    params.grid_points need not match it and only rides along on the
+    returned field.  Exact (to roundoff) for trigonometric polynomials of
+    degree <= M per dimension.  The k_N < 0 half is filled by conjugation,
+    so the result is exactly Hermitian.
     """
-    n, M, N = params.grid_points, params.modes, problem.N
+    M, N = params.modes, problem.N
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (n,) * N:
-        raise ValueError(f"sample shape {samples.shape} != {(n,) * N}")
+    n = samples.shape[0] if samples.ndim else 0
+    if samples.shape != (n,) * N or n < 2 * M + 1:
+        raise ValueError(f"sample shape {samples.shape} is not an n^{N} cube "
+                         f"with n >= 2M+1 = {2 * M + 1}")
     return FourierField(_full_cube(_hermitian_half(samples, problem, M)),
                         problem, params)
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral as sp
-from .spectral import FourierField, SpectrumParams
+from .spectral import FourierField
 
 __all__ = [
     "Nonlinearity",
@@ -316,12 +316,9 @@ def _evaluate(fn, x, samples, what: str) -> np.ndarray:
 
 def nonlinear_image(u: FourierField, nl: Nonlinearity) -> FourierField:
     """Retained-cube coefficients of g = f(., u), dealiased by oversampling."""
-    x, samples, n_pad = _padded_samples(u, nl)
+    x, samples, _ = _padded_samples(u, nl)
     g = _evaluate(nl.f, x, samples, f"f[{nl.name}]")
-    padded = sp.forward_transform(
-        g, u.problem, SpectrumParams(u.params.modes, n_pad)
-    )
-    return FourierField(padded.coeffs, u.problem, u.params)
+    return sp.forward_transform(g, u.problem, u.params)
 
 
 def integral_of_potential(u: FourierField, nl: Nonlinearity) -> float:

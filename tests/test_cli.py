@@ -249,6 +249,31 @@ def test_config_error_paths(capsys, tmp_path):
     assert code == 4 and rep["status"] == "config-error"
 
 
+# non-finite numbers and negative seeds, each once a traceback with exit 1
+BAD_NUMBERS = [
+    ("solve", "problem.lambda = nan"), ("solve", "problem.lambda = inf"),
+    ("solve", "solver.rho = nan"), ("solve", "solver.grad_tol = nan"),
+    ("verify", "verify.inject_theta_fault = nan"),
+    ("constants", "problem.T = nan"), ("constants", "problem.T = inf"),
+    ("constants", "problem.m = inf"), ("solve", "nonlinearity.q = nan"),
+    ("solve", "solver.seed = -2"),
+] + [(command, "--seed -1") for command in
+     ("constants", "solve", "verify", "reproduce-example")]
+
+
+@pytest.mark.parametrize("command, bad", BAD_NUMBERS,
+                         ids=[f"{c}:{b}" for c, b in BAD_NUMBERS])
+def test_bad_number_is_a_config_error(capsys, tmp_path, command, bad):
+    if bad.startswith("--"):
+        argv = [command, *bad.split()]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad + "\n")
+        argv = [command, "--config", str(cfg)]
+    code, rep, _ = run_cli(capsys, *argv)
+    assert code == 4 and rep["status"] == "config-error"
+
+
 # tuning values that were solver.* keys once and are fixed constants now
 REMOVED_SOLVER_KEYS = {
     "path_points": "16", "armijo_c1": "1e-4", "backtrack": "0.5",

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from perifrac import spectral
+from perifrac import constants, spectral
 from perifrac.constants import (LambdaInterval, ball_radius, best_lambda,
                                 chi_upper, default_golden_path, example_h,
                                 example_lambda_interval, golden_key,
@@ -92,6 +92,18 @@ def test_sigma_estimate_is_memoized_and_deterministic():
     r1, _, _ = rayleigh_ascent(PROBLEM, 4.0, modes=2, seed=11, starts=3)
     r2, _, _ = rayleigh_ascent(PROBLEM, 4.0, modes=2, seed=11, starts=3)
     assert r1 == r2  # bitwise
+
+
+@pytest.mark.parametrize("starts", [0, -3])
+def test_ascent_rejects_fewer_than_one_start(starts):
+    # no start would leave the ratio at -inf; the estimate must not be
+    # cached either
+    before = dict(constants._SIGMA_CACHE)
+    with pytest.raises(ValueError, match="starts"):
+        sigma_estimate(4.0, PROBLEM, PARAMS, seed=0, starts=starts)
+    with pytest.raises(ValueError, match="starts"):
+        rayleigh_ascent(PROBLEM, 4.0, modes=2, seed=0, starts=starts)
+    assert constants._SIGMA_CACHE == before
 
 
 @pytest.mark.parametrize("r", [3.0, 4.0])

@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, minres
 
 from perifrac import solvers
+from perifrac import variational as vr
 from perifrac.constants import best_lambda, sigma_estimate
 from perifrac.extension import kappa
 from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
@@ -573,6 +574,68 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     assert not done
     assert out is u
     assert counters["newton_steps"] == 1
+
+
+def spy_gradient(monkeypatch, log):
+    """Log ("gradient", coefficient bytes) for every variational.gradient
+    call, weak_residual's and residual_dual_norm's included."""
+    real = vr.gradient
+
+    def gradient(u, nl):
+        log.append(("gradient", u.coeffs.tobytes()))
+        return real(u, nl)
+
+    monkeypatch.setattr(vr, "gradient", gradient)
+
+
+def test_polish_evaluates_each_point_once(monkeypatch):
+    # an accepted trial's residual is the next step's right-hand side
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 8)
+    nl = get_nonlinearity("cubic_plus_one")
+    c_low, _ = scalar_roots(problem)
+    u = (FourierField.constant(problem, params, 1.5 * c_low)
+         + FourierField.from_modes(problem, params, {(1, 0): 0.1}))
+    log = []
+    spy_gradient(monkeypatch, log)
+    counters = {}
+    _, done = solvers._newton_polish(u, nl, SolverConfig(rho=1.0), counters)
+    assert done and counters["newton_steps"] >= 2
+    points = [key for _, key in log]
+    assert len(points) == len(set(points))
+
+
+def test_no_residual_between_landed_polish_and_report(monkeypatch):
+    # after a landed polish each stage goes straight to its report, which
+    # evaluates the residual once
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 8)
+    nl = get_nonlinearity("cubic_plus_one")
+    cfg = SolverConfig(rho=1.0)
+    log = []
+    spy_gradient(monkeypatch, log)
+    polish, report = solvers._newton_polish, solvers._solution_report
+
+    def logged_polish(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        if out[1]:
+            log.append(("landed", None))
+        return out
+
+    def logged_report(*args, **kwargs):
+        log.append(("report", None))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton_polish", logged_polish)
+    monkeypatch.setattr(solvers, "_solution_report", logged_report)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    end = find_descent_endpoint(low.field, cfg, nl)
+    mountain_pass(low.field, end, cfg, nl)
+    events = [kind for kind, _ in log]
+    assert events.count("landed") == 2
+    for i, kind in enumerate(events):
+        if kind == "landed":
+            assert events[i + 1:i + 3] == ["report", "gradient"]
 
 
 # -- config validation ------------------------------------------------------------

@@ -96,6 +96,30 @@ def test_forward_transform_equals_full_cube_symmetrization(N, M, n):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 10])      # 2M+1 and 4M+2 at M = 2
+def test_forward_transform_takes_the_grid_from_the_samples(N, n):
+    # params.grid_points only rides along on the field; the coefficients
+    # come from the samples' own grid
+    M = 2
+    problem = oracle_problem(N)
+    samples = np.random.default_rng([N, n, 4]).standard_normal((n,) * N)
+    want = forward_transform(samples, problem, SpectrumParams(M, n))
+    for other in (2 * M + 1, 4 * M + 2, 32):
+        got = forward_transform(samples, problem, SpectrumParams(M, other))
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.params.grid_points == other
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (9,), (9, 9, 9), (4, 4)],
+                         ids=["not-a-cube", "too-few-axes", "too-many-axes",
+                              "n-below-2M+1"])
+def test_forward_transform_rejects_bad_sample_shapes(shape):
+    problem = oracle_problem(2)
+    with pytest.raises(ValueError, match="cube"):
+        forward_transform(np.zeros(shape), problem, SpectrumParams(2, 9))
+
+
 # every M with the minimal, the minimal even and the product-dealiasing grids
 PRUNED_CASES = [(N, M, n) for N in (1, 2, 3) for M in (0, 1, 2, 6)
                 for n in sorted({2 * M + 1, 2 * M + 2, 4 * M + 1, 4 * M + 2})]
