@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Subcommands: constants | solve | verify | reproduce-example, each taking
---config PATH, --seed N, --dump-fields DIR, --golden PATH.  One JSON report
+--config PATH and --seed N; constants also takes --golden PATH, and solve
+and reproduce-example take --dump-fields DIR.  One JSON report
 goes to stdout; wall-clock chatter goes to stderr only (report timings are
 deterministic operation counts).  Exit codes: 0 success (certified /
 two-solutions / all-checks-pass), 2 refused-inadmissible-lambda,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -67,10 +69,12 @@ def _build_parser() -> _Parser:
                        help="configuration file (flat dotted keys)")
         s.add_argument("--seed", type=int, metavar="N",
                        help="master seed (overrides solver.seed)")
-        s.add_argument("--dump-fields", metavar="DIR",
-                       help="write one CSV of grid samples per solution")
-        s.add_argument("--golden", metavar="PATH",
-                       help="golden-value file (constants command)")
+        if name in ("solve", "reproduce-example"):
+            s.add_argument("--dump-fields", metavar="DIR",
+                           help="write one CSV of grid samples per solution")
+        if name == "constants":
+            s.add_argument("--golden", metavar="PATH",
+                           help="golden-value file")
         if name == "reproduce-example":
             s.add_argument("--modes", type=int, default=8, metavar="M",
                            help="mode cutoff per axis (default 8)")
@@ -409,6 +413,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         command = args.command
+        if getattr(args, "dump_fields", None):
+            # made up front, so a path that cannot be a directory fails as
+            # a config error before any work is done
+            try:
+                os.makedirs(args.dump_fields, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--dump-fields: {exc}") from exc
         if command == "reproduce-example":
             rep = cmd_reproduce_example(
                 seed=args.seed, modes=args.modes, grid=args.grid,

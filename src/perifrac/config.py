@@ -195,7 +195,11 @@ def _require_number(key: str, value, integer: bool = False):
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be finite, got an integer literal "
+                          f"beyond the float range") from None
 
 
 def parse_config(text: str) -> RunConfig:

@@ -12,12 +12,18 @@ trial ball parameter rho,
     lambda_max(rho) = q sqrt(rho) (1-g)^{q/2}
         / (2 kappa (a1 sigma_1 q (1-g)^{(q-1)/2} + a2 sigma_q^q rho^{(q-1)/2}))
 
-with g = gamma / m^{2s}; admissible lambda lie below it.  chi_upper is the
-matching upper bound on the constrained-quotient function, algebraically
-equal to 1/(2 lambda_max(rho)), and the comparison chi_upper < 1/(2 lambda)
-is the certification gate.  For the quartic case (q=4, a1=a2=1) the same
-content appears as the profile h(rho) whose maximum sets the right endpoint
-of the admissible interval (0, (2/kappa)(1-g)^2 max h).
+with g = gamma / m^{2s}; admissible lambda lie below it.  Write its
+denominator as 2 kappa (A + B rho^{(q-1)/2}), with A = a1 sigma_1 q
+(1-g)^{(q-1)/2} and B = a2 sigma_q^q, both positive.  lambda_max rises
+while A > (q-2) B rho^{(q-1)/2} and falls after, so its maximum sits at
+the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}, where
+best_lambda evaluates it once.  chi_upper is the matching upper bound on
+the constrained-quotient function, algebraically equal to
+1/(2 lambda_max(rho)), and the comparison chi_upper < 1/(2 lambda) is the
+certification gate.  For the quartic case (q=4, a1=a2=1) the same content
+appears as the profile h(rho), whose maximum, at
+sigma_4^4 rho^{3/2} = 2 sigma_1 (1-g)^{3/2}, sets the right endpoint of
+the admissible interval (0, (2/kappa)(1-g)^2 max h).
 """
 
 from __future__ import annotations
@@ -286,78 +292,37 @@ def ball_radius(rho: float, problem: ProblemSpec) -> float:
 
 @dataclass(frozen=True)
 class LambdaRange:
-    """One row of the certificate table at a fixed rho, with the inputs
-    snapshotted so the row is self-contained."""
+    """One row of the certificate table: lambda_max and the ball radius at
+    a fixed rho."""
 
     rho: float
     lambda_max: float
     ball_radius: float
-    sigma1: float
-    sigmaq: float
-    kappa_s: float
-    a1: float
-    a2: float
-    q: float
-    gamma_fraction: float
 
 
 def lambda_table(rho_values, problem: ProblemSpec, nl, sigmas) -> list[LambdaRange]:
-    s1, sq = _sigma_pair(sigmas)
-    rows = []
-    for rho in rho_values:
-        rows.append(LambdaRange(
-            rho=float(rho),
-            lambda_max=lambda_max(rho, problem, nl, sigmas),
-            ball_radius=ball_radius(rho, problem),
-            sigma1=s1, sigmaq=sq,
-            kappa_s=kappa(problem.s),
-            a1=nl.a1, a2=nl.a2, q=nl.q,
-            gamma_fraction=problem.gamma_fraction,
-        ))
-    return rows
-
-
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-12,
-                        max_iter: int = 300) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
-def _maximize_profile(fn, lo: float = 1e-6) -> tuple[float, float]:
-    """Golden-section on [lo, rho_big], doubling rho_big until the profile
-    decreases (it vanishes at both ends, so an interior bracket exists);
-    lo is halved first if the profile is already decreasing there."""
-    for _ in range(200):
-        if fn(lo) < fn(2.0 * lo):
-            break
-        lo *= 0.5
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(200):
-        if fn(2.0 * hi) < fn(hi):
-            break
-        hi *= 2.0
-    return _golden_section_max(fn, lo, 2.0 * hi)
+    return [LambdaRange(rho=float(rho),
+                        lambda_max=float(lambda_max(rho, problem, nl, sigmas)),
+                        ball_radius=ball_radius(rho, problem))
+            for rho in rho_values]
 
 
 def best_lambda(problem: ProblemSpec, nl, sigmas) -> tuple[float, float]:
-    """Maximize lambda_max over rho; returns (rho*, lambda_max(rho*))."""
-    return _maximize_profile(lambda rho: lambda_max(rho, problem, nl, sigmas))
+    """Maximize lambda_max over rho; returns (rho*, lambda_max(rho*)).
+
+    lambda_max(rho) is proportional to sqrt(rho) / (A + B rho^{(q-1)/2})
+    with A = a1 sigma_1 q (1-g)^{(q-1)/2} and B = a2 sigma_q^q, both
+    positive.  Its derivative has the sign of A - (q-2) B rho^{(q-1)/2},
+    which falls strictly through zero once (q > 2), so the maximum sits at
+    the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}.
+    """
+    s1, sq = _sigma_pair(sigmas)
+    g = problem.gamma_fraction
+    q = nl.q
+    A = nl.a1 * s1 * q * (1.0 - g) ** ((q - 1.0) / 2.0)
+    B = nl.a2 * sq ** q
+    rho = (A / ((q - 2.0) * B)) ** (2.0 / (q - 1.0))
+    return rho, lambda_max(rho, problem, nl, sigmas)
 
 
 def example_h(rho: float, sigmas, problem: ProblemSpec) -> float:
@@ -390,12 +355,14 @@ class LambdaInterval:
 def example_lambda_interval(sigmas, problem: ProblemSpec) -> LambdaInterval:
     """Certified interval (0, (2/kappa)(1-g)^2 max_rho h(rho)) for the
     quartic case; equals (0, max_rho lambda_max(rho)) there."""
+    s1, s4 = _sigma_pair(sigmas)
     g = problem.gamma_fraction
     k = kappa(problem.s)
-    rho_star, h_star = _maximize_profile(
-        lambda rho: example_h(rho, sigmas, problem))
+    # h' = 0 where sigma_4^4 rho^{3/2} = 2 sigma_1 (1-g)^{3/2}
+    rho_star = (2.0 * s1 * (1.0 - g) ** 1.5 / s4 ** 4) ** (2.0 / 3.0)
     return LambdaInterval(lower=0.0,
-                          upper=(2.0 / k) * (1.0 - g) ** 2 * h_star,
+                          upper=(2.0 / k) * (1.0 - g) ** 2
+                          * example_h(rho_star, sigmas, problem),
                           best_rho=rho_star)
 
 

@@ -11,6 +11,7 @@ counts, never wall-clock, so identical runs emit identical bytes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -94,11 +95,8 @@ def estimate_dict(est) -> dict:
 
 
 def lambda_row_dict(row) -> dict:
-    return {
-        "rho": float(row.rho),
-        "lambda_max": float(row.lambda_max),
-        "ball_radius": float(row.ball_radius),
-    }
+    """A constants.LambdaRange row as a dict: rho, lambda_max, ball_radius."""
+    return dataclasses.asdict(row)
 
 
 def to_json(report: dict) -> str:

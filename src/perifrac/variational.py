@@ -54,7 +54,9 @@ class Nonlinearity:
     """Forcing profile f(x, t), its primitive F(x, t) = int_0^t f(x, r) dr,
     and the declared structural constants:
 
-      a1, a2, q : growth bound |f(x,t)| <= a1 + a2 |t|^(q-1)
+      a1, a2, q : growth bound |f(x,t)| <= a1 + a2 |t|^(q-1), a1, a2 > 0
+                  (a bound with a zero constant holds with any positive
+                  one, and the best rho of the certificate needs both)
       alpha, r0 : superlinearity 0 < alpha F(x,t) <= t f(x,t) for |t| >= r0
     """
 
@@ -70,8 +72,8 @@ class Nonlinearity:
     poly_degree: int | None = None   # degree of t -> f(x, t) when polynomial
 
     def __post_init__(self):
-        if self.a1 < 0 or self.a2 < 0:
-            raise ValueError("growth constants a1, a2 must be nonnegative")
+        if self.a1 <= 0 or self.a2 <= 0:
+            raise ValueError("growth constants a1, a2 must be positive")
         if self.q <= 2.0:
             raise ValueError(f"q={self.q} must exceed 2")
         if self.alpha <= 2.0:

@@ -191,6 +191,30 @@ def test_solve_dump_fields(capsys, tmp_path):
         str(out / f) for f in files]
 
 
+# each output flag only on the subcommands that read it, and a dump path that
+# cannot be a directory refused before any work (FILE is a regular file)
+FLAG_MISUSE = [
+    "verify --dump-fields DIR", "constants --dump-fields DIR",
+    "solve --golden FILE", "verify --golden FILE",
+    "reproduce-example --golden FILE",
+    "solve --dump-fields FILE/sub",
+    "reproduce-example --smoke --dump-fields FILE/sub",
+]
+
+
+@pytest.mark.parametrize("argv", FLAG_MISUSE)
+def test_misused_output_flag_is_a_config_error(capsys, tmp_path, argv):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    out = tmp_path / "out"
+    argv = [word.replace("FILE", str(plain)).replace("DIR", str(out))
+            for word in argv.split()]
+    code, rep, _ = run_cli(capsys, *argv)
+    assert code == 4 and rep["status"] == "config-error"
+    assert rep["constants"]["kappa"] is None and rep["solutions"] == []
+    assert not out.exists()
+
+
 # -- reproduce-example -----------------------------------------------------------
 
 
@@ -249,7 +273,10 @@ def test_config_error_paths(capsys, tmp_path):
     assert code == 4 and rep["status"] == "config-error"
 
 
-# non-finite numbers and negative seeds, each once a traceback with exit 1
+# non-finite numbers (nan, inf, integers beyond the float range) and
+# negative seeds, each once a traceback with exit 1; zero growth constants,
+# which once ran at a bracket limit of the rho search
+HUGE = "1" + "0" * 400
 BAD_NUMBERS = [
     ("solve", "problem.lambda = nan"), ("solve", "problem.lambda = inf"),
     ("solve", "solver.rho = nan"), ("solve", "solver.grad_tol = nan"),
@@ -257,12 +284,18 @@ BAD_NUMBERS = [
     ("constants", "problem.T = nan"), ("constants", "problem.T = inf"),
     ("constants", "problem.m = inf"), ("solve", "nonlinearity.q = nan"),
     ("solve", "solver.seed = -2"),
+    ("constants", f"problem.m = {HUGE}"), ("solve", f"problem.lambda = {HUGE}"),
+    ("solve", f"solver.rho = {HUGE}"),
+    ("constants", f"nonlinearity.a1 = {HUGE}"),
 ] + [(command, "--seed -1") for command in
-     ("constants", "solve", "verify", "reproduce-example")]
+     ("constants", "solve", "verify", "reproduce-example")] + [
+    (command, f"nonlinearity.{key} = 0") for command in ("constants", "solve")
+    for key in ("a1", "a2")]
 
 
 @pytest.mark.parametrize("command, bad", BAD_NUMBERS,
-                         ids=[f"{c}:{b}" for c, b in BAD_NUMBERS])
+                         ids=[f"{c}:{b.replace(HUGE, '10**400')}"
+                              for c, b in BAD_NUMBERS])
 def test_bad_number_is_a_config_error(capsys, tmp_path, command, bad):
     if bad.startswith("--"):
         argv = [command, *bad.split()]

@@ -8,6 +8,7 @@ import pytest
 from perifrac.config import (_NUMBER_KEYS, AUTO, ConfigError, RunConfig,
                              default_example_text, load_config, parse_config,
                              serialize_config)
+from perifrac.constants import LambdaRange
 from perifrac.report import (EXIT_CODES, dump_fields, empty_report,
                              estimate_dict, exit_code_for, lambda_row_dict,
                              solution_dict, to_json)
@@ -264,10 +265,6 @@ def test_solution_and_row_dicts():
     e = estimate_dict(FakeEst())
     assert e["status"] == "truncated-lower-bound" and e["iterations"] == 123
 
-    class FakeRow:
-        rho = 1.0
-        lambda_max = 0.1
-        ball_radius = 0.9
-
-    assert lambda_row_dict(FakeRow()) == {"rho": 1.0, "lambda_max": 0.1,
-                                          "ball_radius": 0.9}
+    row = LambdaRange(rho=1.0, lambda_max=0.1, ball_radius=0.9)
+    assert lambda_row_dict(row) == {"rho": 1.0, "lambda_max": 0.1,
+                                    "ball_radius": 0.9}

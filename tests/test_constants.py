@@ -293,8 +293,55 @@ def test_best_lambda_matches_dense_scan():
     assert 0 < i < len(grid) - 1  # interior maximum
     assert lam_star >= vals[i] * (1.0 - 1e-10)
     assert abs(lam_star - vals[i]) < 1e-8 * lam_star
-    # golden-section landed inside the bracketing grid cell
+    # the closed form lands inside the bracketing grid cell
     assert grid[i - 1] <= rho_star <= grid[i + 1]
+
+
+@pytest.mark.parametrize("key, sigma_q", [("cubic_plus_one", SIGMAS[1]),
+                                          ("odd_power(5)", 0.4)])
+def test_best_rho_is_the_critical_point(key, sigma_q):
+    # root of d lambda_max / d rho, with lambda_max transcribed in mpmath
+    nl = get_nonlinearity(key)
+    s1 = mpmath.mpf(SIGMAS[0])
+    sq = mpmath.mpf(sigma_q)
+    g = mpmath.mpf(PROBLEM.gamma_fraction)
+    q = mpmath.mpf(nl.q)
+    k = mpmath.mpf(kappa_oracle(PROBLEM.s))
+
+    def lam(rho):
+        return (q * mpmath.sqrt(rho) * (1 - g) ** (q / 2)
+                / (2 * k * (nl.a1 * s1 * q * (1 - g) ** ((q - 1) / 2)
+                            + nl.a2 * sq ** q * rho ** ((q - 1) / 2))))
+
+    # bisection, which needs only the sign of the derivative; the default
+    # verification asks for |f| below a tolerance that numerical
+    # differentiation does not reach
+    root = mpmath.findroot(lambda rho: mpmath.diff(lam, rho),
+                           (mpmath.mpf("1e-3"), mpmath.mpf("1e4")),
+                           solver="bisect", maxsteps=200, verify=False)
+    rho_star, lam_star = best_lambda(PROBLEM, nl, (SIGMAS[0], sigma_q))
+    assert abs(rho_star - root) < 1e-14 * root
+    assert abs(lam_star - lam(root)) < 1e-14 * lam(root)
+
+
+def test_each_maximization_evaluates_its_profile_once(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(constants, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("lambda_max", "example_h"):
+        monkeypatch.setattr(constants, name, spy(name))
+    best_lambda(PROBLEM, NL, SIGMAS)
+    assert calls == ["lambda_max"]
+    calls.clear()
+    example_lambda_interval(SIGMAS, PROBLEM)
+    assert calls == ["example_h"]
 
 
 def test_example_interval_coincides_with_lambda_max_sweep():
@@ -305,7 +352,7 @@ def test_example_interval_coincides_with_lambda_max_sweep():
     assert isinstance(iv, LambdaInterval)
     assert iv.lower == 0.0
     assert abs(iv.upper - lam_star) < 1e-9 * lam_star
-    assert abs(iv.best_rho - rho_star) < 1e-6 * max(1.0, rho_star)
+    assert abs(iv.best_rho - rho_star) < 1e-12 * max(1.0, rho_star)
     g = PROBLEM.gamma_fraction
     k = kappa(PROBLEM.s)
     want_upper = (2.0 / k) * (1.0 - g) ** 2 * example_h(iv.best_rho, SIGMAS, PROBLEM)
@@ -329,10 +376,6 @@ def test_lambda_table_rows_are_self_contained():
     for row in rows:
         assert row.lambda_max == lambda_max(row.rho, PROBLEM, NL, SIGMAS)
         assert row.ball_radius == ball_radius(row.rho, PROBLEM)
-        assert (row.sigma1, row.sigmaq) == SIGMAS
-        assert row.kappa_s == kappa(PROBLEM.s)
-        assert (row.a1, row.a2, row.q) == (1.0, 1.0, 4.0)
-        assert row.gamma_fraction == PROBLEM.gamma_fraction
 
 
 # -- golden file -----------------------------------------------------------------

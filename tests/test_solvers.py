@@ -215,10 +215,17 @@ def test_pinned_sigma4_matches_the_ascent(modes):
     assert abs(got - want) <= 1e-12 * want
 
 
+# (rho*, lambda_max(rho*)) of x_dependent_problem from those sigmas, pinned
+# for the same reason: the stall test tips over when lambda moves by 1 ulp
+X_DEPENDENT_BEST = {4: (38.93679878667733, 0.12448857832058371),
+                    8: (37.90787290570404, 0.12283272782478404)}
+
+
 def x_dependent_problem(modes, factor):
     """f(x, t) = c(x) + t^3 with c(x) = 1 + 0.3 cos(omega x_0), at factor
     times the best lambda_max of the modes-M sigmas (sigma_4 pinned in
-    X_DEPENDENT_SIGMA4): the bounds hold with a1 = 1.3, and
+    X_DEPENDENT_SIGMA4, rho* and lambda_max(rho*) in X_DEPENDENT_BEST):
+    the bounds hold with a1 = 1.3, and
     t f - 3 F = t^4/4 - 2 t c(x) >= 0 beyond r0 = (8 * 1.3)^(1/3).
     Returns (nl, problem, params, rho, sigmas)."""
     omega = 2.0 * math.pi / BASE["T"]
@@ -238,9 +245,17 @@ def x_dependent_problem(modes, factor):
     params = SpectrumParams(modes, 4 * modes + 2)
     s1 = sigma_estimate(1.0, probe, params).value
     s4 = X_DEPENDENT_SIGMA4[modes]
-    rho_star, lam_star = best_lambda(probe, nl, (s1, s4))
+    rho_star, lam_star = X_DEPENDENT_BEST[modes]
     problem = replace(probe, lam=factor * lam_star)
     return nl, problem, params, rho_star, (s1, s4)
+
+
+@pytest.mark.parametrize("modes", sorted(X_DEPENDENT_BEST))
+def test_pinned_best_lambda_matches_the_certificate(modes):
+    nl, problem, _, rho, sigmas = x_dependent_problem(modes, 1.0)
+    rho_star, lam_star = best_lambda(problem, nl, sigmas)
+    assert abs(rho_star - rho) <= 1e-7 * rho
+    assert abs(lam_star - problem.lam) <= 1e-15 * problem.lam
 
 
 def solve_x_dependent_forcing():

@@ -66,9 +66,15 @@ def test_nonlinearity_validates_constants():
         get_nonlinearity("cubic_plus_one", a1=-1.0)
 
 
+@pytest.mark.parametrize("zero", ["a1", "a2"])
+def test_growth_constants_must_be_positive(zero):
+    with pytest.raises(ValueError, match="must be positive"):
+        get_nonlinearity("cubic_plus_one", **{zero: 0.0})
+
+
 def test_make_nonlinearity_quadrature_primitive():
     nl = make_nonlinearity("cosine", f=lambda x, t: np.cos(t),
-                           a1=1.0, a2=0.0, q=3.0, alpha=3.0, r0=1.0)
+                           a1=1.0, a2=1.0, q=3.0, alpha=3.0, r0=1.0)
     x = (np.array([0.0, 1.0]),)
     for t in (-2.0, 0.3, 1.7):
         got = nl.F(x, np.array([t, t]))
