@@ -6,11 +6,11 @@ the ladder N=1 (s=0.4, M 8..128), N=2 (s=0.75, M 8..32) and N=3 (s=0.9,
 M 4..8), each command in a fresh process with BLAS pinned to one thread,
 so no process-global cache carries over between commands.  Stage and
 layer spans come from perfbench/tracer.py, which wraps the stage
-functions (the solver stages, the sigma ascent and the two maximizations
-of lambda_max over rho), the MINRES solve of the Newton polish, the transform layer
-(the public pair and the pruned FFT kernels under it) and the variational
-layer (energy, gradient and the dealiased nonlinear_image) from the outside;
-src/ holds no timing code.  Each child also times its own
+functions (the solver stages, the sigma ascent and the maximization of
+lambda_max over rho), the MINRES solve of the Newton polish, the transform
+layer (the public pair and the pruned FFT kernels under it) and the
+variational layer (energy, gradient and the dealiased nonlinear_image) from
+the outside; src/ holds no timing code.  Each child also times its own
 `import perifrac.cli` (import_s).
 Writes BENCH_<label>.json:
 
@@ -47,7 +47,6 @@ STAGES = [
     ("perifrac.solvers", "_minres"),
     ("perifrac.constants", "rayleigh_ascent"),
     ("perifrac.constants", "best_lambda"),
-    ("perifrac.constants", "example_lambda_interval"),
 ]
 
 # (module, attribute) of each timed layer; named by the attribute

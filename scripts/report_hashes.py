@@ -2,10 +2,11 @@
 """sha256 of the stdout report of every benchmark command.
 
 Runs every command of the three benchmark workloads (solve-3d, sweep-2d,
-certify-3d) at seeds 0 and 7, then `reproduce-example --smoke` and
-`verify`, in this process through perfbench/workloads.run_cli with BLAS
-pinned to one thread, and prints one line per command: the sha256 of its
-stdout report, its exit code and its name.  Two trees that print the same
+certify-3d) at seeds 0 and 7, then `reproduce-example --smoke`, `verify`
+and `reproduce-example --modes 4 --grid 18`, in this process through
+perfbench/workloads.run_cli with BLAS pinned to one thread, and prints one
+line per command: the sha256 of its stdout report, its exit code and its
+name.  Two trees that print the same
 lines produce byte-identical reports; run it in each and diff the output:
 
     python scripts/report_hashes.py
@@ -21,7 +22,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEEDS = (0, 7)
-EXTRA = (["reproduce-example", "--smoke"], ["verify"])
+EXTRA = (["reproduce-example", "--smoke"], ["verify"],
+         ["reproduce-example", "--modes", "4", "--grid", "18"])
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
 

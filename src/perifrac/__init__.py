@@ -9,10 +9,9 @@ certificate admits them.
 
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config, serialize_config)
-from .constants import (EmbeddingEstimate, LambdaInterval, LambdaRange,
-                        ball_radius, best_lambda, chi_upper,
-                        example_h, example_lambda_interval, golden_key,
-                        lambda_max, lambda_table, load_golden, sigma_estimate)
+from .constants import (EmbeddingEstimate, LambdaRange, ball_radius,
+                        best_lambda, chi_upper, golden_key, lambda_max,
+                        lambda_table, load_golden, sigma_estimate)
 from .extension import (QuadratureError, TraceIdentityReport,
                         WeightedQuadrature, conormal_limit, kappa, mode_energy,
                         ode_residual, profile_energy, theta,
@@ -27,7 +26,7 @@ from .spectral import (FourierField, ProblemSpec, SpectrumParams,
                        SymmetryError, apply_fractional_op, dual_norm, e_norm,
                        forward_transform, grid_coordinates, hs_distance,
                        hs_norm, inverse_transform, l2_norm, mean_value,
-                       multiplier, pairing)
+                       pairing)
 from .variational import (CheckReport, Nonlinearity, check_ar, check_growth,
                           check_superhomogeneity, dealias_points, energy,
                           get_nonlinearity, gradient, integral_of_potential,
@@ -40,9 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AUTO", "ConfigError", "RunConfig", "default_example_text", "load_config",
     "parse_config", "serialize_config",
-    "EmbeddingEstimate", "LambdaInterval", "LambdaRange", "ball_radius",
-    "best_lambda", "chi_upper", "example_h", "example_lambda_interval",
-    "golden_key", "lambda_max", "lambda_table", "load_golden",
+    "EmbeddingEstimate", "LambdaRange", "ball_radius", "best_lambda",
+    "chi_upper", "golden_key", "lambda_max", "lambda_table", "load_golden",
     "sigma_estimate",
     "QuadratureError", "TraceIdentityReport", "WeightedQuadrature",
     "conormal_limit", "kappa", "mode_energy", "ode_residual",
@@ -55,7 +53,7 @@ __all__ = [
     "FourierField", "ProblemSpec", "SpectrumParams", "SymmetryError",
     "apply_fractional_op", "dual_norm", "e_norm",
     "forward_transform", "grid_coordinates", "hs_distance", "hs_norm",
-    "inverse_transform", "l2_norm", "mean_value", "multiplier", "pairing",
+    "inverse_transform", "l2_norm", "mean_value", "pairing",
     "CheckReport", "Nonlinearity", "check_ar", "check_growth",
     "check_superhomogeneity", "dealias_points", "energy",
     "get_nonlinearity", "gradient", "integral_of_potential",

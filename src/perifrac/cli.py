@@ -25,8 +25,7 @@ from . import spectral as sp
 from . import variational as vr
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
-from .constants import (LambdaInterval, ball_radius, best_lambda,
-                        example_lambda_interval, golden_key, kappa,
+from .constants import (ball_radius, best_lambda, golden_key, kappa,
                         lambda_table, load_golden, sigma_estimate)
 from .extension import (WeightedQuadrature, conormal_limit, ode_residual,
                         profile_energy, verify_trace_identity)
@@ -105,10 +104,20 @@ def _is_plain_quartic(nl) -> bool:
     return nl.q == 4.0 and nl.a1 == 1.0 and nl.a2 == 1.0
 
 
+def _best_lambda(problem, nl, sigmas):
+    try:
+        return best_lambda(problem, nl, sigmas)
+    except ValueError as exc:
+        raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
+
+
 def _fill_constants(rep, problem, params, nl, seed):
     """Shared constants section: kappa, sigmas, best rho, both lambda
-    tables, and the quartic interval when it applies.  Returns
-    (sigmas, rho_star, lam_star, sigma_q estimate)."""
+    tables, and, for the quartic (q = 4, a1 = a2 = 1), the paper's
+    interval (0, max_rho lambda_max), read off best_lambda for the live
+    and the inflated sigmas.  A best rho that is not a finite double is
+    a config error.  Returns (sigmas, rho_star, lam_star, sigma_q
+    estimate)."""
     cons = rep["constants"]
     cons["kappa"] = kappa(problem.s)
     sig1 = sigma_estimate(1.0, problem, params, seed=seed)
@@ -116,7 +125,7 @@ def _fill_constants(rep, problem, params, nl, seed):
     sigq = sigma_estimate(nl.q, problem, params, seed=seed)
     cons["sigmas"] = [rp.estimate_dict(e) for e in (sig1, sig2, sigq)]
     sigmas = (sig1.value, sigq.value)
-    rho_star, lam_star = best_lambda(problem, nl, sigmas)
+    rho_star, lam_star = _best_lambda(problem, nl, sigmas)
     cons["best_rho"] = float(rho_star)
     cons["lambda_max_best"] = float(lam_star)
     cons["ball_radius_best"] = ball_radius(rho_star, problem)
@@ -129,13 +138,11 @@ def _fill_constants(rep, problem, params, nl, seed):
                                  for r in lambda_table(grid, problem, nl, safe)]
     cons["sigma_inflation"] = SIGMA_INFLATION
     if _is_plain_quartic(nl):
-        iv = example_lambda_interval(sigmas, problem)
-        cons["example_interval"] = {"lower": iv.lower, "upper": iv.upper,
-                                    "best_rho": iv.best_rho}
-        iv_safe = example_lambda_interval(safe, problem)
-        cons["example_interval_safe"] = {"lower": iv_safe.lower,
-                                         "upper": iv_safe.upper,
-                                         "best_rho": iv_safe.best_rho}
+        rho_safe, lam_safe = _best_lambda(problem, nl, safe)
+        cons["example_interval"] = {"lower": 0.0, "upper": lam_star,
+                                    "best_rho": rho_star}
+        cons["example_interval_safe"] = {"lower": 0.0, "upper": lam_safe,
+                                         "best_rho": rho_safe}
     rep["timings"]["sigma_ascent_iterations"] = int(sigq.iterations)
     rep["timings"]["sigma_ascent_starts"] = int(sigq.starts)
     return sigmas, rho_star, lam_star, sigq
@@ -188,10 +195,19 @@ def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
 # -- solve -------------------------------------------------------------------
 
 
-def _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir):
-    """Shared by solve and reproduce-example: realize the problem at the
-    resolved lambda/rho, run the pipeline on the sigmas the constants
-    section computed, map errors to statuses."""
+def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
+    """Realize the problem at the resolved lambda (auto: half of
+    lambda_max at the best rho) and rho (auto: the best rho), run the
+    pipeline on the sigmas of the constants section, map errors to
+    statuses."""
+    rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
+    nl = cfg.nonlinearity()
+    params = cfg.params()
+    problem0 = _problem_sans_lambda(cfg)
+    sigmas, rho_star, lam_star, _ = _fill_constants(
+        rep, problem0, params, nl, cfg.seed)
+    rho = rho_star if cfg.rho_raw == AUTO else float(cfg.rho_raw)
+    lam = 0.5 * lam_star if cfg.lam == AUTO else float(cfg.lam)
     problem = cfg.problem(lam=lam)
     scfg = cfg.solver(rho=rho)
     rep["constants"]["resolved_lambda"] = float(lam)
@@ -206,17 +222,17 @@ def _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir):
             "lambda_max_at_rho": float(exc.lam_max),
             "rho": float(exc.rho),
         }
-        return None
+        return rep
     except NonConvergenceError as exc:
         rep["status"] = "non-convergence"
         rep["diagnostics"]["error"] = str(exc)
         rep["diagnostics"]["residual_history_tail"] = [
             float(r) for r in exc.residual_history[-12:]]
-        return None
+        return rep
     except (SolverError, OverflowError) as exc:
         rep["status"] = "non-convergence"
         rep["diagnostics"]["error"] = f"{type(exc).__name__}: {exc}"
-        return None
+        return rep
     rep["status"] = mrep.status
     rep["solutions"] = [rp.solution_dict(s) for s in mrep.solutions]
     rep["diagnostics"]["certificate"] = {k: float(v)
@@ -231,19 +247,6 @@ def _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir):
     if dump_dir:
         rep["diagnostics"]["field_dumps"] = rp.dump_fields(dump_dir,
                                                            mrep.solutions)
-    return mrep
-
-
-def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
-    rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
-    nl = cfg.nonlinearity()
-    params = cfg.params()
-    problem0 = _problem_sans_lambda(cfg)
-    sigmas, rho_star, lam_star, _ = _fill_constants(
-        rep, problem0, params, nl, cfg.seed)
-    rho = rho_star if cfg.rho_raw == AUTO else float(cfg.rho_raw)
-    lam = 0.5 * lam_star if cfg.lam == AUTO else float(cfg.lam)
-    _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir)
     return rep
 
 
@@ -360,46 +363,41 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
                           grid: int = 32, smoke: bool = False,
                           dump_dir: str | None = None,
                           config_ignored: bool = False) -> dict:
-    """Hard-coded benchmark: N=2, s=3/4, m=1, gamma=1/2, T=2*pi, forcing
-    1 + t^3; lambda is the midpoint of the certified interval (0.01 under
-    --smoke, which truncates to the constant mode)."""
+    """cmd_solve on the benchmark config: N=2, s=3/4, m=1, gamma=1/2,
+    T=2*pi, forcing 1 + t^3, so lambda is the midpoint of the certified
+    interval (0.01 under --smoke, which truncates to the constant mode).
+    Adds the benchmark's own diagnostics and requires both solutions to be
+    non-trivial."""
     cfg = parse_config(default_example_text())
     if seed is not None:
         cfg.override_seed(seed)
     if smoke:
         modes, grid = 0, 1
-    rep = rp.empty_report("reproduce-example", cfg.to_mapping(), cfg.seed)
-    rep["config"]["discretization.M"] = modes
-    rep["config"]["discretization.grid_points"] = grid
+        cfg.lam = 0.01
+    cfg.modes, cfg.grid_points = modes, grid
+    rep = cmd_solve(cfg, dump_dir=dump_dir)
+    rep["command"] = "reproduce-example"
+    diag = rep["diagnostics"]
     if config_ignored:
-        rep["diagnostics"]["note"] = ("reproduce-example is config-free; "
-                                      "--config was ignored")
-    nl = cfg.nonlinearity()
-    params = cfg.params(modes=modes, grid_points=grid)
-    problem0 = _problem_sans_lambda(cfg)
-    sigmas, *_ = _fill_constants(rep, problem0, params, nl, cfg.seed)
-    interval = LambdaInterval(**rep["constants"]["example_interval"])
-    lam = 0.01 if smoke else interval.midpoint
-    rho = interval.best_rho
-    rep["diagnostics"]["smoke"] = bool(smoke)
+        diag["note"] = "reproduce-example is config-free; --config was ignored"
+    diag["smoke"] = bool(smoke)
 
     # the benchmark's forcing does not vanish at zero, so u = 0 is never a
     # solution; record the checked value
+    nl = cfg.nonlinearity()
     x0 = tuple(np.zeros(1) for _ in range(cfg.N))
     f0 = float(np.asarray(nl.f(x0, np.zeros(1)))[0])
-    rep["diagnostics"]["f_at_zero"] = f0
-    rep["diagnostics"]["f_at_zero_nonzero"] = bool(f0 != 0.0)
+    diag["f_at_zero"] = f0
+    diag["f_at_zero_nonzero"] = bool(f0 != 0.0)
 
-    mrep = _run_pipeline(rep, cfg, params, nl, sigmas, lam, rho, dump_dir)
-    if mrep is not None:
-        scfg_tol = cfg.solver(rho=rho).distinct_tol
-        nontrivial = [bool(s.hs_norm > scfg_tol) for s in mrep.solutions]
-        rep["diagnostics"]["nontrivial"] = nontrivial
+    if rep["solutions"]:
+        tol = cfg.solver(rho=rep["constants"]["resolved_rho"]).distinct_tol
+        nontrivial = [bool(s["hs_norm"] > tol) for s in rep["solutions"]]
+        diag["nontrivial"] = nontrivial
         if rep["status"] == "two-solutions" and not all(nontrivial):
             rep["status"] = "one-solution-only"
-            rep["diagnostics"]["detail"] = (
-                "a reported solution is numerically trivial; the benchmark "
-                "requires both to be non-trivial")
+            diag["detail"] = ("a reported solution is numerically trivial; "
+                              "the benchmark requires both to be non-trivial")
     return rep
 
 

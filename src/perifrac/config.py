@@ -20,7 +20,9 @@ Sections and keys:
                                                 (the SolverConfig fields;
                                                  rho also accepts "auto")
     verify.inject_theta_fault
-    command                                      (optional echo/default)
+
+Any other key, `command` among them, is an unknown-key error: the
+subcommand is chosen on the command line only.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
            "load_config", "default_example_text", "AUTO"]
 
 AUTO = "auto"
-
-_COMMANDS = ("constants", "solve", "verify", "reproduce-example")
-
 
 def _integer_fields(cls) -> dict:
     """Dataclass field name -> whether its declared type is int."""
@@ -92,8 +91,6 @@ class RunConfig:
     solver_values: dict = field(default_factory=dict)
     # verification block
     inject_theta_fault: float = 0.0
-    # optional command echo
-    command: str = ""
 
     # -- builders ---------------------------------------------------------
 
@@ -166,8 +163,6 @@ class RunConfig:
         for f in dataclass_fields(SolverConfig):
             out[f"solver.{f.name}"] = self.solver_values.get(
                 f.name, AUTO if f.name == "rho" else getattr(defaults, f.name))
-        if self.command:
-            out["command"] = self.command
         return out
 
 
@@ -256,11 +251,6 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
         else:
             cfg.solver_values[name] = _require_number(
                 key, value, integer=_SOLVER_FIELDS[name])
-    elif key == "command":
-        if value not in _COMMANDS:
-            raise ConfigError(f"command must be one of {_COMMANDS}, got "
-                              f"{value!r}")
-        cfg.command = value
     else:
         raise ConfigError(f"unknown configuration key {key!r}")
 

@@ -20,10 +20,11 @@ the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}, where
 best_lambda evaluates it once.  chi_upper is the matching upper bound on
 the constrained-quotient function, algebraically equal to
 1/(2 lambda_max(rho)), and the comparison chi_upper < 1/(2 lambda) is the
-certification gate.  For the quartic case (q=4, a1=a2=1) the same content
-appears as the profile h(rho), whose maximum, at
-sigma_4^4 rho^{3/2} = 2 sigma_1 (1-g)^{3/2}, sets the right endpoint of
-the admissible interval (0, (2/kappa)(1-g)^2 max h).
+certification gate.  The paper states its quartic example (q=4,
+a1=a2=1) through the profile h(rho) = sqrt(rho) / (4 sigma_1 (1-g)^{3/2}
++ sigma_4^4 rho^{3/2}) and the interval (0, (2/kappa)(1-g)^2 max h); there
+(2/kappa)(1-g)^2 h(rho) is lambda_max(rho), so that interval is
+(0, best_lambda's maximum) and needs no code of its own.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ __all__ = [
     "LambdaRange",
     "lambda_table",
     "best_lambda",
-    "example_h",
-    "LambdaInterval",
-    "example_lambda_interval",
     "golden_key",
     "load_golden",
     "default_golden_path",
@@ -314,56 +312,23 @@ def best_lambda(problem: ProblemSpec, nl, sigmas) -> tuple[float, float]:
     with A = a1 sigma_1 q (1-g)^{(q-1)/2} and B = a2 sigma_q^q, both
     positive.  Its derivative has the sign of A - (q-2) B rho^{(q-1)/2},
     which falls strictly through zero once (q > 2), so the maximum sits at
-    the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}.
+    the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}.  Raises
+    ValueError when rho* is not a positive finite double, as when a tiny
+    a2 makes B underflow to 0.
     """
     s1, sq = _sigma_pair(sigmas)
     g = problem.gamma_fraction
     q = nl.q
     A = nl.a1 * s1 * q * (1.0 - g) ** ((q - 1.0) / 2.0)
     B = nl.a2 * sq ** q
-    rho = (A / ((q - 2.0) * B)) ** (2.0 / (q - 1.0))
+    try:
+        rho = (A / ((q - 2.0) * B)) ** (2.0 / (q - 1.0))
+    except (ZeroDivisionError, OverflowError):
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"lambda_max has no finite maximizing rho: A = {A!r}, "
+                         f"B = a2 sigma_q^q = {B!r}")
     return rho, lambda_max(rho, problem, nl, sigmas)
-
-
-def example_h(rho: float, sigmas, problem: ProblemSpec) -> float:
-    """h(rho) = sqrt(rho) / (4 sigma_1 (1-g)^{3/2} + sigma_4^4 rho^{3/2}),
-    the quartic-case (q=4, a1=a2=1) admissibility profile."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    s1, s4 = _sigma_pair(sigmas)
-    g = problem.gamma_fraction
-    return math.sqrt(rho) / (4.0 * s1 * (1.0 - g) ** 1.5 + s4 ** 4 * rho ** 1.5)
-
-
-@dataclass(frozen=True)
-class LambdaInterval:
-    """Open interval (lower, upper) of certified lambda, with the
-    maximizing rho recorded."""
-
-    lower: float
-    upper: float
-    best_rho: float
-
-    def contains(self, lam: float) -> bool:
-        return self.lower < lam < self.upper
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-
-def example_lambda_interval(sigmas, problem: ProblemSpec) -> LambdaInterval:
-    """Certified interval (0, (2/kappa)(1-g)^2 max_rho h(rho)) for the
-    quartic case; equals (0, max_rho lambda_max(rho)) there."""
-    s1, s4 = _sigma_pair(sigmas)
-    g = problem.gamma_fraction
-    k = kappa(problem.s)
-    # h' = 0 where sigma_4^4 rho^{3/2} = 2 sigma_1 (1-g)^{3/2}
-    rho_star = (2.0 * s1 * (1.0 - g) ** 1.5 / s4 ** 4) ** (2.0 / 3.0)
-    return LambdaInterval(lower=0.0,
-                          upper=(2.0 / k) * (1.0 - g) ** 2
-                          * example_h(rho_star, sigmas, problem),
-                          best_rho=rho_star)
 
 
 # -- golden values ---------------------------------------------------------------

@@ -20,12 +20,13 @@ the stage gives up.
 The polish works on the sample-space residual map of the minimal grid
 n = 2M+1.  Its Jacobian, the Fourier multiplier mu_k^s - gamma minus lam
 f'(u) diagonal in samples, is symmetric and is never formed:
-preconditioned MINRES applies it through the field core's transform pair,
-with the spectral multiplier as an SPD preconditioner.  The MINRES is this
-module's own port of scipy's, so solving imports no scipy.  A step is
-accepted only if it decreases the true residual and lands inside the
-caller's guard region.  Each point's weak residual is evaluated once: an
-accepted trial's is the next step's right-hand side.
+preconditioned MINRES applies it through spectral's half-cube helpers,
+the route of the sigma ascent, with the spectral multiplier as an SPD
+preconditioner.  The MINRES is this module's own port of scipy's, so
+solving imports no scipy.  A step is accepted only if it decreases the
+true residual and lands inside the caller's guard region.  Each point's
+weak residual is evaluated once: an accepted trial's is the next step's
+right-hand side.
 """
 
 from __future__ import annotations
@@ -278,16 +279,20 @@ def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
     samples.  J = L - lam diag(d), L multiplying mode k by the real, even
     symbol mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
     multiplier (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it
-    SPD when a finite-difference d dips negative."""
-    n = 2 * params.modes + 1
-    symbol = sp.multiplier_array(problem, params) - problem.gamma
+    SPD when a finite-difference d dips negative.
+
+    Both multiply the k_N >= 0 half cube, through spectral's half-cube
+    helpers as the sigma ascent does: the samples are bit-identical to
+    those of forward_transform, multiply and inverse_transform, but no
+    full cube is built and no symmetry check runs per call."""
+    M, N = params.modes, problem.N
+    n = 2 * M + 1
+    symbol = sp._half_multiplier(problem, params) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
     def multiply(x, sym):
-        c = sp.forward_transform(x.reshape((n,) * problem.N), problem,
-                                 params).coeffs
-        return sp.inverse_transform(
-            FourierField(sym * c, problem, params), n).reshape(-1)
+        half = sp._hermitian_half(x.reshape((n,) * N), problem, M)
+        return sp._half_to_samples(sym * half, problem, n).reshape(-1)
 
     def jac(x):
         return multiply(x, symbol) - problem.lam * d * x

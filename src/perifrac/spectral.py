@@ -7,9 +7,10 @@ symmetric mode cube max_i |k_i| <= M, with the convention
 
 so c_k = T^(-N/2) * int u(x) exp(-i omega k.x) dx.  Real fields carry the
 Hermitian symmetry c_{-k} = conj(c_k).  _hermitian_half, under
-forward_transform and the sigma ascent, is the one place that imposes it;
-every other operation (real even multipliers, real scalars, sums) preserves
-it bit for bit, and inverse_transform refuses coefficients that lost it.
+forward_transform, the sigma ascent and the Newton matvec, is the one place
+that imposes it; every other operation (real even multipliers, real
+scalars, sums) preserves it bit for bit, and inverse_transform refuses
+coefficients that lost it.
 
 The pseudodifferential operator acts diagonally: mode k is multiplied by
 mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
@@ -37,14 +38,16 @@ M = 6 they keep 13 x 13 x 7 entries.  The lines they do transform carry
 the same data as in rfftn / irfftn, so every kept entry and every sample
 is bit-identical to numpy's n-D transforms.
 
-The sigma ascent (constants.rayleigh_ascent) keeps its state as such a raw
-half cube, but only through the helpers here: _hermitian_half (samples to
-half), _half_to_samples (half to samples), _half_multiplier and _half_dot
-(mu^s and the H^s product on the half) and _full_cube (half to
-FourierField coefficients).  A half cube stands for the field
-_full_cube(half); its samples are that field's only while the k_N = 0
-plane is exactly Hermitian, which _hermitian_half makes it and the
-operations above keep it.
+Two hot loops work on such a raw half cube instead of a FourierField: the
+sigma ascent (constants.rayleigh_ascent), which keeps its state there, and
+the matvecs of the Newton polish's linear solve (solvers._jacobian_operators),
+which take samples to the half, multiply and go back.  Both use only the
+helpers here: _hermitian_half (samples to half), _half_to_samples (half to
+samples), _half_multiplier and _half_dot (mu^s and the H^s product on the
+half) and _full_cube (half to FourierField coefficients).  A half cube
+stands for the field _full_cube(half); its samples are that field's only
+while the k_N = 0 plane is exactly Hermitian, which _hermitian_half makes
+it and the operations above keep it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "FourierField",
     "SymmetryError",
     "grid_coordinates",
-    "multiplier",
     "multiplier_array",
     "forward_transform",
     "inverse_transform",
@@ -240,15 +242,6 @@ def grid_coordinates(problem: ProblemSpec, grid_points: int):
     """Uniform periodic grid x_j = j T/n as a meshgrid tuple (indexing='ij')."""
     axis = np.arange(grid_points) * (problem.T / grid_points)
     return tuple(np.meshgrid(*([axis] * problem.N), indexing="ij"))
-
-
-def multiplier(k, problem: ProblemSpec) -> float:
-    """Symbol value mu_k^s = (omega^2 |k|^2 + m^2)^s at one multi-index."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (problem.N,):
-        raise ValueError(f"mode index must have length N={problem.N}")
-    mu = problem.omega ** 2 * float(k @ k) + problem.m ** 2
-    return mu ** problem.s
 
 
 @lru_cache(maxsize=64)

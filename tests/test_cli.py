@@ -48,9 +48,10 @@ def test_constants_certifies_default_config(capsys):
     for row, safe in zip(consts["lambda_table"], consts["lambda_table_safe"]):
         assert safe["lambda_max"] < row["lambda_max"]
     assert consts["lambda_max_best"] > 0.14
-    # two independently coded maximizations of the same profile
-    assert consts["example_interval"]["upper"] == pytest.approx(
-        consts["lambda_max_best"], rel=1e-12)
+    # the quartic's certified interval is read off the best-rho maximization
+    assert consts["example_interval"] == {
+        "lower": 0.0, "upper": consts["lambda_max_best"],
+        "best_rho": consts["best_rho"]}
     assert rep["diagnostics"]["golden_check"]["rel_gap"] < 5e-4
     assert "sigma_ascent_iterations" in rep["timings"]
     assert "wall" in cap.err
@@ -255,6 +256,25 @@ def test_reproduce_example_full_runs_certified_midpoint(capsys):
     assert rep["diagnostics"]["hs_distance"] > 1e-3
 
 
+# diagnostics only reproduce-example adds to the solve report
+REPRODUCE_ONLY = {"smoke", "f_at_zero", "f_at_zero_nonzero", "nontrivial"}
+
+
+def test_reproduce_example_is_solve_on_the_example_config(capsys, tmp_path):
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text("discretization.M = 4\ndiscretization.grid_points = 18\n")
+    code, solve, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    code_r, rep, _ = run_cli(capsys, "reproduce-example", "--modes", "4",
+                             "--grid", "18")
+    assert code == code_r == 0
+    assert rep.pop("command") == "reproduce-example"
+    assert solve.pop("command") == "solve"
+    assert set(rep["diagnostics"]) - set(solve["diagnostics"]) == REPRODUCE_ONLY
+    for key in REPRODUCE_ONLY:
+        del rep["diagnostics"][key]
+    assert rep == solve
+
+
 # -- error handling and determinism ------------------------------------------------
 
 
@@ -290,7 +310,9 @@ BAD_NUMBERS = [
 ] + [(command, "--seed -1") for command in
      ("constants", "solve", "verify", "reproduce-example")] + [
     (command, f"nonlinearity.{key} = 0") for command in ("constants", "solve")
-    for key in ("a1", "a2")]
+    for key in ("a1", "a2")] + [
+    # a2 sigma_4^4 underflows to 0, so the best rho is not a double
+    (command, "nonlinearity.a2 = 5e-324") for command in ("constants", "solve")]
 
 
 @pytest.mark.parametrize("command, bad", BAD_NUMBERS,
@@ -305,6 +327,15 @@ def test_bad_number_is_a_config_error(capsys, tmp_path, command, bad):
         argv = [command, "--config", str(cfg)]
     code, rep, _ = run_cli(capsys, *argv)
     assert code == 4 and rep["status"] == "config-error"
+
+
+def test_command_key_is_a_config_error(capsys, tmp_path):
+    # the subcommand comes from the command line only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = solve\n")
+    code, rep, _ = run_cli(capsys, "constants", "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    assert "unknown configuration key 'command'" in rep["diagnostics"]["error"]
 
 
 # tuning values that were solver.* keys once and are fixed constants now

@@ -37,14 +37,12 @@ def test_parse_scalars_and_sentinels():
         "solver.max_iter = 500\n"
         "solver.seed = 3\n"
         "verify.inject_theta_fault = 0.001\n"
-        "command = verify\n"
     )
     assert cfg.s == 0.6 and cfg.lam == AUTO and cfg.modes == 4
     assert cfg.rho_raw == AUTO
     assert cfg.solver_values["max_iter"] == 500
     assert cfg.seed == 3
     assert cfg.inject_theta_fault == 0.001
-    assert cfg.command == "verify"
 
 
 def test_parse_comments_blanks_and_inline_comments():
@@ -65,7 +63,7 @@ def test_parse_comments_blanks_and_inline_comments():
     ("problem.N = 2.5\n", "integer"),
     ("problem.s = maybe\n", "number"),
     ("problem.s = true\n", "number"),
-    ("command = launch\n", "command must be one of"),
+    ("command = solve\n", "unknown configuration key"),
     ("problem.s = 1.5\n", "0 < s < 1"),
     ("problem.s = 0.75\nproblem.N = 1\n", "N > 2s"),
     ("problem.gamma = 2.0\n", "m^(2s)"),

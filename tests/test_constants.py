@@ -1,7 +1,7 @@
 """Embedding constants: closed forms against high-precision arithmetic,
 ascent against the closed forms and brute scans, and the certificate
-algebra (lambda_max / chi_upper / ball_radius / interval) against
-independently coded dense searches."""
+algebra (lambda_max / chi_upper / ball_radius / best_lambda) against
+independently coded dense searches and the paper's quartic profile h."""
 
 import math
 
@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from perifrac import constants, spectral
-from perifrac.constants import (LambdaInterval, ball_radius, best_lambda,
-                                chi_upper, default_golden_path, example_h,
-                                example_lambda_interval, golden_key,
-                                lambda_max, lambda_table, load_golden,
-                                rayleigh_ascent, sigma_estimate,
-                                _ascent_grid)
-from perifrac.extension import kappa
+from perifrac.constants import (ball_radius, best_lambda, chi_upper,
+                                default_golden_path, golden_key, lambda_max,
+                                lambda_table, load_golden, rayleigh_ascent,
+                                sigma_estimate, _ascent_grid)
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                forward_transform, hs_norm, inverse_transform)
 from perifrac.variational import get_nonlinearity
@@ -275,8 +272,7 @@ def test_ball_radius_formula():
 def test_positive_rho_required():
     for fn in (lambda r: lambda_max(r, PROBLEM, NL, SIGMAS),
                lambda r: chi_upper(r, PROBLEM, NL, SIGMAS),
-               lambda r: ball_radius(r, PROBLEM),
-               lambda r: example_h(r, SIGMAS, PROBLEM)):
+               lambda r: ball_radius(r, PROBLEM)):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):
@@ -326,47 +322,46 @@ def test_best_rho_is_the_critical_point(key, sigma_q):
 
 def test_each_maximization_evaluates_its_profile_once(monkeypatch):
     calls = []
+    real = constants.lambda_max
 
-    def spy(name):
-        real = getattr(constants, name)
+    def counted(*args):
+        calls.append("lambda_max")
+        return real(*args)
 
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-        return counted
-
-    for name in ("lambda_max", "example_h"):
-        monkeypatch.setattr(constants, name, spy(name))
+    monkeypatch.setattr(constants, "lambda_max", counted)
     best_lambda(PROBLEM, NL, SIGMAS)
     assert calls == ["lambda_max"]
-    calls.clear()
-    example_lambda_interval(SIGMAS, PROBLEM)
-    assert calls == ["example_h"]
+
+
+def paper_h(rho, sigmas, problem):
+    """The paper's quartic-case (q=4, a1=a2=1) admissibility profile
+    h(rho) = sqrt(rho) / (4 sigma_1 (1-g)^{3/2} + sigma_4^4 rho^{3/2})."""
+    s1, s4 = sigmas
+    g = problem.gamma_fraction
+    return math.sqrt(rho) / (4.0 * s1 * (1.0 - g) ** 1.5 + s4 ** 4 * rho ** 1.5)
 
 
 def test_example_interval_coincides_with_lambda_max_sweep():
-    # for the quartic registry nonlinearity the two independently coded
-    # routes (profile h vs generic lambda_max) must give the same interval
-    iv = example_lambda_interval(SIGMAS, PROBLEM)
+    # the paper's interval for the quartic, (0, (2/kappa)(1-g)^2 max h),
+    # is (0, best_lambda's maximum): h peaks where
+    # sigma_4^4 rho^{3/2} = 2 sigma_1 (1-g)^{3/2}
     rho_star, lam_star = best_lambda(PROBLEM, NL, SIGMAS)
-    assert isinstance(iv, LambdaInterval)
-    assert iv.lower == 0.0
-    assert abs(iv.upper - lam_star) < 1e-9 * lam_star
-    assert abs(iv.best_rho - rho_star) < 1e-12 * max(1.0, rho_star)
+    s1, s4 = SIGMAS
     g = PROBLEM.gamma_fraction
-    k = kappa(PROBLEM.s)
-    want_upper = (2.0 / k) * (1.0 - g) ** 2 * example_h(iv.best_rho, SIGMAS, PROBLEM)
-    assert abs(iv.upper - want_upper) < 1e-10 * iv.upper
+    k = kappa_oracle(PROBLEM.s)
+    rho_h = (2.0 * s1 * (1.0 - g) ** 1.5 / s4 ** 4) ** (2.0 / 3.0)
+    assert abs(rho_star - rho_h) < 1e-14 * rho_h
+    upper = (2.0 / k) * (1.0 - g) ** 2 * paper_h(rho_star, SIGMAS, PROBLEM)
+    assert abs(lam_star - upper) < 1e-14 * upper
+    for rho in rho_h * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0]):
+        assert paper_h(rho, SIGMAS, PROBLEM) < paper_h(rho_h, SIGMAS, PROBLEM)
 
 
-def test_lambda_interval_membership_and_midpoint():
-    iv = example_lambda_interval(SIGMAS, PROBLEM)
-    assert iv.contains(iv.midpoint)
-    assert abs(iv.midpoint - 0.5 * iv.upper) < 1e-15
-    assert not iv.contains(0.0)
-    assert not iv.contains(iv.upper)
-    assert not iv.contains(-1.0)
-    assert iv.contains(iv.upper * 1e-9)
+def test_subnormal_growth_constant_has_no_best_rho():
+    # a2 sigma_4^4 underflows to 0, so the critical point is not a double
+    nl = get_nonlinearity("cubic_plus_one", a2=5e-324)
+    with pytest.raises(ValueError, match="no finite maximizing rho"):
+        best_lambda(PROBLEM, nl, SIGMAS)
 
 
 def test_lambda_table_rows_are_self_contained():

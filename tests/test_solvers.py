@@ -548,6 +548,32 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     assert all(np.array_equal(a, c) for a, c in zip(ours, theirs))
 
 
+@pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
+                                         (3, 0.9, 2)])
+def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
+    # the matvecs skip the full cube and the symmetry check, not a bit
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
+                          T=2.0 * math.pi, N=N)
+    params = SpectrumParams(modes, 2 * modes + 1)
+    n = params.grid_points
+    rng = np.random.default_rng(N)
+    d = 3.0 * rng.standard_normal(n ** N) ** 2
+    symbol = multiplier_array(problem, params) - problem.gamma
+    inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
+
+    def multiply(x, sym):
+        c = forward_transform(x.reshape((n,) * N), problem, params).coeffs
+        return inverse_transform(FourierField(sym * c, problem, params),
+                                 n).reshape(-1)
+
+    jac, prec = solvers._jacobian_operators(problem, params, d)
+    for _ in range(3):
+        x = rng.standard_normal(n ** N)
+        assert np.array_equal(jac(x),
+                              multiply(x, symbol) - problem.lam * d * x)
+        assert np.array_equal(prec(x), multiply(x, inv_prec))
+
+
 def test_minres_reports_breakdown_instead_of_raising():
     # psolve not SPD: <b, psolve(b)> < 0 before the first step, and a
     # psolve indefinite on the second Lanczos vector inside the loop
