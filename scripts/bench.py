@@ -8,7 +8,7 @@ so no process-global cache carries over between commands.  Stage and
 layer spans come from perfbench/tracer.py, which wraps the stage
 functions (the solver stages, the sigma ascent and the maximization of
 lambda_max over rho), the MINRES solve of the Newton polish, the transform
-layer (the public pair and the pruned FFT kernels under it) and the
+layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
 the outside; src/ holds no timing code.  Each child also times its own
 `import perifrac.cli` (import_s).

@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Field-by-field difference of the reports of two checkouts.
+
+Runs the command list of scripts/report_hashes.py once in each checkout
+(a fresh process each, BLAS pinned to one thread, perifrac imported from
+that checkout's src/) and prints, per report, what changed from OLD to
+NEW: exit code, status, every integer field (the operation counters under
+`timings` and the ascent's iteration counts among them), any other
+non-float field, and the largest relative change of the float fields.
+Fields that measure a roundoff-sized gap are left out of that maximum and
+printed on their own, since their relative change says nothing: each
+solution's `residual_dual_norm`, which must stay below grad_tol, the
+golden check's `rel_gap` and the `gap` of each `verify` check.
+
+    python scripts/report_diff.py OLD_ROOT NEW_ROOT
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import subprocess
+import sys
+
+import report_hashes
+
+ROUNDOFF_FIELDS = {"residual_dual_norm", "rel_gap", "gap"}
+
+
+def dump(root: str) -> None:
+    """Child process: one JSON line {name, code, raw report} per command."""
+    for name, code, out in report_hashes.reports(pathlib.Path(root).resolve()):
+        print(json.dumps({"name": name, "code": code, "raw": out}))
+
+
+def collect(root: str) -> list[dict]:
+    proc = subprocess.run([sys.executable, __file__, "--dump", root],
+                          capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def leaves(node, path: str = ""):
+    """(path, value) of every scalar in a JSON tree."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def is_number(value) -> bool:
+    return isinstance(value, float) or (isinstance(value, int)
+                                        and not isinstance(value, bool))
+
+
+def rel_change(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def compare(old: dict, new: dict) -> tuple[list[str], float]:
+    """Lines describing how report `new` differs from `old`, and the
+    largest relative change of its float fields outside ROUNDOFF_FIELDS."""
+    if old["raw"] == new["raw"]:
+        return ["byte-identical"], 0.0
+    a, b = json.loads(old["raw"]), json.loads(new["raw"])
+    lines = []
+    if old["code"] != new["code"]:
+        lines.append(f"exit code {old['code']} -> {new['code']}")
+    if a.get("status") != b.get("status"):
+        lines.append(f"status {a.get('status')} -> {b.get('status')}")
+    la, lb = dict(leaves(a)), dict(leaves(b))
+    for path in sorted(la.keys() ^ lb.keys()):
+        side = "only in OLD" if path in la else "only in NEW"
+        lines.append(f"{side}: {path} = {la.get(path, lb.get(path))!r}")
+    worst, where, gaps = 0.0, "", []
+    for path in sorted(la.keys() & lb.keys()):
+        x, y = la[path], lb[path]
+        if x == y and type(x) is type(y):
+            continue
+        if path.rsplit(".", 1)[-1] in ROUNDOFF_FIELDS:
+            gaps.append(f"{path} {x!r} -> {y!r}")
+        elif isinstance(x, float) or isinstance(y, float):
+            if not (is_number(x) and is_number(y)):
+                lines.append(f"{path} {x!r} -> {y!r}")
+            elif rel_change(x, y) > worst:
+                worst, where = rel_change(x, y), path
+        elif path != "status":
+            lines.append(f"{path} {x!r} -> {y!r}")
+    if where:
+        lines.append(f"largest relative float change {worst:.2e} at {where}")
+    lines += gaps
+    return lines, worst
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", nargs="?", metavar="OLD_ROOT")
+    ap.add_argument("new", nargs="?", metavar="NEW_ROOT")
+    ap.add_argument("--dump", metavar="ROOT", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.dump:
+        dump(args.dump)
+        return 0
+    if not (args.old and args.new):
+        ap.error("OLD_ROOT and NEW_ROOT are required")
+    old, new = collect(args.old), collect(args.new)
+    if [r["name"] for r in old] != [r["name"] for r in new]:
+        print("the two checkouts run different command lists")
+        return 1
+    identical, worst, where = 0, 0.0, ""
+    for a, b in zip(old, new):
+        lines, change = compare(a, b)
+        identical += lines == ["byte-identical"]
+        if change > worst:
+            worst, where = change, a["name"]
+        print(f"{a['name']}: {lines[0]}")
+        for line in lines[1:]:
+            print(f"    {line}")
+    print(f"{identical} of {len(old)} reports byte-identical; largest relative "
+          f"float change {worst:.2e}" + (f" ({where})" if where else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

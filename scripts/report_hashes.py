@@ -28,16 +28,14 @@ ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
 
 
-def run() -> None:
+def reports(root: pathlib.Path = ROOT):
+    """(name, exit code, stdout report) of every command, run in this
+    process on the perifrac in root/src and the workloads in root/perfbench."""
     # BLAS reads its thread count when numpy is first imported
     os.environ.update(ONE_THREAD)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads as wl
     from perifrac.cli import main
-
-    def digest(name: str, argv: list[str]) -> None:
-        code, out = wl.run_cli(main, argv)
-        print(f"{hashlib.sha256(out.encode()).hexdigest()}  {code}  {name}")
 
     reference = wl.load_reference()
     with tempfile.TemporaryDirectory() as tmp:
@@ -46,10 +44,16 @@ def run() -> None:
                 for cmd in wl.commands(workload, seed, reference):
                     path = pathlib.Path(tmp, f"{workload}-{seed}-{cmd.name}.cfg")
                     path.write_text(wl.config_text(cmd.config))
-                    digest(f"{workload} seed {seed} {cmd.name}",
-                           cmd.argv(str(path)))
+                    code, out = wl.run_cli(main, cmd.argv(str(path)))
+                    yield f"{workload} seed {seed} {cmd.name}", code, out
     for argv in EXTRA:
-        digest(" ".join(argv), argv)
+        code, out = wl.run_cli(main, argv)
+        yield " ".join(argv), code, out
+
+
+def run() -> None:
+    for name, code, out in reports():
+        print(f"{hashlib.sha256(out.encode()).hexdigest()}  {code}  {name}")
 
 
 if __name__ == "__main__":

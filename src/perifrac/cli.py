@@ -111,6 +111,24 @@ def _best_lambda(problem, nl, sigmas):
         raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
 
 
+def _check_ball_edge(problem, nl, rho):
+    """f and F must be finite on the constant field +-a at the edge of the
+    ball e(u)^2 < rho, a = sqrt(rho / (kappa (1-g) m^(2s) T^N)); a rho
+    beyond that is outside the float range of the problem, and the solve
+    would only overflow."""
+    a = ball_radius(rho, problem) / math.sqrt(
+        problem.m ** (2.0 * problem.s) * problem.T ** problem.N)
+    x = tuple(np.zeros(2) for _ in range(problem.N))
+    t = np.array([a, -a])
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.all(np.isfinite(np.asarray(fn(x, t), dtype=float)))
+                     for fn in (nl.f, nl.F))
+    if not finite:
+        raise ConfigError(
+            f"nonlinearity block invalid: f or F is not finite on the constant "
+            f"field u = +-{a:.6g} at the edge of the ball, rho = {rho:.6g}")
+
+
 def _fill_constants(rep, problem, params, nl, seed):
     """Shared constants section: kappa, sigmas, best rho, both lambda
     tables, and, for the quartic (q = 4, a1 = a2 = 1), the paper's
@@ -197,9 +215,9 @@ def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
 
 def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     """Realize the problem at the resolved lambda (auto: half of
-    lambda_max at the best rho) and rho (auto: the best rho), run the
-    pipeline on the sigmas of the constants section, map errors to
-    statuses."""
+    lambda_max at the best rho) and rho (auto: the best rho), check that
+    the forcing is finite on the ball's edge, run the pipeline on the
+    sigmas of the constants section, map errors to statuses."""
     rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
     params = cfg.params()
@@ -212,6 +230,7 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     scfg = cfg.solver(rho=rho)
     rep["constants"]["resolved_lambda"] = float(lam)
     rep["constants"]["resolved_rho"] = float(rho)
+    _check_ball_edge(problem, nl, rho)
     try:
         mrep = solve_multiplicity(scfg, nl, problem, params, *sigmas)
     except InadmissibleLambdaError as exc:

@@ -116,13 +116,13 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     zeros of u, is integrated to spectral accuracy only.
 
     The state is the k_N >= 0 half of the mode cube as a raw array, moved
-    by spectral's pruned FFT kernels, which transform only the lines that
-    hold retained modes, and measured by spectral._half_dot, which weights
-    each k_N > 0 entry twice, once for its conjugate partner.  Every
-    forward step makes the k_N = 0 plane exactly Hermitian, as
-    forward_transform does, and the steps (real even multipliers, real
-    scalars, sums) keep it so; the returned field is the full cube filled
-    by conjugation.  Each field is inverse-transformed once: the samples
+    by spectral's pruned kernels, products with cached DFT matrices that
+    compute only the retained modes, and measured by spectral._half_dot,
+    which weights each k_N > 0 entry twice, once for its conjugate
+    partner.  Every forward step makes the k_N = 0 plane exactly
+    Hermitian, as forward_transform does, and the steps (real even
+    multipliers, real scalars, sums) keep it so; the returned field is the
+    full cube filled by conjugation.  Each field is inverse-transformed once: the samples
     of an accepted trial point carry over to the next iteration and to the
     final ratio.
     """

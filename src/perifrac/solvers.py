@@ -282,9 +282,10 @@ def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
     SPD when a finite-difference d dips negative.
 
     Both multiply the k_N >= 0 half cube, through spectral's half-cube
-    helpers as the sigma ascent does: the samples are bit-identical to
-    those of forward_transform, multiply and inverse_transform, but no
-    full cube is built and no symmetry check runs per call."""
+    helpers on the pruned DFT kernels, as the sigma ascent does.  That is
+    the arithmetic of forward_transform, multiply and inverse_transform,
+    so the samples are bit-identical to that route's, but no full cube is
+    built and no symmetry check runs per call."""
     M, N = params.modes, problem.N
     n = 2 * M + 1
     symbol = sp._half_multiplier(problem, params) - problem.gamma

@@ -26,17 +26,18 @@ params.grid_points is only inverse_transform's default output grid, which
 is also the --dump-fields grid; no coefficient depends on it.
 
 Everything here is pure value semantics with no shared mutable state.
-This is the only module that knows an FFT layout.  The transform pair runs
-on two pruned kernels, _half_spectrum and _half_samples, which hold the
-k_N >= 0 half of the mode cube as a raw (2M+1)^(N-1) x (M+1) array, mode
-k_i at index k_i + M on the leading axes and k_N at index k_N on the last.
-They run numpy's 1-D real and complex FFTs (pocketfft, bitwise
-deterministic for a fixed input and thread count) in the axis order of
-rfftn / irfftn, but skip every line that holds no retained mode or whose
-output is discarded: of the 25 x 25 x 13 half spectrum of a 25^3 grid at
-M = 6 they keep 13 x 13 x 7 entries.  The lines they do transform carry
-the same data as in rfftn / irfftn, so every kept entry and every sample
-is bit-identical to numpy's n-D transforms.
+This is the only module that knows the layout of a discrete Fourier
+transform.  The transform pair runs on two pruned kernels, _half_spectrum
+and _half_samples, which hold the k_N >= 0 half of the mode cube as a raw
+(2M+1)^(N-1) x (M+1) array, mode k_i at index k_i + M on the leading axes
+and k_N at index k_N on the last.  They compute only the kept modes, as
+products with DFT matrices restricted to them (a pruned DFT): of the
+25 x 25 x 13 half spectrum of a 25^3 grid at M = 6 they keep 13 x 13 x 7
+entries, and a product with the 13 x 25 matrix of an axis costs less than
+an FFT of all 25 lines.  The matrices are built once per (M, n) from one
+table of n-th roots of unity, cached and read-only.  The kernels agree
+with numpy's rfftn / irfftn to roundoff, and the same input gives the
+same bits.
 
 Two hot loops work on such a raw half cube instead of a FourierField: the
 sigma ascent (constants.rayleigh_ascent), which keeps its state there, and
@@ -57,7 +58,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import fft, ifft, irfft, rfft
 
 from .extension import kappa
 
@@ -238,10 +238,15 @@ class FourierField:
 # -- grids and transforms ---------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def grid_coordinates(problem: ProblemSpec, grid_points: int):
-    """Uniform periodic grid x_j = j T/n as a meshgrid tuple (indexing='ij')."""
+    """Uniform periodic grid x_j = j T/n as a meshgrid tuple (indexing='ij');
+    cached, returned read-only."""
     axis = np.arange(grid_points) * (problem.T / grid_points)
-    return tuple(np.meshgrid(*([axis] * problem.N), indexing="ij"))
+    grids = tuple(np.meshgrid(*([axis] * problem.N), indexing="ij"))
+    for g in grids:
+        g.setflags(write=False)
+    return grids
 
 
 @lru_cache(maxsize=64)
@@ -256,18 +261,67 @@ def multiplier_array(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
     return out
 
 
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(-2 pi i m / n) for m = 0, ..., n-1: every entry of a length-n
+    DFT matrix, looked up at m = (j k) % n."""
+    angle = 2.0 * np.pi * np.arange(n) / n
+    return np.cos(angle) - 1j * np.sin(angle)
+
+
+@lru_cache(maxsize=64)
+def _last_axis_dft(M: int, n: int):
+    """(A, w) for the last axis; cached, returned read-only.
+
+    A is the real n x 2(M+1) matrix whose column pair (2k, 2k+1) holds
+    cos and -sin of 2 pi j k / n, so x @ A viewed as complex is rfft's
+    columns k = 0..M.  Its transpose is the inverse: weighting columns
+    k > 0 by w_k = 2/n and k = 0 by 1/n gives irfft of a spectrum that
+    is zero beyond column M, and the zero column -sin(0) drops the
+    imaginary part at k = 0, as irfft does."""
+    roots = _unit_roots(n)[np.outer(np.arange(n), np.arange(M + 1)) % n]
+    A = np.empty((n, 2 * M + 2))
+    A[:, 0::2] = roots.real
+    A[:, 1::2] = roots.imag
+    w = np.where(np.arange(M + 1) > 0, 2.0, 1.0) / n
+    A.setflags(write=False)
+    w.setflags(write=False)
+    return A, w
+
+
+@lru_cache(maxsize=64)
+def _leading_axis_dft(M: int, n: int):
+    """(F, G) for a leading axis; cached, returned read-only.  F is the
+    (2M+1) x n forward DFT matrix exp(-2 pi i k j / n) on the cube rows
+    k = -M..M, G = conj(F).T / n the n x (2M+1) inverse, scaled as ifft."""
+    F = _unit_roots(n)[np.outer(np.arange(-M, M + 1), np.arange(n)) % n]
+    G = np.conj(F.T) / n
+    F.setflags(write=False)
+    G.setflags(write=False)
+    return F, G
+
+
+def _along(matrix: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """matrix @ x along one axis: x reshaped to (prefix, axis, rest)."""
+    shape = x.shape
+    out = matrix @ x.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    return out.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1:])
+
+
 def _half_spectrum(samples: np.ndarray, M: int) -> np.ndarray:
     """Unscaled rfftn of real n^N samples on the k_N >= 0 half of the mode
     cube, with mode k_i at index k_i + M on the leading axes.
 
-    rfft runs on the last axis and keeps columns 0..M; then fft runs on
-    axes N-2, ..., 0, and each keeps only the 2M+1 cube rows k_i % n before
-    the next axis runs.  These are rfftn's 1-D transforms in rfftn's axis
-    order, so every kept entry is bit-identical to rfftn's."""
-    rows = np.arange(-M, M + 1) % samples.shape[-1]
-    half = rfft(samples)[..., :M + 1]
-    for axis in reversed(range(samples.ndim - 1)):
-        half = fft(half, axis=axis).take(rows, axis=axis)
+    The last axis is one real product with _last_axis_dft's matrix, each
+    leading axis one product with _leading_axis_dft's forward matrix, so
+    only the kept modes are ever computed.  Equal to rfftn to roundoff."""
+    n, N = samples.shape[-1], samples.ndim
+    A, _ = _last_axis_dft(M, n)
+    half = (samples.reshape(-1, n) @ A).view(complex)
+    half = half.reshape(samples.shape[:-1] + (M + 1,))
+    if N > 1:
+        F, _ = _leading_axis_dft(M, n)
+        for axis in reversed(range(N - 1)):
+            half = _along(F, half, axis)
     return half
 
 
@@ -276,30 +330,26 @@ def _half_samples(half: np.ndarray, n: int) -> np.ndarray:
     half cube `half` (laid out as _half_spectrum returns it) and zeros
     elsewhere.
 
-    ifft runs on axes 0, ..., N-2, each on a zero-padded copy that holds
-    only the cube rows of that axis, then irfft on the last axis.  These
-    are irfftn's 1-D transforms in irfftn's axis order, so the samples are
-    bit-identical to irfftn's.  The last axis is zero-padded to n//2+1
-    columns here: numpy's irfft is markedly slower when it pads a short
-    input itself."""
+    The weights of the last axis go on first, then each leading axis is one
+    product with _leading_axis_dft's inverse matrix and the last axis one
+    real product with the transpose of _last_axis_dft's matrix.  Equal to
+    irfftn to roundoff."""
     M, N = half.shape[-1] - 1, half.ndim
-    rows = np.arange(-M, M + 1) % n
-    for axis in range(N - 1):
-        padded = np.zeros(half.shape[:axis] + (n,) + half.shape[axis + 1:],
-                          dtype=complex)
-        padded[(slice(None),) * axis + (rows,)] = half
-        half = ifft(padded, axis=axis)
-    spectrum = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
-    spectrum[..., :M + 1] = half
-    return irfft(spectrum, n=n)
+    A, w = _last_axis_dft(M, n)
+    x = half * w
+    if N > 1:
+        _, G = _leading_axis_dft(M, n)
+        for axis in range(N - 1):
+            x = _along(G, x, axis)
+    return (x.reshape(-1, M + 1).view(float) @ A.T).reshape((n,) * N)
 
 
 def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int) -> np.ndarray:
     """The k_N >= 0 half of forward_transform's coefficients: scaled, with
     the k_N = 0 plane made exactly Hermitian.  Off that plane the partners
     of the half live in the k_N < 0 half, which _full_cube fills by
-    conjugation; in the plane rfft's pairs agree only to roundoff, so they
-    are averaged."""
+    conjugation; in the plane the transform's pairs agree only to
+    roundoff, so they are averaged."""
     n, N = samples.shape[-1], samples.ndim
     half = _half_spectrum(samples, M)
     half *= problem.T ** (N / 2.0) / n ** N

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -327,6 +328,24 @@ def test_bad_number_is_a_config_error(capsys, tmp_path, command, bad):
         argv = [command, "--config", str(cfg)]
     code, rep, _ = run_cli(capsys, *argv)
     assert code == 4 and rep["status"] == "config-error"
+
+
+def test_forcing_beyond_float_range_on_the_ball_edge_is_a_config_error(
+        capsys, tmp_path):
+    # a tiny a2 puts the best rho at 3.2e201; F overflows on the constant
+    # field at the edge of that ball, so solve refuses before the ball stage
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("nonlinearity.a2 = 1e-300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    error = rep["diagnostics"]["error"]
+    assert "rho = 3.18249e+201" in error and "u = +-8.77865e+99" in error
+    # the default config is far inside the float range
+    cfg.write_text("discretization.M = 2\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 0 and rep["status"] == "two-solutions"
 
 
 def test_command_key_is_a_config_error(capsys, tmp_path):

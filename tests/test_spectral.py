@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                SymmetryError, _half_samples, _half_spectrum,
+                               _last_axis_dft, _leading_axis_dft,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
                                hs_norm, inverse_transform, l2_norm,
@@ -84,10 +85,8 @@ def test_forward_transform_equals_full_cube_symmetrization(N, M, n):
     # so averaging the whole cube, as the transform once did, changes no bit
     problem = oracle_problem(N)
     samples = np.random.default_rng([N, M, n, 2]).standard_normal((n,) * N)
-    lead = np.arange(-M, M + 1) % n
     c = np.empty((2 * M + 1,) * N, dtype=complex)
-    c[..., M:] = np.fft.rfftn(samples)[np.ix_(*([lead] * (N - 1)),
-                                              np.arange(M + 1))]
+    c[..., M:] = _half_spectrum(samples, M)
     c[..., :M] = np.conj(np.flip(c[..., M + 1:]))
     c *= problem.T ** (N / 2.0) / n ** N
     want = 0.5 * (c + np.conj(np.flip(c)))
@@ -119,27 +118,40 @@ def test_forward_transform_rejects_bad_sample_shapes(shape):
         forward_transform(np.zeros(shape), problem, SpectrumParams(2, 9))
 
 
-# every M with the minimal, the minimal even and the product-dealiasing grids
+# every M with the minimal, the minimal even and the product-dealiasing
+# grids, then the largest grids of the scripts/bench.py size ladder, where
+# the summation error of a direct product grows most
 PRUNED_CASES = [(N, M, n) for N in (1, 2, 3) for M in (0, 1, 2, 6)
                 for n in sorted({2 * M + 1, 2 * M + 2, 4 * M + 1, 4 * M + 2})]
+PRUNED_CASES += [(1, 128, 257), (1, 128, 513), (1, 128, 514), (2, 32, 130),
+                 (3, 8, 33), (3, 8, 34)]
 
 
 @pytest.mark.parametrize("N, M, n", PRUNED_CASES,
                          ids=[f"N{N}-M{M}-n{n}" for N, M, n in PRUNED_CASES])
 def test_pruned_kernels_are_bit_identical_to_numpy(N, M, n):
-    # the kernels skip the lines that hold no retained mode but run the
-    # same 1-D transforms in the same axis order as rfftn / irfftn, so
-    # the entries they keep must agree bit for bit
+    # numpy's rfftn / irfftn are the reference; the matrix products sum in
+    # another order, so they agree to roundoff, not bit for bit as the
+    # FFT kernels that gave the test its name did
     rng = np.random.default_rng([N, M, n, 3])
     samples = rng.standard_normal((n,) * N)
     cube = np.ix_(*([np.arange(-M, M + 1) % n] * (N - 1)), np.arange(M + 1))
+    want = np.fft.rfftn(samples)[cube]
     half = _half_spectrum(samples, M)
-    assert np.array_equal(half, np.fft.rfftn(samples)[cube])
+    assert half.shape == want.shape
+    assert np.abs(half - want).max() <= 1e-14 * np.abs(want).max()
     half = half + rng.standard_normal(half.shape)  # any half cube will do
     padded = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
     padded[cube] = half
     want = np.fft.irfftn(padded, s=(n,) * N, axes=tuple(range(N)))
-    assert np.array_equal(_half_samples(half, n), want)
+    got = _half_samples(half, n)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the cached DFT matrices are shared by every call: nobody may write them
+    for matrix in _last_axis_dft(M, n) + _leading_axis_dft(M, n):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0] = 0.0
 
 
 @pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
@@ -154,6 +166,16 @@ def test_inverse_transform_matches_pointwise_sum(N, M, n):
     direct = eval_field_at(u, pts)
     got = samples.reshape(-1)
     assert np.abs(got - direct).max() < 1e-11 * (1.0 + np.abs(direct).max())
+
+
+def test_grid_coordinates_are_cached_and_read_only():
+    problem = oracle_problem(2)
+    xs = grid_coordinates(problem, 5)
+    assert grid_coordinates(problem, 5) is xs
+    for axis, x in enumerate(xs):
+        assert not x.flags.writeable
+        assert np.array_equal(np.moveaxis(x, axis, 0)[:, 0],
+                              np.arange(5) * (problem.T / 5))
 
 
 def test_roundtrip_exact_on_minimal_and_padded_grids(example_problem):
