@@ -7,6 +7,9 @@ that checkout's src/) and prints, per report, what changed from OLD to
 NEW: exit code, status, every integer field (the operation counters under
 `timings` and the ascent's iteration counts among them), any other
 non-float field, and the largest relative change of the float fields.
+A key or list tail that one side holds alone is printed once, at its
+top-most path, with the number of leaves under it.  The last line counts
+the reports whose exit code, status or an integer field changed.
 Fields that measure a roundoff-sized gap are left out of that maximum and
 printed on their own, since their relative change says nothing: each
 solution's `residual_dual_norm`, which must stay below grad_tol, the
@@ -52,6 +55,33 @@ def leaves(node, path: str = ""):
         yield path, node
 
 
+def one_sided(a, b, path: str = ""):
+    """(side, path, leaf count) of each subtree that only one of the JSON
+    trees a (OLD) and b (NEW) holds, at its top-most path: a dict key on
+    one side only, the tail of the longer list, or a node that is a
+    container on one side and something else on the other."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in b:
+                yield "OLD", sub, len(list(leaves(a[key])))
+            elif key not in a:
+                yield "NEW", sub, len(list(leaves(b[key])))
+            else:
+                yield from one_sided(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from one_sided(x, y, f"{path}[{i}]")
+        n = min(len(a), len(b))
+        side, longer = ("OLD", a) if len(a) > n else ("NEW", b)
+        if len(longer) > n:
+            yield (side, f"{path}[{n}:{len(longer)}]",
+                   len(list(leaves(longer[n:]))))
+    elif isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
+        yield "OLD", path, len(list(leaves(a)))
+        yield "NEW", path, len(list(leaves(b)))
+
+
 def is_number(value) -> bool:
     return isinstance(value, float) or (isinstance(value, int)
                                         and not isinstance(value, bool))
@@ -62,21 +92,23 @@ def rel_change(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-def compare(old: dict, new: dict) -> tuple[list[str], float]:
-    """Lines describing how report `new` differs from `old`, and the
-    largest relative change of its float fields outside ROUNDOFF_FIELDS."""
+def compare(old: dict, new: dict) -> tuple[list[str], float, bool]:
+    """Lines describing how report `new` differs from `old`, the largest
+    relative change of its float fields outside ROUNDOFF_FIELDS, and
+    whether its exit code, status or an integer field changed."""
     if old["raw"] == new["raw"]:
-        return ["byte-identical"], 0.0
+        return ["byte-identical"], 0.0, False
     a, b = json.loads(old["raw"]), json.loads(new["raw"])
     lines = []
+    moved = old["code"] != new["code"] or a.get("status") != b.get("status")
     if old["code"] != new["code"]:
         lines.append(f"exit code {old['code']} -> {new['code']}")
     if a.get("status") != b.get("status"):
         lines.append(f"status {a.get('status')} -> {b.get('status')}")
+    for side, path, count in one_sided(a, b):
+        lines.append(f"only in {side}: {path} "
+                     f"({count} {'leaf' if count == 1 else 'leaves'})")
     la, lb = dict(leaves(a)), dict(leaves(b))
-    for path in sorted(la.keys() ^ lb.keys()):
-        side = "only in OLD" if path in la else "only in NEW"
-        lines.append(f"{side}: {path} = {la.get(path, lb.get(path))!r}")
     worst, where, gaps = 0.0, "", []
     for path in sorted(la.keys() & lb.keys()):
         x, y = la[path], lb[path]
@@ -90,11 +122,12 @@ def compare(old: dict, new: dict) -> tuple[list[str], float]:
             elif rel_change(x, y) > worst:
                 worst, where = rel_change(x, y), path
         elif path != "status":
+            moved = moved or (is_number(x) and is_number(y))
             lines.append(f"{path} {x!r} -> {y!r}")
     if where:
         lines.append(f"largest relative float change {worst:.2e} at {where}")
     lines += gaps
-    return lines, worst
+    return lines, worst, moved
 
 
 def main() -> int:
@@ -112,10 +145,11 @@ def main() -> int:
     if [r["name"] for r in old] != [r["name"] for r in new]:
         print("the two checkouts run different command lists")
         return 1
-    identical, worst, where = 0, 0.0, ""
+    identical, moved, worst, where = 0, 0, 0.0, ""
     for a, b in zip(old, new):
-        lines, change = compare(a, b)
+        lines, change, report_moved = compare(a, b)
         identical += lines == ["byte-identical"]
+        moved += report_moved
         if change > worst:
             worst, where = change, a["name"]
         print(f"{a['name']}: {lines[0]}")
@@ -123,6 +157,8 @@ def main() -> int:
             print(f"    {line}")
     print(f"{identical} of {len(old)} reports byte-identical; largest relative "
           f"float change {worst:.2e}" + (f" ({where})" if where else ""))
+    print(f"{moved} of {len(old)} reports changed exit code, status or an "
+          f"integer field")
     return 0
 
 

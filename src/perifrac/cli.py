@@ -37,7 +37,6 @@ __all__ = ["main", "cmd_constants", "cmd_solve", "cmd_verify",
            "cmd_reproduce_example"]
 
 GOLDEN_REL_TOL = 5e-4          # "agrees to three significant digits"
-SIGMA_INFLATION = 1.1          # policy factor for the safe lambda table
 RHO_GRID_POINTS = 16
 RHO_GRID_SPAN = 100.0          # table covers [rho*/span, rho*·span]
 
@@ -130,12 +129,11 @@ def _check_ball_edge(problem, nl, rho):
 
 
 def _fill_constants(rep, problem, params, nl, seed):
-    """Shared constants section: kappa, sigmas, best rho, both lambda
-    tables, and, for the quartic (q = 4, a1 = a2 = 1), the paper's
-    interval (0, max_rho lambda_max), read off best_lambda for the live
-    and the inflated sigmas.  A best rho that is not a finite double is
-    a config error.  Returns (sigmas, rho_star, lam_star, sigma_q
-    estimate)."""
+    """Shared constants section: kappa, sigmas, best rho, the lambda table
+    around it, and, for the quartic (q = 4, a1 = a2 = 1), the paper's
+    interval (0, max_rho lambda_max), read off best_lambda.  A best rho
+    that is not a finite double is a config error.  Returns (sigmas,
+    rho_star, lam_star, sigma_q estimate)."""
     cons = rep["constants"]
     cons["kappa"] = kappa(problem.s)
     sig1 = sigma_estimate(1.0, problem, params, seed=seed)
@@ -151,16 +149,9 @@ def _fill_constants(rep, problem, params, nl, seed):
                         RHO_GRID_POINTS)
     cons["lambda_table"] = [rp.lambda_row_dict(r)
                             for r in lambda_table(grid, problem, nl, sigmas)]
-    safe = (sigmas[0] * SIGMA_INFLATION, sigmas[1] * SIGMA_INFLATION)
-    cons["lambda_table_safe"] = [rp.lambda_row_dict(r)
-                                 for r in lambda_table(grid, problem, nl, safe)]
-    cons["sigma_inflation"] = SIGMA_INFLATION
     if _is_plain_quartic(nl):
-        rho_safe, lam_safe = _best_lambda(problem, nl, safe)
         cons["example_interval"] = {"lower": 0.0, "upper": lam_star,
                                     "best_rho": rho_star}
-        cons["example_interval_safe"] = {"lower": 0.0, "upper": lam_safe,
-                                         "best_rho": rho_safe}
     rep["timings"]["sigma_ascent_iterations"] = int(sigq.iterations)
     rep["timings"]["sigma_ascent_starts"] = int(sigq.starts)
     return sigmas, rho_star, lam_star, sigq

@@ -25,10 +25,9 @@ The derivative uses d/dy [y^s K_s(y)] = -y^s K_{s-1}(y) and K_{-v} = K_v:
 
     theta'(y) = -(2^(1-s) / Gamma(s)) y^s K_{1-s}(y).
 
-kappa is on the path of every command, so its Gamma is a port of cephes'
-(the same values as scipy.special.gamma) and needs no scipy.  scipy's
-kv and quad, behind theta and the quadrature checks, are imported when
-those are first called.
+kappa is on the path of every command and takes Gamma from math, so it
+needs no scipy.  scipy's kv and quad, behind theta and the quadrature
+checks, are imported when those are first called.
 """
 
 from __future__ import annotations
@@ -59,47 +58,10 @@ def _check_order(s: float):
         raise ValueError(f"order s={s} outside (0, 1)")
 
 
-# cephes' rational approximation of Gamma(2 + x) on 0 <= x < 1, highest
-# coefficient first (Moshier, Cephes Math Library)
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
-            1.04213797561761569935e-2, 4.76367800457137231464e-2,
-            2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
-            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
-            3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-
-
-def _horner(x: float, coeffs) -> float:
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for 0 < x < 3 by cephes' algorithm: the recurrence
-    Gamma(x) = Gamma(x+1)/x lifts x into [2, 3), where the rational
-    approximation applies; below 1e-9 the two-term series 1/(x(1 + gamma_E
-    x)) takes over.  Same operations in the same order as cephes, so the
-    values equal scipy.special.gamma's bit for bit."""
-    z = 1.0
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _horner(x, _GAMMA_P) / _horner(x, _GAMMA_Q)
-
-
 def kappa(s: float) -> float:
     """Normalization constant 2^(1-2s) Gamma(1-s) / Gamma(s); kappa(1/2) = 1."""
     _check_order(s)
-    return 2.0 ** (1.0 - 2.0 * s) * _gamma(1.0 - s) / _gamma(s)
+    return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
 
 
 def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
@@ -118,7 +80,7 @@ def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
     out = np.ones_like(y)
     pos = y > 0.0
     yp = y[pos]
-    out[pos] = (2.0 / _gamma(s)) * (yp / 2.0) ** s * kv(s, yp)
+    out[pos] = (2.0 / math.gamma(s)) * (yp / 2.0) ** s * kv(s, yp)
     if fault:
         out = out + fault * y * np.exp(-y)
     return float(out) if out.ndim == 0 else out
@@ -132,7 +94,7 @@ def theta_prime(s: float, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("theta_prime requires y > 0")
-    out = -(2.0 ** (1.0 - s) / _gamma(s)) * y ** s * kv(1.0 - s, y)
+    out = -(2.0 ** (1.0 - s) / math.gamma(s)) * y ** s * kv(1.0 - s, y)
     return float(out) if out.ndim == 0 else out
 
 

@@ -53,15 +53,12 @@ def empty_report(command: str, config_mapping: dict, seed: int) -> dict:
             "kappa": None,
             "sigmas": [],
             "lambda_table": [],
-            "lambda_table_safe": [],
-            "sigma_inflation": None,
             "best_rho": None,
             "lambda_max_best": None,
             "ball_radius_best": None,
             "resolved_lambda": None,
             "resolved_rho": None,
             "example_interval": None,
-            "example_interval_safe": None,
         },
         "solutions": [],
         "verification": {"checks": [], "all_passed": None},

@@ -105,6 +105,24 @@ class ProblemSpec:
             raise ValueError(f"s = {self.s!r} violates 0 < s < 1")
         if self.m <= 0.0:
             raise ValueError(f"m = {self.m!r} violates m > 0")
+        if self.T <= 0.0:
+            raise ValueError(f"T = {self.T!r} violates T > 0")
+        if not isinstance(self.N, int) or not 1 <= self.N <= 3:
+            raise ValueError(f"N = {self.N!r} must be an integer in 1..3")
+        # the scales of the problem must be finite, positive doubles; m^(2s)
+        # lies between 1 and m^2, so it is one when m^2 is
+        for name, base, power in (("m^2", self.m, 2.0),
+                                  ("omega^2", self.omega, 2.0),
+                                  ("T^N", self.T, self.N)):
+            try:
+                value = base ** power
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} = {value!r} is not a finite positive double "
+                    f"(m = {self.m!r}, s = {self.s!r}, T = {self.T!r}, "
+                    f"N = {self.N!r})")
         m2s = self.m ** (2.0 * self.s)
         if not 0.0 <= self.gamma < m2s:
             raise ValueError(
@@ -112,10 +130,6 @@ class ProblemSpec:
             )
         if self.lam <= 0.0:
             raise ValueError(f"lambda = {self.lam!r} violates lambda > 0")
-        if self.T <= 0.0:
-            raise ValueError(f"T = {self.T!r} violates T > 0")
-        if not isinstance(self.N, int) or not 1 <= self.N <= 3:
-            raise ValueError(f"N = {self.N!r} must be an integer in 1..3")
         if self.N <= 2.0 * self.s:
             raise ValueError(f"N = {self.N!r}, s = {self.s!r} violates N > 2s "
                              f"(the critical exponent must be finite)")

@@ -20,7 +20,9 @@ plain 2x for non-polynomial f.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -196,23 +198,51 @@ def _x_tuple(x_points: np.ndarray, N: int):
     return tuple(x_points[:, d] for d in range(N)), x_points
 
 
+class _WorstMargin:
+    """Running minimum of sampled margins and the sample that attains it.
+
+    A non-finite margin is the worst there is: it is recorded as
+    -sys.float_info.max, which keeps the report a finite double, and it
+    fails the check whatever the tolerance.
+    """
+
+    def __init__(self):
+        self.value, self.witness, self.finite = math.inf, None, True
+
+    def add(self, margins, witness):
+        """Fold in one batch; witness(i) describes its sample i."""
+        finite = np.isfinite(margins)
+        self.finite = self.finite and bool(finite.all())
+        margins = np.where(finite, margins, -sys.float_info.max)
+        i = int(np.argmin(margins))
+        if margins[i] < self.value:
+            self.value, self.witness = float(margins[i]), witness(i)
+
+    def holds(self, tol: float) -> bool:
+        return self.finite and bool(self.value >= tol)
+
+
+# the checkers sample f and F far out, where they may overflow; a
+# non-finite sample fails its check, so numpy need not warn of it
+_SAMPLING = dict(over="ignore", invalid="ignore")
+
+
 def check_growth(nl: Nonlinearity, t_values, x_points, N: int = 1) -> CheckReport:
     """Sample |f(x,t)| <= a1 + a2 |t|^(q-1) on the given lattice."""
     xt, xp = _x_tuple(x_points, N)
-    worst, witness = np.inf, None
-    for t in np.asarray(t_values, dtype=float):
-        fv = np.asarray(nl.f(xt, np.full(xp.shape[0], t)), dtype=float)
-        bound = nl.a1 + nl.a2 * abs(t) ** (nl.q - 1.0)
-        margins = bound - np.abs(fv)
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, witness = float(margins[i]), (tuple(xp[i]), float(t))
-    tol = -1e-12 * (1.0 + nl.a1 + nl.a2 * np.max(np.abs(t_values)) ** (nl.q - 1.0))
+    worst = _WorstMargin()
+    with np.errstate(**_SAMPLING):
+        for t in np.asarray(t_values, dtype=float):
+            fv = np.asarray(nl.f(xt, np.full(xp.shape[0], t)), dtype=float)
+            bound = nl.a1 + nl.a2 * abs(t) ** (nl.q - 1.0)
+            worst.add(bound - np.abs(fv), lambda i: (tuple(xp[i]), float(t)))
+        tol = -1e-12 * (1.0 + nl.a1
+                        + nl.a2 * np.max(np.abs(t_values)) ** (nl.q - 1.0))
     return CheckReport(
         name="growth_bound",
-        passed=bool(worst >= tol),
-        worst_margin=worst,
-        witness=witness,
+        passed=worst.holds(tol),
+        worst_margin=worst.value,
+        witness=worst.witness,
         detail=f"|f| <= {nl.a1} + {nl.a2}|t|^{nl.q - 1.0}",
     )
 
@@ -225,25 +255,20 @@ def check_ar(nl: Nonlinearity, t_max: float, x_points, N: int = 1,
     xt, xp = _x_tuple(x_points, N)
     ts_pos = np.linspace(nl.r0, t_max, num_t)
     ts = np.concatenate([-ts_pos[::-1], ts_pos])
-    worst, witness = np.inf, None
-    min_alpha_F = np.inf
-    for t in ts:
-        tv = np.full(xp.shape[0], t)
-        Fv = np.asarray(nl.F(xt, tv), dtype=float)
-        fv = np.asarray(nl.f(xt, tv), dtype=float)
-        aF = nl.alpha * Fv
-        min_alpha_F = min(min_alpha_F, float(aF.min()))
-        margins = t * fv - aF
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst, witness = float(margins[i]), (tuple(xp[i]), float(t))
-    scale = 1.0 + abs(t_max) ** nl.q
-    passed = (min_alpha_F > 0.0) and (worst >= -1e-11 * scale)
+    worst, alpha_F = _WorstMargin(), _WorstMargin()
+    with np.errstate(**_SAMPLING):
+        for t in ts:
+            tv = np.full(xp.shape[0], t)
+            aF = nl.alpha * np.asarray(nl.F(xt, tv), dtype=float)
+            fv = np.asarray(nl.f(xt, tv), dtype=float)
+            alpha_F.add(aF, lambda i: None)
+            worst.add(t * fv - aF, lambda i: (tuple(xp[i]), float(t)))
+        scale = 1.0 + np.abs(t_max) ** nl.q
     return CheckReport(
         name="superlinearity",
-        passed=bool(passed),
-        worst_margin=float(min(worst, min_alpha_F)),
-        witness=witness,
+        passed=alpha_F.value > 0.0 and worst.holds(-1e-11 * scale),
+        worst_margin=min(worst.value, alpha_F.value),
+        witness=worst.witness,
         detail=f"0 < {nl.alpha} F <= t f on |t| in [{nl.r0}, {t_max}]",
     )
 
@@ -252,26 +277,26 @@ def check_superhomogeneity(nl: Nonlinearity, t_values, v_values, x_points,
                            N: int = 1) -> CheckReport:
     """F(x, t v) >= F(x, v) t^alpha for t >= 1, |v| >= r0, on the lattice."""
     xt, xp = _x_tuple(x_points, N)
-    worst, witness = np.inf, None
-    for t in np.asarray(t_values, dtype=float):
-        if t < 1.0:
-            raise ValueError("t_values must be >= 1")
-        for v in np.asarray(v_values, dtype=float):
-            if abs(v) < nl.r0:
-                raise ValueError("v_values must satisfy |v| >= r0")
-            vv = np.full(xp.shape[0], v)
-            lhs = np.asarray(nl.F(xt, t * vv), dtype=float)
-            rhs = np.asarray(nl.F(xt, vv), dtype=float) * t ** nl.alpha
-            margins = lhs - rhs
-            i = int(np.argmin(margins))
-            if margins[i] < worst:
-                worst, witness = float(margins[i]), (tuple(xp[i]), float(t), float(v))
-    scale = 1.0 + abs(np.max(np.abs(t_values)) * np.max(np.abs(v_values))) ** nl.q
+    worst = _WorstMargin()
+    with np.errstate(**_SAMPLING):
+        for t in np.asarray(t_values, dtype=float):
+            if t < 1.0:
+                raise ValueError("t_values must be >= 1")
+            for v in np.asarray(v_values, dtype=float):
+                if abs(v) < nl.r0:
+                    raise ValueError("v_values must satisfy |v| >= r0")
+                vv = np.full(xp.shape[0], v)
+                lhs = np.asarray(nl.F(xt, t * vv), dtype=float)
+                rhs = np.asarray(nl.F(xt, vv), dtype=float) * t ** nl.alpha
+                worst.add(lhs - rhs,
+                          lambda i: (tuple(xp[i]), float(t), float(v)))
+        scale = 1.0 + abs(np.max(np.abs(t_values))
+                          * np.max(np.abs(v_values))) ** nl.q
     return CheckReport(
         name="superhomogeneity",
-        passed=bool(worst >= -1e-9 * scale),
-        worst_margin=worst,
-        witness=witness,
+        passed=worst.holds(-1e-9 * scale),
+        worst_margin=worst.value,
+        witness=worst.witness,
         detail=f"F(x, t v) >= F(x, v) t^{nl.alpha}",
     )
 

@@ -45,9 +45,6 @@ def test_constants_certifies_default_config(capsys):
     assert rs[2.0]["status"] == "exact-closed-form"
     assert rs[4.0]["status"] == "truncated-lower-bound"
     assert len(consts["lambda_table"]) == 16
-    assert len(consts["lambda_table_safe"]) == 16
-    for row, safe in zip(consts["lambda_table"], consts["lambda_table_safe"]):
-        assert safe["lambda_max"] < row["lambda_max"]
     assert consts["lambda_max_best"] > 0.14
     # the quartic's certified interval is read off the best-rho maximization
     assert consts["example_interval"] == {
@@ -122,6 +119,29 @@ def test_verify_is_fault_free_after_failed_run(capsys, tmp_path):
     run_cli(capsys, "verify", "--config", str(cfg))
     code, rep, _ = run_cli(capsys, "verify")
     assert code == 0 and rep["status"] == "all-checks-pass"
+
+
+# nonlinearity constants whose checks meet non-finite samples: t_max^q
+# overflowed (exit 1), t^alpha = inf made the gap inf, which JSON cannot
+# hold (exit 1), and the NaN margins inf - inf at t = 4, v = +-2 r0 were
+# skipped (all-checks-pass)
+NON_FINITE_CHECKS = {
+    "nonlinearity.r0 = 1e77": ["superlinearity", "superhomogeneity"],
+    "nonlinearity.alpha = 1e300": ["superlinearity", "superhomogeneity"],
+    "nonlinearity.r0 = 3e76": ["superhomogeneity"],
+}
+
+
+@pytest.mark.parametrize("line", sorted(NON_FINITE_CHECKS))
+def test_non_finite_nonlinearity_samples_fail_verify(capsys, tmp_path, line):
+    cfg = tmp_path / "nl.cfg"
+    cfg.write_text(line + "\n")
+    code, rep, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 5 and rep["status"] == "verification-failure"
+    failed = [c for c in rep["verification"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [
+        f"nonlinearity_{name}" for name in NON_FINITE_CHECKS[line]]
+    assert all(math.isfinite(c["gap"]) for c in failed)
 
 
 # -- solve -----------------------------------------------------------------------
@@ -346,6 +366,33 @@ def test_forcing_beyond_float_range_on_the_ball_edge_is_a_config_error(
     cfg.write_text("discretization.M = 2\n")
     code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
     assert code == 0 and rep["status"] == "two-solutions"
+
+
+# T and m whose scales are not finite, positive doubles.  Each once crashed
+# a command with exit 1, or was refused for a sigma that is not positive, or
+# passed verify on a T^N of 0
+SCALES_OUT_OF_RANGE = {
+    "problem.T = 1e-300": "omega^2 = inf",
+    "problem.T = 1e-155": "omega^2 = inf",
+    "problem.T = 1e300": "omega^2 = 0.0",
+    "problem.N = 3\nproblem.s = 0.9\nproblem.T = 1e103": "T^N = inf",
+    "problem.N = 3\nproblem.s = 0.9\nproblem.T = 1e-110": "T^N = 0.0",
+    "problem.m = 1e300": "m^2 = inf",
+    "problem.m = 1e-200\nproblem.gamma = 0": "m^2 = 0.0",
+}
+
+
+@pytest.mark.parametrize("command", ["constants", "solve", "verify"])
+@pytest.mark.parametrize("lines", sorted(SCALES_OUT_OF_RANGE))
+def test_problem_scale_beyond_float_range_is_a_config_error(
+        capsys, tmp_path, command, lines):
+    cfg = tmp_path / "scale.cfg"
+    cfg.write_text(lines + "\n")
+    code, rep, _ = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    error = rep["diagnostics"]["error"]
+    assert error.startswith("problem block invalid: ")
+    assert SCALES_OUT_OF_RANGE[lines] + " is not a finite positive double" in error
 
 
 def test_command_key_is_a_config_error(capsys, tmp_path):

@@ -201,8 +201,9 @@ def test_pipeline_constant_subspace_at_m8():
 
 # sigma_4 of the BASE problem from the six-start ascent at seed 0, pinned so
 # that the solver tests below run the same problem bit for bit whatever
-# roundoff the ascent picks up; the ball-descent stall test sits on a knife
-# edge that a 1-ulp move of sigma_4 tips over
+# roundoff the ascent picks up: their descent-only runs end near the float
+# floor of the residual, where the path they take follows the last bits of
+# lambda
 X_DEPENDENT_SIGMA4 = {4: 0.3580504133970116, 8: 0.3616643798998783}
 
 
@@ -216,7 +217,7 @@ def test_pinned_sigma4_matches_the_ascent(modes):
 
 
 # (rho*, lambda_max(rho*)) of x_dependent_problem from those sigmas, pinned
-# for the same reason: the stall test tips over when lambda moves by 1 ulp
+# for the same reason: lambda, and so every iterate, stays the same bits
 X_DEPENDENT_BEST = {4: (38.93679878667733, 0.12448857832058371),
                     8: (37.90787290570404, 0.12283272782478404)}
 
@@ -678,6 +679,21 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
     for i, kind in enumerate(events):
         if kind == "landed":
             assert events[i + 1:i + 3] == ["report", "gradient"]
+
+
+def test_polish_without_fprime_uses_a_finite_difference_jacobian():
+    # with no fprime the polish differentiates f by central differences;
+    # both stages must still land on iteration 1, on the solutions that the
+    # exact Jacobian finds
+    problem = ProblemSpec(lam=0.02, **BASE)
+    params = SpectrumParams(4, 10)
+    nl = get_nonlinearity("cubic_plus_one")
+    exact, fd = (solve_multiplicity(SolverConfig(rho=1.0), n, problem, params)
+                 for n in (nl, replace(nl, fprime=None)))
+    assert fd.status == "two-solutions"
+    assert [s.iterations for s in fd.solutions] == [1, 1]
+    for a, b in zip(exact.solutions, fd.solutions):
+        assert hs_norm(a.field - b.field) <= 1e-10
 
 
 # -- config validation ------------------------------------------------------------

@@ -3,6 +3,8 @@ evaluation (against an exact coefficient-convolution oracle), and the
 energy/gradient pair (against central differences)."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +153,27 @@ def test_superhomogeneity_fails_for_subhomogeneous_primitive():
                                  x_points=X_LATTICE, N=2)
     assert not rep.passed
     assert rep.worst_margin < -1.0  # 2 - 4 = -2 per point
+
+
+def test_checkers_fail_on_non_finite_samples():
+    # f = inf and F = nan beyond |t| = 5; a NaN margin compares False with
+    # everything, so it must not be skipped as if it were no worse than the
+    # rest, and the report must stay a finite double
+    base = get_nonlinearity("cubic_plus_one")
+    nl = replace(base,
+                 f=lambda x, t: np.where(np.abs(t) > 5.0, np.inf, base.f(x, t)),
+                 F=lambda x, t: np.where(np.abs(t) > 5.0, np.nan, base.F(x, t)))
+    reps = [check_growth(nl, np.linspace(-6.0, 6.0, 241), X_LATTICE, N=2),
+            check_ar(nl, t_max=8.0, x_points=X_LATTICE, N=2),
+            check_superhomogeneity(nl, t_values=(1.0, 1.5, 2.0, 4.0),
+                                   v_values=(2.0, -2.0, 4.0, -4.0),
+                                   x_points=X_LATTICE, N=2)]
+    for rep in reps:
+        assert not rep.passed, rep.name
+        assert rep.worst_margin == -sys.float_info.max, rep.name
+    assert abs(reps[0].witness[1]) > 5.0 and abs(reps[1].witness[1]) > 5.0
+    _, t, v = reps[2].witness
+    assert abs(t * v) > 5.0
 
 
 def test_checker_input_validation():
