@@ -27,7 +27,8 @@ from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
 from .constants import (ball_radius, best_lambda, golden_key, kappa,
                         lambda_table, load_golden, sigma_estimate)
-from .extension import (WeightedQuadrature, conormal_limit, ode_residual,
+from .extension import (ExtrapolationError, QuadratureError,
+                        WeightedQuadrature, conormal_limit, ode_residual,
                         profile_energy, verify_trace_identity)
 from .solvers import (InadmissibleLambdaError, NonConvergenceError,
                       SolverError, solve_multiplicity)
@@ -104,6 +105,15 @@ def _is_plain_quartic(nl) -> bool:
 
 
 def _best_lambda(problem, nl, sigmas):
+    """best_lambda, with a fault put on the block it comes from: a sigma
+    that is not a finite positive double on the problem's scales, any
+    other on the growth constants."""
+    for r, sigma in zip((1.0, nl.q), sigmas):
+        if not 0.0 < sigma < math.inf:
+            raise ConfigError(
+                f"problem block invalid: sigma_{r:g} = {float(sigma)!r} is not "
+                f"a finite positive double (m = {problem.m!r}, s = "
+                f"{problem.s!r}, T = {problem.T!r}, N = {problem.N!r})")
     try:
         return best_lambda(problem, nl, sigmas)
     except ValueError as exc:
@@ -269,6 +279,17 @@ def _check(name, gap, tol) -> dict:
             "passed": bool(gap <= tol)}
 
 
+def _measured(name, tol, measure) -> dict:
+    """_check of the gap measure() returns.  A quadrature or Richardson
+    extrapolation that fails inside measure fails the check instead, and
+    its entry carries the error in place of a gap."""
+    try:
+        return _check(name, measure(), tol)
+    except (QuadratureError, ExtrapolationError) as exc:
+        return {"name": name, "gap": None, "tolerance": float(tol),
+                "passed": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _checker_entry(report) -> dict:
     violation = max(0.0, -float(report.worst_margin)) if not report.passed else 0.0
     return {"name": f"nonlinearity_{report.name}", "gap": violation,
@@ -285,32 +306,35 @@ def cmd_verify(cfg: RunConfig) -> dict:
     fault = cfg.inject_theta_fault
     for s in s_values:
         wq = WeightedQuadrature(1.0 - 2.0 * s)
-        moment = wq.integrate(lambda y: np.exp(-2.0 * y))
         exact = math.gamma(2.0 - 2.0 * s) / 2.0 ** (2.0 - 2.0 * s)
-        checks.append(_check(f"quadrature_gamma_moment[s={s:g}]",
-                             abs(moment - exact) / abs(exact), 1e-9))
+        checks.append(_measured(
+            f"quadrature_gamma_moment[s={s:g}]", 1e-9,
+            lambda: abs(wq.integrate(lambda y: np.exp(-2.0 * y)) - exact)
+            / abs(exact)))
         ys = np.geomspace(0.1, 10.0, 25)
         worst = max(abs(ode_residual(s, float(y), fault)) for y in ys)
         checks.append(_check(f"ode_residual[s={s:g}]", worst, 1e-5))
-        pe = profile_energy(s, fault)
-        k = kappa(s)
-        entry = _check(f"profile_energy_vs_kappa[s={s:g}]",
-                       abs(pe - k) / k, 1e-6)
-        entry["value"] = float(pe)
-        checks.append(entry)
+        k, pe = kappa(s), {}
+
+        def profile_gap():
+            pe["value"] = float(profile_energy(s, fault))
+            return abs(pe["value"] - k) / k
+
+        checks.append({**_measured(f"profile_energy_vs_kappa[s={s:g}]",
+                                   1e-6, profile_gap), **pe})
     for mu in (1.0, 2.0, 5.0):
-        cl = conormal_limit(problem.s, mu)
         exact = kappa(problem.s) * mu ** problem.s
-        checks.append(_check(f"conormal_limit[mu={mu:g}]",
-                             abs(cl - exact) / abs(exact), 1e-4))
+        checks.append(_measured(
+            f"conormal_limit[mu={mu:g}]", 1e-4,
+            lambda: abs(conormal_limit(problem.s, mu) - exact) / abs(exact)))
 
     n_tr = 11
     params_tr = SpectrumParams(5, n_tr)
     rng = np.random.default_rng([cfg.seed, 101])
     u_tr = sp.forward_transform(
         rng.standard_normal((n_tr,) * problem.N) * 0.5, problem, params_tr)
-    trace = verify_trace_identity(u_tr, fault)
-    checks.append(_check("trace_identity", trace.rel_gap, 1e-5))
+    checks.append(_measured("trace_identity", 1e-5,
+                            lambda: verify_trace_identity(u_tr, fault).rel_gap))
 
     # gradient versus central differences, in a random direction
     params_g = SpectrumParams(4, 9)

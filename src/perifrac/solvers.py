@@ -22,9 +22,10 @@ n = 2M+1.  Its Jacobian, the Fourier multiplier mu_k^s - gamma minus lam
 f'(u) diagonal in samples, is symmetric and is never formed:
 preconditioned MINRES applies it through spectral's half-cube helpers,
 the route of the sigma ascent, with the spectral multiplier as an SPD
-preconditioner.  The MINRES is this module's own port of scipy's, so
-solving imports no scipy.  A step is accepted only if it decreases the
-true residual and lands inside the caller's guard region.  Each point's
+preconditioner.  Newton is inexact: each step's MINRES stops at an
+Eisenstat-Walker forcing term, loose far from the root and tightening as
+the residual falls.  A step is accepted only if it decreases the true
+residual and lands inside the caller's guard region.  Each point's
 weak residual is evaluated once: an accepted trial's is the next step's
 right-hand side.
 """
@@ -186,90 +187,59 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
 
 # -- Newton polish -------------------------------------------------------------
 
-# MINRES stops once its residual is below _KRYLOV_RTOL * |J| |delta|, a
-# backward-error test.  This is tight enough that the polish takes no more
-# Newton steps than with an exact solve, and the Krylov iterations still
-# cost little beside the residual evaluations of the line search.
-_KRYLOV_RTOL = 1e-12
+# Eisenstat-Walker forcing (1996, choice 2): Newton step k runs MINRES to
+# rtol = max(eta_k, _FORCING_FLOOR grad_tol / |R_k|), with eta_0 = _ETA_MAX
+# and eta_{k+1} = min(_ETA_MAX, _EW_GAMMA (|R_{k+1}| / |R_k|)^2).
+_ETA_MAX = 0.5
+_EW_GAMMA = 0.9
+_FORCING_FLOOR = 0.1
 
 
-def _minres(matvec, b, psolve, rtol, callback=None):
+def _minres(matvec, b, psolve, rtol):
     """Preconditioned MINRES (Paige & Saunders 1975) for A x = b with A
-    symmetric and the preconditioner psolve SPD, from x0 = 0.  The
-    recurrence and stopping tests are those of scipy.sparse.linalg.minres,
-    operation for operation, so the iterates agree with it bit for bit;
-    the iteration limit is 5 len(b).  Returns (x, info): info = 0 on
+    symmetric and psolve SPD, from x0 = 0: Lanczos on the preconditioned
+    operator, Givens rotations on its tridiagonal matrix.  Stops once the
+    psolve-norm of the residual is at most rtol times that of b, or after
+    5 len(b) iterations.  Returns (x, info, iterations): info = 0 on
     convergence, the iteration limit if it was reached, and -1 when
-    <r, psolve(r)> turns negative (psolve not SPD, or A not symmetric),
-    where scipy raises instead.  callback(x) runs after every iteration."""
+    <r, psolve(r)> turns negative (psolve not SPD, or A not symmetric)."""
     n = b.shape[0]
-    maxiter = 5 * n
-    eps = np.finfo(float).eps
     x = np.zeros(n)
-    r1 = b.copy()
-    y = psolve(r1)
-    beta1 = np.inner(r1, y)
-    if beta1 < 0:
-        return x, -1
-    if beta1 == 0:     # b = 0 for any SPD psolve
-        return x, 0
-    beta1 = math.sqrt(beta1)
-
-    oldb = dbar = epsln = tnorm2 = gmax = 0
-    beta = phibar = beta1
-    gmin = np.finfo(float).max
-    cs, sn = -1, 0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
-    for itn in range(1, maxiter + 1):
+    y = psolve(b)
+    beta1 = np.inner(b, y)
+    if beta1 <= 0:     # b = 0 for an SPD psolve, else a breakdown
+        return x, (0 if beta1 == 0 else -1), 0
+    beta1 = beta = phibar = math.sqrt(beta1)
+    oldb, dbar, epsln = 1.0, 0.0, 0.0
+    cs, sn = -1.0, 0.0
+    w = w2 = r1 = np.zeros(n)      # r1 = 0: no Lanczos vector before the first
+    r2 = b
+    for itn in range(1, 5 * n + 1):
         # Lanczos step: v_k, and the next residual r2 with y = psolve(r2)
-        v = (1.0 / beta) * y
-        y = matvec(v)
-        if itn >= 2:
-            y = y - (beta / oldb) * r1
+        v = y * (1.0 / beta)
+        y = matvec(v) - (beta / oldb) * r1
         alfa = np.inner(v, y)
         y = y - (alfa / beta) * r2
         r1, r2 = r2, y
         y = psolve(r2)
-        oldb = beta
-        beta = np.inner(r2, y)
+        oldb, beta = beta, np.inner(r2, y)
         if beta < 0:
-            return x, -1
+            return x, -1, itn
         beta = math.sqrt(beta)
-        tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
-        # b an eigenvector of the preconditioned A: this step solves it
-        eigen = itn == 1 and beta / beta1 <= 10 * eps
-        # apply the previous plane rotation, then compute the next one
+        # the previous rotation on the new column, then the next rotation
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = np.linalg.norm([gbar, dbar])
-        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        epsln, dbar = sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
         cs, sn = gbar / gamma, beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
+        phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
         x = x + phi * w
-        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
-        # stopping tests: backward error test1, least-squares test2, x
-        # beyond what eps resolves, and the condition estimate gmax/gmin
-        Anorm = math.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
-        test1 = np.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
-        test2 = np.inf if Anorm == 0 else root / Anorm
-        if callback is not None:
-            callback(x)
-        if (eigen or test1 <= rtol or test2 <= rtol
-                or Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps):
-            return x, 0
-        # tests that hold only when rtol < eps, outranked by the limit
-        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
-            return x, 0
-    return x, maxiter
+        if phibar <= rtol * beta1:     # phibar is the residual's psolve-norm
+            return x, 0, itn
+    return x, itn, itn
 
 
 def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
@@ -313,20 +283,18 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     Jacobian can jump into the basin of a different critical point, and
     residual backtracking alone does not notice.
 
-    Each step solves J delta = -R with preconditioned MINRES on the
-    matrix-free operators of _jacobian_operators, so no D x D matrix is
-    formed.  A MINRES breakdown or a non-finite step ends the attempt the
-    way a failed line search does.  The weak residual R of each point is
+    Each step solves J delta = -R inexactly, with preconditioned MINRES on
+    the matrix-free operators of _jacobian_operators, so no D x D matrix is
+    formed; its tolerance is the Eisenstat-Walker forcing term above.  A
+    MINRES breakdown or a non-finite step ends the attempt the way a
+    failed line search does.  The weak residual R of each point is
     evaluated once: an accepted trial's R is the next step's right-hand
     side."""
     problem, params = u.problem, u.params
     n = 2 * params.modes + 1
     x_min = sp.grid_coordinates(problem, n)
 
-    def count_iteration(_):
-        _bump(counters, "krylov_iterations")
-
-    cur = u
+    cur, eta = u, _ETA_MAX
     R = vr.weak_residual(cur, nl)
     res_cur = res_start = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
@@ -342,8 +310,9 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
                  - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
         jac, prec = _jacobian_operators(problem, params, d.reshape(-1))
         rhs = -sp.inverse_transform(R, n).reshape(-1)
-        delta, info = _minres(jac, rhs, prec, _KRYLOV_RTOL,
-                              callback=count_iteration)
+        rtol = max(eta, _FORCING_FLOOR * cfg.grad_tol / res_cur)
+        delta, info, iterations = _minres(jac, rhs, prec, rtol)
+        _bump(counters, "krylov_iterations", iterations)
         if info < 0 or not np.all(np.isfinite(delta)):
             break
         delta = delta.reshape(v.shape)
@@ -356,6 +325,7 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             R_try = vr.weak_residual(u_try, nl)
             res_try = sp.dual_norm(R_try)
             if res_try < res_cur * (1.0 - 1e-4):
+                eta = min(_ETA_MAX, _EW_GAMMA * (res_try / res_cur) ** 2)
                 cur, R, res_cur, accepted = u_try, R_try, res_try, True
                 break
             tau *= _BACKTRACK

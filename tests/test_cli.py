@@ -121,6 +121,20 @@ def test_verify_is_fault_free_after_failed_run(capsys, tmp_path):
     assert code == 0 and rep["status"] == "all-checks-pass"
 
 
+def test_failed_quadrature_fails_its_check(capsys, tmp_path):
+    # mu_k = m^2 = 1e300 defeats the trace identity's mode quadrature; the
+    # QuadratureError once ended verify with a traceback and exit 1
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("problem.m = 1e150\n")
+    code, rep, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 5 and rep["status"] == "verification-failure"
+    failed = [c for c in rep["verification"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["trace_identity"]
+    assert failed[0]["gap"] is None
+    assert failed[0]["error"].startswith("QuadratureError: ")
+    assert rep["timings"]["checks_run"] == len(rep["verification"]["checks"])
+
+
 # nonlinearity constants whose checks meet non-finite samples: t_max^q
 # overflowed (exit 1), t^alpha = inf made the gap inf, which JSON cannot
 # hold (exit 1), and the NaN margins inf - inf at t = 4, v = +-2 r0 were
@@ -382,8 +396,20 @@ SCALES_OUT_OF_RANGE = {
 }
 
 
-@pytest.mark.parametrize("command", ["constants", "solve", "verify"])
-@pytest.mark.parametrize("lines", sorted(SCALES_OUT_OF_RANGE))
+# T and m whose sigma_4 underflows or overflows, once blamed on the
+# nonlinearity block.  verify uses no sigma, so it does not refuse them
+SIGMAS_OUT_OF_RANGE = {
+    "problem.T = 1e100": "sigma_4 = 0.0",
+    "problem.m = 1e150": "sigma_4 = 0.0",
+    "problem.T = 1e-100": "sigma_4 = inf",
+}
+
+
+@pytest.mark.parametrize("lines, command", [
+    (lines, command) for lines in sorted(SCALES_OUT_OF_RANGE)
+    for command in ("constants", "solve", "verify")] + [
+    (lines, command) for lines in sorted(SIGMAS_OUT_OF_RANGE)
+    for command in ("constants", "solve")])
 def test_problem_scale_beyond_float_range_is_a_config_error(
         capsys, tmp_path, command, lines):
     cfg = tmp_path / "scale.cfg"
@@ -392,7 +418,8 @@ def test_problem_scale_beyond_float_range_is_a_config_error(
     assert code == 4 and rep["status"] == "config-error"
     error = rep["diagnostics"]["error"]
     assert error.startswith("problem block invalid: ")
-    assert SCALES_OUT_OF_RANGE[lines] + " is not a finite positive double" in error
+    blamed = {**SCALES_OUT_OF_RANGE, **SIGMAS_OUT_OF_RANGE}[lines]
+    assert blamed + " is not a finite positive double" in error
 
 
 def test_command_key_is_a_config_error(capsys, tmp_path):

@@ -536,18 +536,14 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
     b = rng.standard_normal(D)
     want = np.linalg.solve(J_ref, b)
-    ours, theirs = [], []
-    got, info = solvers._minres(jac, b, prec, solvers._KRYLOV_RTOL,
-                                callback=ours.append)
-    assert info == 0
+    got, info, iterations = solvers._minres(jac, b, prec, 1e-12)
+    assert info == 0 and 1 <= iterations <= 5 * D
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    # the port against scipy's minres: same iterates, bit for bit
-    exact, _ = minres(LinearOperator((D, D), matvec=jac, dtype=float), b,
-                      M=LinearOperator((D, D), matvec=prec, dtype=float),
-                      rtol=solvers._KRYLOV_RTOL, callback=theirs.append)
-    assert np.array_equal(got, exact)
-    assert len(ours) == len(theirs)
-    assert all(np.array_equal(a, c) for a, c in zip(ours, theirs))
+    # scipy's minres at the same rtol, as an independent oracle
+    theirs, _ = minres(LinearOperator((D, D), matvec=jac, dtype=float), b,
+                       M=LinearOperator((D, D), matvec=prec, dtype=float),
+                       rtol=1e-12)
+    assert np.linalg.norm(got - theirs) <= 1e-10 * np.linalg.norm(theirs)
 
 
 @pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
@@ -581,11 +577,12 @@ def test_minres_reports_breakdown_instead_of_raising():
     # psolve indefinite on the second Lanczos vector inside the loop
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([1.0, 0.0])
-    x, info = solvers._minres(lambda v: A @ v, b, lambda v: -v, 1e-12)
-    assert info < 0 and np.array_equal(x, np.zeros(2))
-    x, info = solvers._minres(lambda v: A @ v, b,
-                              lambda v: np.array([v[0], -v[1]]), 1e-12)
-    assert info < 0 and np.all(np.isfinite(x))
+    x, info, iterations = solvers._minres(lambda v: A @ v, b, lambda v: -v,
+                                          1e-12)
+    assert info < 0 and iterations == 0 and np.array_equal(x, np.zeros(2))
+    x, info, iterations = solvers._minres(
+        lambda v: A @ v, b, lambda v: np.array([v[0], -v[1]]), 1e-12)
+    assert info < 0 and iterations == 1 and np.all(np.isfinite(x))
 
 
 @pytest.mark.parametrize("failure", ["nan-step", "breakdown"])
@@ -606,10 +603,11 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
 
     solve = solvers._minres
 
-    def broken(matvec, b, psolve, rtol, **kwargs):
+    def broken(matvec, b, psolve, rtol):
+        x, _, iterations = solve(matvec, b, psolve, rtol)
         if failure == "nan-step":
-            return np.full_like(b, np.nan), 0
-        return solve(matvec, b, psolve, rtol, **kwargs)[0], -1
+            return np.full_like(b, np.nan), 0, iterations
+        return x, -1, iterations
 
     monkeypatch.setattr(solvers, "_minres", broken)
     counters = {}
@@ -617,6 +615,24 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     assert not done
     assert out is u
     assert counters["newton_steps"] == 1
+
+
+@pytest.mark.parametrize("root", [0, 1])
+def test_exact_preconditioner_takes_one_krylov_iteration_per_newton_step(root):
+    # on a constant field f'(u) is constant, so the preconditioner is the
+    # exact inverse of the Jacobian and MINRES solves each step at once
+    problem = ProblemSpec(lam=0.07, **BASE)   # near the example midpoint 0.0741
+    params = SpectrumParams(4, 9)
+    nl = get_nonlinearity("cubic_plus_one")
+    c = scalar_roots(problem)[root]
+    u = FourierField.constant(problem, params, 1.2 * c)
+    cfg = SolverConfig()
+    counters = {}
+    polished, done = solvers._newton_polish(u, nl, cfg, counters)
+    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
+    assert abs(mean_value(polished) - c) <= 1e-6 * c   # that root, not the other
+    assert counters["newton_steps"] >= 2
+    assert counters["krylov_iterations"] == counters["newton_steps"]
 
 
 def spy_gradient(monkeypatch, log):
