@@ -4,9 +4,13 @@
 Runs `constants` and `solve` (auto lambda and rho, seed 0) at each rung of
 the ladder N=1 (s=0.4, M 8..128), N=2 (s=0.75, M 8..32) and N=3 (s=0.9,
 M 4..8), each command in a fresh process with BLAS pinned to one thread,
-so no process-global cache carries over between commands.  Stage and
-layer spans come from perfbench/tracer.py, which wraps the stage
-functions (the solver stages, the sigma ascent and the maximization of
+so no process-global cache carries over between commands.  `constants`
+checks its sigma against a golden file made for the ladder's tuples by
+scripts/make_golden.py (24 starts, seed 0) in a temporary directory, so
+it times the certification path rather than a missing-entry failure.
+Stage and layer spans come from perfbench/tracer.py, which wraps the stage
+functions (the solver stages, the sigma ascent with its seeded climbs
+(climb_coarse) and its finish at M (climb_fine), and the maximization of
 lambda_max over rho), the MINRES solve of the Newton polish, the transform
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
@@ -79,7 +83,46 @@ def config_text(N: int, s: float, M: int) -> str:
             f"discretization.M = {M}\ndiscretization.grid_points = {2 * M + 2}\n")
 
 
-def run_one(command: str, config_path: str) -> dict:
+def ladder_golden(path: pathlib.Path) -> None:
+    """Write a golden file for the sigma_q of every ladder rung."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from make_golden import estimates
+    from perifrac.config import parse_config
+
+    entries = []
+    for N, s, M in LADDER:
+        cfg = parse_config(config_text(N, s, M))
+        entries.append((cfg.nonlinearity().q, cfg.problem(lam=1.0), M))
+    path.write_text("".join(f"{key} = {est.value!r}\n"
+                            for key, est in estimates(entries, 24, 0)))
+
+
+def install_climbs(tracer) -> None:
+    """Span constants._climb as climb_coarse at the level of the first
+    climb of each rayleigh_ascent call (its seeded starts) and as
+    climb_fine at any other level (the finish at M)."""
+    from perifrac import constants
+
+    ascent, climb = constants.rayleigh_ascent, constants._climb
+    coarse = tracer.wrap("climb_coarse", climb)
+    fine = tracer.wrap("climb_fine", climb)
+    level = [None]
+
+    def fresh_ascent(*args, **kwargs):
+        level[0] = None
+        return ascent(*args, **kwargs)
+
+    def labelled_climb(problem, r, modes, *rest):
+        if level[0] is None:
+            level[0] = modes
+        return (coarse if modes == level[0] else fine)(problem, r, modes,
+                                                        *rest)
+
+    constants.rayleigh_ascent = fresh_ascent
+    constants._climb = labelled_climb
+
+
+def run_one(command: str, config_path: str, golden_path: str) -> dict:
     """Child process: one command under stage spans; prints one JSON line."""
     import contextlib
     import importlib
@@ -93,13 +136,16 @@ def run_one(command: str, config_path: str) -> dict:
     from tracer import Tracer, install
 
     tracer = Tracer()
+    install_climbs(tracer)
     for module, attr in STAGES + LAYERS:
         install(tracer, importlib.import_module(module), attr, attr)
+    argv = [command, "--config", config_path, "--seed", "0"]
+    if command == "constants":
+        argv += ["--golden", golden_path]
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = perifrac.cli.main([command, "--config", config_path,
-                                  "--seed", "0"])
+        code = perifrac.cli.main(argv)
     wall = time.perf_counter() - t0
     report = json.loads(out.getvalue())
     spans = tracer.summary()
@@ -139,7 +185,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
     ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--one", nargs=2, metavar=("COMMAND", "CONFIG"),
+    ap.add_argument("--one", nargs=3, metavar=("COMMAND", "CONFIG", "GOLDEN"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.one:
@@ -154,6 +200,8 @@ def main() -> int:
     env = dict(os.environ, **ONE_THREAD)
     rungs = {}
     with tempfile.TemporaryDirectory() as tmp:
+        golden = pathlib.Path(tmp) / "golden_sigmas.txt"
+        ladder_golden(golden)
         for N, s, M in LADDER:
             name = rung_name(N, s, M)
             cfg = pathlib.Path(tmp) / f"{name}.cfg"
@@ -164,7 +212,7 @@ def main() -> int:
                 for _ in range(args.repeats):
                     proc = subprocess.run(
                         [sys.executable, __file__, "--label", args.label,
-                         "--one", command, str(cfg)],
+                         "--one", command, str(cfg), str(golden)],
                         env=env, capture_output=True, text=True, check=True)
                     runs.append(json.loads(proc.stdout.splitlines()[-1]))
                 rung[command] = median_run(runs)
@@ -182,7 +230,8 @@ def main() -> int:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "src_lines": src_lines(),
-        "stages": [attr for _, attr in STAGES],
+        "stages": [attr for _, attr in STAGES] + ["climb_coarse",
+                                                   "climb_fine"],
         "layers": [attr for _, attr in LAYERS],
         "rungs": rungs,
     }

@@ -31,6 +31,15 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parents[1] / \
     "src" / "perifrac" / "data" / "golden_sigmas.txt"
 
 
+def estimates(entries, starts: int, seed: int):
+    """(golden key, sigma_r estimate) for each (r, problem, modes) entry,
+    from the ascent with `starts` starts."""
+    for r, problem, modes in entries:
+        params = SpectrumParams(modes, 2 * modes + 2)
+        yield golden_key(r, problem, modes), sigma_estimate(
+            r, problem, params, seed=seed, starts=starts)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--starts", type=int, default=24,
@@ -48,15 +57,13 @@ def main() -> int:
         "#   sigma_2 = m^(-s) / sqrt(kappa_s)",
         "#   sigma_1 = T^(N/2) m^(-s) / sqrt(kappa_s)",
     ]
-    for r, s, m, gamma, T, N, modes in TUPLES:
-        problem = ProblemSpec(s=s, m=m, gamma=gamma, lam=1.0, T=T, N=N)
-        params = SpectrumParams(modes, 2 * modes + 2)
-        est = sigma_estimate(r, problem, params, seed=args.seed,
-                             starts=args.starts)
-        key = golden_key(r, problem, modes)
+    entries = [(r, ProblemSpec(s=s, m=m, gamma=gamma, lam=1.0, T=T, N=N),
+                modes) for r, s, m, gamma, T, N, modes in TUPLES]
+    for key, est in estimates(entries, args.starts, args.seed):
         lines.append(f"{key} = {est.value!r}")
-        print(f"{key} = {est.value!r}   "
-              f"(status={est.status}, iterations={est.iterations})")
+        print(f"{key} = {est.value!r}   (status={est.status}, iterations "
+              f"{est.coarse_iterations} at M={est.coarse_modes} + "
+              f"{est.fine_iterations} at M={est.modes})")
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text("\n".join(lines) + "\n")

@@ -104,22 +104,6 @@ def _is_plain_quartic(nl) -> bool:
     return nl.q == 4.0 and nl.a1 == 1.0 and nl.a2 == 1.0
 
 
-def _best_lambda(problem, nl, sigmas):
-    """best_lambda, with a fault put on the block it comes from: a sigma
-    that is not a finite positive double on the problem's scales, any
-    other on the growth constants."""
-    for r, sigma in zip((1.0, nl.q), sigmas):
-        if not 0.0 < sigma < math.inf:
-            raise ConfigError(
-                f"problem block invalid: sigma_{r:g} = {float(sigma)!r} is not "
-                f"a finite positive double (m = {problem.m!r}, s = "
-                f"{problem.s!r}, T = {problem.T!r}, N = {problem.N!r})")
-    try:
-        return best_lambda(problem, nl, sigmas)
-    except ValueError as exc:
-        raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
-
-
 def _check_ball_edge(problem, nl, rho):
     """f and F must be finite on the constant field +-a at the edge of the
     ball e(u)^2 < rho, a = sqrt(rho / (kappa (1-g) m^(2s) T^N)); a rho
@@ -141,17 +125,26 @@ def _check_ball_edge(problem, nl, rho):
 def _fill_constants(rep, problem, params, nl, seed):
     """Shared constants section: kappa, sigmas, best rho, the lambda table
     around it, and, for the quartic (q = 4, a1 = a2 = 1), the paper's
-    interval (0, max_rho lambda_max), read off best_lambda.  A best rho
-    that is not a finite double is a config error.  Returns (sigmas,
-    rho_star, lam_star, sigma_q estimate)."""
+    interval (0, max_rho lambda_max), read off best_lambda.  A sigma that
+    is not a finite positive double on the problem's scales is a config
+    error of the problem block, a best rho that is not a finite double one
+    of the nonlinearity block.  Returns (sigmas, rho_star, lam_star,
+    sigma_q estimate)."""
     cons = rep["constants"]
     cons["kappa"] = kappa(problem.s)
-    sig1 = sigma_estimate(1.0, problem, params, seed=seed)
-    sig2 = sigma_estimate(2.0, problem, params, seed=seed)
-    sigq = sigma_estimate(nl.q, problem, params, seed=seed)
+    try:
+        sig1, sig2, sigq = (sigma_estimate(r, problem, params, seed=seed)
+                            for r in (1.0, 2.0, nl.q))
+    except ValueError as exc:
+        raise ConfigError(
+            f"problem block invalid: {exc} (m = {problem.m!r}, s = "
+            f"{problem.s!r}, T = {problem.T!r}, N = {problem.N!r})") from exc
     cons["sigmas"] = [rp.estimate_dict(e) for e in (sig1, sig2, sigq)]
     sigmas = (sig1.value, sigq.value)
-    rho_star, lam_star = _best_lambda(problem, nl, sigmas)
+    try:
+        rho_star, lam_star = best_lambda(problem, nl, sigmas)
+    except ValueError as exc:
+        raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
     cons["best_rho"] = float(rho_star)
     cons["lambda_max_best"] = float(lam_star)
     cons["ball_radius_best"] = ball_radius(rho_star, problem)
@@ -162,8 +155,9 @@ def _fill_constants(rep, problem, params, nl, seed):
     if _is_plain_quartic(nl):
         cons["example_interval"] = {"lower": 0.0, "upper": lam_star,
                                     "best_rho": rho_star}
-    rep["timings"]["sigma_ascent_iterations"] = int(sigq.iterations)
-    rep["timings"]["sigma_ascent_starts"] = int(sigq.starts)
+    for key in ("starts", "iterations", "coarse_modes", "coarse_iterations",
+                "fine_iterations"):
+        rep["timings"][f"sigma_ascent_{key}"] = int(getattr(sigq, key))
     return sigmas, rho_star, lam_star, sigq
 
 

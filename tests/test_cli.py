@@ -55,6 +55,21 @@ def test_constants_certifies_default_config(capsys):
     assert "wall" in cap.err
 
 
+def test_ascent_work_is_reported_per_level(capsys, tmp_path):
+    # the default M = 8 climbs its starts at M = 4 and finishes at 8; at
+    # M = 3, below the nesting threshold, every iteration is at M itself
+    for modes, coarse in ((8, 4), (3, 3)):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"discretization.M = {modes}\n")
+        _, rep, _ = run_cli(capsys, "constants", "--config", str(cfg))
+        t = rep["timings"]
+        assert t["sigma_ascent_coarse_modes"] == coarse
+        assert (t["sigma_ascent_coarse_iterations"]
+                + t["sigma_ascent_fine_iterations"]
+                == t["sigma_ascent_iterations"])
+        assert (t["sigma_ascent_fine_iterations"] > 0) == (coarse < modes)
+
+
 def test_constants_fails_certification_on_wrong_golden(capsys, tmp_path):
     problem = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1,
                           T=2.0 * math.pi, N=2)

@@ -4,12 +4,15 @@ algebra (lambda_max / chi_upper / ball_radius / best_lambda) against
 independently coded dense searches and the paper's quartic profile h."""
 
 import math
+import pathlib
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from perifrac import constants, spectral
+from perifrac.cli import GOLDEN_REL_TOL
 from perifrac.constants import (ball_radius, best_lambda, chi_upper,
                                 default_golden_path, golden_key, lambda_max,
                                 lambda_table, load_golden, rayleigh_ascent,
@@ -145,11 +148,11 @@ def test_ascent_transforms_each_field_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
-def full_cube_ascent(problem, r, modes, seed, starts, max_iter=2000,
-                     tol=1e-12):
-    """The ascent on whole FourierFields: full-cube transforms, |u|^r and
-    |u|^{r-1} sgn(u) by float powers, H^s products over the whole cube.
-    Returns (best ratio, total iterations)."""
+def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
+    """One ascent on whole FourierFields of degree `modes` from the
+    coefficients c: full-cube transforms, |u|^r and |u|^{r-1} sgn(u) by
+    float powers, H^s products over the whole cube.  Returns (ratio,
+    coefficients, step length at the end, iterations)."""
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = spectral.multiplier_array(problem, params)
@@ -159,38 +162,57 @@ def full_cube_ascent(problem, r, modes, seed, starts, max_iter=2000,
         u = inverse_transform(FourierField(c, problem, params))
         return u, float(np.sum(np.abs(u) ** r) * cell) ** (1.0 / r)
 
-    best, iters = -np.inf, 0
+    c = c / hs_norm(FourierField(c, problem, params))
+    u, lr = sample(c)
+    prev, iters = -np.inf, 0
+    for _ in range(max_iter):
+        iters += 1
+        w = np.abs(u) ** (r - 1.0) * np.sign(u)
+        grad = (forward_transform(w, problem, params).coeffs
+                * lr ** (1.0 - r) / mu_s)
+        tangent = grad - np.real(np.vdot(c * mu_s, grad)) * c
+        if (np.real(np.vdot(tangent * mu_s, tangent))
+                <= (tol * max(lr, 1.0)) ** 2):
+            break
+        for _ in range(40):
+            trial = FourierField(c + step * tangent, problem, params)
+            c_try = trial.coeffs / hs_norm(trial)
+            u_try, lr_try = sample(c_try)
+            if lr_try > lr * (1.0 + 1e-16):
+                c, u, lr = c_try, u_try, lr_try
+                step *= 1.3
+                break
+            step *= 0.5
+        else:
+            break
+        if abs(lr - prev) <= tol * max(1.0, abs(lr)):
+            break
+        prev = lr
+    return lr / hs_norm(FourierField(c, problem, params)), c, step, iters
+
+
+def full_cube_ascent(problem, r, modes, seed, starts):
+    """The nested ascent on whole FourierFields: every start climbs at
+    modes // 2 (at modes itself below the nesting threshold), and the best
+    one, zero-padded into the centre of the degree-modes cube, climbs on
+    from the step length it ended with.  Returns (best ratio, total
+    iterations)."""
+    coarse = modes // 2 if modes >= constants._NESTED_MIN_MODES else modes
+    n = _ascent_grid(coarse, r)
+    params = SpectrumParams(coarse, n)
+    climbs = []
     for ss in np.random.SeedSequence(seed).spawn(starts):
         u0 = forward_transform(np.random.default_rng(ss).standard_normal(
             (n,) * problem.N), problem, params)
-        c = u0.coeffs / hs_norm(u0)
-        u, lr = sample(c)
-        step, prev = 0.5, -np.inf
-        for _ in range(max_iter):
-            iters += 1
-            w = np.abs(u) ** (r - 1.0) * np.sign(u)
-            grad = (forward_transform(w, problem, params).coeffs
-                    * lr ** (1.0 - r) / mu_s)
-            tangent = grad - np.real(np.vdot(c * mu_s, grad)) * c
-            if (np.real(np.vdot(tangent * mu_s, tangent))
-                    <= (tol * max(lr, 1.0)) ** 2):
-                break
-            for _ in range(40):
-                trial = FourierField(c + step * tangent, problem, params)
-                c_try = trial.coeffs / hs_norm(trial)
-                u_try, lr_try = sample(c_try)
-                if lr_try > lr * (1.0 + 1e-16):
-                    c, u, lr = c_try, u_try, lr_try
-                    step *= 1.3
-                    break
-                step *= 0.5
-            else:
-                break
-            if abs(lr - prev) <= tol * max(1.0, abs(lr)):
-                break
-            prev = lr
-        best = max(best, lr / hs_norm(FourierField(c, problem, params)))
-    return best, iters
+        climbs.append(full_cube_climb(problem, r, coarse, u0.coeffs, 0.5))
+    ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
+    iters = sum(climb[3] for climb in climbs)
+    if coarse < modes:
+        padded = np.zeros((2 * modes + 1,) * problem.N, dtype=complex)
+        padded[(slice(modes - coarse, modes + coarse + 1),) * problem.N] = c
+        ratio, _, _, fine = full_cube_climb(problem, r, modes, padded, step)
+        iters += fine
+    return ratio, iters
 
 
 @pytest.mark.parametrize("N, s, modes", [(1, 0.3, 5), (2, 0.75, 3),
@@ -207,6 +229,78 @@ def test_half_cube_ascent_matches_full_cube_ascent(N, s, modes, r):
     assert field.hermitian_defect() == 0.0
 
 
+def best_climb(problem, r, modes, seed, starts):
+    """Every seeded start of rayleigh_ascent climbed at one level, as a
+    single-level ascent would: (best ratio, its half cube, its final step,
+    total iterations)."""
+    n = _ascent_grid(modes, r)
+    climbs = [constants._climb(
+        problem, r, modes,
+        spectral._hermitian_half(np.random.default_rng(ss).standard_normal(
+            (n,) * problem.N), problem, modes), 0.5, 2000, 1e-12)
+        for ss in np.random.SeedSequence(seed).spawn(starts)]
+    ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
+    return ratio, c, step, sum(climb[3] for climb in climbs)
+
+
+def quotient(coeffs, problem, modes, n, r):
+    """|u|_{L^r} / |u|_{H^s} of the full-cube field by the rectangle rule
+    on the n^N grid."""
+    field = FourierField(coeffs, problem, SpectrumParams(modes, n))
+    u = inverse_transform(field, grid_points=n)
+    lr = (np.sum(np.abs(u) ** r) * (problem.T / n) ** problem.N) ** (1.0 / r)
+    return lr / hs_norm(field)
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 8), (2, 0.75, 8),
+                                         (3, 0.9, 4)])
+@pytest.mark.parametrize("r", [4.0, 6.0])
+def test_padded_coarse_maximizer_keeps_its_quotient(N, s, modes, r):
+    # for even r both levels' grids integrate u^r exactly, so the coarse
+    # maximizer, zero-padded into the fine cube, has the same quotient on
+    # the fine grid as on the coarse one
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    coarse = modes // 2
+    ratio, c, _, _ = best_climb(problem, r, coarse, seed=1, starts=4)
+    full = spectral._full_cube(c)
+    padded = np.zeros((2 * modes + 1,) * N, dtype=complex)
+    padded[(slice(modes - coarse, modes + coarse + 1),) * N] = full
+    on_coarse = quotient(full, problem, coarse, _ascent_grid(coarse, r), r)
+    on_fine = quotient(padded, problem, modes, _ascent_grid(modes, r), r)
+    assert abs(on_coarse - ratio) <= 1e-13 * ratio
+    assert abs(on_fine - on_coarse) <= 1e-13 * on_coarse
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 8), (2, 0.75, 8),
+                                         (2, 0.6, 5), (3, 0.9, 4)])
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0])
+def test_finish_never_ends_below_the_best_coarse_value(N, s, modes, r):
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    for seed in range(3):
+        coarse, _, _, coarse_iters = best_climb(problem, r, modes // 2, seed,
+                                                starts=4)
+        ratio, field, diag = rayleigh_ascent(problem, r, modes, seed=seed,
+                                             starts=4)
+        assert ratio >= coarse
+        assert field.params.modes == modes
+        assert diag["coarse_modes"] == modes // 2
+        assert diag["coarse_iterations"] == coarse_iters
+        assert diag["fine_iterations"] >= 1
+        assert diag["iterations"] == coarse_iters + diag["fine_iterations"]
+
+
+@pytest.mark.parametrize("N, s", [(1, 0.3), (2, 0.75), (3, 0.9)])
+@pytest.mark.parametrize("modes", range(constants._NESTED_MIN_MODES))
+def test_ascent_below_the_nesting_threshold_is_one_level(N, s, modes):
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    want, c, _, iters = best_climb(problem, 4.0, modes, seed=2, starts=3)
+    ratio, field, diag = rayleigh_ascent(problem, 4.0, modes, seed=2, starts=3)
+    assert ratio == want  # bitwise
+    assert np.array_equal(field.coeffs, spectral._full_cube(c))
+    assert diag == {"starts": 3, "iterations": iters, "coarse_modes": modes,
+                    "coarse_iterations": iters, "fine_iterations": 0}
+
+
 def test_sigma_estimate_rejects_supercritical_r():
     # critical exponent is 2N/(N-2s) = 8 here
     with pytest.raises(ValueError):
@@ -217,6 +311,23 @@ def test_sigma_estimate_rejects_supercritical_r():
         sigma_estimate(0.5, PROBLEM, PARAMS)
     with pytest.raises(ValueError):
         rayleigh_ascent(PROBLEM, 0.5, modes=2)
+
+
+@pytest.mark.parametrize("T, shown", [(1e-100, "inf"), (1e100, "0.0")])
+def test_sigma_estimate_refuses_a_sigma_beyond_the_float_range(T, shown):
+    # |u|_{L^4} overflows at T = 1e-100 and underflows at T = 1e100; the
+    # ascent returns what it got, without a warning, and sigma_estimate
+    # refuses it and caches nothing
+    problem = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=T, N=2)
+    before = dict(constants._SIGMA_CACHE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratio, _, _ = rayleigh_ascent(problem, 4.0, modes=8, starts=2)
+        with pytest.raises(ValueError, match=(
+                f"^sigma_4 = {shown} is not a finite positive double$")):
+            sigma_estimate(4.0, problem, SpectrumParams(8, 18), starts=2)
+    assert not 0.0 < ratio < math.inf
+    assert constants._SIGMA_CACHE == before
 
 
 def test_problem_spec_rejects_closed_gap():
@@ -408,3 +519,23 @@ def test_shipped_golden_file_covers_generator_tuples():
     want = (PROBLEM.T ** (-0.5) * PROBLEM.m ** (-PROBLEM.s)
             / math.sqrt(kappa_oracle(PROBLEM.s)))
     assert abs(table[golden_key(4.0, PROBLEM, 0)] - want) < 1e-9 * want
+
+
+BENCH_GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "golden_sigmas.txt"
+
+
+@pytest.mark.parametrize("path, s, N, modes", [
+    (None, 0.75, 2, 8), (None, 0.75, 2, 0), (None, 0.6, 2, 8),
+    (BENCH_GOLDEN, 0.9, 3, 6)],
+    ids=["N2-s0.75-M8", "N2-s0.75-M0", "N2-s0.6-M8", "N3-s0.9-M6"])
+def test_nested_ascent_reproduces_the_golden_values(path, s, N, modes):
+    # the shipped values came from single-level ascents with 24 and 48
+    # starts; the 16-start nested ascent must stay within the certification
+    # tolerance at every seed of the range
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
+    want = load_golden(path)[golden_key(4.0, problem, modes)]
+    for seed in range(10):
+        got = sigma_estimate(4.0, problem, SpectrumParams(modes, 2 * modes + 2),
+                             seed=seed).value
+        assert abs(got - want) <= GOLDEN_REL_TOL * want
