@@ -9,8 +9,9 @@ checks its sigma against a golden file made for the ladder's tuples by
 scripts/make_golden.py (24 starts, seed 0) in a temporary directory, so
 it times the certification path rather than a missing-entry failure.
 Stage and layer spans come from perfbench/tracer.py, which wraps the stage
-functions (the solver stages, the sigma ascent with its seeded climbs
-(climb_coarse) and its finish at M (climb_fine), and the maximization of
+functions (the solver stages, the sigma ascent with its stacked climb of
+all seeded starts (climb_coarse, one call per ascent) and its finish at M
+(climb_fine, a stack of one), and the maximization of
 lambda_max over rho), the MINRES solve of the Newton polish, the transform
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
@@ -99,8 +100,8 @@ def ladder_golden(path: pathlib.Path) -> None:
 
 def install_climbs(tracer) -> None:
     """Span constants._climb as climb_coarse at the level of the first
-    climb of each rayleigh_ascent call (its seeded starts) and as
-    climb_fine at any other level (the finish at M)."""
+    climb of each rayleigh_ascent call (the stack of its seeded starts)
+    and as climb_fine at any other level (the finish at M)."""
     from perifrac import constants
 
     ascent, climb = constants.rayleigh_ascent, constants._climb

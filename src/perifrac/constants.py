@@ -4,7 +4,8 @@ sigma_r is the best constant in  |u|_{L^r} <= sigma_r * sqrt(kappa) |u|_{H^s}
 over real trigonometric polynomials of the working resolution; r = 1 and
 r = 2 have closed forms (the constant field is extremal), general r is
 estimated from below by projected Rayleigh-quotient ascent on the H^s
-sphere from randomized starts, climbed at M/2 and finished at M.
+sphere from randomized starts, which climb together at M/2 as one stack;
+the best of them is finished at M.
 
 From sigma_1 and sigma_q the certificate machinery produces, for each positive
 trial ball parameter rho,
@@ -111,61 +112,121 @@ _NESTED_MIN_MODES = 4
 @np.errstate(over="ignore", invalid="ignore")
 def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
            step: float, max_iter: int, tol: float):
-    """One projected gradient ascent of |u|_{L^r} / |u|_{H^s} over the half
-    cube of degree `modes`, from the half cube c, first rescaled to the
-    H^s unit sphere, with first trial step `step`.  Returns (ratio, half
-    cube of the end point, step length at the end, iterations).  A ratio
-    that overflows or underflows the float range ends the climb, and is
-    returned as it is."""
+    """Projected gradient ascent of |u|_{L^r} / |u|_{H^s} over the half
+    cube of degree `modes`, for a stack of starts: c holds one half cube
+    per start, stacked on the axis before the last (see
+    spectral._half_spectrum).  Each start is first rescaled to the H^s
+    unit sphere and climbs with first trial step `step`.  Returns, per
+    start, (ratios, half cubes of the end points, step lengths at the end,
+    iterations), stacked as the input.
+
+    The starts climb in lockstep.  Each round inverse-transforms the trial
+    points of all starts in a line search in one stacked call, and the
+    starts whose trial was accepted get their next gradient from one
+    stacked forward transform; a start leaves the stack when its climb
+    stops.  Each start keeps the rules of a climb of its own: the trial
+    step grows x1.3 on an accepted trial and halves on a rejected one, and
+    a trial is accepted when it raises the value by more than a factor
+    1 + 1e-16.  A climb stops after 40 halvings without an accepted trial,
+    on a tangent of norm below tol, on a value change below tol, after
+    max_iter iterations, or on a value that is not a positive finite
+    double, which is returned as it is.  A climb that stops on a failed
+    line search returns the step length that search started with, so a
+    finish that inherits it does not start from a collapsed step.
+
+    The stacks of samples, and the largest intermediates of the
+    transforms, live in two buffers allocated once per climb and used in
+    turn: fresh arrays of the stack's sample size in every round made the
+    coarse climb about 1.5x slower through page faults."""
+    N, starts = problem.N, c.shape[-2]
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
-    mu_s = sp._half_multiplier(problem, params)
+    mu_s = sp._half_multiplier(problem, params)[..., None, :]
     dot = sp._half_dot(problem, params)
-    dx_weight = (problem.T / n) ** problem.N
+    dx_weight = (problem.T / n) ** N
+    cells = tuple(range(N - 1)) + (-1,)
     # for even r, a = u*u and |u|^r = a^p; otherwise a = |u|
     even = float(r).is_integer() and int(r) % 2 == 0
     p = int(r) // 2
+    size = starts * n ** (N - 1) * max(n, 2 * modes + 2)
+    samples, spare = np.empty(size), np.empty(size)
 
     def sample(c):
-        u = sp._half_to_samples(c, problem, n)
-        a = u * u if even else np.abs(u)
-        lr = float(np.sum(a ** p if even else a ** r) * dx_weight) ** (1.0 / r)
-        return u, a, lr
+        """|u|_{L^r} of each field of the stack c, and w = |u|^{r-1} sgn(u)
+        written over its samples u, which live in `samples`."""
+        u = sp._half_to_samples(c, problem, n, out=samples, work=spare)
+        if even:
+            a = np.multiply(u, u, out=sp._view(spare, u.shape, float))
+            if p > 1:
+                u *= a if p == 2 else a ** (p - 1)
+            a **= p
+            lr = np.sum(a, axis=cells)
+        else:
+            a = np.abs(u, out=sp._view(spare, u.shape, float))
+            lr = np.sum(a ** r, axis=cells)
+            np.power(a, r - 1.0, out=a)
+            np.sign(u, out=u)
+            u *= a
+        return (lr * dx_weight) ** (1.0 / r), u
 
-    c = c / max(math.sqrt(dot(c, c)), 1e-300)
-    u, a, Lr = sample(c)
-    val_prev = -np.inf
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        if not 0.0 < Lr < math.inf:
-            break
-        w = a ** (p - 1) * u if even else a ** (r - 1.0) * np.sign(u)
-        grad = sp._hermitian_half(w, problem, modes) * Lr ** (1.0 - r) / mu_s
-        tangent = grad - dot(c, grad) * c
-        tnorm2 = dot(tangent, tangent)
-        if tnorm2 <= (tol * max(Lr, 1.0)) ** 2:
-            break
-        accepted = False
-        for _ in range(40):
-            trial = c + step * tangent
-            h = math.sqrt(dot(trial, trial))
-            if h > 0.0:
-                c_try = trial / h
-                u_try, a_try, val_try = sample(c_try)
-                if val_try > Lr * (1.0 + 1e-16):
-                    c, u, a, Lr = c_try, u_try, a_try, val_try
-                    step *= 1.3
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-        if abs(Lr - val_prev) <= tol * max(1.0, abs(Lr)):
-            break
-        val_prev = Lr
-    h = math.sqrt(dot(c, c))
-    return (Lr / h if h > 0 else 0.0), c, step, iterations
+    c = c / np.maximum(np.sqrt(dot(c, c)), 1e-300)[:, None]
+    # the results, per start
+    ratios, ends = np.zeros(starts), np.empty_like(c)
+    end_steps, iterations = np.empty(starts), np.zeros(starts, dtype=int)
+    # the state, one row per start still climbing; `rows` holds its start
+    rows = np.arange(starts)
+    step, search_step = np.full(starts, float(step)), np.empty(starts)
+    halvings, count = np.zeros(starts, dtype=int), np.zeros(starts, dtype=int)
+    prev = np.full(starts, -np.inf)
+    tangent = np.empty_like(c)
+    Lr, w = sample(c)
+    due = np.ones(starts, dtype=bool)   # at a new point, with w of its samples
+    stop = np.zeros(starts, dtype=bool)
+    while True:
+        go = due & (count < max_iter)
+        count += go
+        go &= (0.0 < Lr) & (Lr < math.inf)
+        stop |= due & ~go
+        due = go
+        if due.any():
+            shape = w.shape[:-2] + (np.count_nonzero(due), n)
+            w = np.compress(due, w, axis=-2,
+                            out=sp._view(spare, shape, float))
+            grad = (sp._hermitian_half(w, problem, modes, work=samples)
+                    * (Lr[due] ** (1.0 - r))[:, None] / mu_s)
+            at = c[..., due, :]
+            grad -= dot(at, grad)[:, None] * at
+            tangent[..., due, :] = grad
+            stop[due] = dot(grad, grad) <= (tol * np.maximum(Lr[due], 1.0)) ** 2
+            search_step[due] = step[due]
+            halvings[due] = 0
+        if stop.any():
+            done, end = rows[stop], c[..., stop, :]
+            h = np.sqrt(dot(end, end))
+            ratios[done] = np.divide(Lr[stop], h, out=np.zeros(h.size), where=h > 0)
+            ends[..., done, :] = end
+            end_steps[done], iterations[done] = step[stop], count[stop]
+            keep = ~stop
+            if not keep.any():
+                return ratios, ends, end_steps, iterations
+            rows, Lr, prev, step, search_step, halvings, count, stop = (
+                x[keep] for x in (rows, Lr, prev, step, search_step,
+                                  halvings, count, stop))
+            c, tangent = c[..., keep, :], tangent[..., keep, :]
+        trial = c + step[:, None] * tangent
+        h = np.sqrt(dot(trial, trial))
+        trial /= np.where(h > 0.0, h, np.nan)[:, None]  # 0 -> NaN, rejected
+        val, w = sample(trial)
+        won = val > Lr * (1.0 + 1e-16)
+        c[..., won, :], Lr[won] = trial[..., won, :], val[won]
+        step *= np.where(won, 1.3, 0.5)
+        halvings += ~won
+        stop = halvings == 40
+        step[stop] = search_step[stop]
+        settled = won & (np.abs(Lr - prev) <= tol * np.maximum(1.0, np.abs(Lr)))
+        prev[won] = Lr[won]
+        stop |= settled
+        due = won & ~settled
 
 
 def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
@@ -180,10 +241,12 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     spawned from the master seed; returns (best ratio, best field,
     diagnostics dict).
 
-    Nested iteration: every start climbs on the coarse level M_c = M // 2,
-    and only the best coarse maximizer, zero-padded into the degree-M half
-    cube (leading axes centred, k_N = 0..M_c), climbs on at M, with the
-    step length its coarse climb ended with.  The returned ratio is the
+    Nested iteration: all starts climb together on the coarse level
+    M_c = M // 2, as one stack in one _climb, and only the best coarse
+    maximizer (the first of equal ones), zero-padded into the degree-M
+    half cube (leading axes centred, k_N = 0..M_c), climbs on at M, a
+    stack of one, with the step length its coarse climb ended with.  The
+    returned ratio is the
     quotient of the returned degree-M field, a lower bound for the
     supremum as before.  Below _NESTED_MIN_MODES the starts climb at M
     itself and no finish runs.  The diagnostics count the coarse level
@@ -197,9 +260,10 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     fractional r use a finer grid on which |u|^r, which has a kink at the
     zeros of u, is integrated to spectral accuracy only.
 
-    The state is the k_N >= 0 half of the mode cube as a raw array, moved
-    by spectral's pruned kernels, products with cached DFT matrices that
-    compute only the retained modes, and measured by spectral._half_dot,
+    The state is the k_N >= 0 half of the mode cube as a raw array, one
+    per start in a stack, moved by spectral's pruned kernels, products
+    with cached DFT matrices that compute only the retained modes and
+    transform the whole stack at once, and measured by spectral._half_dot,
     which weights each k_N > 0 entry twice, once for its conjugate
     partner.  Every forward step makes the k_N = 0 plane exactly
     Hermitian, as forward_transform does, and the steps (real even
@@ -214,21 +278,24 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         raise ValueError(f"starts = {starts!r} violates starts >= 1")
     coarse = modes // 2 if modes >= _NESTED_MIN_MODES else modes
     n = _ascent_grid(coarse, r)
-    climbs = [_climb(problem, r, coarse,
-                     sp._hermitian_half(default_rng(ss).standard_normal(
-                         (n,) * problem.N), problem, coarse),
-                     0.5, max_iter, tol)
-              for ss in SeedSequence(seed).spawn(starts)]
-    ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
-    coarse_iterations = sum(climb[3] for climb in climbs)
+    c = sp._hermitian_half(
+        np.stack([default_rng(ss).standard_normal((n,) * problem.N)
+                  for ss in SeedSequence(seed).spawn(starts)], axis=-2),
+        problem, coarse)
+    ratios, c, steps, iterations = _climb(problem, r, coarse, c, 0.5,
+                                          max_iter, tol)
+    best = max(range(starts), key=lambda i: ratios[i])
+    ratio, c = float(ratios[best]), c[..., best, :]
+    coarse_iterations = int(iterations.sum())
     fine_iterations = 0
     if coarse < modes:
-        padded = np.zeros((2 * modes + 1,) * (problem.N - 1) + (modes + 1,),
+        padded = np.zeros((2 * modes + 1,) * (problem.N - 1) + (1, modes + 1),
                           dtype=complex)
         lead = slice(modes - coarse, modes + coarse + 1)
-        padded[(lead,) * (problem.N - 1) + (slice(coarse + 1),)] = c
-        ratio, c, _, fine_iterations = _climb(problem, r, modes, padded,
-                                              step, max_iter, tol)
+        padded[(lead,) * (problem.N - 1) + (0, slice(coarse + 1))] = c
+        ratios, c, _, iterations = _climb(problem, r, modes, padded,
+                                          steps[best], max_iter, tol)
+        ratio, c, fine_iterations = float(ratios[0]), c[..., 0, :], int(iterations[0])
     field = FourierField(sp._full_cube(c), problem,
                          SpectrumParams(modes, _ascent_grid(modes, r)))
     diag = {"starts": starts,

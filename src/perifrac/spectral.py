@@ -39,16 +39,27 @@ table of n-th roots of unity, cached and read-only.  The kernels agree
 with numpy's rfftn / irfftn to roundoff, and the same input gives the
 same bits.
 
-Two hot loops work on such a raw half cube instead of a FourierField: the
-sigma ascent (constants.rayleigh_ascent), which keeps its state there, and
-the matvecs of the Newton polish's linear solve (solvers._jacobian_operators),
-which take samples to the half, multiply and go back.  Both use only the
-helpers here: _hermitian_half (samples to half), _half_to_samples (half to
-samples), _half_multiplier and _half_dot (mu^s and the H^s product on the
-half) and _full_cube (half to FourierField coefficients).  A half cube
-stands for the field _full_cube(half); its samples are that field's only
-while the k_N = 0 plane is exactly Hermitian, which _hermitian_half makes
-it and the operations above keep it.
+The kernels also take a stack of fields: axes between a field's leading
+axes and its last one index the stack, so a (2M+1)^(N-1) x S x (M+1)
+array holds S half cubes and an n^(N-1) x S x n array their samples.
+There the stack only widens each matrix product; no axis is moved and
+nothing is copied, and without a stack axis the kernels run one field's
+products, bit for bit.  Optional flat float
+buffers (`out`, `work`) take the kernels' largest arrays, so a caller
+that transforms stacks in a loop can reuse its memory instead of
+allocating fresh arrays of the stack's size on every call.
+
+Two hot loops work on such raw half cubes instead of a FourierField: the
+sigma ascent (constants.rayleigh_ascent), which keeps the stack of its
+starts there, and the matvecs of the Newton polish's linear solve
+(solvers._jacobian_operators), which take samples to the half, multiply
+and go back, unstacked.  Both use only the helpers here: _hermitian_half
+(samples to half), _half_to_samples (half to samples), _half_multiplier
+and _half_dot (mu^s and the H^s products of a stack) and _full_cube (half
+to FourierField coefficients).  A half cube stands for the field
+_full_cube(half); its samples are that field's only while the k_N = 0
+plane is exactly Hermitian, which _hermitian_half makes it and the
+operations above keep it.
 """
 
 from __future__ import annotations
@@ -314,24 +325,47 @@ def _leading_axis_dft(M: int, n: int):
     return F, G
 
 
-def _along(matrix: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
-    """matrix @ x along one axis: x reshaped to (prefix, axis, rest)."""
+def _view(buffer: np.ndarray | None, shape: tuple, dtype) -> np.ndarray | None:
+    """The first entries of a flat float buffer as an array of this shape
+    and dtype; None without a buffer, for numpy's `out` to allocate."""
+    if buffer is None:
+        return None
+    size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    return buffer[:size].view(dtype).reshape(shape)
+
+
+def _along(matrix: np.ndarray, x: np.ndarray, axis: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """matrix @ x along one axis: x reshaped to (prefix, axis, rest); the
+    complex product goes to the flat float buffer `out` when one is
+    given."""
     shape = x.shape
-    out = matrix @ x.reshape(math.prod(shape[:axis]), shape[axis], -1)
-    return out.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1:])
+    x = x.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    out = _view(out, (x.shape[0], matrix.shape[0], x.shape[2]), complex)
+    product = np.matmul(matrix, x, out=out)
+    return product.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1:])
 
 
-def _half_spectrum(samples: np.ndarray, M: int) -> np.ndarray:
+def _half_spectrum(samples: np.ndarray, M: int, N: int | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Unscaled rfftn of real n^N samples on the k_N >= 0 half of the mode
     cube, with mode k_i at index k_i + M on the leading axes.
 
-    The last axis is one real product with _last_axis_dft's matrix, each
-    leading axis one product with _leading_axis_dft's forward matrix, so
-    only the kept modes are ever computed.  Equal to rfftn to roundoff."""
-    n, N = samples.shape[-1], samples.ndim
+    The field's leading axes are the first N - 1 axes of `samples` and its
+    last axis is the last one; any axes between them index a stack of
+    fields (N defaults to samples.ndim: no stack).  The last axis is one
+    real product with _last_axis_dft's matrix, each leading axis one
+    product with _leading_axis_dft's forward matrix, so only the kept
+    modes are ever computed, and a stack only widens each product.  The
+    first product goes to the flat float buffer `work` when one is given;
+    for N = 1 the result is then a view of it.  Equal to rfftn to
+    roundoff."""
+    n = samples.shape[-1]
+    N = samples.ndim if N is None else N
     A, _ = _last_axis_dft(M, n)
-    half = (samples.reshape(-1, n) @ A).view(complex)
-    half = half.reshape(samples.shape[:-1] + (M + 1,))
+    rows = samples.reshape(-1, n)
+    half = np.matmul(rows, A, out=_view(work, (len(rows), 2 * M + 2), float))
+    half = half.view(complex).reshape(samples.shape[:-1] + (M + 1,))
     if N > 1:
         F, _ = _leading_axis_dft(M, n)
         for axis in reversed(range(N - 1)):
@@ -339,43 +373,56 @@ def _half_spectrum(samples: np.ndarray, M: int) -> np.ndarray:
     return half
 
 
-def _half_samples(half: np.ndarray, n: int) -> np.ndarray:
+def _half_samples(half: np.ndarray, n: int, N: int | None = None,
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Unscaled irfftn, on the n^N grid, of the half spectrum that holds the
-    half cube `half` (laid out as _half_spectrum returns it) and zeros
-    elsewhere.
+    half cube `half` (laid out as _half_spectrum returns it, stack axes
+    included) and zeros elsewhere.
 
     The weights of the last axis go on first, then each leading axis is one
     product with _leading_axis_dft's inverse matrix and the last axis one
-    real product with the transpose of _last_axis_dft's matrix.  Equal to
-    irfftn to roundoff."""
-    M, N = half.shape[-1] - 1, half.ndim
+    real product with the transpose of _last_axis_dft's matrix.  The last
+    leading-axis product goes to the flat float buffer `work` and the
+    samples to `out`, when these are given.  Equal to irfftn to
+    roundoff."""
+    M = half.shape[-1] - 1
+    N = half.ndim if N is None else N
     A, w = _last_axis_dft(M, n)
     x = half * w
     if N > 1:
         _, G = _leading_axis_dft(M, n)
         for axis in range(N - 1):
-            x = _along(G, x, axis)
-    return (x.reshape(-1, M + 1).view(float) @ A.T).reshape((n,) * N)
+            x = _along(G, x, axis, work if axis == N - 2 else None)
+    rows = x.reshape(-1, M + 1).view(float)
+    u = np.matmul(rows, A.T, out=_view(out, (len(rows), n), float))
+    return u.reshape(x.shape[:-1] + (n,))
 
 
-def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int) -> np.ndarray:
+def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """The k_N >= 0 half of forward_transform's coefficients: scaled, with
     the k_N = 0 plane made exactly Hermitian.  Off that plane the partners
     of the half live in the k_N < 0 half, which _full_cube fills by
     conjugation; in the plane the transform's pairs agree only to
-    roundoff, so they are averaged."""
-    n, N = samples.shape[-1], samples.ndim
-    half = _half_spectrum(samples, M)
+    roundoff, so they are averaged.  Stacks and `work` are as in
+    _half_spectrum, with N = problem.N."""
+    n, N = samples.shape[-1], problem.N
+    half = _half_spectrum(samples, M, N, work)
     half *= problem.T ** (N / 2.0) / n ** N
     plane = half[..., 0]
-    half[..., 0] = 0.5 * (plane + np.conj(np.flip(plane)))
+    mirror = plane[(slice(None, None, -1),) * (N - 1)]
+    half[..., 0] = 0.5 * (plane + np.conj(mirror))
     return half
 
 
-def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int) -> np.ndarray:
+def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int,
+                     out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Real samples on the n^N grid of the field whose k_N >= 0 half is
-    `half`; the inverse of _hermitian_half, with no symmetry check."""
-    u = _half_samples(half, n)
+    `half`; the inverse of _hermitian_half, with no symmetry check.
+    Stacks, `out` and `work` are as in _half_samples, with N = problem.N."""
+    u = _half_samples(half, n, problem.N, out, work)
     u *= n ** problem.N / problem.T ** (problem.N / 2.0)
     return u
 
@@ -386,16 +433,23 @@ def _half_multiplier(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
 
 
 def _half_dot(problem: ProblemSpec, params: SpectrumParams):
-    """The H^s inner product Re sum mu_k^s conj(a_k) b_k of the fields
-    _full_cube(a) and _full_cube(b), as a function of the half cubes a, b.
+    """The H^s inner products Re sum mu_k^s conj(a_k) b_k of the fields
+    _full_cube(a) and _full_cube(b), as a function of the stacks of half
+    cubes a, b (laid out as _half_spectrum's stacks, one stack axis): one
+    product per field.
 
     An entry off the k_N = 0 plane also stands for its conjugate partner,
-    so its weight is doubled; the plane holds both members of its pairs."""
-    M = params.modes
+    so its weight is doubled; the plane holds both members of its pairs.
+    Re conj(a_k) b_k is summed as the product of the real views of a and
+    b, which take each entry's real and imaginary parts in turn."""
+    M, N = params.modes, problem.N
     weight = np.where(np.arange(M + 1) > 0, 2.0, 1.0) * _half_multiplier(problem, params)
+    weight = np.repeat(weight, 2, axis=-1)[..., None, :]
+    field = "ij"[:N - 1]    # the leading axes; s the stack, k the last axis
+    rule = f"{field}sk,{field}sk,{field}sk->s"
 
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.real(np.vdot(a * weight, b)))
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.einsum(rule, a.view(float), weight, b.view(float))
 
     return dot
 
@@ -465,9 +519,19 @@ def l2_norm(field: FourierField) -> float:
 
 
 def dual_norm(field: FourierField) -> float:
-    """Norm of Sum g_k e_k as a functional against the Hs norm."""
+    """Norm of Sum g_k e_k as a functional against the Hs norm.  Where
+    |g_k|^2 overflows although the norm is a double (a huge m), the sum
+    is taken again over |g_k| / sqrt(mu_k^s) scaled by its largest entry."""
     mu_s = multiplier_array(field.problem, field.params)
-    return math.sqrt(float(np.sum(np.abs(field.coeffs) ** 2 / mu_s)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(field.coeffs) ** 2 / mu_s))
+    if total < math.inf:
+        return math.sqrt(total)
+    g = np.abs(field.coeffs) / np.sqrt(mu_s)
+    scale = float(g.max())
+    if not scale < math.inf:
+        return scale
+    return scale * math.sqrt(float(np.sum((g / scale) ** 2)))
 
 
 def pairing(g: FourierField, u: FourierField) -> float:

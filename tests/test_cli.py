@@ -81,6 +81,18 @@ def test_constants_fails_certification_on_wrong_golden(capsys, tmp_path):
     assert rep["diagnostics"]["golden_check"]["rel_gap"] > 0.5
 
 
+def test_constants_certifies_where_a_coarse_line_search_failed(capsys, tmp_path):
+    # at seed 29 the best coarse start ends on a failed line search; its
+    # collapsed step once stalled the finish 3.8% below the golden value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem.s = 0.6\n")
+    code, rep, _ = run_cli(capsys, "constants", "--config", str(cfg),
+                           "--seed", "29")
+    assert code == 0
+    assert rep["status"] == "certified"
+    assert rep["diagnostics"]["golden_check"]["rel_gap"] < 1e-10
+
+
 def test_constants_requires_golden_entry_for_new_regime(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem.s = 0.65\n")

@@ -133,13 +133,17 @@ def test_ascent_ratio_is_exact_on_its_grid(N, s, modes, r):
 
 def test_ascent_transforms_each_field_once(monkeypatch):
     # the samples of an accepted trial point are reused by the next
-    # iteration and by the final ratio, never recomputed
+    # iteration and by the final ratio, never recomputed; a stacked call
+    # transforms one field per row of its stack axis, the axis before the
+    # last
     seen = []
     real = spectral._half_samples
 
-    def spy(half, n):
-        seen.append(half.tobytes())
-        return real(half, n)
+    def spy(half, n, N=None, *rest):
+        fields = ([half] if N is None or half.ndim == N
+                  else [half[..., i, :] for i in range(half.shape[-2])])
+        seen.extend(field.tobytes() for field in fields)
+        return real(half, n, N, *rest)
 
     monkeypatch.setattr(spectral, "_half_samples", spy)
     _, _, diag = rayleigh_ascent(PROBLEM, 4.0, modes=3, seed=2, starts=2)
@@ -152,7 +156,8 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
     """One ascent on whole FourierFields of degree `modes` from the
     coefficients c: full-cube transforms, |u|^r and |u|^{r-1} sgn(u) by
     float powers, H^s products over the whole cube.  Returns (ratio,
-    coefficients, step length at the end, iterations)."""
+    coefficients, step length at the end, iterations); a climb that ends
+    on a failed line search returns the step that search started with."""
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = spectral.multiplier_array(problem, params)
@@ -174,6 +179,7 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
         if (np.real(np.vdot(tangent * mu_s, tangent))
                 <= (tol * max(lr, 1.0)) ** 2):
             break
+        search_step = step
         for _ in range(40):
             trial = FourierField(c + step * tangent, problem, params)
             c_try = trial.coeffs / hs_norm(trial)
@@ -184,6 +190,8 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
                 break
             step *= 0.5
         else:
+            # a failed line search hands on the step it started with
+            step = search_step
             break
         if abs(lr - prev) <= tol * max(1.0, abs(lr)):
             break
@@ -229,18 +237,25 @@ def test_half_cube_ascent_matches_full_cube_ascent(N, s, modes, r):
     assert field.hermitian_defect() == 0.0
 
 
+def seeded_starts(problem, r, modes, seed, starts):
+    """The stack of half cubes that rayleigh_ascent's seeded starts climb
+    from at level `modes`, one per row of the axis before the last."""
+    n = _ascent_grid(modes, r)
+    noise = np.stack([np.random.default_rng(ss).standard_normal((n,) * problem.N)
+                      for ss in np.random.SeedSequence(seed).spawn(starts)],
+                     axis=-2)
+    return spectral._hermitian_half(noise, problem, modes)
+
+
 def best_climb(problem, r, modes, seed, starts):
     """Every seeded start of rayleigh_ascent climbed at one level, as a
     single-level ascent would: (best ratio, its half cube, its final step,
     total iterations)."""
-    n = _ascent_grid(modes, r)
-    climbs = [constants._climb(
-        problem, r, modes,
-        spectral._hermitian_half(np.random.default_rng(ss).standard_normal(
-            (n,) * problem.N), problem, modes), 0.5, 2000, 1e-12)
-        for ss in np.random.SeedSequence(seed).spawn(starts)]
-    ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
-    return ratio, c, step, sum(climb[3] for climb in climbs)
+    ratios, c, steps, iters = constants._climb(
+        problem, r, modes, seeded_starts(problem, r, modes, seed, starts),
+        0.5, 2000, 1e-12)
+    best = max(range(starts), key=lambda i: ratios[i])
+    return ratios[best], c[..., best, :], steps[best], int(iters.sum())
 
 
 def quotient(coeffs, problem, modes, n, r):
@@ -299,6 +314,51 @@ def test_ascent_below_the_nesting_threshold_is_one_level(N, s, modes):
     assert np.array_equal(field.coeffs, spectral._full_cube(c))
     assert diag == {"starts": 3, "iterations": iters, "coarse_modes": modes,
                     "coarse_iterations": iters, "fine_iterations": 0}
+
+
+STACK_CASES = [(1, 0.3, 5), (2, 0.75, 3), (3, 0.9, 2)]
+
+
+@pytest.mark.parametrize("N, s, modes", STACK_CASES)
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 6.0])
+def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
+    # the stacked climb changes only the roundoff of a start's own path:
+    # the same iterations, whichever other starts share its rounds
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    stack = seeded_starts(problem, r, modes, seed=6, starts=16)
+    ratios, _, _, iters = constants._climb(problem, r, modes, stack, 0.5,
+                                           2000, 1e-12)
+    for i in (0, 7, 15):
+        alone = constants._climb(problem, r, modes, stack[..., i:i + 1, :],
+                                 0.5, 2000, 1e-12)
+        assert alone[3][0] == iters[i]
+        assert abs(alone[0][0] - ratios[i]) <= 1e-13 * ratios[i]
+
+
+@pytest.mark.parametrize("N, s, modes", STACK_CASES)
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 6.0])
+def test_each_stacked_start_matches_a_full_cube_climb(N, s, modes, r):
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    stack = seeded_starts(problem, r, modes, seed=8, starts=4)
+    ratios, _, _, iters = constants._climb(problem, r, modes, stack, 0.5,
+                                           2000, 1e-12)
+    for i in range(4):
+        want, _, _, want_iters = full_cube_climb(
+            problem, r, modes, spectral._full_cube(stack[..., i, :]), 0.5)
+        assert iters[i] == want_iters
+        assert abs(ratios[i] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("N, s, modes, seed", [(2, 0.6, 8, 29), (3, 0.9, 5, 17)])
+def test_finish_is_not_stalled_by_a_failed_coarse_line_search(N, s, modes, seed):
+    # at these seeds the best coarse start ends its climb on 40 rejected
+    # halvings; the finish used to inherit the collapsed step (about
+    # 3e-12) and stop near the coarse value, 3.8% and 7.7% short
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
+    ratio, _, _ = rayleigh_ascent(problem, 4.0, modes, seed=seed)
+    for other in range(10):
+        want, _, _ = rayleigh_ascent(problem, 4.0, modes, seed=other)
+        assert abs(ratio - want) <= 1e-10 * want
 
 
 def test_sigma_estimate_rejects_supercritical_r():

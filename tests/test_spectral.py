@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                SymmetryError, _half_samples, _half_spectrum,
+                               _half_to_samples, _hermitian_half,
                                _last_axis_dft, _leading_axis_dft,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
@@ -336,3 +337,42 @@ def test_norm_inequalities_property(seed):
     assert abs(pairing(g, u)) <= dual_norm(g) * hs_norm(u) + 1e-10
     # L2 is dominated by Hs through the smallest multiplier value
     assert l2_norm(u) <= hs_norm(u) / problem.m ** problem.s + 1e-10
+
+
+@pytest.mark.parametrize("N, M, n", [(1, 4, 9), (2, 3, 8), (3, 2, 7), (3, 3, 13)])
+def test_stacked_kernels_transform_each_field_alone(N, M, n):
+    # a stack on the axis before the last only widens the products: each
+    # field comes out as it does alone, to roundoff, and the flat buffers
+    # change where the results live, not their bits
+    problem = ProblemSpec(s=0.3, m=1.0, gamma=0.0, lam=0.1, T=2.0 * np.pi, N=N)
+    rng = np.random.default_rng(N * 100 + n)
+    fields = [rng.standard_normal((n,) * N) for _ in range(3)]
+    stack = np.stack(fields, axis=-2)
+    half = _hermitian_half(stack, problem, M)
+    back = _half_to_samples(half, problem, n)
+    assert half.shape == (2 * M + 1,) * (N - 1) + (3, M + 1)
+    assert back.shape == stack.shape
+    for i, field in enumerate(fields):
+        alone = _hermitian_half(field, problem, M)
+        scale = np.abs(alone).max()
+        assert np.abs(half[..., i, :] - alone).max() <= 1e-14 * scale
+        samples = _half_to_samples(alone, problem, n)
+        assert (np.abs(back[..., i, :] - samples).max()
+                <= 1e-14 * np.abs(samples).max())
+    size = 3 * n ** (N - 1) * max(n, 2 * M + 2)
+    out, work = np.empty(size), np.empty(size)
+    assert np.array_equal(_hermitian_half(stack, problem, M, work=work), half)
+    assert np.array_equal(_half_to_samples(half, problem, n, out=out, work=work),
+                          back)
+
+
+def test_dual_norm_past_the_range_of_its_squares():
+    # |g_k|^2 overflows near 2^512 while the norm is still a double; the
+    # rescaled sum must agree with the norm of the unscaled field
+    problem = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=2)
+    params = SpectrumParams(modes=3, grid_points=8)
+    g = FourierField(random_symmetric_coeffs(np.random.default_rng(4), 3, 2),
+                     problem, params)
+    big = dual_norm(g * 2.0 ** 700)
+    assert math.isfinite(big)
+    assert big == pytest.approx(2.0 ** 700 * dual_norm(g), rel=1e-14)
