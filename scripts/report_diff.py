@@ -9,7 +9,8 @@ NEW: exit code, status, every integer field (the operation counters under
 non-float field, and the largest relative change of the float fields.
 A key or list tail that one side holds alone is printed once, at its
 top-most path, with the number of leaves under it.  The last line counts
-the reports whose exit code, status or an integer field changed.
+the reports whose exit code, status or an integer field changed, and the
+script exits 1 when that count is not 0.
 Fields that measure a roundoff-sized gap are left out of that maximum and
 printed on their own, since their relative change says nothing: each
 solution's `residual_dual_norm`, which must stay below grad_tol, the
@@ -96,7 +97,7 @@ def compare(old: dict, new: dict) -> tuple[list[str], float, bool]:
     """Lines describing how report `new` differs from `old`, the largest
     relative change of its float fields outside ROUNDOFF_FIELDS, and
     whether its exit code, status or an integer field changed."""
-    if old["raw"] == new["raw"]:
+    if old["raw"] == new["raw"] and old["code"] == new["code"]:
         return ["byte-identical"], 0.0, False
     a, b = json.loads(old["raw"]), json.loads(new["raw"])
     lines = []
@@ -159,7 +160,7 @@ def main() -> int:
           f"float change {worst:.2e}" + (f" ({where})" if where else ""))
     print(f"{moved} of {len(old)} reports changed exit code, status or an "
           f"integer field")
-    return 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

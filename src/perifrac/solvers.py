@@ -17,17 +17,17 @@ fixed endpoints (mountain_pass) for the saddle.  A fallback step that
 stalls brings the next attempt forward to the following iteration before
 the stage gives up.
 
-The polish works on the sample-space residual map of the minimal grid
-n = 2M+1.  Its Jacobian, the Fourier multiplier mu_k^s - gamma minus lam
-f'(u) diagonal in samples, is symmetric and is never formed:
-preconditioned MINRES applies it through spectral's half-cube helpers,
-the route of the sigma ascent, with the spectral multiplier as an SPD
-preconditioner.  Newton is inexact: each step's MINRES stops at an
-Eisenstat-Walker forcing term, loose far from the root and tightening as
-the residual falls.  A step is accepted only if it decreases the true
-residual and lands inside the caller's guard region.  Each point's
-weak residual is evaluated once: an accepted trial's is the next step's
-right-hand side.
+The polish solves for the Newton step in mode space, where the principal
+part mu_k^s - gamma is diagonal.  Its Jacobian, that multiplier minus lam
+f'(u) on the samples of the minimal grid n = 2M+1, is symmetric and is
+never formed: preconditioned MINRES applies it through spectral's
+half-cube helpers, with the shifted multiplier's inverse, a plain
+division, as SPD preconditioner.  Newton is inexact: each step's MINRES
+stops at an Eisenstat-Walker forcing term, loose far from the root and
+tightening as the residual falls.  A step is accepted only if it
+decreases the true residual and lands inside the caller's guard region.
+Each point's weak residual is evaluated once: an accepted trial's is the
+next step's right-hand side.
 """
 
 from __future__ import annotations
@@ -244,38 +244,36 @@ def _minres(matvec, b, psolve, rtol):
 
 def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
                         d: np.ndarray):
-    """Matrix-free (J, P) on the minimal grid n = 2M+1, where the field
-    core's transform pair is a bijection, as functions of flattened
-    samples.  J = L - lam diag(d), L multiplying mode k by the real, even
-    symbol mu_k^s - gamma, so J is symmetric.  P applies the SPD spectral
-    multiplier (mu_k^s - gamma + lam max(mean d, 0))^-1; the clamp keeps it
-    SPD when a finite-difference d dips negative.
-
-    Both multiply the k_N >= 0 half cube, through spectral's half-cube
-    helpers on the pruned DFT kernels, as the sigma ascent does.  That is
-    the arithmetic of forward_transform, multiply and inverse_transform,
-    so the samples are bit-identical to that route's, but no full cube is
-    built and no symmetry check runs per call."""
+    """Matrix-free (J, P) on flat real views of the mode cube, with d =
+    f'(u) on the minimal grid n = 2M+1 (a scalar is broadcast to it).
+    J c = (mu_k^s - gamma) c - lam F(d S c), S and F the arithmetic of
+    inverse_transform and forward_transform on that grid, bit for bit but
+    with no symmetry check.  There the pair is unitary up to scale, so J
+    maps Hermitian cubes to Hermitian cubes and is symmetric on them in
+    Re sum conj(a_k) b_k.  P divides mode k by mu_k^s - gamma + lam
+    max(mean d, 0), with no transform; the clamp keeps it SPD when a
+    finite-difference d dips negative."""
     M, N = params.modes, problem.N
     n = 2 * M + 1
-    symbol = sp._half_multiplier(problem, params) - problem.gamma
-    inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
-
-    def multiply(x, sym):
-        half = sp._hermitian_half(x.reshape((n,) * N), problem, M)
-        return sp._half_to_samples(sym * half, problem, n).reshape(-1)
+    d = np.broadcast_to(d, (n,) * N)
+    symbol = sp.multiplier_array(problem, params) - problem.gamma
+    inv_prec = np.repeat(  # one entry per real and imaginary part
+        1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0)), 2)
 
     def jac(x):
-        return multiply(x, symbol) - problem.lam * d * x
+        c = x.view(complex).reshape(symbol.shape)
+        v = d * sp._half_to_samples(c[..., M:], problem, n)
+        image = sp._full_cube(sp._hermitian_half(v, problem, M))
+        return (symbol * c - problem.lam * image).reshape(-1).view(float)
 
     def prec(x):
-        return multiply(x, inv_prec)
+        return inv_prec * x
 
     return jac, prec
 
 
 def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
-    """Damped inexact Newton on the sample-space weak residual.  Returns
+    """Damped inexact Newton on the weak residual in mode space.  Returns
     (u_out, converged): the polished field if every step decreased the
     true residual and the final point meets grad_tol plus the guard,
     else the input unchanged.  max_move is a trust radius (Hs distance
@@ -289,7 +287,7 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     MINRES breakdown or a non-finite step ends the attempt the way a
     failed line search does.  The weak residual R of each point is
     evaluated once: an accepted trial's R is the next step's right-hand
-    side."""
+    side; besides the residuals, a step transforms only to sample f'(u)."""
     problem, params = u.problem, u.params
     n = 2 * params.modes + 1
     x_min = sp.grid_coordinates(problem, n)
@@ -308,17 +306,18 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             h = 1e-6 * (1.0 + np.abs(v))
             d = (np.asarray(nl.f(x_min, v + h), dtype=float)
                  - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
-        jac, prec = _jacobian_operators(problem, params, d.reshape(-1))
-        rhs = -sp.inverse_transform(R, n).reshape(-1)
+        jac, prec = _jacobian_operators(problem, params, d)
+        rhs = (-R.coeffs).reshape(-1).view(float)
         rtol = max(eta, _FORCING_FLOOR * cfg.grad_tol / res_cur)
         delta, info, iterations = _minres(jac, rhs, prec, rtol)
         _bump(counters, "krylov_iterations", iterations)
         if info < 0 or not np.all(np.isfinite(delta)):
             break
-        delta = delta.reshape(v.shape)
+        delta = FourierField(delta.view(complex).reshape(R.coeffs.shape),
+                             problem, params)
         tau, accepted = 1.0, False
         for _ in range(_MAX_HALVINGS):
-            u_try = sp.forward_transform(v + tau * delta, problem, params)
+            u_try = cur + delta * tau
             if max_move is not None and sp.hs_distance(u_try, u) > max_move:
                 tau *= _BACKTRACK
                 continue

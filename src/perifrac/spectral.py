@@ -51,15 +51,15 @@ allocating fresh arrays of the stack's size on every call.
 
 Two hot loops work on such raw half cubes instead of a FourierField: the
 sigma ascent (constants.rayleigh_ascent), which keeps the stack of its
-starts there, and the matvecs of the Newton polish's linear solve
-(solvers._jacobian_operators), which take samples to the half, multiply
-and go back, unstacked.  Both use only the helpers here: _hermitian_half
-(samples to half), _half_to_samples (half to samples), _half_multiplier
-and _half_dot (mu^s and the H^s products of a stack) and _full_cube (half
-to FourierField coefficients).  A half cube stands for the field
-_full_cube(half); its samples are that field's only while the k_N = 0
-plane is exactly Hermitian, which _hermitian_half makes it and the
-operations above keep it.
+starts there, and the Jacobian matvec of the Newton polish
+(solvers._jacobian_operators), which samples a mode cube's half,
+multiplies by f'(u) and transforms back, unstacked.  Both use only the
+helpers here: _hermitian_half (samples to half), _half_to_samples (half
+to samples), _half_multiplier and _half_dot (mu^s and the H^s products
+of a stack) and _full_cube (half to FourierField coefficients).  A half
+cube stands for the field _full_cube(half); its samples are that
+field's only while the k_N = 0 plane is exactly Hermitian, which
+_hermitian_half makes it and the operations above keep it.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from perifrac.variational import (energy, get_nonlinearity, gradient,
                                   make_nonlinearity, residual_dual_norm,
                                   riesz_representative)
 
+from conftest import random_symmetric_coeffs
+
 BASE = dict(s=0.75, m=1.0, gamma=0.5, T=2.0 * math.pi, N=2)
 
 
@@ -496,9 +498,9 @@ def test_polish_backs_off_after_rejections(monkeypatch):
 
 
 def dense_jacobian(problem, params, d):
-    """L - lam diag(d) assembled column by column: transform each sample
-    basis vector of the minimal grid to coefficients, multiply mode k by
-    mu_k^s - gamma, transform back."""
+    """L - lam diag(d) in the sample basis of the minimal grid, assembled
+    column by column: transform each sample basis vector to coefficients,
+    multiply mode k by mu_k^s - gamma, transform back."""
     n, N = params.grid_points, problem.N
     D = n ** N
     sym = multiplier_array(problem, params) - problem.gamma
@@ -511,7 +513,24 @@ def dense_jacobian(problem, params, d):
         L[:, j] = inverse_transform(FourierField(sym * c, problem,
                                                  params)).reshape(-1)
         basis[idx] = 0.0
-    return L - problem.lam * np.diag(d)
+    return L - problem.lam * np.diag(d.reshape(-1))
+
+
+def flat(c):
+    """The flat real view of a mode cube, the operators' vector space."""
+    return np.ascontiguousarray(c).reshape(-1).view(float)
+
+
+def in_samples(problem, params, x):
+    """Flattened minimal-grid samples of the cube whose flat view is x."""
+    c = x.view(complex).reshape((params.grid_points,) * problem.N)
+    return inverse_transform(FourierField(c, problem, params)).reshape(-1)
+
+
+def in_modes(problem, params, samples):
+    """Flat view of the coefficients of flattened minimal-grid samples."""
+    grid = samples.reshape((params.grid_points,) * problem.N)
+    return flat(forward_transform(grid, problem, params).coeffs)
 
 
 @pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
@@ -522,26 +541,37 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
                           T=2.0 * math.pi, N=N)
     params = SpectrumParams(modes, 2 * modes + 1)
-    D = params.grid_points ** N
+    n = params.grid_points
+    D = n ** N
     rng = np.random.default_rng(N)
-    d = 3.0 * rng.standard_normal(D) ** 2 * shift
+    d = 3.0 * rng.standard_normal((n,) * N) ** 2 * shift
     J_ref = dense_jacobian(problem, params, d)
     jac, prec = solvers._jacobian_operators(problem, params, d)
-    J = np.column_stack([jac(e) for e in np.eye(D)])
-    scale = np.abs(J_ref).max()
-    assert np.abs(J - J_ref).max() <= 1e-12 * scale
-    assert np.abs(J - J.T).max() <= 1e-12 * scale
-    P = np.column_stack([prec(e) for e in np.eye(D)])
-    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
-    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
-    b = rng.standard_normal(D)
-    want = np.linalg.solve(J_ref, b)
+    xs = [flat(random_symmetric_coeffs(rng, modes, N)) for _ in range(D)]
+    X = np.column_stack(xs)
+    J = np.column_stack([jac(x) for x in xs])
+    want = np.column_stack([
+        in_modes(problem, params, J_ref @ in_samples(problem, params, x))
+        for x in xs])
+    scale = np.abs(want).max()
+    assert np.abs(J - want).max() <= 1e-12 * scale
+    # symmetric in Re sum conj(a_k) b_k: <a, J b> = <J a, b>
+    gram = X.T @ J
+    assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
+    # P is diagonal and positive, on every real and imaginary part
+    diagonal = prec(np.ones(2 * D))
+    assert diagonal.min() > 0.0
+    assert all(np.array_equal(prec(x), diagonal * x) for x in xs)
+    b = xs[0]
+    want = in_modes(problem, params,
+                    np.linalg.solve(J_ref, in_samples(problem, params, b)))
     got, info, iterations = solvers._minres(jac, b, prec, 1e-12)
-    assert info == 0 and 1 <= iterations <= 5 * D
+    assert info == 0 and 1 <= iterations <= 5 * b.size
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     # scipy's minres at the same rtol, as an independent oracle
-    theirs, _ = minres(LinearOperator((D, D), matvec=jac, dtype=float), b,
-                       M=LinearOperator((D, D), matvec=prec, dtype=float),
+    theirs, _ = minres(LinearOperator((2 * D, 2 * D), matvec=jac, dtype=float),
+                       b, M=LinearOperator((2 * D, 2 * D), matvec=prec,
+                                           dtype=float),
                        rtol=1e-12)
     assert np.linalg.norm(got - theirs) <= 1e-10 * np.linalg.norm(theirs)
 
@@ -549,27 +579,65 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
 @pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
                                          (3, 0.9, 2)])
 def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
-    # the matvecs skip the full cube and the symmetry check, not a bit
+    # the matvecs skip the symmetry check of the public pair, not a bit
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
                           T=2.0 * math.pi, N=N)
     params = SpectrumParams(modes, 2 * modes + 1)
     n = params.grid_points
     rng = np.random.default_rng(N)
-    d = 3.0 * rng.standard_normal(n ** N) ** 2
+    d = 3.0 * rng.standard_normal((n,) * N) ** 2
     symbol = multiplier_array(problem, params) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
-    def multiply(x, sym):
-        c = forward_transform(x.reshape((n,) * N), problem, params).coeffs
-        return inverse_transform(FourierField(sym * c, problem, params),
-                                 n).reshape(-1)
-
     jac, prec = solvers._jacobian_operators(problem, params, d)
     for _ in range(3):
-        x = rng.standard_normal(n ** N)
-        assert np.array_equal(jac(x),
-                              multiply(x, symbol) - problem.lam * d * x)
-        assert np.array_equal(prec(x), multiply(x, inv_prec))
+        c = random_symmetric_coeffs(rng, modes, N)
+        samples = inverse_transform(FourierField(c, problem, params), n)
+        image = forward_transform(d * samples, problem, params).coeffs
+        assert np.array_equal(jac(flat(c)),
+                              flat(symbol * c - problem.lam * image))
+        assert np.array_equal(prec(flat(c)), flat(inv_prec * c))
+
+
+def test_polish_steps_keep_the_hermitian_symmetry_exact(monkeypatch):
+    # every trial point is cur + tau delta in mode space, and MINRES keeps
+    # delta's conjugate pairs exact, so no trial loses a bit of symmetry
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(3, 8)
+    nl = get_nonlinearity("cubic_plus_one")
+    c_low, _ = scalar_roots(problem)
+    u = (FourierField.constant(problem, params, 1.5 * c_low)
+         + FourierField.from_modes(problem, params, {(1, 0): 0.1 - 0.05j}))
+    defects = []
+    real = vr.weak_residual
+
+    def weak_residual(w, nl):
+        defects.append(w.hermitian_defect())
+        return real(w, nl)
+
+    monkeypatch.setattr(vr, "weak_residual", weak_residual)
+    counters = {}
+    polished, done = solvers._newton_polish(u, nl, SolverConfig(rho=1.0),
+                                            counters)
+    assert done and counters["newton_steps"] >= 2
+    assert len(defects) > counters["newton_steps"]
+    assert defects == [0.0] * len(defects)
+    assert polished.hermitian_defect() == 0.0
+
+
+def test_polish_broadcasts_a_scalar_fprime():
+    # a user f' may return one number for the whole grid
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(3, 8)
+    nl = replace(get_nonlinearity("cubic_plus_one"), fprime=lambda x, t: 0.27)
+    c_low, _ = scalar_roots(problem)
+    u = (FourierField.constant(problem, params, 1.01 * c_low)
+         + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
+    cfg = SolverConfig(rho=1.0)
+    counters = {}
+    polished, done = solvers._newton_polish(u, nl, cfg, counters)
+    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
+    assert counters["newton_steps"] >= 1
 
 
 def test_minres_reports_breakdown_instead_of_raising():
