@@ -16,16 +16,21 @@ lambda_max over rho), the MINRES solve of the Newton polish, the transform
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
 the outside; src/ holds no timing code.  Each child also times its own
-`import perifrac.cli` (import_s).
+`import perifrac.cli` (import_s).  After that fresh-process run it runs the
+command WARM_REPEATS more times in the same process, with the sigma cache
+cleared before each, so every repeat pays for its ascent, and reports under
+`warm` the minimum over those repeats of the wall and of each span: first-call
+costs and host noise move a fresh process's millisecond stages by up to a
+third, the warm minimum far less.
 Writes BENCH_<label>.json:
 
     python scripts/bench.py --label LABEL [--repeats 3]
 
 For each command the file holds the median over the repeats of its wall
 time, of its import time and of each stage's and layer's inclusive time
-and call count, the exit code, the report status and the report's operation
-counters.  Wall clock stays out of the stdout reports, as everywhere in
-perifrac.
+and call count, the same medians of the warm minima, the exit code, the
+report status and the report's operation counters.  Wall clock stays out
+of the stdout reports, as everywhere in perifrac.
 """
 
 from __future__ import annotations
@@ -70,6 +75,8 @@ LADDER = ([(1, 0.4, M) for M in (8, 16, 32, 64, 128)]
           + [(3, 0.9, M) for M in (4, 6, 8)])
 
 COMMANDS = ("constants", "solve")
+
+WARM_REPEATS = 5
 
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                    "MKL_NUM_THREADS")}
@@ -143,19 +150,41 @@ def run_one(command: str, config_path: str, golden_path: str) -> dict:
     argv = [command, "--config", config_path, "--seed", "0"]
     if command == "constants":
         argv += ["--golden", golden_path]
-    out, err = io.StringIO(), io.StringIO()
-    t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = perifrac.cli.main(argv)
-    wall = time.perf_counter() - t0
-    report = json.loads(out.getvalue())
-    spans = tracer.summary()
     layers = {attr for _, attr in LAYERS}
-    return {"exit_code": code, "status": report.get("status"), "wall_s": wall,
-            "import_s": import_s,
+
+    def timed() -> tuple[int, str, dict]:
+        """One call of main: (exit code, stdout, wall and spans of the call)."""
+        tracer.spans.clear()
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = perifrac.cli.main(argv)
+        wall = time.perf_counter() - t0
+        spans = tracer.summary()
+        return code, out.getvalue(), {
+            "wall_s": wall,
             "stages": {k: v for k, v in spans.items() if k not in layers},
-            "layers": {k: v for k, v in spans.items() if k in layers},
+            "layers": {k: v for k, v in spans.items() if k in layers}}
+
+    code, out, fresh = timed()
+    warm = []
+    for _ in range(WARM_REPEATS):
+        perifrac.constants._SIGMA_CACHE.clear()
+        warm.append(timed()[2])
+    report = json.loads(out)
+    return {"exit_code": code, "status": report.get("status"),
+            "import_s": import_s, **fresh,
+            "warm": {"wall_s": min(w["wall_s"] for w in warm),
+                     "stages": min_spans(warm, "stages"),
+                     "layers": min_spans(warm, "layers")},
             "timings": report.get("timings", {})}
+
+
+def min_spans(runs: list[dict], key: str) -> dict:
+    """Per span name: the calls of the first run, the least inclusive time."""
+    return {name: {"calls": row["calls"],
+                   "s": min(r[key][name]["s"] for r in runs)}
+            for name, row in runs[0][key].items()}
 
 
 def median_spans(runs: list[dict], key: str) -> dict:
@@ -174,6 +203,10 @@ def median_run(runs: list[dict]) -> dict:
             "import_s": statistics.median(r["import_s"] for r in runs),
             "stages": median_spans(runs, "stages"),
             "layers": median_spans(runs, "layers"),
+            "warm": {"wall_s": statistics.median(r["warm"]["wall_s"]
+                                                 for r in runs),
+                     "stages": median_spans([r["warm"] for r in runs], "stages"),
+                     "layers": median_spans([r["warm"] for r in runs], "layers")},
             "timings": first["timings"]}
 
 
@@ -218,12 +251,14 @@ def main() -> int:
                     runs.append(json.loads(proc.stdout.splitlines()[-1]))
                 rung[command] = median_run(runs)
                 print(f"{name:14s} {command:9s} {rung[command]['status']:24s} "
-                      f"{rung[command]['wall_s']:8.3f} s  import "
+                      f"{rung[command]['wall_s']:8.3f} s  warm "
+                      f"{rung[command]['warm']['wall_s']:8.3f} s  import "
                       f"{rung[command]['import_s']:6.3f} s", file=sys.stderr)
             rungs[name] = rung
     result = {
         "label": args.label,
         "repeats": args.repeats,
+        "warm_repeats": WARM_REPEATS,
         "blas_threads": 1,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

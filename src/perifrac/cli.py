@@ -13,6 +13,7 @@ certification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -51,6 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache   # parse_args keeps no state, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="perifrac",
                      description="certified two-solution runs for periodic "

@@ -4,8 +4,9 @@ sigma_r is the best constant in  |u|_{L^r} <= sigma_r * sqrt(kappa) |u|_{H^s}
 over real trigonometric polynomials of the working resolution; r = 1 and
 r = 2 have closed forms (the constant field is extremal), general r is
 estimated from below by projected Rayleigh-quotient ascent on the H^s
-sphere from randomized starts, which climb together at M/2 as one stack;
-the best of them is finished at M.
+sphere from randomized starts, which climb together at M/2 as one stack
+to sqrt(tol), since their maximizer only starts the finish; the best of
+them is finished at M to tol.
 
 From sigma_1 and sigma_q the certificate machinery produces, for each positive
 trial ball parameter rho,
@@ -123,16 +124,17 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     The starts climb in lockstep.  Each round inverse-transforms the trial
     points of all starts in a line search in one stacked call, and the
     starts whose trial was accepted get their next gradient from one
-    stacked forward transform; a start leaves the stack when its climb
-    stops.  Each start keeps the rules of a climb of its own: the trial
-    step grows x1.3 on an accepted trial and halves on a rejected one, and
-    a trial is accepted when it raises the value by more than a factor
-    1 + 1e-16.  A climb stops after 40 halvings without an accepted trial,
-    on a tangent of norm below tol, on a value change below tol, after
-    max_iter iterations, or on a value that is not a positive finite
-    double, which is returned as it is.  A climb that stops on a failed
-    line search returns the step length that search started with, so a
-    finish that inherits it does not start from a collapsed step.
+    forward transform of the whole stack, whose other rows are dropped; a
+    start leaves the stack when its climb stops.  Each start keeps the
+    rules of a climb of its own: the trial step grows x1.3 on an accepted
+    trial and halves on a rejected one, and a trial is accepted when it
+    raises the value by more than a factor 1 + 1e-16.  A climb stops
+    after 40 halvings without an accepted trial, on a tangent of norm
+    below tol, on a value change below tol, after max_iter iterations, or
+    on a value that is not a positive finite double, which is returned as
+    it is.  A climb that stops on a failed line search returns the step
+    length that search started with, so a finish that inherits it does
+    not start from a collapsed step.
 
     The stacks of samples, and the largest intermediates of the
     transforms, live in two buffers allocated once per climb and used in
@@ -141,11 +143,12 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     N, starts = problem.N, c.shape[-2]
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
-    mu_s = sp._half_multiplier(problem, params)[..., None, :]
+    inv_mu_s = 1.0 / sp._half_multiplier(problem, params)[..., None, :]
     dot = sp._half_dot(problem, params)
     dx_weight = (problem.T / n) ** N
-    cells = tuple(range(N - 1)) + (-1,)
-    # for even r, a = u*u and |u|^r = a^p; otherwise a = |u|
+    cells = "ij"[:N - 1] + "sk"   # the leading axes, the stack, the last axis
+    # for even r, a = u*u, |u|^r = a b and w = u b with b = a^(p-1);
+    # otherwise a = |u|
     even = float(r).is_integer() and int(r) % 2 == 0
     p = int(r) // 2
     size = starts * n ** (N - 1) * max(n, 2 * modes + 2)
@@ -157,13 +160,12 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
         u = sp._half_to_samples(c, problem, n, out=samples, work=spare)
         if even:
             a = np.multiply(u, u, out=sp._view(spare, u.shape, float))
-            if p > 1:
-                u *= a if p == 2 else a ** (p - 1)
-            a **= p
-            lr = np.sum(a, axis=cells)
+            b = a if p == 2 else a ** (p - 1)
+            u *= b
+            lr = np.einsum(f"{cells},{cells}->s", a, b)
         else:
             a = np.abs(u, out=sp._view(spare, u.shape, float))
-            lr = np.sum(a ** r, axis=cells)
+            lr = np.einsum(f"{cells}->s", a ** r)
             np.power(a, r - 1.0, out=a)
             np.sign(u, out=u)
             u *= a
@@ -189,16 +191,17 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
         stop |= due & ~go
         due = go
         if due.any():
-            shape = w.shape[:-2] + (np.count_nonzero(due), n)
-            w = np.compress(due, w, axis=-2,
-                            out=sp._view(spare, shape, float))
-            grad = (sp._hermitian_half(w, problem, modes, work=samples)
-                    * (Lr[due] ** (1.0 - r))[:, None] / mu_s)
-            at = c[..., due, :]
+            # the whole stack is transformed; the rows not due are dropped
+            grad = sp._hermitian_half(w, problem, modes, work=spare)
+            scale, at = Lr ** (1.0 - r), c
+            if not due.all():
+                grad, scale, at = grad[..., due, :], scale[due], c[..., due, :]
+            grad *= scale[:, None]
+            grad *= inv_mu_s
             grad -= dot(at, grad)[:, None] * at
             tangent[..., due, :] = grad
             stop[due] = dot(grad, grad) <= (tol * np.maximum(Lr[due], 1.0)) ** 2
-            search_step[due] = step[due]
+            np.copyto(search_step, step, where=due)
             halvings[due] = 0
         if stop.any():
             done, end = rows[stop], c[..., stop, :]
@@ -213,18 +216,20 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
                 x[keep] for x in (rows, Lr, prev, step, search_step,
                                   halvings, count, stop))
             c, tangent = c[..., keep, :], tangent[..., keep, :]
-        trial = c + step[:, None] * tangent
+        trial = tangent * step[:, None]
+        trial += c
         h = np.sqrt(dot(trial, trial))
         trial /= np.where(h > 0.0, h, np.nan)[:, None]  # 0 -> NaN, rejected
         val, w = sample(trial)
         won = val > Lr * (1.0 + 1e-16)
-        c[..., won, :], Lr[won] = trial[..., won, :], val[won]
+        np.copyto(c, trial, where=won[:, None])
+        np.copyto(Lr, val, where=won)
         step *= np.where(won, 1.3, 0.5)
         halvings += ~won
         stop = halvings == 40
-        step[stop] = search_step[stop]
+        np.copyto(step, search_step, where=stop)
         settled = won & (np.abs(Lr - prev) <= tol * np.maximum(1.0, np.abs(Lr)))
-        prev[won] = Lr[won]
+        np.copyto(prev, Lr, where=won)
         stop |= settled
         due = won & ~settled
 
@@ -242,12 +247,13 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     diagnostics dict).
 
     Nested iteration: all starts climb together on the coarse level
-    M_c = M // 2, as one stack in one _climb, and only the best coarse
-    maximizer (the first of equal ones), zero-padded into the degree-M
-    half cube (leading axes centred, k_N = 0..M_c), climbs on at M, a
-    stack of one, with the step length its coarse climb ended with.  The
-    returned ratio is the
-    quotient of the returned degree-M field, a lower bound for the
+    M_c = M // 2, as one stack in one _climb that stops at sqrt(tol), both
+    on the tangent norm and on the value change, since the coarse maximizer
+    only starts the finish, and only the best coarse maximizer (the first
+    of equal ones), zero-padded into the degree-M half cube (leading axes
+    centred, k_N = 0..M_c), climbs on at M to tol, a stack of one, with
+    the step length its coarse climb ended with.  The returned ratio is
+    the quotient of the returned degree-M field, a lower bound for the
     supremum as before.  Below _NESTED_MIN_MODES the starts climb at M
     itself and no finish runs.  The diagnostics count the coarse level
     (coarse_modes, coarse_iterations), the finish (fine_iterations) and
@@ -282,8 +288,9 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         np.stack([default_rng(ss).standard_normal((n,) * problem.N)
                   for ss in SeedSequence(seed).spawn(starts)], axis=-2),
         problem, coarse)
-    ratios, c, steps, iterations = _climb(problem, r, coarse, c, 0.5,
-                                          max_iter, tol)
+    ratios, c, steps, iterations = _climb(
+        problem, r, coarse, c, 0.5, max_iter,
+        math.sqrt(tol) if coarse < modes else tol)
     best = max(range(starts), key=lambda i: ratios[i])
     ratio, c = float(ratios[best]), c[..., best, :]
     coarse_iterations = int(iterations.sum())

@@ -11,7 +11,6 @@ counts, never wall-clock, so identical runs emit identical bytes.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 
@@ -93,7 +92,8 @@ def estimate_dict(est) -> dict:
 
 def lambda_row_dict(row) -> dict:
     """A constants.LambdaRange row as a dict: rho, lambda_max, ball_radius."""
-    return dataclasses.asdict(row)
+    return {"rho": row.rho, "lambda_max": row.lambda_max,
+            "ball_radius": row.ball_radius}
 
 
 def to_json(report: dict) -> str:

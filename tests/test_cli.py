@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 import perifrac
+from perifrac import cli, constants
 from perifrac.cli import main
 from perifrac.constants import golden_key
 from perifrac.spectral import ProblemSpec
@@ -353,6 +354,35 @@ def test_config_error_paths(capsys, tmp_path):
 
     code, rep, _ = run_cli(capsys, "solve", "--frobnicate")
     assert code == 4 and rep["status"] == "config-error"
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, tmp_path,
+                                                      monkeypatch):
+    # main builds its parser once per process; a run of commands, usage
+    # errors among them, must print the same bytes and exit with the same
+    # codes as with a parser built anew for every call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SOLVE_CFG)
+    calls = [["solve", "--frobnicate"], ["constants"],
+             ["constants", "--config", str(cfg)], [],
+             ["solve", "--config", str(cfg)], ["constants", "--seed", "x"],
+             ["frobnicate"], ["solve", "--config", str(cfg), "--seed", "3"]]
+
+    def run(fresh):
+        monkeypatch.setattr(constants, "_SIGMA_CACHE", {})
+        cli._build_parser.cache_clear()
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    reused = run(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert run(fresh=True) == reused
+    assert [code for code, _ in reused] == [4, 0, 5, 4, 0, 4, 4, 0]
 
 
 # non-finite numbers (nan, inf, integers beyond the float range) and

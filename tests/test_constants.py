@@ -203,16 +203,19 @@ def full_cube_ascent(problem, r, modes, seed, starts):
     """The nested ascent on whole FourierFields: every start climbs at
     modes // 2 (at modes itself below the nesting threshold), and the best
     one, zero-padded into the centre of the degree-modes cube, climbs on
-    from the step length it ended with.  Returns (best ratio, total
-    iterations)."""
+    from the step length it ended with.  The coarse climbs stop at
+    sqrt(tol) = 1e-6, the finish and a one-level ascent at tol = 1e-12.
+    Returns (best ratio, total iterations)."""
     coarse = modes // 2 if modes >= constants._NESTED_MIN_MODES else modes
+    tol = math.sqrt(1e-12) if coarse < modes else 1e-12
     n = _ascent_grid(coarse, r)
     params = SpectrumParams(coarse, n)
     climbs = []
     for ss in np.random.SeedSequence(seed).spawn(starts):
         u0 = forward_transform(np.random.default_rng(ss).standard_normal(
             (n,) * problem.N), problem, params)
-        climbs.append(full_cube_climb(problem, r, coarse, u0.coeffs, 0.5))
+        climbs.append(full_cube_climb(problem, r, coarse, u0.coeffs, 0.5,
+                                      tol=tol))
     ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
     iters = sum(climb[3] for climb in climbs)
     if coarse < modes:
@@ -247,13 +250,14 @@ def seeded_starts(problem, r, modes, seed, starts):
     return spectral._hermitian_half(noise, problem, modes)
 
 
-def best_climb(problem, r, modes, seed, starts):
+def best_climb(problem, r, modes, seed, starts, tol=1e-12):
     """Every seeded start of rayleigh_ascent climbed at one level, as a
-    single-level ascent would: (best ratio, its half cube, its final step,
-    total iterations)."""
+    single-level ascent would (tol = 1e-12) or as the coarse level of a
+    nested one (tol = sqrt(1e-12)): (best ratio, its half cube, its final
+    step, total iterations)."""
     ratios, c, steps, iters = constants._climb(
         problem, r, modes, seeded_starts(problem, r, modes, seed, starts),
-        0.5, 2000, 1e-12)
+        0.5, 2000, tol)
     best = max(range(starts), key=lambda i: ratios[i])
     return ratios[best], c[..., best, :], steps[best], int(iters.sum())
 
@@ -293,7 +297,7 @@ def test_finish_never_ends_below_the_best_coarse_value(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     for seed in range(3):
         coarse, _, _, coarse_iters = best_climb(problem, r, modes // 2, seed,
-                                                starts=4)
+                                                starts=4, tol=math.sqrt(1e-12))
         ratio, field, diag = rayleigh_ascent(problem, r, modes, seed=seed,
                                              starts=4)
         assert ratio >= coarse
@@ -592,10 +596,12 @@ BENCH_GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
 def test_nested_ascent_reproduces_the_golden_values(path, s, N, modes):
     # the shipped values came from single-level ascents with 24 and 48
     # starts; the 16-start nested ascent must stay within the certification
-    # tolerance at every seed of the range
+    # tolerance at every seed of the range, and land on the same maximum to
+    # 1e-10, whichever start wins and however coarsely the starts climbed
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
     want = load_golden(path)[golden_key(4.0, problem, modes)]
-    for seed in range(10):
+    for seed in range(40):
         got = sigma_estimate(4.0, problem, SpectrumParams(modes, 2 * modes + 2),
                              seed=seed).value
         assert abs(got - want) <= GOLDEN_REL_TOL * want
+        assert abs(got - want) <= 1e-10 * want
