@@ -63,8 +63,8 @@ STAGES = [
 LAYERS = [
     ("perifrac.spectral", "forward_transform"),
     ("perifrac.spectral", "inverse_transform"),
-    ("perifrac.spectral", "_half_spectrum"),
-    ("perifrac.spectral", "_half_samples"),
+    ("perifrac.spectral", "_hermitian_half"),
+    ("perifrac.spectral", "_half_to_samples"),
     ("perifrac.variational", "energy"),
     ("perifrac.variational", "gradient"),
     ("perifrac.variational", "nonlinear_image"),

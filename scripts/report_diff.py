@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Field-by-field difference of the reports of two checkouts.
 
-Runs the command list of scripts/report_hashes.py once in each checkout
-(a fresh process each, BLAS pinned to one thread, perifrac imported from
-that checkout's src/) and prints, per report, what changed from OLD to
-NEW: exit code, status, every integer field (the operation counters under
-`timings` and the ascent's iteration counts among them), any other
-non-float field, and the largest relative change of the float fields.
+Runs every command of the three benchmark workloads (solve-3d, sweep-2d,
+certify-3d) at seeds 0 and 7, then `reproduce-example --smoke`, `verify`
+and `reproduce-example --modes 4 --grid 18`, once in each checkout (a
+fresh process each, BLAS pinned to one thread, perifrac imported from
+that checkout's src/, the workloads from its perfbench/) and prints, per
+report, what changed from OLD to NEW: exit code, status, every integer
+field (the operation counters under `timings` and the ascent's iteration
+counts among them), any other non-float field, and the largest relative
+change of the float fields.
 A key or list tail that one side holds alone is printed once, at its
-top-most path, with the number of leaves under it.  The last line counts
-the reports whose exit code, status or an integer field changed, and the
-script exits 1 when that count is not 0.
+top-most path, with the number of leaves under it.  The last two lines
+count the byte-identical reports, and the reports whose exit code,
+status or an integer field changed; the script exits 1 when that count
+is not 0.
 Fields that measure a roundoff-sized gap are left out of that maximum and
 printed on their own, since their relative change says nothing: each
 solution's `residual_dual_norm`, which must stay below grad_tol, the
@@ -23,18 +27,46 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
-import report_hashes
-
+SEEDS = (0, 7)
+EXTRA = (["reproduce-example", "--smoke"], ["verify"],
+         ["reproduce-example", "--modes", "4", "--grid", "18"])
+ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
 ROUNDOFF_FIELDS = {"residual_dual_norm", "rel_gap", "gap"}
+
+
+def reports(root: pathlib.Path):
+    """(name, exit code, stdout report) of every command, run in this
+    process on the perifrac in root/src and the workloads in root/perfbench."""
+    # BLAS reads its thread count when numpy is first imported
+    os.environ.update(ONE_THREAD)
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads as wl
+    from perifrac.cli import main
+
+    reference = wl.load_reference()
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in wl.WORKLOADS:
+            for seed in SEEDS:
+                for cmd in wl.commands(workload, seed, reference):
+                    path = pathlib.Path(tmp, f"{workload}-{seed}-{cmd.name}.cfg")
+                    path.write_text(wl.config_text(cmd.config))
+                    code, out = wl.run_cli(main, cmd.argv(str(path)))
+                    yield f"{workload} seed {seed} {cmd.name}", code, out
+    for argv in EXTRA:
+        code, out = wl.run_cli(main, argv)
+        yield " ".join(argv), code, out
 
 
 def dump(root: str) -> None:
     """Child process: one JSON line {name, code, raw report} per command."""
-    for name, code, out in report_hashes.reports(pathlib.Path(root).resolve()):
+    for name, code, out in reports(pathlib.Path(root).resolve()):
         print(json.dumps({"name": name, "code": code, "raw": out}))
 
 

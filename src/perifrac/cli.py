@@ -269,21 +269,28 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
 # -- verify ------------------------------------------------------------------
 
 
+def _failed(name, tol, error: str) -> dict:
+    return {"name": name, "gap": None, "tolerance": float(tol),
+            "passed": False, "error": error}
+
+
 def _check(name, gap, tol) -> dict:
+    """A check entry; a gap that is not finite (no JSON value) fails it."""
     gap = float(gap)
+    if not math.isfinite(gap):
+        return _failed(name, tol, f"gap {gap!r} is not finite")
     return {"name": name, "gap": gap, "tolerance": float(tol),
             "passed": bool(gap <= tol)}
 
 
 def _measured(name, tol, measure) -> dict:
-    """_check of the gap measure() returns.  A quadrature or Richardson
-    extrapolation that fails inside measure fails the check instead, and
-    its entry carries the error in place of a gap."""
+    """_check of the gap measure() returns.  A quadrature, a Richardson
+    extrapolation or a float that fails inside measure fails the check
+    instead, and its entry carries the error in place of a gap."""
     try:
         return _check(name, measure(), tol)
-    except (QuadratureError, ExtrapolationError) as exc:
-        return {"name": name, "gap": None, "tolerance": float(tol),
-                "passed": False, "error": f"{type(exc).__name__}: {exc}"}
+    except (QuadratureError, ExtrapolationError, OverflowError) as exc:
+        return _failed(name, tol, f"{type(exc).__name__}: {exc}")
 
 
 def _checker_entry(report) -> dict:
@@ -308,7 +315,9 @@ def cmd_verify(cfg: RunConfig) -> dict:
             lambda: abs(wq.integrate(lambda y: np.exp(-2.0 * y)) - exact)
             / abs(exact)))
         ys = np.geomspace(0.1, 10.0, 25)
-        worst = max(abs(ode_residual(s, float(y), fault)) for y in ys)
+        # a huge fault overflows the differences; NaN must reach the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = np.max([abs(ode_residual(s, float(y), fault)) for y in ys])
         checks.append(_check(f"ode_residual[s={s:g}]", worst, 1e-5))
         k, pe = kappa(s), {}
 
@@ -316,8 +325,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
             pe["value"] = float(profile_energy(s, fault))
             return abs(pe["value"] - k) / k
 
-        checks.append({**_measured(f"profile_energy_vs_kappa[s={s:g}]",
-                                   1e-6, profile_gap), **pe})
+        entry = _measured(f"profile_energy_vs_kappa[s={s:g}]", 1e-6, profile_gap)
+        checks.append({**entry, **pe} if entry["gap"] is not None else entry)
     for mu in (1.0, 2.0, 5.0):
         exact = kappa(problem.s) * mu ** problem.s
         checks.append(_measured(

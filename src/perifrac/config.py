@@ -107,12 +107,9 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"problem block invalid: {exc}") from exc
 
-    def params(self, modes: int | None = None,
-               grid_points: int | None = None) -> SpectrumParams:
-        M = self.modes if modes is None else modes
-        n = self.grid_points if grid_points is None else grid_points
+    def params(self) -> SpectrumParams:
         try:
-            return SpectrumParams(M, n)
+            return SpectrumParams(self.modes, self.grid_points)
         except ValueError as exc:
             raise ConfigError(f"discretization block invalid: {exc}") from exc
 

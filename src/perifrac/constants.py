@@ -5,8 +5,8 @@ over real trigonometric polynomials of the working resolution; r = 1 and
 r = 2 have closed forms (the constant field is extremal), general r is
 estimated from below by projected Rayleigh-quotient ascent on the H^s
 sphere from randomized starts, which climb together at M/2 as one stack
-to sqrt(tol), since their maximizer only starts the finish; the best of
-them is finished at M to tol.
+to sqrt(_TOL), since their maximizer only starts the finish; the best of
+them is finished at M to _TOL.
 
 From sigma_1 and sigma_q the certificate machinery produces, for each positive
 trial ball parameter rho,
@@ -109,6 +109,8 @@ def _ascent_grid(modes: int, r: float) -> int:
 # From M // 2 >= 2 (N=1..3, r=3 and 4, M=4..6) it stayed within 1.3e-10.
 _NESTED_MIN_MODES = 4
 
+_MAX_ITER, _TOL = 2000, 1e-12   # per climb; coarse level to sqrt(_TOL)
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
@@ -116,7 +118,7 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     """Projected gradient ascent of |u|_{L^r} / |u|_{H^s} over the half
     cube of degree `modes`, for a stack of starts: c holds one half cube
     per start, stacked on the axis before the last (see
-    spectral._half_spectrum).  Each start is first rescaled to the H^s
+    spectral._hermitian_half).  Each start is first rescaled to the H^s
     unit sphere and climbs with first trial step `step`.  Returns, per
     start, (ratios, half cubes of the end points, step lengths at the end,
     iterations), stacked as the input.
@@ -235,8 +237,7 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
 
 
 def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
-                    seed: int = 0, starts: int = 16,
-                    max_iter: int = 2000, tol: float = 1e-12):
+                    seed: int = 0, starts: int = 16):
     """Maximize |u|_{L^r} / |u|_{H^s} over the truncated mode space.
 
     Projected gradient ascent on the H^s unit sphere: the flat-metric
@@ -247,11 +248,11 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
     diagnostics dict).
 
     Nested iteration: all starts climb together on the coarse level
-    M_c = M // 2, as one stack in one _climb that stops at sqrt(tol), both
+    M_c = M // 2, as one stack in one _climb that stops at sqrt(_TOL), both
     on the tangent norm and on the value change, since the coarse maximizer
     only starts the finish, and only the best coarse maximizer (the first
     of equal ones), zero-padded into the degree-M half cube (leading axes
-    centred, k_N = 0..M_c), climbs on at M to tol, a stack of one, with
+    centred, k_N = 0..M_c), climbs on at M to _TOL, a stack of one, with
     the step length its coarse climb ended with.  The returned ratio is
     the quotient of the returned degree-M field, a lower bound for the
     supremum as before.  Below _NESTED_MIN_MODES the starts climb at M
@@ -289,8 +290,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
                   for ss in SeedSequence(seed).spawn(starts)], axis=-2),
         problem, coarse)
     ratios, c, steps, iterations = _climb(
-        problem, r, coarse, c, 0.5, max_iter,
-        math.sqrt(tol) if coarse < modes else tol)
+        problem, r, coarse, c, 0.5, _MAX_ITER,
+        math.sqrt(_TOL) if coarse < modes else _TOL)
     best = max(range(starts), key=lambda i: ratios[i])
     ratio, c = float(ratios[best]), c[..., best, :]
     coarse_iterations = int(iterations.sum())
@@ -301,7 +302,7 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         lead = slice(modes - coarse, modes + coarse + 1)
         padded[(lead,) * (problem.N - 1) + (0, slice(coarse + 1))] = c
         ratios, c, _, iterations = _climb(problem, r, modes, padded,
-                                          steps[best], max_iter, tol)
+                                          steps[best], _MAX_ITER, _TOL)
         ratio, c, fine_iterations = float(ratios[0]), c[..., 0, :], int(iterations[0])
     field = FourierField(sp._full_cube(c), problem,
                          SpectrumParams(modes, _ascent_grid(modes, r)))

@@ -82,7 +82,9 @@ def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
     yp = y[pos]
     out[pos] = (2.0 / math.gamma(s)) * (yp / 2.0) ** s * kv(s, yp)
     if fault:
-        out = out + fault * y * np.exp(-y)
+        # a huge fault overflows to inf, a profile the checks then fail
+        with np.errstate(over="ignore"):
+            out = out + fault * y * np.exp(-y)
     return float(out) if out.ndim == 0 else out
 
 

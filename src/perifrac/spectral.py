@@ -27,17 +27,18 @@ is also the --dump-fields grid; no coefficient depends on it.
 
 Everything here is pure value semantics with no shared mutable state.
 This is the only module that knows the layout of a discrete Fourier
-transform.  The transform pair runs on two pruned kernels, _half_spectrum
-and _half_samples, which hold the k_N >= 0 half of the mode cube as a raw
-(2M+1)^(N-1) x (M+1) array, mode k_i at index k_i + M on the leading axes
-and k_N at index k_N on the last.  They compute only the kept modes, as
-products with DFT matrices restricted to them (a pruned DFT): of the
-25 x 25 x 13 half spectrum of a 25^3 grid at M = 6 they keep 13 x 13 x 7
-entries, and a product with the 13 x 25 matrix of an axis costs less than
-an FFT of all 25 lines.  The matrices are built once per (M, n) from one
-table of n-th roots of unity, cached and read-only.  The kernels agree
-with numpy's rfftn / irfftn to roundoff, and the same input gives the
-same bits.
+transform.  The pair is one pruned kernel per direction, _hermitian_half
+(samples to coefficients) and _half_to_samples (back), on the k_N >= 0
+half of the mode cube as a raw (2M+1)^(N-1) x (M+1) array, mode k_i at
+index k_i + M on the leading axes and k_N at index k_N on the last.  They
+compute only the kept modes, as products with DFT matrices restricted to
+them (a pruned DFT): of the 25 x 25 x 13 half spectrum of a 25^3 grid at
+M = 6 they keep 13 x 13 x 7 entries, and a product with the 13 x 25
+matrix of an axis costs less than an FFT of all 25 lines.  The matrices
+are built once per (M, n) from one table of n-th roots of unity, cached
+and read-only.  Scaled by T^(N/2) / n^N and its inverse, numpy's rfftn /
+irfftn agree with the kernels to roundoff; the same input gives the same
+bits.
 
 The kernels also take a stack of fields: axes between a field's leading
 axes and its last one index the stack, so a (2M+1)^(N-1) x S x (M+1)
@@ -54,12 +55,12 @@ sigma ascent (constants.rayleigh_ascent), which keeps the stack of its
 starts there, and the Jacobian matvec of the Newton polish
 (solvers._jacobian_operators), which samples a mode cube's half,
 multiplies by f'(u) and transforms back, unstacked.  Both use only the
-helpers here: _hermitian_half (samples to half), _half_to_samples (half
-to samples), _half_multiplier and _half_dot (mu^s and the H^s products
-of a stack) and _full_cube (half to FourierField coefficients).  A half
-cube stands for the field _full_cube(half); its samples are that
-field's only while the k_N = 0 plane is exactly Hermitian, which
-_hermitian_half makes it and the operations above keep it.
+half-cube helpers here: the two kernels, _half_multiplier and _half_dot
+(mu^s and the H^s products of a stack) and _full_cube (half to
+FourierField coefficients).  A half cube stands for the field
+_full_cube(half); its samples are that field's only while the k_N = 0
+plane is exactly Hermitian, which _hermitian_half makes it and the
+operations above keep it.
 """
 
 from __future__ import annotations
@@ -346,22 +347,23 @@ def _along(matrix: np.ndarray, x: np.ndarray, axis: int,
     return product.reshape(shape[:axis] + (matrix.shape[0],) + shape[axis + 1:])
 
 
-def _half_spectrum(samples: np.ndarray, M: int, N: int | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled rfftn of real n^N samples on the k_N >= 0 half of the mode
-    cube, with mode k_i at index k_i + M on the leading axes.
+def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """The k_N >= 0 half of forward_transform's coefficients, mode k_i at
+    index k_i + M on the leading axes, with the k_N = 0 plane made exactly
+    Hermitian.
 
     The field's leading axes are the first N - 1 axes of `samples` and its
     last axis is the last one; any axes between them index a stack of
-    fields (N defaults to samples.ndim: no stack).  The last axis is one
-    real product with _last_axis_dft's matrix, each leading axis one
-    product with _leading_axis_dft's forward matrix, so only the kept
-    modes are ever computed, and a stack only widens each product.  The
-    first product goes to the flat float buffer `work` when one is given;
-    for N = 1 the result is then a view of it.  Equal to rfftn to
-    roundoff."""
-    n = samples.shape[-1]
-    N = samples.ndim if N is None else N
+    fields.  The last axis is one real product with _last_axis_dft's
+    matrix, each leading axis one product with _leading_axis_dft's forward
+    matrix, so only the kept modes are ever computed, and a stack only
+    widens each product.  The first product goes to the flat float buffer
+    `work` when one is given; for N = 1 the result is then a view of it.
+    Off the k_N = 0 plane the partners of the half live in the k_N < 0
+    half, which _full_cube fills by conjugation; in the plane the
+    transform's pairs agree only to roundoff, so they are averaged."""
+    n, N = samples.shape[-1], problem.N
     A, _ = _last_axis_dft(M, n)
     rows = samples.reshape(-1, n)
     half = np.matmul(rows, A, out=_view(work, (len(rows), 2 * M + 2), float))
@@ -370,45 +372,6 @@ def _half_spectrum(samples: np.ndarray, M: int, N: int | None = None,
         F, _ = _leading_axis_dft(M, n)
         for axis in reversed(range(N - 1)):
             half = _along(F, half, axis)
-    return half
-
-
-def _half_samples(half: np.ndarray, n: int, N: int | None = None,
-                  out: np.ndarray | None = None,
-                  work: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled irfftn, on the n^N grid, of the half spectrum that holds the
-    half cube `half` (laid out as _half_spectrum returns it, stack axes
-    included) and zeros elsewhere.
-
-    The weights of the last axis go on first, then each leading axis is one
-    product with _leading_axis_dft's inverse matrix and the last axis one
-    real product with the transpose of _last_axis_dft's matrix.  The last
-    leading-axis product goes to the flat float buffer `work` and the
-    samples to `out`, when these are given.  Equal to irfftn to
-    roundoff."""
-    M = half.shape[-1] - 1
-    N = half.ndim if N is None else N
-    A, w = _last_axis_dft(M, n)
-    x = half * w
-    if N > 1:
-        _, G = _leading_axis_dft(M, n)
-        for axis in range(N - 1):
-            x = _along(G, x, axis, work if axis == N - 2 else None)
-    rows = x.reshape(-1, M + 1).view(float)
-    u = np.matmul(rows, A.T, out=_view(out, (len(rows), n), float))
-    return u.reshape(x.shape[:-1] + (n,))
-
-
-def _hermitian_half(samples: np.ndarray, problem: ProblemSpec, M: int,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """The k_N >= 0 half of forward_transform's coefficients: scaled, with
-    the k_N = 0 plane made exactly Hermitian.  Off that plane the partners
-    of the half live in the k_N < 0 half, which _full_cube fills by
-    conjugation; in the plane the transform's pairs agree only to
-    roundoff, so they are averaged.  Stacks and `work` are as in
-    _half_spectrum, with N = problem.N."""
-    n, N = samples.shape[-1], problem.N
-    half = _half_spectrum(samples, M, N, work)
     half *= problem.T ** (N / 2.0) / n ** N
     plane = half[..., 0]
     mirror = plane[(slice(None, None, -1),) * (N - 1)]
@@ -420,10 +383,25 @@ def _half_to_samples(half: np.ndarray, problem: ProblemSpec, n: int,
                      out: np.ndarray | None = None,
                      work: np.ndarray | None = None) -> np.ndarray:
     """Real samples on the n^N grid of the field whose k_N >= 0 half is
-    `half`; the inverse of _hermitian_half, with no symmetry check.
-    Stacks, `out` and `work` are as in _half_samples, with N = problem.N."""
-    u = _half_samples(half, n, problem.N, out, work)
-    u *= n ** problem.N / problem.T ** (problem.N / 2.0)
+    `half` (laid out as _hermitian_half returns it, stack axes included);
+    the inverse of _hermitian_half, with no symmetry check.
+
+    The weights of the last axis go on first, then each leading axis is one
+    product with _leading_axis_dft's inverse matrix and the last axis one
+    real product with the transpose of _last_axis_dft's matrix.  The last
+    leading-axis product goes to the flat float buffer `work` and the
+    samples to `out`, when these are given."""
+    M, N = half.shape[-1] - 1, problem.N
+    A, w = _last_axis_dft(M, n)
+    x = half * w
+    if N > 1:
+        _, G = _leading_axis_dft(M, n)
+        for axis in range(N - 1):
+            x = _along(G, x, axis, work if axis == N - 2 else None)
+    rows = x.reshape(-1, M + 1).view(float)
+    u = np.matmul(rows, A.T, out=_view(out, (len(rows), n), float))
+    u = u.reshape(x.shape[:-1] + (n,))
+    u *= n ** N / problem.T ** (N / 2.0)
     return u
 
 
@@ -435,7 +413,7 @@ def _half_multiplier(problem: ProblemSpec, params: SpectrumParams) -> np.ndarray
 def _half_dot(problem: ProblemSpec, params: SpectrumParams):
     """The H^s inner products Re sum mu_k^s conj(a_k) b_k of the fields
     _full_cube(a) and _full_cube(b), as a function of the stacks of half
-    cubes a, b (laid out as _half_spectrum's stacks, one stack axis): one
+    cubes a, b (laid out as _hermitian_half's stacks, one stack axis): one
     product per field.
 
     An entry off the k_N = 0 plane also stands for its conjugate partner,

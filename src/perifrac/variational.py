@@ -120,17 +120,6 @@ def _cubic_plus_one() -> Nonlinearity:
     )
 
 
-def _pure_cubic() -> Nonlinearity:
-    return Nonlinearity(
-        name="pure_cubic",
-        f=lambda x, t: t ** 3,
-        F=lambda x, t: 0.25 * t ** 4,
-        fprime=lambda x, t: 3.0 * t ** 2,
-        a1=1.0, a2=1.0, q=4.0, alpha=4.0, r0=1.0,
-        poly_degree=3,
-    )
-
-
 def _odd_power(p: int) -> Nonlinearity:
     if p < 3 or p % 2 == 0:
         raise ValueError(f"odd_power requires an odd integer power >= 3, got {p}")
@@ -146,7 +135,7 @@ def _odd_power(p: int) -> Nonlinearity:
 
 _REGISTRY = {
     "cubic_plus_one": _cubic_plus_one,
-    "pure_cubic": _pure_cubic,
+    "pure_cubic": lambda: replace(_odd_power(3), name="pure_cubic"),
 }
 
 _ODD_POWER_RE = re.compile(r"^odd_power\((\d+)\)$")
@@ -247,13 +236,12 @@ def check_growth(nl: Nonlinearity, t_values, x_points, N: int = 1) -> CheckRepor
     )
 
 
-def check_ar(nl: Nonlinearity, t_max: float, x_points, N: int = 1,
-             num_t: int = 201) -> CheckReport:
-    """Superlinearity 0 < alpha F(x,t) <= t f(x,t) sampled on |t| in [r0, t_max]."""
+def check_ar(nl: Nonlinearity, t_max: float, x_points, N: int = 1) -> CheckReport:
+    """Superlinearity 0 < alpha F(x,t) <= t f(x,t) at 201 |t| in [r0, t_max]."""
     if t_max < nl.r0:
         raise ValueError("t_max must be >= r0")
     xt, xp = _x_tuple(x_points, N)
-    ts_pos = np.linspace(nl.r0, t_max, num_t)
+    ts_pos = np.linspace(nl.r0, t_max, 201)
     ts = np.concatenate([-ts_pos[::-1], ts_pos])
     worst, alpha_F = _WorstMargin(), _WorstMargin()
     with np.errstate(**_SAMPLING):

@@ -1,0 +1,38 @@
+"""Every function the benchmark scripts trace still exists.  The
+(module, attribute) lists of scripts/bench.py (STAGES, LAYERS) and
+perfbench/worker.py (LAYERS) are read with ast, without running either
+script, and each entry must name a callable; a renamed or deleted function
+would otherwise surface only when a bench run installs its tracer."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACED = {"scripts/bench.py": ("STAGES", "LAYERS"),
+          "perfbench/worker.py": ("LAYERS",)}
+
+
+def traced_names(path: pathlib.Path, lists) -> list:
+    """The (module, attribute) pairs of the module-level lists named
+    `lists` in the source at path."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in lists:
+                    found[target.id] = ast.literal_eval(node.value)
+    assert sorted(found) == sorted(lists)
+    return [pair for name in lists for pair in found[name]]
+
+
+CASES = [(script, module, attr) for script, lists in TRACED.items()
+         for module, attr in traced_names(ROOT / script, lists)]
+
+
+@pytest.mark.parametrize("script, module, attr", CASES,
+                         ids=[f"{s}:{m}.{a}" for s, m, a in CASES])
+def test_traced_name_resolves(script, module, attr):
+    assert callable(getattr(importlib.import_module(module), attr, None))

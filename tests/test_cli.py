@@ -163,6 +163,28 @@ def test_failed_quadrature_fails_its_check(capsys, tmp_path):
     assert rep["timings"]["checks_run"] == len(rep["verification"]["checks"])
 
 
+@pytest.mark.parametrize("fault", ["1e154", "1e160", "1e308"])
+def test_huge_injected_fault_fails_its_checks(capsys, tmp_path, fault):
+    # a profile energy of inf went into its check's entry (1e154), theta(y)^2
+    # overflowed a Python float inside the profile quadratures (1e160), and
+    # the ODE residual's differences overflowed to inf - inf (1e308): verify
+    # once ended with a traceback and exit 1
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(f"verify.inject_theta_fault = {fault}\n")
+    code, rep, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 5 and rep["status"] == "verification-failure"
+    failed = {c["name"]: c for c in rep["verification"]["checks"]
+              if not c["passed"]}
+    assert "trace_identity" in failed
+    assert all(f"ode_residual[s={s:g}]" in failed for s in (0.3, 0.5, 0.7, 0.9))
+    for check in failed.values():
+        assert check["gap"] is None or math.isfinite(check["gap"])
+        assert (check["gap"] is None) == ("error" in check)
+        assert check["gap"] is not None or "value" not in check
+    assert failed["trace_identity"]["gap"] is None
+    assert not any("nonlinearity" in name for name in failed)
+
+
 # nonlinearity constants whose checks meet non-finite samples: t_max^q
 # overflowed (exit 1), t^alpha = inf made the gap inf, which JSON cannot
 # hold (exit 1), and the NaN margins inf - inf at t = 4, v = +-2 r0 were

@@ -151,7 +151,6 @@ def test_builders_realize_blocks():
     assert nl.name == "pure_cubic" and nl.r0 == 1.5
     assert cfg.solver().rho == 1.25
     assert cfg.params().modes == 8
-    assert cfg.params(modes=2, grid_points=5).grid_points == 5
 
 
 def test_load_config_missing_file():

@@ -137,15 +137,15 @@ def test_ascent_transforms_each_field_once(monkeypatch):
     # transforms one field per row of its stack axis, the axis before the
     # last
     seen = []
-    real = spectral._half_samples
+    real = spectral._half_to_samples
 
-    def spy(half, n, N=None, *rest):
-        fields = ([half] if N is None or half.ndim == N
+    def spy(half, problem, n, *rest, **buffers):
+        fields = ([half] if half.ndim == problem.N
                   else [half[..., i, :] for i in range(half.shape[-2])])
         seen.extend(field.tobytes() for field in fields)
-        return real(half, n, N, *rest)
+        return real(half, problem, n, *rest, **buffers)
 
-    monkeypatch.setattr(spectral, "_half_samples", spy)
+    monkeypatch.setattr(spectral, "_half_to_samples", spy)
     _, _, diag = rayleigh_ascent(PROBLEM, 4.0, modes=3, seed=2, starts=2)
     assert diag["iterations"] > 10
     assert len(seen) > diag["iterations"]

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
-                               SymmetryError, _half_samples, _half_spectrum,
-                               _half_to_samples, _hermitian_half,
+                               SymmetryError, _half_to_samples, _hermitian_half,
                                _last_axis_dft, _leading_axis_dft,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
@@ -83,16 +82,19 @@ def test_forward_transform_matches_direct_summation(N, M, n):
                          ids=GRID_IDS + ["N2-M8-n18", "N3-M6-n25"])
 def test_forward_transform_equals_full_cube_symmetrization(N, M, n):
     # only the k_N = 0 plane is averaged; off it the conjugate fill is exact,
-    # so averaging the whole cube, as the transform once did, changes no bit
+    # so averaging the whole cube, as the transform once did, changes no bit,
+    # and the result is the symmetrized, scaled rfftn to roundoff
     problem = oracle_problem(N)
     samples = np.random.default_rng([N, M, n, 2]).standard_normal((n,) * N)
+    got = forward_transform(samples, problem, SpectrumParams(M, n)).coeffs
+    assert np.array_equal(got, 0.5 * (got + np.conj(np.flip(got))))
+    cube = np.ix_(*([np.arange(-M, M + 1) % n] * (N - 1)), np.arange(M + 1))
     c = np.empty((2 * M + 1,) * N, dtype=complex)
-    c[..., M:] = _half_spectrum(samples, M)
+    c[..., M:] = np.fft.rfftn(samples)[cube]
     c[..., :M] = np.conj(np.flip(c[..., M + 1:]))
     c *= problem.T ** (N / 2.0) / n ** N
     want = 0.5 * (c + np.conj(np.flip(c)))
-    got = forward_transform(samples, problem, SpectrumParams(M, n)).coeffs
-    assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -131,21 +133,24 @@ PRUNED_CASES += [(1, 128, 257), (1, 128, 513), (1, 128, 514), (2, 32, 130),
 @pytest.mark.parametrize("N, M, n", PRUNED_CASES,
                          ids=[f"N{N}-M{M}-n{n}" for N, M, n in PRUNED_CASES])
 def test_pruned_kernels_are_bit_identical_to_numpy(N, M, n):
-    # numpy's rfftn / irfftn are the reference; the matrix products sum in
-    # another order, so they agree to roundoff, not bit for bit as the
-    # FFT kernels that gave the test its name did
+    # numpy's rfftn / irfftn, scaled by T^(N/2) / n^N and its inverse, are
+    # the reference; the matrix products sum in another order, so they
+    # agree to roundoff, not bit for bit as the FFT kernels that gave the
+    # test its name did
+    problem = oracle_problem(N)
+    scale = problem.T ** (N / 2.0) / n ** N
     rng = np.random.default_rng([N, M, n, 3])
     samples = rng.standard_normal((n,) * N)
     cube = np.ix_(*([np.arange(-M, M + 1) % n] * (N - 1)), np.arange(M + 1))
-    want = np.fft.rfftn(samples)[cube]
-    half = _half_spectrum(samples, M)
+    want = np.fft.rfftn(samples)[cube] * scale
+    half = _hermitian_half(samples, problem, M)
     assert half.shape == want.shape
     assert np.abs(half - want).max() <= 1e-14 * np.abs(want).max()
     half = half + rng.standard_normal(half.shape)  # any half cube will do
     padded = np.zeros((n,) * (N - 1) + (n // 2 + 1,), dtype=complex)
     padded[cube] = half
-    want = np.fft.irfftn(padded, s=(n,) * N, axes=tuple(range(N)))
-    got = _half_samples(half, n)
+    want = np.fft.irfftn(padded, s=(n,) * N, axes=tuple(range(N))) / scale
+    got = _half_to_samples(half, problem, n)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # the cached DFT matrices are shared by every call: nobody may write them
