@@ -2,8 +2,11 @@
 """Field-by-field difference of the reports of two checkouts.
 
 Runs every command of the three benchmark workloads (solve-3d, sweep-2d,
-certify-3d) at seeds 0 and 7, then `reproduce-example --smoke`, `verify`
-and `reproduce-example --modes 4 --grid 18`, once in each checkout (a
+certify-3d) at seeds 0 and 7, then `solve` on the configs of CONFIGURED
+(one-solution-only, non-convergence, a configured seed and a seed that
+is a config error, each at M = 2 on a 5-point grid), then
+`reproduce-example --smoke`, `verify` and
+`reproduce-example --modes 4 --grid 18`, once in each checkout (a
 fresh process each, BLAS pinned to one thread, perifrac imported from
 that checkout's src/, the workloads from its perfbench/) and prints, per
 report, what changed from OLD to NEW: exit code, status, every integer
@@ -34,6 +37,9 @@ import sys
 import tempfile
 
 SEEDS = (0, 7)
+SMALL = "discretization.M = 2\ndiscretization.grid_points = 5\n"
+CONFIGURED = ("solver.max_doublings = 0", "solver.grad_tol = 1e-300",
+              "solver.seed = 3", "solver.seed = -2")
 EXTRA = (["reproduce-example", "--smoke"], ["verify"],
          ["reproduce-example", "--modes", "4", "--grid", "18"])
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -59,6 +65,11 @@ def reports(root: pathlib.Path):
                     path.write_text(wl.config_text(cmd.config))
                     code, out = wl.run_cli(main, cmd.argv(str(path)))
                     yield f"{workload} seed {seed} {cmd.name}", code, out
+        for i, line in enumerate(CONFIGURED):
+            path = pathlib.Path(tmp, f"solve-{i}.cfg")
+            path.write_text(SMALL + line + "\n")
+            code, out = wl.run_cli(main, ["solve", "--config", str(path)])
+            yield f"solve {line}", code, out
     for argv in EXTRA:
         code, out = wl.run_cli(main, argv)
         yield " ".join(argv), code, out

@@ -9,19 +9,19 @@ certificate admits them.
 
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config, serialize_config)
-from .constants import (EmbeddingEstimate, LambdaRange, ball_radius,
-                        best_lambda, chi_upper, golden_key, lambda_max,
-                        lambda_table, load_golden, sigma_estimate)
+from .constants import (EmbeddingEstimate, InadmissibleLambdaError,
+                        ball_radius, best_lambda, certify, chi_upper,
+                        golden_key, lambda_max, lambda_table, load_golden,
+                        sigma_estimate)
 from .extension import (QuadratureError, TraceIdentityReport,
                         WeightedQuadrature, conormal_limit, kappa, mode_energy,
                         ode_residual, profile_energy, theta,
                         verify_trace_identity)
 from .solvers import (BoundaryActiveError, DegeneratePathError,
-                      EndpointSearchError, InadmissibleLambdaError,
-                      MultiplicityReport, NonConvergenceError,
-                      PathCollapseError, SolutionReport, SolverConfig,
-                      SolverError, ball_minimize, find_descent_endpoint,
-                      mountain_pass, solve_multiplicity)
+                      EndpointSearchError, MultiplicityReport,
+                      NonConvergenceError, PathCollapseError, SolutionReport,
+                      SolverConfig, SolverError, ball_minimize,
+                      find_descent_endpoint, mountain_pass, solve_multiplicity)
 from .spectral import (FourierField, ProblemSpec, SpectrumParams,
                        SymmetryError, apply_fractional_op, dual_norm, e_norm,
                        forward_transform, grid_coordinates, hs_distance,
@@ -39,14 +39,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AUTO", "ConfigError", "RunConfig", "default_example_text", "load_config",
     "parse_config", "serialize_config",
-    "EmbeddingEstimate", "LambdaRange", "ball_radius", "best_lambda",
-    "chi_upper", "golden_key", "lambda_max", "lambda_table", "load_golden",
-    "sigma_estimate",
+    "EmbeddingEstimate", "InadmissibleLambdaError", "ball_radius",
+    "best_lambda", "certify", "chi_upper", "golden_key", "lambda_max",
+    "lambda_table", "load_golden", "sigma_estimate",
     "QuadratureError", "TraceIdentityReport", "WeightedQuadrature",
     "conormal_limit", "kappa", "mode_energy", "ode_residual",
     "profile_energy", "theta", "verify_trace_identity",
     "BoundaryActiveError", "DegeneratePathError", "EndpointSearchError",
-    "InadmissibleLambdaError", "MultiplicityReport", "NonConvergenceError",
+    "MultiplicityReport", "NonConvergenceError",
     "PathCollapseError", "SolutionReport", "SolverConfig", "SolverError",
     "ball_minimize", "find_descent_endpoint", "mountain_pass",
     "solve_multiplicity",

@@ -26,13 +26,13 @@ from . import spectral as sp
 from . import variational as vr
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
-from .constants import (ball_radius, best_lambda, golden_key, kappa,
-                        lambda_table, load_golden, sigma_estimate)
+from .constants import (InadmissibleLambdaError, ball_radius, best_lambda,
+                        certify, golden_key, kappa, lambda_table, load_golden,
+                        sigma_estimate)
 from .extension import (ExtrapolationError, QuadratureError,
                         WeightedQuadrature, conormal_limit, ode_residual,
                         profile_energy, verify_trace_identity)
-from .solvers import (InadmissibleLambdaError, NonConvergenceError,
-                      SolverError, solve_multiplicity)
+from .solvers import NonConvergenceError, SolverError, solve_multiplicity
 from .spectral import SpectrumParams
 
 __all__ = ["main", "cmd_constants", "cmd_solve", "cmd_verify",
@@ -107,21 +107,24 @@ def _is_plain_quartic(nl) -> bool:
 
 
 def _check_ball_edge(problem, nl, rho):
-    """f and F must be finite on the constant field +-a at the edge of the
-    ball e(u)^2 < rho, a = sqrt(rho / (kappa (1-g) m^(2s) T^N)); a rho
-    beyond that is outside the float range of the problem, and the solve
-    would only overflow."""
+    """f and F must be finite on the constant fields +-a at the edge of the
+    ball e(u)^2 < rho, a = sqrt(rho / (kappa (1-g) m^(2s) T^N)), and r0,
+    the endpoint search's first probe; a rho or an r0 beyond that is
+    outside the float range of the problem, and the solve would overflow."""
     a = ball_radius(rho, problem) / math.sqrt(
         problem.m ** (2.0 * problem.s) * problem.T ** problem.N)
     x = tuple(np.zeros(2) for _ in range(problem.N))
-    t = np.array([a, -a])
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.all(np.isfinite(np.asarray(fn(x, t), dtype=float)))
-                     for fn in (nl.f, nl.F))
-    if not finite:
-        raise ConfigError(
-            f"nonlinearity block invalid: f or F is not finite on the constant "
-            f"field u = +-{a:.6g} at the edge of the ball, rho = {rho:.6g}")
+    for t, where in (((a, -a), f"+-{a:.6g} at the edge of the ball, "
+                                f"rho = {rho:.6g}"),
+                     ((nl.r0, nl.r0), f"r0 = {nl.r0:.6g}, the endpoint "
+                                      f"search's first probe")):
+        t = np.array(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.all(np.isfinite(np.asarray(fn(x, t), dtype=float)))
+                         for fn in (nl.f, nl.F))
+        if not finite:
+            raise ConfigError(f"nonlinearity block invalid: f or F is not "
+                              f"finite on the constant field u = {where}")
 
 
 def _fill_constants(rep, problem, params, nl, seed):
@@ -152,8 +155,7 @@ def _fill_constants(rep, problem, params, nl, seed):
     cons["ball_radius_best"] = ball_radius(rho_star, problem)
     grid = np.geomspace(rho_star / RHO_GRID_SPAN, rho_star * RHO_GRID_SPAN,
                         RHO_GRID_POINTS)
-    cons["lambda_table"] = [rp.lambda_row_dict(r)
-                            for r in lambda_table(grid, problem, nl, sigmas)]
+    cons["lambda_table"] = lambda_table(grid, problem, nl, sigmas)
     if _is_plain_quartic(nl):
         cons["example_interval"] = {"lower": 0.0, "upper": lam_star,
                                     "best_rho": rho_star}
@@ -212,9 +214,9 @@ def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
 
 def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     """Realize the problem at the resolved lambda (auto: half of
-    lambda_max at the best rho) and rho (auto: the best rho), check that
-    the forcing is finite on the ball's edge, run the pipeline on the
-    sigmas of the constants section, map errors to statuses."""
+    lambda_max at the best rho) and rho (auto: the best rho), run
+    _check_ball_edge, certify lambda on the constants section's sigmas,
+    run the pipeline, map errors to statuses."""
     rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
     params = cfg.params()
@@ -229,15 +231,14 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     rep["constants"]["resolved_rho"] = float(rho)
     _check_ball_edge(problem, nl, rho)
     try:
-        mrep = solve_multiplicity(scfg, nl, problem, params, *sigmas)
+        certificate = certify(rho, problem, nl, sigmas)
+        mrep = solve_multiplicity(scfg, nl, problem, params)
     except InadmissibleLambdaError as exc:
         rep["status"] = "refused-inadmissible-lambda"
         rep["diagnostics"]["error"] = str(exc)
         rep["diagnostics"]["certificate"] = {
-            "lambda": float(exc.lam),
-            "lambda_max_at_rho": float(exc.lam_max),
-            "rho": float(exc.rho),
-        }
+            "lambda": float(exc.lam), "lambda_max_at_rho": float(exc.lam_max),
+            "rho": float(exc.rho)}
         return rep
     except NonConvergenceError as exc:
         rep["status"] = "non-convergence"
@@ -251,8 +252,7 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
         return rep
     rep["status"] = mrep.status
     rep["solutions"] = [rp.solution_dict(s) for s in mrep.solutions]
-    rep["diagnostics"]["certificate"] = {k: float(v)
-                                         for k, v in mrep.certificate.items()}
+    rep["diagnostics"]["certificate"] = certificate
     rep["diagnostics"]["distinct"] = bool(mrep.distinct)
     rep["diagnostics"]["hs_distance"] = float(mrep.hs_distance)
     rep["diagnostics"]["energy_ordering_ok"] = bool(mrep.energy_ordering_ok)

@@ -5,8 +5,8 @@ lines ignored.  Values are ints, floats, the literal string "auto" (for
 problem.lambda and solver.rho), or bare strings.
 serialize(parse(text)) is idempotent.  The bounds on the values are stated
 once, by the model types (ProblemSpec, SpectrumParams, SolverConfig, the
-nonlinearity registry); parsing realizes each block so that a bad value
-fails with that type's message.
+nonlinearity registry) and, for the seed, by _check_seed; parsing
+realizes each block so that a bad value fails with that type's message.
 
 Sections and keys:
 
@@ -16,9 +16,11 @@ Sections and keys:
                                                  reported number uses it)
     nonlinearity.key .a1 .a2 .q .alpha .r0      (params optional: registry
                                                  defaults apply when absent)
-    solver.rho .grad_tol .max_iter .distinct_tol .max_doublings .seed
+    solver.rho .grad_tol .max_iter .distinct_tol .max_doublings
                                                 (the SolverConfig fields;
                                                  rho also accepts "auto")
+    solver.seed                                 (RunConfig.seed, the sigma
+                                                 ascent's; --seed overrides)
     verify.inject_theta_fault
 
 Any other key, `command` among them, is an unknown-key error: the
@@ -91,6 +93,8 @@ class RunConfig:
     solver_values: dict = field(default_factory=dict)
     # verification block
     inject_theta_fault: float = 0.0
+    # the sigma ascent's master seed (key solver.seed, or --seed)
+    seed: int = 0
 
     # -- builders ---------------------------------------------------------
 
@@ -119,7 +123,7 @@ class RunConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
 
-    def solver(self, rho: float | None = None, seed: int | None = None) -> SolverConfig:
+    def solver(self, rho: float | None = None) -> SolverConfig:
         """Realize the SolverConfig; an explicit rho resolves 'auto'."""
         values = dict(self.solver_values)
         raw_rho = values.get("rho", AUTO)
@@ -128,25 +132,19 @@ class RunConfig:
         elif raw_rho == AUTO:
             raise ConfigError("solver.rho is 'auto' and no resolved value "
                               "was supplied")
-        if seed is not None:
-            values["seed"] = int(seed)
         try:
             return SolverConfig(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"solver block invalid: {exc}") from exc
 
     def override_seed(self, seed: int) -> None:
-        """Apply --seed, checked by SolverConfig like solver.seed."""
-        self.solver(rho=1.0, seed=seed)
-        self.solver_values["seed"] = int(seed)
+        """Apply --seed, checked like solver.seed."""
+        _check_seed(seed)
+        self.seed = int(seed)
 
     @property
     def rho_raw(self):
         return self.solver_values.get("rho", AUTO)
-
-    @property
-    def seed(self) -> int:
-        return int(self.solver_values.get("seed", 0))
 
     # -- flat mapping ------------------------------------------------------
 
@@ -173,6 +171,7 @@ _NUMBER_KEYS = {
     "discretization.M": "modes",
     "discretization.grid_points": "grid_points",
     "verify.inject_theta_fault": "inject_theta_fault",
+    "solver.seed": "seed",
 }
 _RUN_FIELDS = _integer_fields(RunConfig)
 
@@ -263,6 +262,13 @@ def _validate(cfg: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
     cfg.solver(rho=1.0 if cfg.rho_raw == AUTO else None)
+    _check_seed(cfg.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(
+            f"solver block invalid: seed = {seed!r} violates seed >= 0")
 
 
 def serialize_config(cfg: RunConfig) -> str:

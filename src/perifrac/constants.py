@@ -21,8 +21,9 @@ while A > (q-2) B rho^{(q-1)/2} and falls after, so its maximum sits at
 the unique critical point rho* = (A / ((q-2) B))^{2/(q-1)}, where
 best_lambda evaluates it once.  chi_upper is the matching upper bound on
 the constrained-quotient function, algebraically equal to
-1/(2 lambda_max(rho)), and the comparison chi_upper < 1/(2 lambda) is the
-certification gate.  The paper states its quartic example (q=4,
+1/(2 lambda_max(rho)).  certify is the certification gate, the one place
+that decides whether lambda is admissible: it refuses lambda unless
+lambda < lambda_max(rho).  The paper states its quartic example (q=4,
 a1=a2=1) through the profile h(rho) = sqrt(rho) / (4 sigma_1 (1-g)^{3/2}
 + sigma_4^4 rho^{3/2}) and the interval (0, (2/kappa)(1-g)^2 max h); there
 (2/kappa)(1-g)^2 h(rho) is lambda_max(rho), so that interval is
@@ -49,7 +50,8 @@ __all__ = [
     "lambda_max",
     "chi_upper",
     "ball_radius",
-    "LambdaRange",
+    "InadmissibleLambdaError",
+    "certify",
     "lambda_table",
     "best_lambda",
     "golden_key",
@@ -418,21 +420,38 @@ def ball_radius(rho: float, problem: ProblemSpec) -> float:
     return math.sqrt(rho / (kappa(problem.s) * (1.0 - g)))
 
 
-@dataclass(frozen=True)
-class LambdaRange:
-    """One row of the certificate table: lambda_max and the ball radius at
-    a fixed rho."""
-
-    rho: float
-    lambda_max: float
-    ball_radius: float
-
-
-def lambda_table(rho_values, problem: ProblemSpec, nl, sigmas) -> list[LambdaRange]:
-    return [LambdaRange(rho=float(rho),
-                        lambda_max=float(lambda_max(rho, problem, nl, sigmas)),
-                        ball_radius=ball_radius(rho, problem))
+def lambda_table(rho_values, problem: ProblemSpec, nl, sigmas) -> list[dict]:
+    """One row per rho: rho, lambda_max(rho) and the ball radius."""
+    return [{"rho": float(rho),
+             "lambda_max": float(lambda_max(rho, problem, nl, sigmas)),
+             "ball_radius": ball_radius(rho, problem)}
             for rho in rho_values]
+
+
+class InadmissibleLambdaError(ValueError):
+    """lambda is not below lambda_max(rho): the certificate is refused."""
+
+    def __init__(self, message, lam, lam_max, rho):
+        super().__init__(message)
+        self.lam, self.lam_max, self.rho = lam, lam_max, rho
+
+
+def certify(rho: float, problem: ProblemSpec, nl, sigmas) -> dict:
+    """The certification gate at ball parameter rho, sigmas = (sigma_1,
+    sigma_q): raises InadmissibleLambdaError unless lambda <
+    lambda_max(rho), and returns the certificate a solve reports."""
+    lam, lam_max = problem.lam, lambda_max(rho, problem, nl, sigmas)
+    if not lam < lam_max:
+        raise InadmissibleLambdaError(
+            f"lambda = {lam:.6g} is not below lambda_max(rho) = "
+            f"{lam_max:.6g} at rho = {rho:.6g}; certificate refused",
+            lam=lam, lam_max=lam_max, rho=rho)
+    s1, sq = _sigma_pair(sigmas)
+    return {"rho": float(rho), "lambda": float(lam),
+            "lambda_max_at_rho": lam_max,
+            "chi_upper": chi_upper(rho, problem, nl, sigmas),
+            "inv_two_lambda": 1.0 / (2.0 * lam), "sigma1": s1, "sigmaq": sq,
+            "ball_radius_hs": ball_radius(rho, problem)}
 
 
 def best_lambda(problem: ProblemSpec, nl, sigmas) -> tuple[float, float]:

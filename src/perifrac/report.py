@@ -20,7 +20,6 @@ __all__ = [
     "empty_report",
     "solution_dict",
     "estimate_dict",
-    "lambda_row_dict",
     "to_json",
     "dump_fields",
 ]
@@ -88,12 +87,6 @@ def estimate_dict(est) -> dict:
         "starts": int(est.starts),
         "iterations": int(est.iterations),
     }
-
-
-def lambda_row_dict(row) -> dict:
-    """A constants.LambdaRange row as a dict: rho, lambda_max, ball_radius."""
-    return {"rho": row.rho, "lambda_max": row.lambda_max,
-            "ball_radius": row.ball_radius}
 
 
 def to_json(report: dict) -> str:

@@ -28,6 +28,9 @@ tightening as the residual falls.  A step is accepted only if it
 decreases the true residual and lands inside the caller's guard region.
 Each point's weak residual is evaluated once: an accepted trial's is the
 next step's right-hand side.
+
+The solvers take lambda as given: whether it is admissible is decided
+before a solve, by constants.certify.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import spectral as sp
 from . import variational as vr
-from .constants import ball_radius, chi_upper, lambda_max, sigma_estimate
+from .constants import ball_radius
 from .spectral import FourierField, ProblemSpec, SpectrumParams
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "DegeneratePathError",
     "EndpointSearchError",
     "BoundaryActiveError",
-    "InadmissibleLambdaError",
     "ball_minimize",
     "find_descent_endpoint",
     "mountain_pass",
@@ -88,14 +90,6 @@ class BoundaryActiveError(SolverError):
     a certified interior critical point there."""
 
 
-class InadmissibleLambdaError(SolverError):
-    def __init__(self, message, lam=None, lam_max=None, rho=None):
-        super().__init__(message)
-        self.lam = lam
-        self.lam_max = lam_max
-        self.rho = rho
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     rho: float = 1.0               # ball parameter: constraint is e(u)^2 <= rho
@@ -103,7 +97,6 @@ class SolverConfig:
     max_iter: int = 2000
     distinct_tol: float = 1e-3
     max_doublings: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -116,8 +109,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed!r} violates seed >= 0")
 
 
 # Fixed tuning of the descent stages and the Newton polish.
@@ -150,7 +141,6 @@ class MultiplicityReport:
     distinct: bool
     hs_distance: float
     energy_ordering_ok: bool
-    certificate: dict
     counters: dict
     detail: str = ""
 
@@ -594,38 +584,12 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
 
 
 def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
-                       params: SpectrumParams,
-                       sigma1: float | None = None,
-                       sigmaq: float | None = None) -> MultiplicityReport:
-    """Admissibility gate, constrained minimization from zero, endpoint
-    search, saddle search, distinctness check.  Raises
-    InadmissibleLambdaError when lambda fails the certificate at cfg.rho;
-    lets solver errors propagate if the ball stage itself fails."""
+                       params: SpectrumParams) -> MultiplicityReport:
+    """Constrained minimization from zero, endpoint search, saddle search,
+    distinctness check.  It does not decide whether lambda is admissible
+    (constants.certify does); it lets solver errors propagate if the ball
+    stage itself fails."""
     vr.validate_growth_exponent(nl, spec)
-    if sigma1 is None:
-        sigma1 = sigma_estimate(1.0, spec, params, seed=cfg.seed).value
-    if sigmaq is None:
-        sigmaq = sigma_estimate(nl.q, spec, params, seed=cfg.seed).value
-    sigmas = (sigma1, sigmaq)
-    rho = cfg.rho
-    lam_max = lambda_max(rho, spec, nl, sigmas)
-    certificate = {
-        "rho": rho,
-        "lambda": spec.lam,
-        "lambda_max_at_rho": lam_max,
-        "chi_upper": chi_upper(rho, spec, nl, sigmas),
-        "inv_two_lambda": 1.0 / (2.0 * spec.lam),
-        "sigma1": sigma1,
-        "sigmaq": sigmaq,
-        "ball_radius_hs": ball_radius(rho, spec),
-    }
-    if not (spec.lam < lam_max):
-        raise InadmissibleLambdaError(
-            f"lambda = {spec.lam:.6g} is not below lambda_max(rho) = "
-            f"{lam_max:.6g} at rho = {rho:.6g}; certificate refused",
-            lam=spec.lam, lam_max=lam_max, rho=rho,
-        )
-
     counters: dict = {}
     low = ball_minimize(FourierField.zeros(spec, params), cfg, nl,
                         counters=counters)
@@ -639,7 +603,6 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
             distinct=False,
             hs_distance=0.0,
             energy_ordering_ok=True,
-            certificate=certificate,
             counters=dict(counters),
             detail=f"{type(exc).__name__}: {exc}",
         )
@@ -658,7 +621,6 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
         distinct=distinct,
         hs_distance=gap,
         energy_ordering_ok=ordering_ok,
-        certificate=certificate,
         counters=dict(counters),
         detail="; ".join(notes),
     )

@@ -12,9 +12,11 @@ import warnings
 import pytest
 
 import perifrac
-from perifrac import cli, constants
+from perifrac import cli, constants, solvers
 from perifrac.cli import main
-from perifrac.constants import golden_key
+from perifrac.config import default_example_text, parse_config
+from perifrac.constants import certify, golden_key
+from perifrac.solvers import BoundaryActiveError
 from perifrac.spectral import ProblemSpec
 
 
@@ -262,6 +264,62 @@ def test_solve_refuses_inadmissible_lambda(capsys, tmp_path):
     assert cert["lambda_max_at_rho"] < 0.5
 
 
+def test_solve_reports_the_certificate_of_certify(capsys):
+    code, rep, _ = run_cli(capsys, "solve")
+    assert code == 0
+    consts = rep["constants"]
+    sigma = {e["r"]: e["value"] for e in consts["sigmas"]}
+    cfg = parse_config(default_example_text())
+    nl = cfg.nonlinearity()
+    cert = certify(consts["resolved_rho"],
+                   cfg.problem(lam=consts["resolved_lambda"]), nl,
+                   (sigma[1.0], sigma[nl.q]))
+    assert cert == rep["diagnostics"]["certificate"]
+
+
+# the smallest grid at M = 2: each solve below takes milliseconds
+SMALL_CFG = ("discretization.M = 2\n"
+             "discretization.grid_points = 5\n")
+
+
+def test_solve_reports_a_stalled_ball_descent(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "solver.grad_tol = 1e-300\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and rep["status"] == "non-convergence"
+    diag = rep["diagnostics"]
+    assert diag["error"] == ("ball descent stalled at residual 1.031e-09 "
+                             "after 40 iterations")
+    assert len(diag["residual_history_tail"]) == 12
+    assert rep["solutions"] == []
+
+
+def test_solve_reports_a_failed_ball_stage(capsys, tmp_path, monkeypatch):
+    def on_the_boundary(*args, **kwargs):
+        raise BoundaryActiveError("minimizer on the ball boundary")
+
+    monkeypatch.setattr(solvers, "ball_minimize", on_the_boundary)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and rep["status"] == "non-convergence"
+    assert rep["diagnostics"]["error"].startswith("BoundaryActiveError: ")
+    assert rep["solutions"] == []
+
+
+def test_solve_reports_one_solution_with_its_certificate(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "solver.max_doublings = 0\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and rep["status"] == "one-solution-only"
+    assert len(rep["solutions"]) == 1
+    diag = rep["diagnostics"]
+    assert diag["detail"].startswith("EndpointSearchError: ")
+    assert set(diag["certificate"]) == {
+        "rho", "lambda", "lambda_max_at_rho", "chi_upper", "inv_two_lambda",
+        "sigma1", "sigmaq", "ball_radius_hs"}
+
+
 def test_solve_dump_fields(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SOLVE_CFG)
@@ -459,6 +517,21 @@ def test_forcing_beyond_float_range_on_the_ball_edge_is_a_config_error(
     cfg.write_text("discretization.M = 2\n")
     code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
     assert code == 0 and rep["status"] == "two-solutions"
+
+
+@pytest.mark.parametrize("r0", ["1e100", "1e300"])
+def test_endpoint_probe_beyond_float_range_is_a_config_error(
+        capsys, tmp_path, r0):
+    # the endpoint search's first probe is the constant field u = r0; F
+    # overflows there, so solve refuses before the ball stage instead of
+    # ending in non-convergence after it
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(f"nonlinearity.r0 = {r0}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    assert f"u = r0 = {float(r0):.6g}" in rep["diagnostics"]["error"]
 
 
 # T and m whose scales are not finite, positive doubles.  Each once crashed

@@ -8,10 +8,9 @@ import pytest
 from perifrac.config import (_NUMBER_KEYS, AUTO, ConfigError, RunConfig,
                              default_example_text, load_config, parse_config,
                              serialize_config)
-from perifrac.constants import LambdaRange
 from perifrac.report import (EXIT_CODES, dump_fields, empty_report,
-                             estimate_dict, exit_code_for, lambda_row_dict,
-                             solution_dict, to_json)
+                             estimate_dict, exit_code_for, solution_dict,
+                             to_json)
 from perifrac.spectral import FourierField, SpectrumParams
 
 
@@ -92,6 +91,7 @@ NUMBER_VALUES = {
     "problem.s": 0.9, "problem.m": 1.5, "problem.gamma": 0.25,
     "problem.T": 3.0, "problem.N": 3, "discretization.M": 4,
     "discretization.grid_points": 12, "verify.inject_theta_fault": 0.002,
+    "solver.seed": 3,
 }
 
 
@@ -137,7 +137,6 @@ def test_auto_values_must_be_resolved():
     with pytest.raises(ConfigError):
         cfg.solver()
     assert cfg.solver(rho=2.0).rho == 2.0
-    assert cfg.solver(rho=2.0, seed=9).seed == 9
 
 
 def test_builders_realize_blocks():
@@ -261,7 +260,3 @@ def test_solution_and_row_dicts():
 
     e = estimate_dict(FakeEst())
     assert e["status"] == "truncated-lower-bound" and e["iterations"] == 123
-
-    row = LambdaRange(rho=1.0, lambda_max=0.1, ball_radius=0.9)
-    assert lambda_row_dict(row) == {"rho": 1.0, "lambda_max": 0.1,
-                                    "ball_radius": 0.9}

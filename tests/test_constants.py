@@ -6,6 +6,7 @@ independently coded dense searches and the paper's quartic profile h."""
 import math
 import pathlib
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from perifrac import constants, spectral
 from perifrac.cli import GOLDEN_REL_TOL
-from perifrac.constants import (ball_radius, best_lambda, chi_upper,
+from perifrac.constants import (InadmissibleLambdaError, ball_radius,
+                                best_lambda, certify, chi_upper,
                                 default_golden_path, golden_key, lambda_max,
                                 lambda_table, load_golden, rayleigh_ascent,
                                 sigma_estimate, _ascent_grid)
@@ -542,10 +544,29 @@ def test_subnormal_growth_constant_has_no_best_rho():
 def test_lambda_table_rows_are_self_contained():
     rhos = [0.5, 1.0, 2.0]
     rows = lambda_table(rhos, PROBLEM, NL, SIGMAS)
-    assert [row.rho for row in rows] == rhos
+    assert [row["rho"] for row in rows] == rhos
     for row in rows:
-        assert row.lambda_max == lambda_max(row.rho, PROBLEM, NL, SIGMAS)
-        assert row.ball_radius == ball_radius(row.rho, PROBLEM)
+        assert row["lambda_max"] == lambda_max(row["rho"], PROBLEM, NL, SIGMAS)
+        assert row["ball_radius"] == ball_radius(row["rho"], PROBLEM)
+
+
+def test_certify_gate_is_strict():
+    # lambda = lambda_max(rho) itself is refused, as is the next double up;
+    # the next double down is certified
+    lam_max = lambda_max(1.0, PROBLEM, NL, SIGMAS)
+    for lam in (lam_max, math.nextafter(lam_max, math.inf)):
+        with pytest.raises(InadmissibleLambdaError,
+                           match="certificate refused") as exc_info:
+            certify(1.0, replace(PROBLEM, lam=lam), NL, SIGMAS)
+        err = exc_info.value
+        assert (err.lam, err.lam_max, err.rho) == (lam, lam_max, 1.0)
+    below = math.nextafter(lam_max, 0.0)
+    cert = certify(1.0, replace(PROBLEM, lam=below), NL, SIGMAS)
+    assert cert == {
+        "rho": 1.0, "lambda": below, "lambda_max_at_rho": lam_max,
+        "chi_upper": chi_upper(1.0, PROBLEM, NL, SIGMAS),
+        "inv_two_lambda": 1.0 / (2.0 * below), "sigma1": SIGMAS[0],
+        "sigmaq": SIGMAS[1], "ball_radius_hs": ball_radius(1.0, PROBLEM)}
 
 
 # -- golden file -----------------------------------------------------------------

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, minres
 
-from perifrac import solvers
+from perifrac import constants, solvers
 from perifrac import variational as vr
-from perifrac.constants import best_lambda, sigma_estimate
+from perifrac.constants import (InadmissibleLambdaError, best_lambda, certify,
+                                sigma_estimate)
 from perifrac.extension import kappa
 from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
-                              EndpointSearchError, InadmissibleLambdaError,
-                              MultiplicityReport, NonConvergenceError,
+                              EndpointSearchError, MultiplicityReport,
+                              NonConvergenceError,
                               PathCollapseError, SolutionReport, SolverConfig,
                               ball_minimize, find_descent_endpoint,
                               mountain_pass, solve_multiplicity)
@@ -82,11 +83,31 @@ def test_pipeline_two_scalar_solutions():
     want_gap = (abs(c_high - c_low) * problem.T ** (problem.N / 2.0)
                 * problem.m ** problem.s)
     assert abs(rep.hs_distance - want_gap) < 1e-6 * want_gap
+    certificate = certify(1.0, problem, nl, (4.344, 0.3617))
     for key in ("rho", "lambda", "lambda_max_at_rho", "chi_upper",
                 "inv_two_lambda", "sigma1", "sigmaq", "ball_radius_hs"):
-        assert key in rep.certificate
-    assert rep.certificate["lambda"] == problem.lam
-    assert rep.certificate["lambda"] < rep.certificate["lambda_max_at_rho"]
+        assert key in certificate
+    assert certificate["lambda"] == problem.lam
+    assert certificate["lambda"] < certificate["lambda_max_at_rho"]
+
+
+def test_pipeline_runs_no_sigma_ascent(monkeypatch):
+    # the pipeline takes lambda as given: it needs no sigma and climbs none
+    calls = []
+    real = constants.rayleigh_ascent
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(constants, "rayleigh_ascent", spy)
+    problem = ProblemSpec(lam=0.01, **BASE)
+    rep = solve_multiplicity(SolverConfig(rho=1.0),
+                             get_nonlinearity("cubic_plus_one"), problem,
+                             SpectrumParams(0, 2))
+    assert rep.status == "two-solutions"
+    assert calls == []
 
 
 def test_mountain_pass_needs_interior_ridge():
@@ -151,11 +172,9 @@ def test_nonconvergence_carries_history():
 
 def test_inadmissible_lambda_refused_with_certificate_data():
     problem = ProblemSpec(lam=0.5, **BASE)
-    params = SpectrumParams(0, 2)
     nl = get_nonlinearity("cubic_plus_one")
     with pytest.raises(InadmissibleLambdaError) as exc_info:
-        solve_multiplicity(SolverConfig(rho=1.0), nl, problem, params,
-                           sigma1=4.344, sigmaq=0.3617)
+        certify(1.0, problem, nl, (4.344, 0.3617))
     err = exc_info.value
     assert err.lam == 0.5
     assert err.rho == 1.0
@@ -187,8 +206,7 @@ def test_pipeline_constant_subspace_at_m8():
     s4 = sigma_estimate(4.0, probe, params, seed=0, starts=8).value
     rho_star, lam_star = best_lambda(probe, nl, (s1, s4))
     problem = replace(probe, lam=0.5 * lam_star)
-    rep = solve_multiplicity(SolverConfig(rho=rho_star), nl, problem, params,
-                             sigma1=s1, sigmaq=s4)
+    rep = solve_multiplicity(SolverConfig(rho=rho_star), nl, problem, params)
     assert rep.status == "two-solutions"
     c_low, c_high = scalar_roots(problem)
     for sol, root in zip(rep.solutions, (c_low, c_high)):
@@ -264,9 +282,8 @@ def test_pinned_best_lambda_matches_the_certificate(modes):
 def solve_x_dependent_forcing():
     """The pipeline on x_dependent_problem at M = 4, half the best
     lambda_max."""
-    nl, problem, params, rho, (s1, s4) = x_dependent_problem(4, 0.5)
-    rep = solve_multiplicity(SolverConfig(rho=rho), nl, problem, params,
-                             sigma1=s1, sigmaq=s4)
+    nl, problem, params, rho, _ = x_dependent_problem(4, 0.5)
+    rep = solve_multiplicity(SolverConfig(rho=rho), nl, problem, params)
     return nl, rep
 
 
