@@ -9,7 +9,8 @@ checks its sigma against a golden file made for the ladder's tuples by
 scripts/make_golden.py (24 starts, seed 0) in a temporary directory, so
 it times the certification path rather than a missing-entry failure.
 Stage and layer spans come from perfbench/tracer.py, which wraps the stage
-functions (the solver stages, the sigma ascent with its stacked climb of
+functions (the solver stages, the straight-path node energies of the
+saddle stage, the sigma ascent with its stacked climb of
 all seeded starts (climb_coarse, one call per ascent) and its finish at M
 (climb_fine, a stack of one), and the maximization of
 lambda_max over rho), the MINRES solve of the Newton polish, the transform
@@ -53,6 +54,7 @@ STAGES = [
     ("perifrac.solvers", "ball_minimize"),
     ("perifrac.solvers", "find_descent_endpoint"),
     ("perifrac.solvers", "mountain_pass"),
+    ("perifrac.solvers", "_path_energies"),
     ("perifrac.solvers", "_newton_polish"),
     ("perifrac.solvers", "_minres"),
     ("perifrac.constants", "rayleigh_ascent"),

@@ -13,9 +13,11 @@ rejected attempt the wait before the next one doubles (iterations 1, 2, 4,
 8, ...), so a polish that keeps failing costs a logarithmic number of
 attempts.  Between attempts runs a fallback that converges by itself:
 projected Armijo descent in the ball, a climbing image between the two
-fixed endpoints (mountain_pass) for the saddle.  A fallback step that
-stalls brings the next attempt forward to the following iteration before
-the stage gives up.
+fixed endpoints (mountain_pass) for the saddle, from the highest of 17
+path nodes, whose energies come from the endpoints' samples (while that
+is the ball minimizer, the first segment is sampled again).  A fallback
+step that stalls brings the next attempt forward to the following
+iteration before the stage gives up.
 
 The polish solves for the Newton step in mode space, where the principal
 part mu_k^s - gamma is diagonal.  Its Jacobian, that multiplier minus lam
@@ -26,8 +28,9 @@ division, as SPD preconditioner.  Newton is inexact: each step's MINRES
 stops at an Eisenstat-Walker forcing term, loose far from the root and
 tightening as the residual falls.  A step is accepted only if it
 decreases the true residual and lands inside the caller's guard region.
-Each point's weak residual is evaluated once: an accepted trial's is the
-next step's right-hand side.
+Each point's weak residual and energy are evaluated once: the stage's
+gradient gives the first right-hand side, an accepted trial's the next,
+and a landing hands its residual norm and energy to the report.
 
 The solvers take lambda as given: whether it is admissible is decided
 before a solve, by constants.certify.
@@ -159,12 +162,12 @@ def _gradient(u, nl, counters):
     return vr.gradient(u, nl)
 
 
-def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport:
+def _solution_report(u, method, rho, iterations, counters, energy, residual):
     e = sp.e_norm(u)
     return SolutionReport(
         method=method,
-        energy=vr.energy(u, nl),
-        residual_dual_norm=vr.residual_dual_norm(u, nl),
+        energy=energy,
+        residual_dual_norm=residual,
         hs_norm=sp.hs_norm(u),
         e_norm=e,
         in_ball=bool(e * e < rho),
@@ -173,6 +176,18 @@ def _solution_report(u, nl, method, rho, iterations, counters) -> SolutionReport
         counters=dict(counters),
         field=u,
     )
+
+
+class _Landing:
+    """A stage's polish guard: it brings R, lam times the stage's gradient
+    at the start, and keeps the landed energy (accept's) and residual_norm."""
+
+    def __init__(self, R, accept):
+        self.R, self.accept = R, accept
+
+    def __call__(self, w) -> bool:
+        self.energy = self.accept(w)
+        return self.energy is not None
 
 
 # -- Newton polish -------------------------------------------------------------
@@ -274,16 +289,16 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
     Each step solves J delta = -R inexactly, with preconditioned MINRES on
     the matrix-free operators of _jacobian_operators, so no D x D matrix is
     formed; its tolerance is the Eisenstat-Walker forcing term above.  A
-    MINRES breakdown or a non-finite step ends the attempt the way a
-    failed line search does.  The weak residual R of each point is
-    evaluated once: an accepted trial's R is the next step's right-hand
-    side; besides the residuals, a step transforms only to sample f'(u)."""
+    MINRES breakdown or a non-finite step ends the attempt as a failed
+    line search does.  Each point's weak residual R is evaluated once: the
+    start's comes from a _Landing guard, an accepted trial's is the next
+    right-hand side; otherwise a step transforms only to sample f'(u)."""
     problem, params = u.problem, u.params
     n = 2 * params.modes + 1
     x_min = sp.grid_coordinates(problem, n)
 
     cur, eta = u, _ETA_MAX
-    R = vr.weak_residual(cur, nl)
+    R = vr.weak_residual(cur, nl) if guard is None else guard.R
     res_cur = res_start = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
@@ -322,6 +337,8 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             break
     ok = (res_cur <= cfg.grad_tol and res_cur < res_start
           and (guard is None or guard(cur)))
+    if ok and guard is not None:
+        guard.residual_norm = res_cur
     return (cur, True) if ok else (u, False)
 
 
@@ -378,11 +395,12 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     due = 1
     I_start = I_cur
 
-    def guard(w):
+    def accept(w):
         # inside the ball and downhill from the start: a Newton landing on
         # a saddle above the start is not the ball minimizer
         e = sp.e_norm(w)
-        return e * e < rho and vr.energy(w, nl) <= I_start
+        I_w = vr.energy(w, nl) if e * e < rho else math.inf
+        return I_w if I_w <= I_start else None
 
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_ball")
@@ -390,14 +408,16 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         res = problem.lam * sp.dual_norm(r)
         history.append(res)
         if res <= cfg.grad_tol:
+            res = sp.dual_norm(problem.lam * r)   # report |lam r|, not lam |r|
             break
         tried = it == due
         if tried:
             _bump(counters, "polish_attempts")
-            u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
+            landing = _Landing(problem.lam * r, accept)
+            u_new, done = _newton_polish(u, nl, cfg, counters, guard=landing,
                                          max_move=2.0 * ball_radius(rho, problem))
             if done:
-                u = u_new
+                u, I_cur, res = u_new, landing.energy, landing.residual_norm
                 break
             due *= 2
         accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
@@ -425,29 +445,31 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
             f"(e^2 = {e * e:.6g}, rho = {rho:.6g}); not a certified interior "
             f"critical point"
         )
-    return _solution_report(u, nl, "ball_min", rho, it, counters)
+    return _solution_report(u, "ball_min", rho, it, counters, I_cur, res)
 
 
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
-                          counters: dict | None = None) -> FourierField:
+                          counters: dict | None = None,
+                          ends: list | None = None) -> FourierField:
     """March t -> 2t along the constant field of height r0 until the energy
     drops below energy(u_loc) - _ENDPOINT_MARGIN.  The superlinear potential
     guarantees success; the doubling budget guards against a nonlinearity
-    that is not actually superlinear."""
-    problem = u_loc.problem
+    that is not actually superlinear.  ends = [energy(u_loc), None] gets the
+    endpoint's energy in ends[1]."""
     if counters is None:
         counters = {}
-    reference = vr.energy(u_loc, nl)
-    v0 = FourierField.constant(problem, u_loc.params, nl.r0)
+    ends = ends or [vr.energy(u_loc, nl), None]
+    v0 = FourierField.constant(u_loc.problem, u_loc.params, nl.r0)
     t = 1.0
     for _ in range(cfg.max_doublings):
         _bump(counters, "endpoint_probes")
         cand = v0 * t
-        if _energy(cand, nl, counters) < reference - _ENDPOINT_MARGIN:
+        ends[1] = _energy(cand, nl, counters)
+        if ends[1] < ends[0] - _ENDPOINT_MARGIN:
             return cand
         t *= 2.0
     raise EndpointSearchError(
-        f"no endpoint with energy below {reference:.6g} - "
+        f"no endpoint with energy below {ends[0]:.6g} - "
         f"{_ENDPOINT_MARGIN:g} within {cfg.max_doublings} doublings of the "
         f"constant direction; superlinearity looks violated numerically"
     )
@@ -456,14 +478,32 @@ def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
 # -- path-climbing saddle search --------------------------------------------------
 
 
+def _path_energies(u_a: FourierField, u_b: FourierField, nl) -> list:
+    """Energies of the nodes (1 - t) u_a + t u_b, t = i/P for 0 < i < P, from
+    two transforms: a node's samples are (1 - t) S(u_a) + t S(u_b)."""
+    problem = u_a.problem
+    x, S_a, n_pad = vr._padded_samples(u_a, nl)
+    S_b = sp.inverse_transform(u_b, n_pad)
+    weight = sp.multiplier_array(problem, u_a.params) - problem.gamma
+    aa, ab, bb = (np.vdot(v.coeffs, weight * w.coeffs).real / problem.lam
+                  for v, w in ((u_a, u_a), (u_a, u_b), (u_b, u_b)))
+    return [0.5 * ((1.0 - t) ** 2 * aa + 2.0 * t * (1.0 - t) * ab + t * t * bb)
+            - vr._rectangle_rule(nl, x, (1.0 - t) * S_a + t * S_b, problem)
+            for t in (i / _PATH_POINTS for i in range(1, _PATH_POINTS))]
+
+
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
-                  counters: dict | None = None) -> SolutionReport:
+                  counters: dict | None = None,
+                  ends: list | None = None) -> SolutionReport:
     """Climbing-image search for the saddle between the fixed endpoints u_a
     and u_b (Henkelman, Uberuaga & Jonsson 2000).
 
     The straight path from u_a to u_b is sampled at _PATH_POINTS + 1 evenly
     spaced nodes; its highest node (smallest index on ties) is the climbing
-    image.  Each iteration attempts the trust-region Newton polish from the
+    image, or, while that is u_a, the first segment is sampled again, unless
+    its first node would lie within distinct_tol of u_a.  ends holds
+    [energy(u_a), energy(u_b)] if the caller has them.  Each iteration
+    attempts the trust-region Newton polish from the
     climber when due (first on iteration 1), and otherwise steps the
     climber along the Riesz representative of its weak residual with the
     component along the tangent reflected: downhill across the path, uphill
@@ -487,25 +527,25 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         raise DegeneratePathError("path endpoints coincide")
 
     P = _PATH_POINTS
+    I_a, I_far = ends or (vr.energy(u_a, nl), vr.energy(u_b, nl))
+    end_max, far = max(I_a, I_far), u_b
+    while True:
+        _bump(counters, "energy_evals", P + 1)
+        energies = [I_a, *_path_energies(u_a, far, nl), I_far]
+        j = int(np.argmax(energies))
+        if 0 < j < P:
+            break
+        if j == P or sp.hs_distance(far, u_a) / P ** 2 <= cfg.distinct_tol:
+            raise PathCollapseError(f"path maximum at endpoint (node {j}): no "
+                                    f"interior ridge between the given endpoints")
+        far, I_far = u_a * (1.0 - 1.0 / P) + far * (1.0 / P), energies[1]
 
-    def node(i):
-        return u_a * (1.0 - i / P) + u_b * (i / P)
+    def accept(w):
+        I_w = vr.energy(w, nl)
+        apart = min(sp.hs_distance(w, u_a), sp.hs_distance(w, u_b))
+        return I_w if I_w > end_max and apart > cfg.distinct_tol else None
 
-    energies = [_energy(node(i), nl, counters) for i in range(P + 1)]
-    end_max = max(energies[0], energies[P])
-    j = int(np.argmax(energies))
-    if j == 0 or j == P:
-        raise PathCollapseError(
-            f"path maximum at endpoint (node {j}): no interior ridge "
-            f"between the given endpoints"
-        )
-
-    def guard(w):
-        return (vr.energy(w, nl) > end_max
-                and sp.hs_distance(w, u_a) > cfg.distinct_tol
-                and sp.hs_distance(w, u_b) > cfg.distinct_tol)
-
-    u = node(j)
+    u = u_a * (1.0 - j / P) + far * (j / P)
     r = _gradient(u, nl, counters)
     res = lam * sp.dual_norm(r)
     step = 1.0
@@ -516,16 +556,18 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         _bump(counters, "iterations_path")
         history.append(res)
         if res <= cfg.grad_tol:
+            res, I_cand = sp.dual_norm(lam * r), vr.energy(u, nl)
             break
         to_u, to_b = u - u_a, u_b - u
         d_a, d_b = sp.hs_norm(to_u), sp.hs_norm(to_b)
         spacing = (d_a + d_b) / P
         if it == due:
             _bump(counters, "polish_attempts")
-            u_new, done = _newton_polish(u, nl, cfg, counters, guard=guard,
+            landing = _Landing(lam * r, accept)
+            u_new, done = _newton_polish(u, nl, cfg, counters, guard=landing,
                                          max_move=2.0 * spacing)
             if done:
-                u = u_new
+                u, I_cand, res = u_new, landing.energy, landing.residual_norm
                 break
             due *= 2
         tangent = (to_u * (1.0 / max(d_a, 1e-300))
@@ -571,13 +613,12 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
             f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
             residual_history=history,
         )
-    cand_energy = vr.energy(u, nl)
-    if cand_energy <= end_max:
+    if I_cand <= end_max:
         raise DegeneratePathError(
-            f"converged node energy {cand_energy:.6g} does not exceed the "
+            f"converged node energy {I_cand:.6g} does not exceed the "
             f"endpoint energies (max {end_max:.6g})"
         )
-    return _solution_report(u, nl, "mountain_pass", cfg.rho, it, counters)
+    return _solution_report(u, "mountain_pass", cfg.rho, it, counters, I_cand, res)
 
 
 # -- full pipeline ---------------------------------------------------------------
@@ -588,15 +629,16 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
     """Constrained minimization from zero, endpoint search, saddle search,
     distinctness check.  It does not decide whether lambda is admissible
     (constants.certify does); it lets solver errors propagate if the ball
-    stage itself fails."""
+    stage itself fails, and reports one solution if a later one fails."""
     vr.validate_growth_exponent(nl, spec)
     counters: dict = {}
     low = ball_minimize(FourierField.zeros(spec, params), cfg, nl,
                         counters=counters)
+    ends = [low.energy, None]
     try:
-        endpoint = find_descent_endpoint(low.field, cfg, nl, counters=counters)
-        high = mountain_pass(low.field, endpoint, cfg, nl, counters=counters)
-    except SolverError as exc:
+        endpoint = find_descent_endpoint(low.field, cfg, nl, counters, ends)
+        high = mountain_pass(low.field, endpoint, cfg, nl, counters, ends)
+    except (SolverError, OverflowError) as exc:
         return MultiplicityReport(
             status="one-solution-only",
             solutions=[low],

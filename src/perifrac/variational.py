@@ -336,12 +336,20 @@ def nonlinear_image(u: FourierField, nl: Nonlinearity) -> FourierField:
     return sp.forward_transform(g, u.problem, u.params)
 
 
+def _rectangle_rule(nl: Nonlinearity, x, samples, problem) -> float:
+    """int F(x, u(x)) dx by the rectangle rule, from u's samples at x."""
+    Fv = _evaluate(nl.F, x, samples, f"F[{nl.name}]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(Fv) * (problem.T / samples.shape[0]) ** problem.N)
+    if not math.isfinite(total):
+        raise OverflowError(f"rectangle-rule sum of F[{nl.name}] overflowed")
+    return total
+
+
 def integral_of_potential(u: FourierField, nl: Nonlinearity) -> float:
     """int F(x, u(x)) dx by the rectangle rule on the dealiased grid."""
-    x, samples, n_pad = _padded_samples(u, nl)
-    Fv = _evaluate(nl.F, x, samples, f"F[{nl.name}]")
-    problem = u.problem
-    return float(np.sum(Fv) * (problem.T / n_pad) ** problem.N)
+    x, samples, _ = _padded_samples(u, nl)
+    return _rectangle_rule(nl, x, samples, u.problem)
 
 
 # -- energy and gradient -------------------------------------------------------

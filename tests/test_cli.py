@@ -320,6 +320,56 @@ def test_solve_reports_one_solution_with_its_certificate(capsys, tmp_path):
         "sigma1", "sigmaq", "ball_radius_hs"}
 
 
+def test_solve_counts_every_path_node_as_an_energy_evaluation(capsys):
+    # the straight path's 17 node energies come from two transforms, yet
+    # each counts: 1 for the ball's start, 2 endpoint probes and 17 nodes;
+    # and one gradient per stage, at its start
+    code, rep, _ = run_cli(capsys, "solve")
+    assert code == 0
+    timings = rep["timings"]
+    assert (timings["energy_evals"], timings["gradient_evals"]) == (20, 2)
+    assert timings["endpoint_probes"] == 2
+
+
+# nonlinearity.r0 far past the ridge root (near 2.45 at M = 2), and the
+# number of times the saddle stage samples its start path there
+R0_PAST_THE_RIDGE = {"100": 2, "1e4": 3, "1e6": 5, "1e50": 42}
+
+
+@pytest.mark.parametrize("r0", sorted(R0_PAST_THE_RIDGE))
+def test_solve_refines_the_start_path_when_r0_lies_past_the_ridge(
+        capsys, tmp_path, r0):
+    # the first probe u = r0 is the endpoint, so the ridge lies inside the
+    # path's first segment and node 0 is its highest node; each refinement
+    # samples that segment again until the ridge is interior, and the
+    # saddle is the one that the default r0 = 2 finds
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    _, ref, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    cfg.write_text(SMALL_CFG + f"nonlinearity.r0 = {r0}\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 0 and rep["status"] == "two-solutions"
+    want, got = (r["solutions"][1]["energy"] for r in (ref, rep))
+    assert abs(got - want) <= 1e-14 * want
+    assert rep["solutions"][1]["residual_dual_norm"] <= 1e-8
+    timings = rep["timings"]
+    assert timings["endpoint_probes"] == 1
+    assert timings["energy_evals"] == 2 + 17 * R0_PAST_THE_RIDGE[r0]
+
+
+def test_overflowing_energy_sum_leaves_one_solution(capsys, tmp_path):
+    # at r0 = 1e77 F is finite on each sample of the first endpoint probe,
+    # but their sum overflows: the probe raises OverflowError instead of
+    # passing with energy -inf, and the ball solution stands alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "nonlinearity.r0 = 1e77\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and rep["status"] == "one-solution-only"
+    assert [s["method"] for s in rep["solutions"]] == ["ball_min"]
+    assert rep["diagnostics"]["detail"].startswith(
+        "OverflowError: rectangle-rule sum of F[cubic_plus_one] overflowed")
+
+
 def test_solve_dump_fields(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SOLVE_CFG)

@@ -132,6 +132,56 @@ def test_mountain_pass_rejects_coincident_endpoints():
                       SolverConfig(rho=1.0), nl)
 
 
+# the path oracle's nonlinearities: the registry cubic, the x-dependent
+# forcing of x_dependent_problem, and a cubic with no F (the quadrature
+# primitive, so at small M only)
+PATH_NONLINEARITIES = ("cubic_plus_one", "x_dependent", "quadrature")
+
+
+def path_nonlinearity(name):
+    if name == "x_dependent":
+        return x_dependent_problem(4, 0.5)[0]
+    if name == "quadrature":
+        return make_nonlinearity("cubic_by_quadrature",
+                                 f=lambda x, t: 1.0 + t ** 3, a1=1.0, a2=1.0,
+                                 q=4.0, alpha=3.0, r0=2.0)
+    return get_nonlinearity(name)
+
+
+@pytest.mark.parametrize("name", PATH_NONLINEARITIES)
+@pytest.mark.parametrize("N, s", [(1, 0.4), (2, 0.75), (3, 0.9)])
+def test_path_energies_match_the_energy_of_each_node(name, N, s):
+    # node i's samples and quadratic part are affine and quadratic in t, so
+    # two transforms give every node; the oracle builds each node's field
+    nl = path_nonlinearity(name)
+    modes = 1 if name == "quadrature" else 3
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.05, T=2.0 * math.pi,
+                          N=N)
+    params = SpectrumParams(modes, 2 * modes + 1)
+    rng = np.random.default_rng(N)
+    u_a = FourierField(0.1 * random_symmetric_coeffs(rng, modes, N), problem,
+                       params)
+    u_b = (FourierField.constant(problem, params, 8.0)
+           + FourierField(random_symmetric_coeffs(rng, modes, N), problem,
+                          params))
+    P = solvers._PATH_POINTS
+    got = solvers._path_energies(u_a, u_b, nl)
+    assert len(got) == P - 1
+    for i, value in enumerate(got, start=1):
+        want = energy(u_a * (1.0 - i / P) + u_b * (i / P), nl)
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_path_energies_raise_on_an_overflowing_sum():
+    # F is finite on each sample of the far end, their sum is not
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(1, 3)
+    far = FourierField.constant(problem, params, 1e77)
+    with pytest.raises(OverflowError, match="rectangle-rule sum"):
+        solvers._path_energies(FourierField.zeros(problem, params), far,
+                               get_nonlinearity("cubic_plus_one"))
+
+
 def test_boundary_active_detection():
     # place the ball boundary exactly at the free minimizer's level set:
     # the descent converges there and must refuse to certify the point
@@ -399,10 +449,10 @@ def test_ball_descent_stalls_when_steps_cannot_move_the_field(monkeypatch):
 
 def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     # the energy of the current point is carried from the Armijo step that
-    # accepted it: one evaluation for the start, one per line-search trial,
-    # and one for the final report, whatever the number of iterations.  The
-    # polish would finish on iteration 1, so it is switched off to leave a
-    # descent-only run
+    # accepted it: one evaluation for the start and one per line-search
+    # trial, whatever the number of iterations; the report takes the carried
+    # value.  The polish would finish on iteration 1, so it is switched off
+    # to leave a descent-only run
     calls = []
     real_energy = solvers.vr.energy
 
@@ -428,7 +478,7 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     trials = rep.counters["line_search_trials"]
     assert rep.iterations >= 5
     assert rep.counters["energy_evals"] == 1 + trials
-    assert len(calls) == 1 + trials + 1
+    assert len(calls) == 1 + trials
     assert rep.energy == real_energy(rep.field, nl)
 
 
@@ -751,7 +801,8 @@ def test_polish_evaluates_each_point_once(monkeypatch):
 
 def test_no_residual_between_landed_polish_and_report(monkeypatch):
     # after a landed polish each stage goes straight to its report, which
-    # evaluates the residual once
+    # takes the residual norm and the energy the landing holds: no point's
+    # gradient is evaluated twice, the stage's start included
     problem = ProblemSpec(lam=0.01, **BASE)
     params = SpectrumParams(2, 8)
     nl = get_nonlinearity("cubic_plus_one")
@@ -779,7 +830,9 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
     assert events.count("landed") == 2
     for i, kind in enumerate(events):
         if kind == "landed":
-            assert events[i + 1:i + 3] == ["report", "gradient"]
+            assert events[i + 1] == "report"
+    points = [key for kind, key in log if kind == "gradient"]
+    assert len(points) == len(set(points))
 
 
 def test_polish_without_fprime_uses_a_finite_difference_jacobian():

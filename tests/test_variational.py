@@ -16,7 +16,8 @@ from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
 from perifrac.variational import (CheckReport, check_ar, check_growth,
                                   check_superhomogeneity, dealias_points,
                                   energy, get_nonlinearity, gradient,
-                                  make_nonlinearity, nonlinear_image,
+                                  integral_of_potential, make_nonlinearity,
+                                  nonlinear_image,
                                   registry_keys, residual_dual_norm,
                                   riesz_representative,
                                   validate_growth_exponent, weak_residual)
@@ -250,6 +251,14 @@ def test_overflow_reports_witness(example_problem):
     u = FourierField.constant(example_problem, params, 1e200)
     with pytest.raises(OverflowError):
         nonlinear_image(u, get_nonlinearity("pure_cubic"))
+
+
+def test_overflowing_potential_sum_raises(example_problem):
+    # F(1e77) = 2.5e307 is finite at each sample; their sum is not
+    params = SpectrumParams(modes=1, grid_points=3)
+    u = FourierField.constant(example_problem, params, 1e77)
+    with pytest.raises(OverflowError, match="rectangle-rule sum"):
+        integral_of_potential(u, get_nonlinearity("cubic_plus_one"))
 
 
 # -- energy / gradient -----------------------------------------------------------
