@@ -11,8 +11,8 @@ it times the certification path rather than a missing-entry failure.
 Stage and layer spans come from perfbench/tracer.py, which wraps the stage
 functions (the solver stages, the straight-path node energies of the
 saddle stage, the sigma ascent with its stacked climb of
-all seeded starts (climb_coarse, one call per ascent) and its finish at M
-(climb_fine, a stack of one), and the maximization of
+all seeded starts (climb_coarse, one call per ascent) and its L-BFGS
+finish at M (climb_fine), and the maximization of
 lambda_max over rho), the MINRES solve of the Newton polish, the transform
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
@@ -108,28 +108,13 @@ def ladder_golden(path: pathlib.Path) -> None:
 
 
 def install_climbs(tracer) -> None:
-    """Span constants._climb as climb_coarse at the level of the first
-    climb of each rayleigh_ascent call (the stack of its seeded starts)
-    and as climb_fine at any other level (the finish at M)."""
+    """Span constants._climb, the stacked climb of all seeded starts (one
+    call per ascent), as climb_coarse, and constants._finish, the L-BFGS
+    finish at M, as climb_fine."""
     from perifrac import constants
 
-    ascent, climb = constants.rayleigh_ascent, constants._climb
-    coarse = tracer.wrap("climb_coarse", climb)
-    fine = tracer.wrap("climb_fine", climb)
-    level = [None]
-
-    def fresh_ascent(*args, **kwargs):
-        level[0] = None
-        return ascent(*args, **kwargs)
-
-    def labelled_climb(problem, r, modes, *rest):
-        if level[0] is None:
-            level[0] = modes
-        return (coarse if modes == level[0] else fine)(problem, r, modes,
-                                                        *rest)
-
-    constants.rayleigh_ascent = fresh_ascent
-    constants._climb = labelled_climb
+    constants._climb = tracer.wrap("climb_coarse", constants._climb)
+    constants._finish = tracer.wrap("climb_fine", constants._finish)
 
 
 def run_one(command: str, config_path: str, golden_path: str) -> dict:

@@ -5,8 +5,8 @@ over real trigonometric polynomials of the working resolution; r = 1 and
 r = 2 have closed forms (the constant field is extremal), general r is
 estimated from below by projected Rayleigh-quotient ascent on the H^s
 sphere from randomized starts, which climb together at M/2 as one stack
-to sqrt(_TOL), since their maximizer only starts the finish; the best of
-them is finished at M to _TOL.
+only as far as ranking them needs; the best of them is finished at M to
+_TOL by limited-memory BFGS.
 
 From sigma_1 and sigma_q the certificate machinery produces, for each positive
 trial ball parameter rho,
@@ -111,40 +111,22 @@ def _ascent_grid(modes: int, r: float) -> int:
 # From M // 2 >= 2 (N=1..3, r=3 and 4, M=4..6) it stayed within 1.3e-10.
 _NESTED_MIN_MODES = 4
 
-_MAX_ITER, _TOL = 2000, 1e-12   # per climb; coarse level to sqrt(_TOL)
+_MAX_ITER, _TOL = 2000, 1e-12   # per climb
+_RANK_TOL = 1e-4                # the nested coarse level, which only ranks
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
-           step: float, max_iter: int, tol: float):
-    """Projected gradient ascent of |u|_{L^r} / |u|_{H^s} over the half
-    cube of degree `modes`, for a stack of starts: c holds one half cube
-    per start, stacked on the axis before the last (see
-    spectral._hermitian_half).  Each start is first rescaled to the H^s
-    unit sphere and climbs with first trial step `step`.  Returns, per
-    start, (ratios, half cubes of the end points, step lengths at the end,
-    iterations), stacked as the input.
-
-    The starts climb in lockstep.  Each round inverse-transforms the trial
-    points of all starts in a line search in one stacked call, and the
-    starts whose trial was accepted get their next gradient from one
-    forward transform of the whole stack, whose other rows are dropped; a
-    start leaves the stack when its climb stops.  Each start keeps the
-    rules of a climb of its own: the trial step grows x1.3 on an accepted
-    trial and halves on a rejected one, and a trial is accepted when it
-    raises the value by more than a factor 1 + 1e-16.  A climb stops
-    after 40 halvings without an accepted trial, on a tangent of norm
-    below tol, on a value change below tol, after max_iter iterations, or
-    on a value that is not a positive finite double, which is returned as
-    it is.  A climb that stops on a failed line search returns the step
-    length that search started with, so a finish that inherits it does
-    not start from a collapsed step.
-
-    The stacks of samples, and the largest intermediates of the
-    transforms, live in two buffers allocated once per climb and used in
-    turn: fresh arrays of the stack's sample size in every round made the
-    coarse climb about 1.5x slower through page faults."""
-    N, starts = problem.N, c.shape[-2]
+def _level(problem: ProblemSpec, r: float, modes: int, starts: int):
+    """The quotient |u|_{L^r} / |u|_{H^s} at degree `modes` for a stack of
+    `starts` half cubes: (dot, sample, tangent).  dot is the H^s product
+    of spectral._half_dot; sample(c) gives |u|_{L^r} per field and w =
+    |u|^{r-1} sgn(u) over the samples; tangent(w, Lr, c, due) gives, at the
+    rows `due` (default all) of the unit fields c, the quotient's gradient
+    on the sphere: L^{1-r} w_k preconditioned by mu^{-s}, less its radial
+    part, from one transform of the whole stack.  Samples and the largest
+    transform intermediates live in two buffers allocated once per level
+    (fresh arrays per round made the coarse climb 1.5x slower through page
+    faults); for N = 1 a tangent is a view of one."""
+    N = problem.N
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     inv_mu_s = 1.0 / sp._half_multiplier(problem, params)[..., None, :]
@@ -159,8 +141,6 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     samples, spare = np.empty(size), np.empty(size)
 
     def sample(c):
-        """|u|_{L^r} of each field of the stack c, and w = |u|^{r-1} sgn(u)
-        written over its samples u, which live in `samples`."""
         u = sp._half_to_samples(c, problem, n, out=samples, work=spare)
         if even:
             a = np.multiply(u, u, out=sp._view(spare, u.shape, float))
@@ -175,13 +155,46 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
             u *= a
         return (lr * dx_weight) ** (1.0 / r), u
 
+    def tangent(w, Lr, c, due=None):
+        grad = sp._hermitian_half(w, problem, modes, work=spare)
+        scale = Lr ** (1.0 - r)
+        if due is not None and not due.all():
+            grad, scale, c = grad[..., due, :], scale[due], c[..., due, :]
+        grad *= scale[:, None]
+        grad *= inv_mu_s
+        grad -= dot(c, grad)[:, None] * c
+        return grad
+
+    return dot, sample, tangent
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
+           step: float, max_iter: int, tol: float):
+    """Projected gradient ascent of |u|_{L^r} / |u|_{H^s} at degree
+    `modes` for a stack of starts, one half cube per start on the axis
+    before the last (see spectral._hermitian_half), each rescaled to the
+    H^s unit sphere, with first trial step `step`.  Returns, per start,
+    (ratios, half cubes of the end points, iterations).
+
+    The starts climb in lockstep: each round inverse-transforms all trial
+    points in one stacked call, and the accepted ones get their next
+    gradient from one forward transform of the stack; a start leaves the
+    stack when its climb stops.  Each start keeps the rules of a climb of
+    its own: a trial is accepted when it raises the value by more than a
+    factor 1 + 1e-16, the step then grows x1.3, and otherwise halves.  A
+    climb stops after 40 halvings in a row, on a tangent norm or a value
+    change below tol, after max_iter iterations, or on a value that is not
+    a positive finite double, which is returned as it is."""
+    starts = c.shape[-2]
+    dot, sample, gradient = _level(problem, r, modes, starts)
     c = c / np.maximum(np.sqrt(dot(c, c)), 1e-300)[:, None]
     # the results, per start
     ratios, ends = np.zeros(starts), np.empty_like(c)
-    end_steps, iterations = np.empty(starts), np.zeros(starts, dtype=int)
+    iterations = np.zeros(starts, dtype=int)
     # the state, one row per start still climbing; `rows` holds its start
     rows = np.arange(starts)
-    step, search_step = np.full(starts, float(step)), np.empty(starts)
+    step = np.full(starts, float(step))
     halvings, count = np.zeros(starts, dtype=int), np.zeros(starts, dtype=int)
     prev = np.full(starts, -np.inf)
     tangent = np.empty_like(c)
@@ -195,30 +208,21 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
         stop |= due & ~go
         due = go
         if due.any():
-            # the whole stack is transformed; the rows not due are dropped
-            grad = sp._hermitian_half(w, problem, modes, work=spare)
-            scale, at = Lr ** (1.0 - r), c
-            if not due.all():
-                grad, scale, at = grad[..., due, :], scale[due], c[..., due, :]
-            grad *= scale[:, None]
-            grad *= inv_mu_s
-            grad -= dot(at, grad)[:, None] * at
+            grad = gradient(w, Lr, c, due)
             tangent[..., due, :] = grad
             stop[due] = dot(grad, grad) <= (tol * np.maximum(Lr[due], 1.0)) ** 2
-            np.copyto(search_step, step, where=due)
             halvings[due] = 0
         if stop.any():
             done, end = rows[stop], c[..., stop, :]
             h = np.sqrt(dot(end, end))
             ratios[done] = np.divide(Lr[stop], h, out=np.zeros(h.size), where=h > 0)
             ends[..., done, :] = end
-            end_steps[done], iterations[done] = step[stop], count[stop]
+            iterations[done] = count[stop]
             keep = ~stop
             if not keep.any():
-                return ratios, ends, end_steps, iterations
-            rows, Lr, prev, step, search_step, halvings, count, stop = (
-                x[keep] for x in (rows, Lr, prev, step, search_step,
-                                  halvings, count, stop))
+                return ratios, ends, iterations
+            rows, Lr, prev, step, halvings, count, stop = (
+                x[keep] for x in (rows, Lr, prev, step, halvings, count, stop))
             c, tangent = c[..., keep, :], tangent[..., keep, :]
         trial = tangent * step[:, None]
         trial += c
@@ -231,56 +235,100 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
         step *= np.where(won, 1.3, 0.5)
         halvings += ~won
         stop = halvings == 40
-        np.copyto(step, search_step, where=stop)
         settled = won & (np.abs(Lr - prev) <= tol * np.maximum(1.0, np.abs(Lr)))
         np.copyto(prev, Lr, where=won)
         stop |= settled
         due = won & ~settled
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _finish(problem: ProblemSpec, r: float, modes: int, c: np.ndarray):
+    """L-BFGS ascent of the quotient on the H^s unit sphere at degree
+    `modes` from the half cube c, a stack of one, to _TOL (Liu & Nocedal
+    1989; Huang, Gallivan & Absil 2015): (ratio, end point, iterations).
+    It keeps the pairs s = c+ - c, y = g - g+ (g the tangent) of the last
+    5 steps with <s, y> > 0, projected onto the new tangent space; the
+    two-loop recursion, scaled by the last <s, y> / <y, y> and projected,
+    gives the direction d, or g with the pairs dropped when d is not
+    uphill.  A trial c + t d, rescaled onto the sphere, starts at t = 1
+    (0.5 along g); acceptance, halvings and stops are _climb's."""
+    dot, sample, gradient = _level(problem, r, modes, 1)
+    weight = dot.weight.ravel()   # a flat product is faster for one field
+
+    def inner(a, b):
+        return float(np.dot(a.view(float).ravel() * weight,
+                            b.view(float).ravel()))
+
+    c = c / max(math.sqrt(inner(c, c)), 1e-300)
+    Lr, w = sample(c)
+    pairs, g, count = [], None, 0   # pairs: (s, y, 1 / <s, y>)
+    while count < _MAX_ITER and 0.0 < Lr[0] < math.inf:
+        count += 1
+        g_new = gradient(w, Lr, c).copy()   # not a view of a buffer
+        if g is not None:
+            s, y = (x - inner(c, x) * c for x in (c - c_old, g - g_new))
+            if inner(s, y) > 0.0:
+                pairs = pairs[-4:] + [(s, y, 1.0 / inner(s, y))]
+        g = g_new
+        if inner(g, g) <= (_TOL * max(Lr[0], 1.0)) ** 2:
+            break
+        d, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * inner(s, d))
+            d -= alphas[-1] * y
+        if pairs:
+            d *= 1.0 / (pairs[-1][2] * inner(pairs[-1][1], pairs[-1][1]))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * inner(y, d)) * s
+        d -= inner(c, d) * c
+        if not inner(d, g) > 0.0:
+            d, pairs = g, []
+        step = 1.0 if pairs else 0.5
+        for _ in range(40):
+            trial = c + step * d
+            trial /= math.sqrt(inner(trial, trial)) or math.nan   # 0: rejected
+            val, w = sample(trial)
+            if val[0] > Lr[0] * (1.0 + 1e-16):
+                break
+            step *= 0.5
+        else:
+            break
+        settled = abs(val[0] - Lr[0]) <= _TOL * max(1.0, abs(val[0]))
+        c_old, c, Lr = c, trial, val
+        if settled:
+            break
+    return float(Lr[0] / max(math.sqrt(inner(c, c)), 1e-300)), c[..., 0, :], count
+
+
 def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
                     seed: int = 0, starts: int = 16):
-    """Maximize |u|_{L^r} / |u|_{H^s} over the truncated mode space.
+    """Maximize |u|_{L^r} / |u|_{H^s} over the truncated mode space by
+    ascent on the H^s unit sphere from `starts` random starts, with seeds
+    spawned from `seed`; returns (best ratio, best field, diagnostics).
 
-    Projected gradient ascent on the H^s unit sphere: the flat-metric
-    gradient of L(c) = |u|_{L^r} has modes L^{1-r} w_k with
-    w = |u|^{r-1} sgn(u); preconditioning by mu^{-s} and removing the
-    radial component gives the tangential step.  Multi-start with seeds
-    spawned from the master seed; returns (best ratio, best field,
-    diagnostics dict).
-
-    Nested iteration: all starts climb together on the coarse level
-    M_c = M // 2, as one stack in one _climb that stops at sqrt(_TOL), both
-    on the tangent norm and on the value change, since the coarse maximizer
-    only starts the finish, and only the best coarse maximizer (the first
-    of equal ones), zero-padded into the degree-M half cube (leading axes
-    centred, k_N = 0..M_c), climbs on at M to _TOL, a stack of one, with
-    the step length its coarse climb ended with.  The returned ratio is
-    the quotient of the returned degree-M field, a lower bound for the
-    supremum as before.  Below _NESTED_MIN_MODES the starts climb at M
-    itself and no finish runs.  The diagnostics count the coarse level
-    (coarse_modes, coarse_iterations), the finish (fine_iterations) and
-    their sum (iterations).
+    Nested iteration: all starts climb together in one _climb on the
+    coarse level M_c = M // 2, only to _RANK_TOL, which ranks them, and
+    the best coarse maximizer (the first of equal ones), zero-padded into
+    the degree-M half cube (leading axes centred, k_N = 0..M_c), is
+    finished at M to _TOL by _finish's L-BFGS.  Below _NESTED_MIN_MODES
+    the starts climb at M itself to _TOL and no finish runs.  The returned
+    ratio is the quotient of the returned degree-M field, a lower bound for
+    the supremum.  The diagnostics count the coarse level (coarse_modes,
+    coarse_iterations), the finish (fine_iterations) and their sum
+    (iterations).
 
     For even integer r the grid has n = max(rM, 2M) + 1 points per axis,
-    where u^r and u^{r-1} (degree rM and (r-1)M) are resolved exactly, so
-    the returned ratio is the exact quotient of the returned field.  There
-    u^r and w = u^{r-1} are exact integer powers of u*u times u.  Odd and
-    fractional r use a finer grid on which |u|^r, which has a kink at the
-    zeros of u, is integrated to spectral accuracy only.
+    which resolves u^r and u^{r-1} (degree rM and (r-1)M, exact integer
+    powers of u*u times u), so the ratio is the exact quotient of the
+    returned field.  Odd and fractional r use a finer grid on which |u|^r,
+    kinked at the zeros of u, is integrated to spectral accuracy only.
 
-    The state is the k_N >= 0 half of the mode cube as a raw array, one
-    per start in a stack, moved by spectral's pruned kernels, products
-    with cached DFT matrices that compute only the retained modes and
-    transform the whole stack at once, and measured by spectral._half_dot,
-    which weights each k_N > 0 entry twice, once for its conjugate
-    partner.  Every forward step makes the k_N = 0 plane exactly
-    Hermitian, as forward_transform does, and the steps (real even
-    multipliers, real scalars, sums, zero padding) keep it so; the
-    returned field is the full cube filled by conjugation.  Each field is
-    inverse-transformed once on its level: the samples of an accepted
-    trial point carry over to the next iteration and to the final ratio.
-    """
+    The state is the k_N >= 0 half of the mode cube, moved by spectral's
+    pruned DFT kernels.  Every forward transform makes the k_N = 0 plane
+    exactly Hermitian, and the steps (real even multipliers, real scalars,
+    sums, zero padding) keep it so.  Each field is inverse-transformed
+    once on its level: an accepted trial's samples carry over to the next
+    iteration and to the final ratio."""
     if r < 1.0:
         raise ValueError("r must be >= 1")
     if starts < 1:
@@ -291,9 +339,8 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         np.stack([default_rng(ss).standard_normal((n,) * problem.N)
                   for ss in SeedSequence(seed).spawn(starts)], axis=-2),
         problem, coarse)
-    ratios, c, steps, iterations = _climb(
-        problem, r, coarse, c, 0.5, _MAX_ITER,
-        math.sqrt(_TOL) if coarse < modes else _TOL)
+    ratios, c, iterations = _climb(problem, r, coarse, c, 0.5, _MAX_ITER,
+                                   _RANK_TOL if coarse < modes else _TOL)
     best = max(range(starts), key=lambda i: ratios[i])
     ratio, c = float(ratios[best]), c[..., best, :]
     coarse_iterations = int(iterations.sum())
@@ -303,9 +350,7 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
                           dtype=complex)
         lead = slice(modes - coarse, modes + coarse + 1)
         padded[(lead,) * (problem.N - 1) + (0, slice(coarse + 1))] = c
-        ratios, c, _, iterations = _climb(problem, r, modes, padded,
-                                          steps[best], _MAX_ITER, _TOL)
-        ratio, c, fine_iterations = float(ratios[0]), c[..., 0, :], int(iterations[0])
+        ratio, c, fine_iterations = _finish(problem, r, modes, padded)
     field = FourierField(sp._full_cube(c), problem,
                          SpectrumParams(modes, _ascent_grid(modes, r)))
     diag = {"starts": starts,

@@ -508,8 +508,9 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     climber along the Riesz representative of its weak residual with the
     component along the tangent reflected: downhill across the path, uphill
     along it.  The tangent is the sum of the unit directions from u_a to
-    the climber and from the climber to u_b, and the node spacing is the
-    length of that two-segment path over _PATH_POINTS.  A step is accepted
+    the climber and from the climber to the sampled path's far end (u_b,
+    or the refined endpoint), and the node spacing is the length of that
+    two-segment path over _PATH_POINTS.  A step is accepted
     when the residual drops and is halved otherwise; it never moves the
     climber more than one node spacing, and the polish's trust radius is
     two.  Near a saddle whose unstable direction the tangent follows, the
@@ -558,7 +559,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         if res <= cfg.grad_tol:
             res, I_cand = sp.dual_norm(lam * r), vr.energy(u, nl)
             break
-        to_u, to_b = u - u_a, u_b - u
+        to_u, to_b = u - u_a, far - u
         d_a, d_b = sp.hs_norm(to_u), sp.hs_norm(to_b)
         spacing = (d_a + d_b) / P
         if it == due:

@@ -419,7 +419,8 @@ def _half_dot(problem: ProblemSpec, params: SpectrumParams):
     An entry off the k_N = 0 plane also stands for its conjugate partner,
     so its weight is doubled; the plane holds both members of its pairs.
     Re conj(a_k) b_k is summed as the product of the real views of a and
-    b, which take each entry's real and imaginary parts in turn."""
+    b, which take each entry's real and imaginary parts in turn; the
+    weights of those views are dot.weight."""
     M, N = params.modes, problem.N
     weight = np.where(np.arange(M + 1) > 0, 2.0, 1.0) * _half_multiplier(problem, params)
     weight = np.repeat(weight, 2, axis=-1)[..., None, :]
@@ -429,6 +430,7 @@ def _half_dot(problem: ProblemSpec, params: SpectrumParams):
     def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum(rule, a.view(float), weight, b.view(float))
 
+    dot.weight = weight
     return dot
 
 

@@ -4,7 +4,10 @@ algebra (lambda_max / chi_upper / ball_radius / best_lambda) against
 independently coded dense searches and the paper's quartic profile h."""
 
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -158,8 +161,7 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
     """One ascent on whole FourierFields of degree `modes` from the
     coefficients c: full-cube transforms, |u|^r and |u|^{r-1} sgn(u) by
     float powers, H^s products over the whole cube.  Returns (ratio,
-    coefficients, step length at the end, iterations); a climb that ends
-    on a failed line search returns the step that search started with."""
+    coefficients, iterations)."""
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = spectral.multiplier_array(problem, params)
@@ -181,7 +183,6 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
         if (np.real(np.vdot(tangent * mu_s, tangent))
                 <= (tol * max(lr, 1.0)) ** 2):
             break
-        search_step = step
         for _ in range(40):
             trial = FourierField(c + step * tangent, problem, params)
             c_try = trial.coeffs / hs_norm(trial)
@@ -192,24 +193,92 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
                 break
             step *= 0.5
         else:
-            # a failed line search hands on the step it started with
-            step = search_step
             break
         if abs(lr - prev) <= tol * max(1.0, abs(lr)):
             break
         prev = lr
-    return lr / hs_norm(FourierField(c, problem, params)), c, step, iters
+    return lr / hs_norm(FourierField(c, problem, params)), c, iters
+
+
+def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12):
+    """The nested ascent's finish on whole FourierFields: L-BFGS on the
+    H^s unit sphere, written out with full-cube transforms, float powers
+    and H^s products over the whole cube.  The last `memory` pairs
+    s = c+ - c, y = g - g+, projected onto the new tangent space, are kept
+    when <s, y> > 0; the two-loop recursion scales by <s, y> / <y, y>, and
+    a direction that does not point uphill restarts along the tangent g
+    with the history dropped.  The first trial step is 1 after a
+    recursion and 0.5 along g, halved on each rejection.  Returns (ratio,
+    coefficients, iterations)."""
+    n = _ascent_grid(modes, r)
+    params = SpectrumParams(modes, n)
+    mu_s = spectral.multiplier_array(problem, params)
+    cell = (problem.T / n) ** problem.N
+
+    def inner(a, b):
+        return float(np.real(np.vdot(a * mu_s, b)))
+
+    def sample(c):
+        u = inverse_transform(FourierField(c, problem, params))
+        return u, float(np.sum(np.abs(u) ** r) * cell) ** (1.0 / r)
+
+    def tangent(c, u, lr):
+        w = np.abs(u) ** (r - 1.0) * np.sign(u)
+        grad = (forward_transform(w, problem, params).coeffs
+                * lr ** (1.0 - r) / mu_s)
+        return grad - inner(c, grad) * c
+
+    c = c / math.sqrt(inner(c, c))
+    u, lr = sample(c)
+    pairs, g, iters = [], None, 0
+    while iters < 2000:
+        iters += 1
+        g_new = tangent(c, u, lr)
+        if g is not None:
+            s, y = c - c_old, g - g_new
+            s, y = s - inner(c, s) * c, y - inner(c, y) * c
+            if inner(s, y) > 0.0:
+                pairs = (pairs + [(s, y)])[-memory:]
+        g = g_new
+        if inner(g, g) <= (tol * max(lr, 1.0)) ** 2:
+            break
+        d, alphas = g, []
+        for s, y in reversed(pairs):
+            alphas.append(inner(s, d) / inner(s, y))
+            d = d - alphas[-1] * y
+        if pairs:
+            d = d * (inner(*pairs[-1]) / inner(pairs[-1][1], pairs[-1][1]))
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            d = d + (a - inner(y, d) / inner(s, y)) * s
+        d = d - inner(c, d) * c
+        if not inner(d, g) > 0.0:
+            d, pairs = g, []
+        step = 1.0 if pairs else 0.5
+        for _ in range(40):
+            trial = FourierField(c + step * d, problem, params)
+            c_try = trial.coeffs / hs_norm(trial)
+            u_try, lr_try = sample(c_try)
+            if lr_try > lr * (1.0 + 1e-16):
+                break
+            step *= 0.5
+        else:
+            break
+        settled = abs(lr_try - lr) <= tol * max(1.0, abs(lr_try))
+        c_old, c, u, lr = c, c_try, u_try, lr_try
+        if settled:
+            break
+    return lr / hs_norm(FourierField(c, problem, params)), c, iters
 
 
 def full_cube_ascent(problem, r, modes, seed, starts):
     """The nested ascent on whole FourierFields: every start climbs at
     modes // 2 (at modes itself below the nesting threshold), and the best
-    one, zero-padded into the centre of the degree-modes cube, climbs on
-    from the step length it ended with.  The coarse climbs stop at
-    sqrt(tol) = 1e-6, the finish and a one-level ascent at tol = 1e-12.
-    Returns (best ratio, total iterations)."""
+    one, zero-padded into the centre of the degree-modes cube, is finished
+    by full_cube_finish.  The coarse climbs stop at the ranking tolerance
+    1e-4, a one-level ascent at tol = 1e-12.  Returns (best ratio, total
+    iterations)."""
     coarse = modes // 2 if modes >= constants._NESTED_MIN_MODES else modes
-    tol = math.sqrt(1e-12) if coarse < modes else 1e-12
+    tol = 1e-4 if coarse < modes else 1e-12
     n = _ascent_grid(coarse, r)
     params = SpectrumParams(coarse, n)
     climbs = []
@@ -218,12 +287,12 @@ def full_cube_ascent(problem, r, modes, seed, starts):
             (n,) * problem.N), problem, params)
         climbs.append(full_cube_climb(problem, r, coarse, u0.coeffs, 0.5,
                                       tol=tol))
-    ratio, c, step, _ = max(climbs, key=lambda climb: climb[0])
-    iters = sum(climb[3] for climb in climbs)
+    ratio, c, _ = max(climbs, key=lambda climb: climb[0])
+    iters = sum(climb[2] for climb in climbs)
     if coarse < modes:
         padded = np.zeros((2 * modes + 1,) * problem.N, dtype=complex)
         padded[(slice(modes - coarse, modes + coarse + 1),) * problem.N] = c
-        ratio, _, _, fine = full_cube_climb(problem, r, modes, padded, step)
+        ratio, _, fine = full_cube_finish(problem, r, modes, padded)
         iters += fine
     return ratio, iters
 
@@ -255,13 +324,13 @@ def seeded_starts(problem, r, modes, seed, starts):
 def best_climb(problem, r, modes, seed, starts, tol=1e-12):
     """Every seeded start of rayleigh_ascent climbed at one level, as a
     single-level ascent would (tol = 1e-12) or as the coarse level of a
-    nested one (tol = sqrt(1e-12)): (best ratio, its half cube, its final
-    step, total iterations)."""
-    ratios, c, steps, iters = constants._climb(
+    nested one (tol = 1e-4): (best ratio, its half cube, total
+    iterations)."""
+    ratios, c, iters = constants._climb(
         problem, r, modes, seeded_starts(problem, r, modes, seed, starts),
         0.5, 2000, tol)
     best = max(range(starts), key=lambda i: ratios[i])
-    return ratios[best], c[..., best, :], steps[best], int(iters.sum())
+    return ratios[best], c[..., best, :], int(iters.sum())
 
 
 def quotient(coeffs, problem, modes, n, r):
@@ -282,7 +351,7 @@ def test_padded_coarse_maximizer_keeps_its_quotient(N, s, modes, r):
     # the fine grid as on the coarse one
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     coarse = modes // 2
-    ratio, c, _, _ = best_climb(problem, r, coarse, seed=1, starts=4)
+    ratio, c, _ = best_climb(problem, r, coarse, seed=1, starts=4)
     full = spectral._full_cube(c)
     padded = np.zeros((2 * modes + 1,) * N, dtype=complex)
     padded[(slice(modes - coarse, modes + coarse + 1),) * N] = full
@@ -298,8 +367,8 @@ def test_padded_coarse_maximizer_keeps_its_quotient(N, s, modes, r):
 def test_finish_never_ends_below_the_best_coarse_value(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     for seed in range(3):
-        coarse, _, _, coarse_iters = best_climb(problem, r, modes // 2, seed,
-                                                starts=4, tol=math.sqrt(1e-12))
+        coarse, _, coarse_iters = best_climb(problem, r, modes // 2, seed,
+                                             starts=4, tol=1e-4)
         ratio, field, diag = rayleigh_ascent(problem, r, modes, seed=seed,
                                              starts=4)
         assert ratio >= coarse
@@ -314,7 +383,7 @@ def test_finish_never_ends_below_the_best_coarse_value(N, s, modes, r):
 @pytest.mark.parametrize("modes", range(constants._NESTED_MIN_MODES))
 def test_ascent_below_the_nesting_threshold_is_one_level(N, s, modes):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
-    want, c, _, iters = best_climb(problem, 4.0, modes, seed=2, starts=3)
+    want, c, iters = best_climb(problem, 4.0, modes, seed=2, starts=3)
     ratio, field, diag = rayleigh_ascent(problem, 4.0, modes, seed=2, starts=3)
     assert ratio == want  # bitwise
     assert np.array_equal(field.coeffs, spectral._full_cube(c))
@@ -332,12 +401,12 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
     # the same iterations, whichever other starts share its rounds
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     stack = seeded_starts(problem, r, modes, seed=6, starts=16)
-    ratios, _, _, iters = constants._climb(problem, r, modes, stack, 0.5,
-                                           2000, 1e-12)
+    ratios, _, iters = constants._climb(problem, r, modes, stack, 0.5,
+                                        2000, 1e-12)
     for i in (0, 7, 15):
         alone = constants._climb(problem, r, modes, stack[..., i:i + 1, :],
                                  0.5, 2000, 1e-12)
-        assert alone[3][0] == iters[i]
+        assert alone[2][0] == iters[i]
         assert abs(alone[0][0] - ratios[i]) <= 1e-13 * ratios[i]
 
 
@@ -346,13 +415,98 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
 def test_each_stacked_start_matches_a_full_cube_climb(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     stack = seeded_starts(problem, r, modes, seed=8, starts=4)
-    ratios, _, _, iters = constants._climb(problem, r, modes, stack, 0.5,
-                                           2000, 1e-12)
+    ratios, _, iters = constants._climb(problem, r, modes, stack, 0.5,
+                                        2000, 1e-12)
     for i in range(4):
-        want, _, _, want_iters = full_cube_climb(
+        want, _, want_iters = full_cube_climb(
             problem, r, modes, spectral._full_cube(stack[..., i, :]), 0.5)
         assert iters[i] == want_iters
         assert abs(ratios[i] - want) <= 1e-13 * want
+
+
+def padded_coarse_start(problem, r, modes, seed):
+    """The best of 4 seeded starts climbed at modes // 2 to the ranking
+    tolerance 1e-4, zero-padded into the degree-modes half cube, as
+    rayleigh_ascent hands it to the finish."""
+    coarse = modes // 2
+    _, c, _ = best_climb(problem, r, coarse, seed, starts=4, tol=1e-4)
+    padded = np.zeros((2 * modes + 1,) * (problem.N - 1) + (1, modes + 1),
+                      dtype=complex)
+    lead = slice(modes - coarse, modes + coarse + 1)
+    padded[(lead,) * (problem.N - 1) + (0, slice(coarse + 1))] = c
+    return padded
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 8), (2, 0.75, 8),
+                                         (3, 0.9, 4)])
+@pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 6.0])
+def test_finish_never_ends_below_a_gradient_climb(N, s, modes, r):
+    # from the same padded start, the L-BFGS finish ends no lower than the
+    # projected gradient climb on a stack of one, to the finish's tol
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    for seed in range(3):
+        start = padded_coarse_start(problem, r, modes, seed)
+        climbed, _, _ = constants._climb(problem, r, modes, start, 0.5,
+                                         2000, 1e-12)
+        ratio, _, iters = constants._finish(problem, r, modes, start)
+        assert ratio >= climbed[0] * (1.0 - 1e-13)
+        assert iters >= 1
+
+
+@pytest.mark.parametrize("N, s, modes", [(1, 0.3, 8), (2, 0.75, 8),
+                                         (3, 0.9, 4)])
+@pytest.mark.parametrize("r", [3.0, 4.0])
+def test_finish_field_is_exactly_hermitian(N, s, modes, r):
+    # the two-loop recursion only sums tangents and steps with real
+    # weights, so the k_N = 0 plane stays exactly Hermitian
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    _, c, iters = constants._finish(problem, r, modes,
+                                    padded_coarse_start(problem, r, modes, 0))
+    field = FourierField(spectral._full_cube(c), problem,
+                         SpectrumParams(modes, _ascent_grid(modes, r)))
+    assert iters > 2
+    assert field.hermitian_defect() == 0.0
+
+
+@pytest.mark.parametrize("N, s", [(1, 0.3), (2, 0.75), (3, 0.9)])
+def test_finish_from_the_maximizer_stops_after_one_iteration(N, s):
+    # constant fields maximize |u|_2 / |u|_Hs: the tangent there vanishes
+    # and the finish stops on its first iteration, where it started
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    modes = 4
+    start = np.zeros((2 * modes + 1,) * (N - 1) + (1, modes + 1), dtype=complex)
+    start[(modes,) * (N - 1) + (0, 0)] = 3.0
+    ratio, c, iters = constants._finish(problem, 2.0, modes, start)
+    assert iters == 1
+    assert abs(ratio - problem.m ** (-s)) <= 1e-14
+    assert np.count_nonzero(c) == 1 and c[(modes,) * (N - 1) + (0,)].real > 0
+
+
+@pytest.mark.parametrize("s, N, modes", [(0.75, 2, 8), (0.75, 2, 0),
+                                         (0.6, 2, 8), (0.9, 3, 6), (0.9, 3, 5)])
+def test_sigma_spread_over_seeds_is_at_roundoff(s, N, modes):
+    # whichever coarse start wins, the finish lands on the same maximum
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
+    values = [sigma_estimate(4.0, problem, SpectrumParams(modes, 2 * modes + 2),
+                             seed=seed).value for seed in range(40)]
+    assert max(values) - min(values) <= 1e-13 * max(values)
+
+
+def test_constants_loads_no_scipy():
+    # the nested ascent and its finish are numpy only
+    code = ("import math, sys\n"
+            "from perifrac import constants\n"
+            "from perifrac.spectral import ProblemSpec\n"
+            "p = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, "
+            "T=2 * math.pi, N=2)\n"
+            "constants.rayleigh_ascent(p, 4.0, 4, starts=2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(pathlib.Path(constants.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
 
 
 @pytest.mark.parametrize("N, s, modes, seed", [(2, 0.6, 8, 29), (3, 0.9, 5, 17)])
