@@ -61,6 +61,12 @@ STAGES = [
     ("perifrac.constants", "best_lambda"),
 ]
 
+# (module, attribute, span name) of the sigma ascent's two climbs
+CLIMBS = [
+    ("perifrac.constants", "_climb", "climb_coarse"),
+    ("perifrac.constants", "_finish", "climb_fine"),
+]
+
 # (module, attribute) of each timed layer; named by the attribute
 LAYERS = [
     ("perifrac.spectral", "forward_transform"),
@@ -107,16 +113,6 @@ def ladder_golden(path: pathlib.Path) -> None:
                             for key, est in estimates(entries, 24, 0)))
 
 
-def install_climbs(tracer) -> None:
-    """Span constants._climb, the stacked climb of all seeded starts (one
-    call per ascent), as climb_coarse, and constants._finish, the L-BFGS
-    finish at M, as climb_fine."""
-    from perifrac import constants
-
-    constants._climb = tracer.wrap("climb_coarse", constants._climb)
-    constants._finish = tracer.wrap("climb_fine", constants._finish)
-
-
 def run_one(command: str, config_path: str, golden_path: str) -> dict:
     """Child process: one command under stage spans; prints one JSON line."""
     import contextlib
@@ -131,7 +127,8 @@ def run_one(command: str, config_path: str, golden_path: str) -> dict:
     from tracer import Tracer, install
 
     tracer = Tracer()
-    install_climbs(tracer)
+    for module, attr, name in CLIMBS:
+        install(tracer, importlib.import_module(module), attr, name)
     for module, attr in STAGES + LAYERS:
         install(tracer, importlib.import_module(module), attr, attr)
     argv = [command, "--config", config_path, "--seed", "0"]

@@ -170,11 +170,11 @@ def _level(problem: ProblemSpec, r: float, modes: int, starts: int):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
-           step: float, max_iter: int, tol: float):
+           tol: float):
     """Projected gradient ascent of |u|_{L^r} / |u|_{H^s} at degree
     `modes` for a stack of starts, one half cube per start on the axis
     before the last (see spectral._hermitian_half), each rescaled to the
-    H^s unit sphere, with first trial step `step`.  Returns, per start,
+    H^s unit sphere, with first trial step 0.5.  Returns, per start,
     (ratios, half cubes of the end points, iterations).
 
     The starts climb in lockstep: each round inverse-transforms all trial
@@ -184,7 +184,7 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     its own: a trial is accepted when it raises the value by more than a
     factor 1 + 1e-16, the step then grows x1.3, and otherwise halves.  A
     climb stops after 40 halvings in a row, on a tangent norm or a value
-    change below tol, after max_iter iterations, or on a value that is not
+    change below tol, after _MAX_ITER iterations, or on a value that is not
     a positive finite double, which is returned as it is."""
     starts = c.shape[-2]
     dot, sample, gradient = _level(problem, r, modes, starts)
@@ -194,7 +194,7 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     iterations = np.zeros(starts, dtype=int)
     # the state, one row per start still climbing; `rows` holds its start
     rows = np.arange(starts)
-    step = np.full(starts, float(step))
+    step = np.full(starts, 0.5)
     halvings, count = np.zeros(starts, dtype=int), np.zeros(starts, dtype=int)
     prev = np.full(starts, -np.inf)
     tangent = np.empty_like(c)
@@ -202,7 +202,7 @@ def _climb(problem: ProblemSpec, r: float, modes: int, c: np.ndarray,
     due = np.ones(starts, dtype=bool)   # at a new point, with w of its samples
     stop = np.zeros(starts, dtype=bool)
     while True:
-        go = due & (count < max_iter)
+        go = due & (count < _MAX_ITER)
         count += go
         go &= (0.0 < Lr) & (Lr < math.inf)
         stop |= due & ~go
@@ -249,9 +249,9 @@ def _finish(problem: ProblemSpec, r: float, modes: int, c: np.ndarray):
     It keeps the pairs s = c+ - c, y = g - g+ (g the tangent) of the last
     5 steps with <s, y> > 0, projected onto the new tangent space; the
     two-loop recursion, scaled by the last <s, y> / <y, y> and projected,
-    gives the direction d, or g with the pairs dropped when d is not
-    uphill.  A trial c + t d, rescaled onto the sphere, starts at t = 1
-    (0.5 along g); acceptance, halvings and stops are _climb's."""
+    gives the direction d.  A trial c + t d, rescaled onto the sphere,
+    starts at t = 1 (0.5 along g while no pair is kept); acceptance,
+    halvings and stops are _climb's."""
     dot, sample, gradient = _level(problem, r, modes, 1)
     weight = dot.weight.ravel()   # a flat product is faster for one field
 
@@ -281,8 +281,6 @@ def _finish(problem: ProblemSpec, r: float, modes: int, c: np.ndarray):
         for (s, y, rho), a in zip(pairs, reversed(alphas)):
             d += (a - rho * inner(y, d)) * s
         d -= inner(c, d) * c
-        if not inner(d, g) > 0.0:
-            d, pairs = g, []
         step = 1.0 if pairs else 0.5
         for _ in range(40):
             trial = c + step * d
@@ -339,7 +337,7 @@ def rayleigh_ascent(problem: ProblemSpec, r: float, modes: int,
         np.stack([default_rng(ss).standard_normal((n,) * problem.N)
                   for ss in SeedSequence(seed).spawn(starts)], axis=-2),
         problem, coarse)
-    ratios, c, iterations = _climb(problem, r, coarse, c, 0.5, _MAX_ITER,
+    ratios, c, iterations = _climb(problem, r, coarse, c,
                                    _RANK_TOL if coarse < modes else _TOL)
     best = max(range(starts), key=lambda i: ratios[i])
     ratio, c = float(ratios[best]), c[..., best, :]

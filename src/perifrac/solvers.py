@@ -27,10 +27,12 @@ half-cube helpers, with the shifted multiplier's inverse, a plain
 division, as SPD preconditioner.  Newton is inexact: each step's MINRES
 stops at an Eisenstat-Walker forcing term, loose far from the root and
 tightening as the residual falls.  A step is accepted only if it
-decreases the true residual and lands inside the caller's guard region.
-Each point's weak residual and energy are evaluated once: the stage's
-gradient gives the first right-hand side, an accepted trial's the next,
-and a landing hands its residual norm and energy to the report.
+decreases the true residual within the stage's trust radius, and the
+landing only if the stage's acceptance test takes it.  Each point's weak
+residual and energy are evaluated once: the stage passes lam times its
+gradient as the first right-hand side, an accepted trial's is the next,
+and a landing returns its residual norm and the energy its acceptance
+test evaluated, which the stage reports.
 
 The solvers take lambda as given: whether it is admissible is decided
 before a solve, by constants.certify.
@@ -178,18 +180,6 @@ def _solution_report(u, method, rho, iterations, counters, energy, residual):
     )
 
 
-class _Landing:
-    """A stage's polish guard: it brings R, lam times the stage's gradient
-    at the start, and keeps the landed energy (accept's) and residual_norm."""
-
-    def __init__(self, R, accept):
-        self.R, self.accept = R, accept
-
-    def __call__(self, w) -> bool:
-        self.energy = self.accept(w)
-        return self.energy is not None
-
-
 # -- Newton polish -------------------------------------------------------------
 
 # Eisenstat-Walker forcing (1996, choice 2): Newton step k runs MINRES to
@@ -277,28 +267,28 @@ def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
     return jac, prec
 
 
-def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
-    """Damped inexact Newton on the weak residual in mode space.  Returns
-    (u_out, converged): the polished field if every step decreased the
-    true residual and the final point meets grad_tol plus the guard,
-    else the input unchanged.  max_move is a trust radius (Hs distance
-    from the starting point): Newton from a point with a near-singular
-    Jacobian can jump into the basin of a different critical point, and
-    residual backtracking alone does not notice.
+def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move):
+    """Damped inexact Newton in mode space on the weak residual, R at u
+    (lam times the stage's gradient there).  Returns (field, energy,
+    residual_norm) if every step decreased the true residual, the final
+    point meets grad_tol and accept, a field -> its energy or None, takes
+    it with that energy; otherwise None.  max_move is a trust radius (Hs
+    distance from u): Newton from a point with a near-singular Jacobian
+    can jump into the basin of a different critical point, and residual
+    backtracking alone does not notice.
 
     Each step solves J delta = -R inexactly, with preconditioned MINRES on
     the matrix-free operators of _jacobian_operators, so no D x D matrix is
     formed; its tolerance is the Eisenstat-Walker forcing term above.  A
     MINRES breakdown or a non-finite step ends the attempt as a failed
-    line search does.  Each point's weak residual R is evaluated once: the
-    start's comes from a _Landing guard, an accepted trial's is the next
-    right-hand side; otherwise a step transforms only to sample f'(u)."""
+    line search does.  Each point's weak residual is evaluated once: the
+    start's is the caller's R, an accepted trial's is the next right-hand
+    side; otherwise a step transforms only to sample f'(u)."""
     problem, params = u.problem, u.params
     n = 2 * params.modes + 1
     x_min = sp.grid_coordinates(problem, n)
 
     cur, eta = u, _ETA_MAX
-    R = vr.weak_residual(cur, nl) if guard is None else guard.R
     res_cur = res_start = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
@@ -323,7 +313,7 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
         tau, accepted = 1.0, False
         for _ in range(_MAX_HALVINGS):
             u_try = cur + delta * tau
-            if max_move is not None and sp.hs_distance(u_try, u) > max_move:
+            if sp.hs_distance(u_try, u) > max_move:
                 tau *= _BACKTRACK
                 continue
             R_try = vr.weak_residual(u_try, nl)
@@ -335,11 +325,9 @@ def _newton_polish(u, nl, cfg, counters, guard=None, max_move=None):
             tau *= _BACKTRACK
         if not accepted:
             break
-    ok = (res_cur <= cfg.grad_tol and res_cur < res_start
-          and (guard is None or guard(cur)))
-    if ok and guard is not None:
-        guard.residual_norm = res_cur
-    return (cur, True) if ok else (u, False)
+    energy = (accept(cur) if res_cur <= cfg.grad_tol and res_cur < res_start
+              else None)
+    return None if energy is None else (cur, energy, res_cur)
 
 
 # -- descent stages ----------------------------------------------------------------
@@ -413,11 +401,11 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
         tried = it == due
         if tried:
             _bump(counters, "polish_attempts")
-            landing = _Landing(problem.lam * r, accept)
-            u_new, done = _newton_polish(u, nl, cfg, counters, guard=landing,
-                                         max_move=2.0 * ball_radius(rho, problem))
-            if done:
-                u, I_cur, res = u_new, landing.energy, landing.residual_norm
+            landed = _newton_polish(u, problem.lam * r, nl, cfg, counters,
+                                    accept=accept,
+                                    max_move=2.0 * ball_radius(rho, problem))
+            if landed is not None:
+                u, I_cur, res = landed
                 break
             due *= 2
         accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
@@ -450,26 +438,27 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
 
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
                           counters: dict | None = None,
-                          ends: list | None = None) -> FourierField:
+                          I_loc: float | None = None):
     """March t -> 2t along the constant field of height r0 until the energy
-    drops below energy(u_loc) - _ENDPOINT_MARGIN.  The superlinear potential
-    guarantees success; the doubling budget guards against a nonlinearity
-    that is not actually superlinear.  ends = [energy(u_loc), None] gets the
-    endpoint's energy in ends[1]."""
+    drops below I_loc - _ENDPOINT_MARGIN, I_loc = energy(u_loc) (evaluated
+    here if not given).  Returns (endpoint, its energy).  The superlinear
+    potential guarantees success; the doubling budget guards against a
+    nonlinearity that is not actually superlinear."""
     if counters is None:
         counters = {}
-    ends = ends or [vr.energy(u_loc, nl), None]
+    if I_loc is None:
+        I_loc = vr.energy(u_loc, nl)
     v0 = FourierField.constant(u_loc.problem, u_loc.params, nl.r0)
     t = 1.0
     for _ in range(cfg.max_doublings):
         _bump(counters, "endpoint_probes")
         cand = v0 * t
-        ends[1] = _energy(cand, nl, counters)
-        if ends[1] < ends[0] - _ENDPOINT_MARGIN:
-            return cand
+        I_cand = _energy(cand, nl, counters)
+        if I_cand < I_loc - _ENDPOINT_MARGIN:
+            return cand, I_cand
         t *= 2.0
     raise EndpointSearchError(
-        f"no endpoint with energy below {ends[0]:.6g} - "
+        f"no endpoint with energy below {I_loc:.6g} - "
         f"{_ENDPOINT_MARGIN:g} within {cfg.max_doublings} doublings of the "
         f"constant direction; superlinearity looks violated numerically"
     )
@@ -494,15 +483,15 @@ def _path_energies(u_a: FourierField, u_b: FourierField, nl) -> list:
 
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None,
-                  ends: list | None = None) -> SolutionReport:
+                  ends: tuple | None = None) -> SolutionReport:
     """Climbing-image search for the saddle between the fixed endpoints u_a
     and u_b (Henkelman, Uberuaga & Jonsson 2000).
 
     The straight path from u_a to u_b is sampled at _PATH_POINTS + 1 evenly
     spaced nodes; its highest node (smallest index on ties) is the climbing
     image, or, while that is u_a, the first segment is sampled again, unless
-    its first node would lie within distinct_tol of u_a.  ends holds
-    [energy(u_a), energy(u_b)] if the caller has them.  Each iteration
+    its first node would lie within distinct_tol of u_a.  ends is the pair
+    (energy(u_a), energy(u_b)) if the caller has it.  Each iteration
     attempts the trust-region Newton polish from the
     climber when due (first on iteration 1), and otherwise steps the
     climber along the Riesz representative of its weak residual with the
@@ -564,11 +553,10 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         spacing = (d_a + d_b) / P
         if it == due:
             _bump(counters, "polish_attempts")
-            landing = _Landing(lam * r, accept)
-            u_new, done = _newton_polish(u, nl, cfg, counters, guard=landing,
-                                         max_move=2.0 * spacing)
-            if done:
-                u, I_cand, res = u_new, landing.energy, landing.residual_norm
+            landed = _newton_polish(u, lam * r, nl, cfg, counters,
+                                    accept=accept, max_move=2.0 * spacing)
+            if landed is not None:
+                u, I_cand, res = landed
                 break
             due *= 2
         tangent = (to_u * (1.0 / max(d_a, 1e-300))
@@ -635,10 +623,11 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
     counters: dict = {}
     low = ball_minimize(FourierField.zeros(spec, params), cfg, nl,
                         counters=counters)
-    ends = [low.energy, None]
     try:
-        endpoint = find_descent_endpoint(low.field, cfg, nl, counters, ends)
-        high = mountain_pass(low.field, endpoint, cfg, nl, counters, ends)
+        endpoint, I_end = find_descent_endpoint(low.field, cfg, nl, counters,
+                                                low.energy)
+        high = mountain_pass(low.field, endpoint, cfg, nl, counters,
+                             (low.energy, I_end))
     except (SolverError, OverflowError) as exc:
         return MultiplicityReport(
             status="one-solution-only",

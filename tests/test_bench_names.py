@@ -1,8 +1,9 @@
-"""Every function the benchmark scripts trace still exists.  The
-(module, attribute) lists of scripts/bench.py (STAGES, LAYERS) and
-perfbench/worker.py (LAYERS) are read with ast, without running either
-script, and each entry must name a callable; a renamed or deleted function
-would otherwise surface only when a bench run installs its tracer."""
+"""Every function the benchmark scripts trace still exists.  The lists of
+scripts/bench.py (STAGES, LAYERS, and CLIMBS, whose entries add a span
+name) and perfbench/worker.py (LAYERS) are read with ast, without running
+either script, and each entry's (module, attribute) must name a callable;
+a renamed or deleted function would otherwise surface only when a bench
+run installs its tracer."""
 
 import ast
 import importlib
@@ -11,13 +12,13 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-TRACED = {"scripts/bench.py": ("STAGES", "LAYERS"),
+TRACED = {"scripts/bench.py": ("STAGES", "LAYERS", "CLIMBS"),
           "perfbench/worker.py": ("LAYERS",)}
 
 
 def traced_names(path: pathlib.Path, lists) -> list:
-    """The (module, attribute) pairs of the module-level lists named
-    `lists` in the source at path."""
+    """The (module, attribute) of each entry of the module-level lists
+    named `lists` in the source at path."""
     found = {}
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign):
@@ -25,7 +26,7 @@ def traced_names(path: pathlib.Path, lists) -> list:
                 if isinstance(target, ast.Name) and target.id in lists:
                     found[target.id] = ast.literal_eval(node.value)
     assert sorted(found) == sorted(lists)
-    return [pair for name in lists for pair in found[name]]
+    return [entry[:2] for name in lists for entry in found[name]]
 
 
 CASES = [(script, module, attr) for script, lists in TRACED.items()

@@ -105,6 +105,14 @@ def test_constants_requires_golden_entry_for_new_regime(capsys, tmp_path):
     assert "make_golden" in json.dumps(rep["diagnostics"])
 
 
+def test_constants_fails_certification_on_unreadable_golden(capsys, tmp_path):
+    code, rep, _ = run_cli(capsys, "constants", "--golden",
+                           str(tmp_path / "missing.txt"))
+    assert code == 5
+    assert rep["status"] == "certification-failed"
+    assert "golden-value file unreadable" in rep["diagnostics"]["error"]
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -506,6 +514,19 @@ def test_config_error_paths(capsys, tmp_path):
 
     code, rep, _ = run_cli(capsys, "solve", "--frobnicate")
     assert code == 4 and rep["status"] == "config-error"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("nonlinearity.key = 3", "must be a registry name"),
+    ("nonlinearity.beta = 1", "unknown configuration key"),
+])
+def test_bad_nonlinearity_entry_is_a_config_error(capsys, tmp_path, line,
+                                                  message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 4 and rep["status"] == "config-error"
+    assert message in rep["diagnostics"]["error"]
 
 
 def test_reused_parser_prints_what_a_fresh_one_prints(capsys, tmp_path,

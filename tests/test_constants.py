@@ -205,11 +205,9 @@ def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12):
     H^s unit sphere, written out with full-cube transforms, float powers
     and H^s products over the whole cube.  The last `memory` pairs
     s = c+ - c, y = g - g+, projected onto the new tangent space, are kept
-    when <s, y> > 0; the two-loop recursion scales by <s, y> / <y, y>, and
-    a direction that does not point uphill restarts along the tangent g
-    with the history dropped.  The first trial step is 1 after a
-    recursion and 0.5 along g, halved on each rejection.  Returns (ratio,
-    coefficients, iterations)."""
+    when <s, y> > 0; the two-loop recursion scales by <s, y> / <y, y>.
+    The first trial step is 1 after a recursion and 0.5 along g, halved on
+    each rejection.  Returns (ratio, coefficients, iterations)."""
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = spectral.multiplier_array(problem, params)
@@ -251,8 +249,6 @@ def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12):
         for (s, y), a in zip(pairs, reversed(alphas)):
             d = d + (a - inner(y, d) / inner(s, y)) * s
         d = d - inner(c, d) * c
-        if not inner(d, g) > 0.0:
-            d, pairs = g, []
         step = 1.0 if pairs else 0.5
         for _ in range(40):
             trial = FourierField(c + step * d, problem, params)
@@ -327,8 +323,7 @@ def best_climb(problem, r, modes, seed, starts, tol=1e-12):
     nested one (tol = 1e-4): (best ratio, its half cube, total
     iterations)."""
     ratios, c, iters = constants._climb(
-        problem, r, modes, seeded_starts(problem, r, modes, seed, starts),
-        0.5, 2000, tol)
+        problem, r, modes, seeded_starts(problem, r, modes, seed, starts), tol)
     best = max(range(starts), key=lambda i: ratios[i])
     return ratios[best], c[..., best, :], int(iters.sum())
 
@@ -401,11 +396,10 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
     # the same iterations, whichever other starts share its rounds
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     stack = seeded_starts(problem, r, modes, seed=6, starts=16)
-    ratios, _, iters = constants._climb(problem, r, modes, stack, 0.5,
-                                        2000, 1e-12)
+    ratios, _, iters = constants._climb(problem, r, modes, stack, 1e-12)
     for i in (0, 7, 15):
         alone = constants._climb(problem, r, modes, stack[..., i:i + 1, :],
-                                 0.5, 2000, 1e-12)
+                                 1e-12)
         assert alone[2][0] == iters[i]
         assert abs(alone[0][0] - ratios[i]) <= 1e-13 * ratios[i]
 
@@ -415,8 +409,7 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
 def test_each_stacked_start_matches_a_full_cube_climb(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     stack = seeded_starts(problem, r, modes, seed=8, starts=4)
-    ratios, _, iters = constants._climb(problem, r, modes, stack, 0.5,
-                                        2000, 1e-12)
+    ratios, _, iters = constants._climb(problem, r, modes, stack, 1e-12)
     for i in range(4):
         want, _, want_iters = full_cube_climb(
             problem, r, modes, spectral._full_cube(stack[..., i, :]), 0.5)
@@ -446,8 +439,7 @@ def test_finish_never_ends_below_a_gradient_climb(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
     for seed in range(3):
         start = padded_coarse_start(problem, r, modes, seed)
-        climbed, _, _ = constants._climb(problem, r, modes, start, 0.5,
-                                         2000, 1e-12)
+        climbed, _, _ = constants._climb(problem, r, modes, start, 1e-12)
         ratio, _, iters = constants._finish(problem, r, modes, start)
         assert ratio >= climbed[0] * (1.0 - 1e-13)
         assert iters >= 1

@@ -205,9 +205,28 @@ def test_endpoint_search_budget():
     # one doubling only tries t = 1, where the quartic well is not yet deep
     with pytest.raises(EndpointSearchError):
         find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl)
-    ep = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl)
+    ep, _ = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl)
     assert energy(ep, nl) < energy(zero, nl) - 1.0
     assert abs(mean_value(ep)) >= nl.r0
+
+
+def test_endpoint_search_returns_the_endpoint_energy():
+    # the returned energy is the last probe's, bit for bit; only probes are
+    # counted, whether the caller gives energy(u_loc) or not, and a failed
+    # search quotes the energy it had to undercut
+    problem = ProblemSpec(lam=0.1, **BASE)
+    params = SpectrumParams(2, 6)
+    nl = get_nonlinearity("cubic_plus_one")
+    zero = FourierField.zeros(problem, params)
+    for I_loc in (None, 0.0):
+        counters = {}
+        ep, I_ep = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl,
+                                         counters, I_loc)
+        assert I_ep == energy(ep, nl)
+        assert counters["energy_evals"] == counters["endpoint_probes"] >= 2
+    with pytest.raises(EndpointSearchError, match=r"below -123\.5 - 1 within"):
+        find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl,
+                              I_loc=-123.5)
 
 
 def test_nonconvergence_carries_history():
@@ -359,14 +378,14 @@ def test_pipeline_survives_two_rejected_attempts_per_stage(monkeypatch):
     real = solvers._newton_polish
     rejected = {"ball": [], "path": []}
 
-    def first_two_rejected(u, nl, cfg, counters, **kwargs):
-        out = real(u, nl, cfg, counters, **kwargs)
+    def first_two_rejected(u, R, nl, cfg, counters, **kwargs):
+        out = real(u, R, nl, cfg, counters, **kwargs)
         points = rejected["path" if "iterations_path" in counters else "ball"]
         if any(np.array_equal(u.coeffs, p) for p in points):
-            return u, False
+            return None
         if len(points) < 2:
             points.append(u.coeffs.copy())
-            return u, False
+            return None
         return out
 
     monkeypatch.setattr(solvers, "_newton_polish", first_two_rejected)
@@ -392,7 +411,7 @@ def test_stalled_ball_descent_retries_the_polish(monkeypatch, stall_at,
     def polish(u, *args, **kwargs):
         calls["polish"] += 1
         out = real_polish(u, *args, **kwargs)
-        return (u, False) if calls["polish"] <= 2 else out
+        return None if calls["polish"] <= 2 else out
 
     def armijo(*args, **kwargs):
         calls["armijo"] += 1
@@ -418,19 +437,19 @@ def test_stalled_ball_descent_retries_the_polish(monkeypatch, stall_at,
 def test_ball_polish_must_land_downhill_from_the_start(monkeypatch):
     # from zero, a small negative constant has energy above the start
     # (F(t) = t + t^4/4), a small positive one below it; both are in the ball
-    guards = []
+    accepts = []
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, nl, cfg, counters, guard=None, max_move=None:
-                        (guards.append(guard), (u, False))[1])
+                        lambda u, R, nl, cfg, counters, *, accept, max_move:
+                        accepts.append(accept))
     problem = ProblemSpec(lam=0.01, **BASE)
     params = SpectrumParams(2, 6)
     nl = get_nonlinearity("cubic_plus_one")
     ball_minimize(FourierField.zeros(problem, params), SolverConfig(rho=1.0),
                   nl)
-    guard = guards[0]
+    accept = accepts[0]
     small = FourierField.constant(problem, params, 1e-3)
     assert energy(small * -1.0, nl) > 0.0 > energy(small, nl)
-    assert guard(small) and not guard(small * -1.0)
+    assert accept(small) is not None and accept(small * -1.0) is None
 
 
 def test_ball_descent_stalls_when_steps_cannot_move_the_field(monkeypatch):
@@ -440,7 +459,7 @@ def test_ball_descent_stalls_when_steps_cannot_move_the_field(monkeypatch):
     # that floor it must end the stage as a stall, not spend the whole
     # iteration budget, whatever the last bits of the transforms
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, *args, **kwargs: (u, False))
+                        lambda *args, **kwargs: None)
     nl, problem, params, rho, _ = x_dependent_problem(8, 0.5)
     with pytest.raises(NonConvergenceError, match="stalled"):
         ball_minimize(FourierField.zeros(problem, params),
@@ -462,7 +481,7 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
 
     monkeypatch.setattr(solvers.vr, "energy", spy)
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, *args, **kwargs: (u, False))
+                        lambda *args, **kwargs: None)
     nl = make_nonlinearity(
         "modulated_cubic",
         f=lambda x, t: 1.0 + 0.3 * np.cos(x[0]) + t ** 3,
@@ -502,7 +521,7 @@ def run_stages(case):
     cfg = SolverConfig(rho=rho)
     low = ball_minimize(FourierField.zeros(problem, params), cfg, nl,
                         counters={})
-    endpoint = find_descent_endpoint(low.field, cfg, nl)
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
     high = mountain_pass(low.field, endpoint, cfg, nl, counters={})
     return cfg, low, high
 
@@ -512,7 +531,7 @@ def test_stages_converge_without_the_polish(monkeypatch, case):
     _, low_ref, high_ref = run_stages(case)
     assert low_ref.iterations == high_ref.iterations == 1
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, *args, **kwargs: (u, False))
+                        lambda *args, **kwargs: None)
     cfg, low, high = run_stages(case)
     assert low.residual_dual_norm <= cfg.grad_tol
     assert high.residual_dual_norm <= cfg.grad_tol
@@ -530,9 +549,9 @@ def test_saddle_fallback_converges_off_the_constant_subspace(monkeypatch,
     nl, problem, params, rho, _ = x_dependent_problem(modes, 0.9)
     cfg = SolverConfig(rho=rho)
     low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    endpoint = find_descent_endpoint(low.field, cfg, nl)
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, *args, **kwargs: (u, False))
+                        lambda *args, **kwargs: None)
     high = mountain_pass(low.field, endpoint, cfg, nl)
     assert high.residual_dual_norm <= cfg.grad_tol
     assert high.energy > max(low.energy, energy(endpoint, nl))
@@ -548,7 +567,7 @@ def test_polish_backs_off_after_rejections(monkeypatch):
     def rejected(u, *args, **kwargs):
         attempts.append(u)
         real(u, *args, **kwargs)
-        return u, False
+        return None
 
     monkeypatch.setattr(solvers, "_newton_polish", rejected)
     _, low, high = run_stages("paper-N2-M8")
@@ -666,6 +685,14 @@ def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
         assert np.array_equal(prec(flat(c)), flat(inv_prec * c))
 
 
+def polish_alone(u, nl, cfg, counters, max_move=math.inf):
+    """The Newton polish from u outside a stage: R is the weak residual at
+    u, and any landing is accepted, with its energy."""
+    return solvers._newton_polish(u, vr.weak_residual(u, nl), nl, cfg,
+                                  counters, accept=lambda w: energy(w, nl),
+                                  max_move=max_move)
+
+
 def test_polish_steps_keep_the_hermitian_symmetry_exact(monkeypatch):
     # every trial point is cur + tau delta in mode space, and MINRES keeps
     # delta's conjugate pairs exact, so no trial loses a bit of symmetry
@@ -684,12 +711,11 @@ def test_polish_steps_keep_the_hermitian_symmetry_exact(monkeypatch):
 
     monkeypatch.setattr(vr, "weak_residual", weak_residual)
     counters = {}
-    polished, done = solvers._newton_polish(u, nl, SolverConfig(rho=1.0),
-                                            counters)
-    assert done and counters["newton_steps"] >= 2
+    landed = polish_alone(u, nl, SolverConfig(rho=1.0), counters)
+    assert landed and counters["newton_steps"] >= 2
     assert len(defects) > counters["newton_steps"]
     assert defects == [0.0] * len(defects)
-    assert polished.hermitian_defect() == 0.0
+    assert landed[0].hermitian_defect() == 0.0
 
 
 def test_polish_broadcasts_a_scalar_fprime():
@@ -702,8 +728,8 @@ def test_polish_broadcasts_a_scalar_fprime():
          + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
     cfg = SolverConfig(rho=1.0)
     counters = {}
-    polished, done = solvers._newton_polish(u, nl, cfg, counters)
-    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
+    landed = polish_alone(u, nl, cfg, counters)
+    assert landed and residual_dual_norm(landed[0], nl) <= cfg.grad_tol
     assert counters["newton_steps"] >= 1
 
 
@@ -720,6 +746,16 @@ def test_minres_reports_breakdown_instead_of_raising():
     assert info < 0 and iterations == 1 and np.all(np.isfinite(x))
 
 
+def test_minres_reports_its_iteration_limit():
+    # rtol = 0 is never met, so MINRES runs its 5 len(b) iterations; the
+    # steps past convergence move x by roundoff only
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    b = np.ones(3)
+    x, info, iterations = solvers._minres(lambda v: A @ v, b, lambda v: v, 0.0)
+    assert info == iterations == 15
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("failure", ["nan-step", "breakdown"])
 def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     # near the ball minimizer, off the constant subspace: the unpatched
@@ -732,8 +768,8 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
          + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
     cfg = SolverConfig(rho=1.0)
     counters = {}
-    polished, done = solvers._newton_polish(u, nl, cfg, counters)
-    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
+    landed = polish_alone(u, nl, cfg, counters)
+    assert landed and residual_dual_norm(landed[0], nl) <= cfg.grad_tol
     assert counters["krylov_iterations"] > 0
 
     solve = solvers._minres
@@ -746,9 +782,28 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
 
     monkeypatch.setattr(solvers, "_minres", broken)
     counters = {}
-    out, done = solvers._newton_polish(u, nl, cfg, counters)
-    assert not done
-    assert out is u
+    assert polish_alone(u, nl, cfg, counters) is None
+    assert counters["newton_steps"] == 1
+
+
+def test_polish_trust_radius_rejects_every_trial(monkeypatch):
+    # the same start, with a trust radius of zero: every trial lies outside
+    # it, so the line search evaluates no residual and the polish does not
+    # land; only the start's residual is computed
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 8)
+    nl = get_nonlinearity("cubic_plus_one")
+    c_low, _ = scalar_roots(problem)
+    u = (FourierField.constant(problem, params, 1.01 * c_low)
+         + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
+    calls = []
+    real = vr.weak_residual
+    monkeypatch.setattr(vr, "weak_residual",
+                        lambda w, nl: (calls.append(w), real(w, nl))[1])
+    counters = {}
+    assert polish_alone(u, nl, SolverConfig(rho=1.0), counters,
+                        max_move=0.0) is None
+    assert len(calls) == 1 and calls[0] is u
     assert counters["newton_steps"] == 1
 
 
@@ -763,9 +818,9 @@ def test_exact_preconditioner_takes_one_krylov_iteration_per_newton_step(root):
     u = FourierField.constant(problem, params, 1.2 * c)
     cfg = SolverConfig()
     counters = {}
-    polished, done = solvers._newton_polish(u, nl, cfg, counters)
-    assert done and residual_dual_norm(polished, nl) <= cfg.grad_tol
-    assert abs(mean_value(polished) - c) <= 1e-6 * c   # that root, not the other
+    landed = polish_alone(u, nl, cfg, counters)
+    assert landed and residual_dual_norm(landed[0], nl) <= cfg.grad_tol
+    assert abs(mean_value(landed[0]) - c) <= 1e-6 * c   # that root, not the other
     assert counters["newton_steps"] >= 2
     assert counters["krylov_iterations"] == counters["newton_steps"]
 
@@ -793,8 +848,8 @@ def test_polish_evaluates_each_point_once(monkeypatch):
     log = []
     spy_gradient(monkeypatch, log)
     counters = {}
-    _, done = solvers._newton_polish(u, nl, SolverConfig(rho=1.0), counters)
-    assert done and counters["newton_steps"] >= 2
+    landed = polish_alone(u, nl, SolverConfig(rho=1.0), counters)
+    assert landed and counters["newton_steps"] >= 2
     points = [key for _, key in log]
     assert len(points) == len(set(points))
 
@@ -813,7 +868,7 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
 
     def logged_polish(*args, **kwargs):
         out = polish(*args, **kwargs)
-        if out[1]:
+        if out is not None:
             log.append(("landed", None))
         return out
 
@@ -824,7 +879,7 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
     monkeypatch.setattr(solvers, "_newton_polish", logged_polish)
     monkeypatch.setattr(solvers, "_solution_report", logged_report)
     low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    end = find_descent_endpoint(low.field, cfg, nl)
+    end, _ = find_descent_endpoint(low.field, cfg, nl)
     mountain_pass(low.field, end, cfg, nl)
     events = [kind for kind, _ in log]
     assert events.count("landed") == 2
