@@ -13,7 +13,8 @@ functions (the solver stages, the straight-path node energies of the
 saddle stage, the sigma ascent with its stacked climb of
 all seeded starts (climb_coarse, one call per ascent) and its L-BFGS
 finish at M (climb_fine), and the maximization of
-lambda_max over rho), the MINRES solve of the Newton polish, the transform
+lambda_max over rho), the Newton polish's operator build at each step
+(_jacobian_operators, its f' sample included) and MINRES solve, the transform
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
 the outside; src/ holds no timing code.  Each child also times its own
@@ -56,6 +57,7 @@ STAGES = [
     ("perifrac.solvers", "mountain_pass"),
     ("perifrac.solvers", "_path_energies"),
     ("perifrac.solvers", "_newton_polish"),
+    ("perifrac.solvers", "_jacobian_operators"),
     ("perifrac.solvers", "_minres"),
     ("perifrac.constants", "rayleigh_ascent"),
     ("perifrac.constants", "best_lambda"),

@@ -27,11 +27,11 @@ from . import variational as vr
 from .config import (AUTO, ConfigError, RunConfig, default_example_text,
                      load_config, parse_config)
 from .constants import (InadmissibleLambdaError, ball_radius, best_lambda,
-                        certify, golden_key, kappa, lambda_table, load_golden,
+                        certify, golden_key, lambda_table, load_golden,
                         sigma_estimate)
 from .extension import (ExtrapolationError, QuadratureError,
-                        WeightedQuadrature, conormal_limit, ode_residual,
-                        profile_energy, verify_trace_identity)
+                        WeightedQuadrature, conormal_limit, kappa,
+                        ode_residual, profile_energy, verify_trace_identity)
 from .solvers import NonConvergenceError, SolverError, solve_multiplicity
 from .spectral import SpectrumParams
 
@@ -94,12 +94,6 @@ def _load(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.override_seed(args.seed)
     return cfg
-
-
-def _problem_sans_lambda(cfg: RunConfig):
-    """lambda-independent work (sigmas, tables) uses a placeholder when
-    problem.lambda is 'auto'."""
-    return cfg.problem(lam=1.0) if cfg.lam == AUTO else cfg.problem()
 
 
 def _is_plain_quartic(nl) -> bool:
@@ -171,7 +165,7 @@ def _fill_constants(rep, problem, params, nl, seed):
 def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
     rep = rp.empty_report("constants", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
-    problem = _problem_sans_lambda(cfg)
+    problem = cfg.lambda_free_problem()
     params = cfg.params()
     *_, sigq = _fill_constants(rep, problem, params, nl, cfg.seed)
 
@@ -220,7 +214,7 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
     params = cfg.params()
-    problem0 = _problem_sans_lambda(cfg)
+    problem0 = cfg.lambda_free_problem()
     sigmas, rho_star, lam_star, _ = _fill_constants(
         rep, problem0, params, nl, cfg.seed)
     rho = rho_star if cfg.rho_raw == AUTO else float(cfg.rho_raw)
@@ -302,7 +296,7 @@ def _checker_entry(report) -> dict:
 def cmd_verify(cfg: RunConfig) -> dict:
     rep = rp.empty_report("verify", cfg.to_mapping(), cfg.seed)
     nl = cfg.nonlinearity()
-    problem = _problem_sans_lambda(cfg)
+    problem = cfg.lambda_free_problem()
     rep["constants"]["kappa"] = kappa(problem.s)
     checks = []
     s_values = sorted({0.3, 0.5, 0.7, 0.9, float(problem.s)})

@@ -111,6 +111,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"problem block invalid: {exc}") from exc
 
+    def lambda_free_problem(self) -> ProblemSpec:
+        """The ProblemSpec of lambda-independent work (sigmas, tables,
+        validation): 'auto' takes the placeholder lambda = 1.0."""
+        return self.problem(lam=1.0 if self.lam == AUTO else None)
+
     def params(self) -> SpectrumParams:
         try:
             return SpectrumParams(self.modes, self.grid_points)
@@ -254,7 +259,7 @@ def _apply(cfg: RunConfig, key: str, value) -> None:
 def _validate(cfg: RunConfig) -> None:
     """Realize every block ('auto' as 1.0), so a bad value fails at parse
     time with the constraint its model type states."""
-    problem = cfg.problem(lam=1.0 if cfg.lam == AUTO else None)
+    problem = cfg.lambda_free_problem()
     cfg.params()
     nl = cfg.nonlinearity()
     try:

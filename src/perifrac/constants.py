@@ -57,7 +57,6 @@ __all__ = [
     "golden_key",
     "load_golden",
     "default_golden_path",
-    "kappa",
 ]
 
 

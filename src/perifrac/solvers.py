@@ -20,19 +20,19 @@ step that stalls brings the next attempt forward to the following
 iteration before the stage gives up.
 
 The polish solves for the Newton step in mode space, where the principal
-part mu_k^s - gamma is diagonal.  Its Jacobian, that multiplier minus lam
-f'(u) on the samples of the minimal grid n = 2M+1, is symmetric and is
-never formed: preconditioned MINRES applies it through spectral's
-half-cube helpers, with the shifted multiplier's inverse, a plain
-division, as SPD preconditioner.  Newton is inexact: each step's MINRES
-stops at an Eisenstat-Walker forcing term, loose far from the root and
-tightening as the residual falls.  A step is accepted only if it
-decreases the true residual within the stage's trust radius, and the
-landing only if the stage's acceptance test takes it.  Each point's weak
-residual and energy are evaluated once: the stage passes lam times its
-gradient as the first right-hand side, an accepted trial's is the next,
-and a landing returns its residual norm and the energy its acceptance
-test evaluated, which the stage reports.
+part mu_k^s - gamma is diagonal.  Its Jacobian at a field u, that
+multiplier minus lam f'(u), has one builder, _jacobian_operators(u, nl),
+which samples nl.fprime at u on the minimal grid n = 2M+1.  It is never
+formed: preconditioned MINRES applies it through spectral's half-cube
+helpers, with the shifted multiplier's inverse as SPD preconditioner.
+Newton is inexact: each step's MINRES stops at an Eisenstat-Walker
+forcing term, loose far from the root and tightening as the residual
+falls.  A step is accepted only if it decreases the true residual within
+the stage's trust radius, and the landing only if the stage's acceptance
+test takes it.  Each point's weak residual and energy are evaluated once:
+the stage passes lam times its gradient as the first right-hand side, an
+accepted trial's is the next, and a landing returns its residual norm and
+the energy its acceptance test evaluated, which the stage reports.
 
 The solvers take lambda as given: whether it is admissible is decided
 before a solve, by constants.certify.
@@ -237,20 +237,21 @@ def _minres(matvec, b, psolve, rtol):
     return x, itn, itn
 
 
-def _jacobian_operators(problem: ProblemSpec, params: SpectrumParams,
-                        d: np.ndarray):
-    """Matrix-free (J, P) on flat real views of the mode cube, with d =
-    f'(u) on the minimal grid n = 2M+1 (a scalar is broadcast to it).
-    J c = (mu_k^s - gamma) c - lam F(d S c), S and F the arithmetic of
-    inverse_transform and forward_transform on that grid, bit for bit but
-    with no symmetry check.  There the pair is unitary up to scale, so J
-    maps Hermitian cubes to Hermitian cubes and is symmetric on them in
-    Re sum conj(a_k) b_k.  P divides mode k by mu_k^s - gamma + lam
-    max(mean d, 0), with no transform; the clamp keeps it SPD when a
-    finite-difference d dips negative."""
-    M, N = params.modes, problem.N
+def _jacobian_operators(u: FourierField, nl):
+    """Matrix-free (J, P) at the field u, on flat real views of the mode
+    cube, with d = f'(u): nl.fprime at u's samples on the minimal grid n =
+    2M+1 (a scalar is broadcast to it).  J c = (mu_k^s - gamma) c - lam
+    F(d S c), S and F the arithmetic of inverse_transform and
+    forward_transform on that grid, bit for bit but with no symmetry check;
+    S also samples u.  The pair is unitary there up to scale, so J maps
+    Hermitian cubes to Hermitian cubes and is symmetric on them in Re sum
+    conj(a_k) b_k.  P divides mode k by mu_k^s - gamma + lam max(mean d,
+    0), with no transform; the clamp keeps it SPD when d dips negative."""
+    problem, params, M = u.problem, u.params, u.params.modes
     n = 2 * M + 1
-    d = np.broadcast_to(d, (n,) * N)
+    v = sp._half_to_samples(u.coeffs[..., M:], problem, n)
+    d = np.broadcast_to(np.asarray(
+        nl.fprime(sp.grid_coordinates(problem, n), v), dtype=float), v.shape)
     symbol = sp.multiplier_array(problem, params) - problem.gamma
     inv_prec = np.repeat(  # one entry per real and imaginary part
         1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0)), 2)
@@ -277,31 +278,21 @@ def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move):
     can jump into the basin of a different critical point, and residual
     backtracking alone does not notice.
 
-    Each step solves J delta = -R inexactly, with preconditioned MINRES on
-    the matrix-free operators of _jacobian_operators, so no D x D matrix is
-    formed; its tolerance is the Eisenstat-Walker forcing term above.  A
-    MINRES breakdown or a non-finite step ends the attempt as a failed
-    line search does.  Each point's weak residual is evaluated once: the
-    start's is the caller's R, an accepted trial's is the next right-hand
-    side; otherwise a step transforms only to sample f'(u)."""
+    Each step solves J delta = -R inexactly by preconditioned MINRES on
+    _jacobian_operators(cur, nl), which samples f'(cur) itself, to the
+    Eisenstat-Walker forcing term above.  A MINRES breakdown or a
+    non-finite step ends the attempt as a failed line search does.  Each
+    point's weak residual is evaluated once (the start's is the caller's
+    R, an accepted trial's the next right-hand side), so its Hermitian
+    symmetry has been checked before the operator samples it unchecked."""
     problem, params = u.problem, u.params
-    n = 2 * params.modes + 1
-    x_min = sp.grid_coordinates(problem, n)
-
     cur, eta = u, _ETA_MAX
     res_cur = res_start = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
             break
         _bump(counters, "newton_steps")
-        v = sp.inverse_transform(cur, n)
-        if nl.fprime is not None:
-            d = np.asarray(nl.fprime(x_min, v), dtype=float)
-        else:
-            h = 1e-6 * (1.0 + np.abs(v))
-            d = (np.asarray(nl.f(x_min, v + h), dtype=float)
-                 - np.asarray(nl.f(x_min, v - h), dtype=float)) / (2.0 * h)
-        jac, prec = _jacobian_operators(problem, params, d)
+        jac, prec = _jacobian_operators(cur, nl)
         rhs = (-R.coeffs).reshape(-1).view(float)
         rtol = max(eta, _FORCING_FLOOR * cfg.grad_tol / res_cur)
         delta, info, iterations = _minres(jac, rhs, prec, rtol)

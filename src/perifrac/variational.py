@@ -54,7 +54,8 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
     """Forcing profile f(x, t), its primitive F(x, t) = int_0^t f(x, r) dr,
-    and the declared structural constants:
+    its derivative fprime(x, t) = d f / d t (required: the Newton polish's
+    Jacobian samples it), and the declared structural constants:
 
       a1, a2, q : growth bound |f(x,t)| <= a1 + a2 |t|^(q-1), a1, a2 > 0
                   (a bound with a zero constant holds with any positive
@@ -70,10 +71,12 @@ class Nonlinearity:
     q: float
     alpha: float
     r0: float
-    fprime: Callable | None = None   # d f / d t, used by the Newton polish
+    fprime: Callable
     poly_degree: int | None = None   # degree of t -> f(x, t) when polynomial
 
     def __post_init__(self):
+        if not callable(self.fprime):
+            raise ValueError("fprime must be callable")
         if self.a1 <= 0 or self.a2 <= 0:
             raise ValueError("growth constants a1, a2 must be positive")
         if self.q <= 2.0:
@@ -103,10 +106,17 @@ def _with_quadrature_primitive(f) -> Callable:
     return F
 
 
-def make_nonlinearity(name, f, F=None, **constants) -> Nonlinearity:
+def make_nonlinearity(name, f, F=None, fprime=None, **constants) -> Nonlinearity:
+    """A Nonlinearity; F defaults to f's quadrature primitive and fprime to
+    f's central difference, with step h = 1e-6 (1 + |t|)."""
+    if fprime is None:
+        def fprime(x, t):
+            h = 1e-6 * (1.0 + np.abs(t))
+            return (np.asarray(f(x, t + h), dtype=float)
+                    - np.asarray(f(x, t - h), dtype=float)) / (2.0 * h)
     if F is None:
         F = _with_quadrature_primitive(f)
-    return Nonlinearity(name=name, f=f, F=F, **constants)
+    return Nonlinearity(name=name, f=f, F=F, fprime=fprime, **constants)
 
 
 def _cubic_plus_one() -> Nonlinearity:

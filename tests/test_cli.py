@@ -409,7 +409,7 @@ def test_solve_dump_fields(capsys, tmp_path):
     assert code == 0
     files = sorted(os.listdir(out))
     assert files == ["solution_00_ball_min.csv", "solution_01_mountain_pass.csv"]
-    header = open(out / files[0]).readline().strip()
+    header = (out / files[0]).read_text().splitlines()[0]
     assert header == "x0,x1,u"
     assert rep["diagnostics"]["field_dumps"] == [
         str(out / f) for f in files]
@@ -477,6 +477,24 @@ def test_reproduce_example_full_runs_certified_midpoint(capsys):
         0.5 * interval["upper"], rel=1e-12)
     assert rep["constants"]["resolved_rho"] == interval["best_rho"]
     assert rep["diagnostics"]["hs_distance"] > 1e-3
+
+
+def test_reproduce_example_downgrades_a_numerically_trivial_solution(
+        capsys, monkeypatch):
+    # a two-solution solve with one solution below distinct_tol in H^s
+    # norm is not the benchmark's pair of non-trivial solutions
+    def solve(cfg, dump_dir=None):
+        rep = perifrac.report.empty_report("solve", cfg.to_mapping(), cfg.seed)
+        rep["status"] = "two-solutions"
+        rep["constants"]["resolved_rho"] = 1.0
+        rep["solutions"] = [{"hs_norm": 0.5}, {"hs_norm": 1e-6}]
+        return rep
+
+    monkeypatch.setattr(cli, "cmd_solve", solve)
+    code, rep, _ = run_cli(capsys, "reproduce-example", "--smoke")
+    assert code == 3 and rep["status"] == "one-solution-only"
+    assert rep["diagnostics"]["nontrivial"] == [True, False]
+    assert "numerically trivial" in rep["diagnostics"]["detail"]
 
 
 # diagnostics only reproduce-example adds to the solve report

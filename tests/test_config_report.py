@@ -222,7 +222,8 @@ def test_dump_fields_csv_layout(tmp_path, example_problem):
     paths = dump_fields(str(tmp_path), [sol])
     assert len(paths) == 1
     assert paths[0].endswith("solution_00_ball_min.csv")
-    lines = open(paths[0]).read().strip().splitlines()
+    with open(paths[0]) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "x0,x1,u"
     assert len(lines) == 1 + 4 * 4
     # every sampled value is the constant, written via repr

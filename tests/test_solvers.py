@@ -559,6 +559,36 @@ def test_saddle_fallback_converges_off_the_constant_subspace(monkeypatch,
         assert hs_norm(high.field - end) > cfg.distinct_tol
 
 
+def saddle_without_the_polish(monkeypatch, **cfg):
+    """The saddle stage on the x-dependent forcing at 0.5 of the best
+    lambda_max, from the ball stage's minimizer (which keeps the polish),
+    with the polish switched off for the saddle stage alone."""
+    nl, problem, params, rho, _ = x_dependent_problem(4, 0.5)
+    cfg = SolverConfig(rho=rho, **cfg)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda *args, **kwargs: None)
+    return mountain_pass(low.field, endpoint, cfg, nl)
+
+
+def test_saddle_search_raises_on_a_second_stall(monkeypatch):
+    # no climbing step lowers the residual here, and after the one Armijo
+    # step across the path none does either: the stage ends as a stall
+    with pytest.raises(NonConvergenceError,
+                       match=r"^saddle search stalled at residual") as info:
+        saddle_without_the_polish(monkeypatch)
+    assert info.value.residual_history
+
+
+def test_saddle_search_raises_when_the_budget_runs_out(monkeypatch):
+    with pytest.raises(NonConvergenceError,
+                       match=r"^saddle search did not reach grad_tol=1\.0e-08 "
+                             r"in 2 iterations") as info:
+        saddle_without_the_polish(monkeypatch, max_iter=2)
+    assert len(info.value.residual_history) == 2
+
+
 def test_polish_backs_off_after_rejections(monkeypatch):
     # every attempt does its work and is then rejected
     real = solvers._newton_polish
@@ -632,7 +662,9 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     rng = np.random.default_rng(N)
     d = 3.0 * rng.standard_normal((n,) * N) ** 2 * shift
     J_ref = dense_jacobian(problem, params, d)
-    jac, prec = solvers._jacobian_operators(problem, params, d)
+    nl = replace(get_nonlinearity("cubic_plus_one"), fprime=lambda x, t: d)
+    jac, prec = solvers._jacobian_operators(
+        FourierField.zeros(problem, params), nl)
     xs = [flat(random_symmetric_coeffs(rng, modes, N)) for _ in range(D)]
     X = np.column_stack(xs)
     J = np.column_stack([jac(x) for x in xs])
@@ -675,7 +707,9 @@ def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
     symbol = multiplier_array(problem, params) - problem.gamma
     inv_prec = 1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0))
 
-    jac, prec = solvers._jacobian_operators(problem, params, d)
+    nl = replace(get_nonlinearity("cubic_plus_one"), fprime=lambda x, t: d)
+    jac, prec = solvers._jacobian_operators(
+        FourierField.zeros(problem, params), nl)
     for _ in range(3):
         c = random_symmetric_coeffs(rng, modes, N)
         samples = inverse_transform(FourierField(c, problem, params), n)
@@ -891,14 +925,17 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
 
 
 def test_polish_without_fprime_uses_a_finite_difference_jacobian():
-    # with no fprime the polish differentiates f by central differences;
-    # both stages must still land on iteration 1, on the solutions that the
-    # exact Jacobian finds
+    # with no fprime make_nonlinearity differentiates f by central
+    # differences; both stages must still land on iteration 1, on the
+    # solutions that the exact Jacobian finds
     problem = ProblemSpec(lam=0.02, **BASE)
     params = SpectrumParams(4, 10)
     nl = get_nonlinearity("cubic_plus_one")
+    fd_nl = make_nonlinearity(nl.name, nl.f, nl.F, a1=nl.a1, a2=nl.a2, q=nl.q,
+                              alpha=nl.alpha, r0=nl.r0,
+                              poly_degree=nl.poly_degree)
     exact, fd = (solve_multiplicity(SolverConfig(rho=1.0), n, problem, params)
-                 for n in (nl, replace(nl, fprime=None)))
+                 for n in (nl, fd_nl))
     assert fd.status == "two-solutions"
     assert [s.iterations for s in fd.solutions] == [1, 1]
     for a, b in zip(exact.solutions, fd.solutions):

@@ -84,6 +84,24 @@ def test_make_nonlinearity_quadrature_primitive():
         assert np.abs(got - math.sin(t)).max() < 1e-9
 
 
+def test_nonlinearity_requires_a_callable_fprime():
+    with pytest.raises(ValueError, match="fprime must be callable"):
+        get_nonlinearity("cubic_plus_one", fprime=None)
+
+
+def test_make_nonlinearity_central_difference_fprime():
+    # without fprime, f' is the central difference with h = 1e-6 (1 + |t|)
+    f = lambda x, t: 1.0 + t ** 3
+    nl = make_nonlinearity("cubic", f=f, F=lambda x, t: t + 0.25 * t ** 4,
+                           a1=1.0, a2=1.0, q=4.0, alpha=3.0, r0=2.0)
+    x = (np.array([0.0, 1.0, 2.0]),)
+    t = np.array([-2.0, 0.3, 1.7])
+    h = 1e-6 * (1.0 + np.abs(t))
+    assert np.array_equal(nl.fprime(x, t),
+                          (f(x, t + h) - f(x, t - h)) / (2.0 * h))
+    assert np.abs(nl.fprime(x, t) - 3.0 * t ** 2).max() < 1e-8
+
+
 def test_validate_growth_exponent():
     nl = get_nonlinearity("cubic_plus_one")
     ok = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=2)
@@ -251,6 +269,17 @@ def test_overflow_reports_witness(example_problem):
     u = FourierField.constant(example_problem, params, 1e200)
     with pytest.raises(OverflowError):
         nonlinear_image(u, get_nonlinearity("pure_cubic"))
+
+
+def test_non_finite_value_without_a_float_error_raises(example_problem):
+    # an f that writes inf itself raises no FloatingPointError; the
+    # finiteness check of its output still refuses it
+    nl = replace(get_nonlinearity("pure_cubic"),
+                 f=lambda x, t: np.where(t > 0.5, np.inf, t ** 3))
+    params = SpectrumParams(modes=1, grid_points=3)
+    u = FourierField.constant(example_problem, params, 1.0)
+    with pytest.raises(OverflowError, match=r"f\[pure_cubic\] non-finite"):
+        nonlinear_image(u, nl)
 
 
 def test_overflowing_potential_sum_raises(example_problem):
