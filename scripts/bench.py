@@ -97,8 +97,7 @@ def rung_name(N: int, s: float, M: int) -> str:
 
 
 def config_text(N: int, s: float, M: int) -> str:
-    return (f"problem.N = {N}\nproblem.s = {s!r}\n"
-            f"discretization.M = {M}\ndiscretization.grid_points = {2 * M + 2}\n")
+    return f"problem.N = {N}\nproblem.s = {s!r}\ndiscretization.M = {M}\n"
 
 
 def ladder_golden(path: pathlib.Path) -> None:

@@ -12,8 +12,12 @@ Sections and keys:
 
     problem.s .m .gamma .lambda .T .N
     discretization.M .grid_points               (grid_points sets only the
-                                                 --dump-fields CSV grid; no
-                                                 reported number uses it)
+                                                 --dump-fields CSV grid, any
+                                                 n >= 1; no reported number
+                                                 uses it.  Below 2M+1 the
+                                                 CSV holds exact point
+                                                 values, too few to recover
+                                                 the coefficients)
     nonlinearity.key .a1 .a2 .q .alpha .r0      (params optional: registry
                                                  defaults apply when absent)
     solver.rho .grad_tol .max_iter .distinct_tol .max_doublings

@@ -42,6 +42,7 @@ from numpy.random import SeedSequence, default_rng
 from . import spectral as sp
 from .extension import kappa
 from .spectral import FourierField, ProblemSpec, SpectrumParams
+from .variational import dealias_points
 
 __all__ = [
     "EmbeddingEstimate",
@@ -92,14 +93,13 @@ def _ascent_grid(modes: int, r: float) -> int:
     # trigonometric polynomials of degree rM and (r-1)M, so n >= rM+1 makes
     # both the rectangle rule for |u|_r^r and the truncated forward transform
     # of w exact.  For odd r, w is not a polynomial (r = 3 gives u|u|), and
-    # for fractional r neither |u|^r nor w is: those keep the generous
-    # product-dealiasing rule, which is only spectrally accurate.
-    if float(r).is_integer():
-        deg = int(r)
-        n = deg * modes + 1 if deg % 2 == 0 else (deg + 1) * modes + 2
-    else:
-        n = 4 * modes + 2
-    return max(n, 2 * modes + 1, 2)
+    # for fractional r neither |u|^r nor w is: those take the dealiasing
+    # grid of a degree-r or a non-polynomial f, only spectrally accurate.
+    if not float(r).is_integer():
+        return dealias_points(modes, None)
+    if r % 2:
+        return dealias_points(modes, int(r))
+    return max(int(r) * modes + 1, 2)
 
 
 # Below this many modes every start climbs at M itself and no finish runs.

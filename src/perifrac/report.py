@@ -103,9 +103,8 @@ def dump_fields(directory: str, solutions) -> list:
     for i, sol in enumerate(solutions):
         field = sol.field
         problem = field.problem
-        n = field.params.grid_points
-        values = sp.inverse_transform(field, grid_points=n)
-        coords = sp.grid_coordinates(problem, n)
+        values = sp.inverse_transform(field)
+        coords = sp.grid_coordinates(problem, field.params.grid_points)
         path = os.path.join(directory, f"solution_{i:02d}_{sol.method}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -34,6 +34,12 @@ the stage passes lam times its gradient as the first right-hand side, an
 accepted trial's is the next, and a landing returns its residual norm and
 the energy its acceptance test evaluated, which the stage reports.
 
+The counters energy_evals and gradient_evals count solver events, not
+calls: a sampled path adds P + 1 = 17 energies, endpoints included, and
+the stages' acceptance energies and the polish's weak_residual calls go
+uncounted.  On the default `solve --seed 0` they read 20 and 2 while
+vr.energy runs 5 times (plus one 15-node batch) and vr.gradient 8 times.
+
 The solvers take lambda as given: whether it is admissible is decided
 before a solve, by constants.certify.
 """

@@ -20,10 +20,11 @@ mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
     |g|_{dual}^2 = sum |g_k|^2 / mu_k^s        (dual norm)
     ||u||_e^2    = kappa(s) (|u|_{Hs}^2 - gamma |u|_{L2}^2)
 
-forward_transform reads the grid size n from the samples it is handed, so
-one field's coefficients come from any n^N grid with n >= 2M+1.  A field's
-params.grid_points is only inverse_transform's default output grid, which
-is also the --dump-fields grid; no coefficient depends on it.
+A field is a trigonometric polynomial of degree M per axis: its samples
+on any n^N grid, n >= 1, are exact point values, and only recovering
+coefficients needs n >= 2M+1, which forward_transform checks on the grid
+it reads from its samples.  params.grid_points is only inverse_transform's
+default grid, also the --dump-fields grid; no coefficient depends on it.
 
 Everything here is pure value semantics with no shared mutable state.
 This is the only module that knows the layout of a discrete Fourier
@@ -163,7 +164,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SpectrumParams:
-    """Mode cutoff and collocation grid size (per dimension)."""
+    """Mode cutoff M and the default sampling grid n of inverse_transform
+    (per dimension); any n >= 1 samples a field exactly."""
 
     modes: int
     grid_points: int
@@ -171,9 +173,9 @@ class SpectrumParams:
     def __post_init__(self):
         if not isinstance(self.modes, int) or self.modes < 0:
             raise ValueError(f"M = {self.modes!r} must be an integer >= 0")
-        if not isinstance(self.grid_points, int) or self.grid_points < 2 * self.modes + 1:
+        if not isinstance(self.grid_points, int) or self.grid_points < 1:
             raise ValueError(f"grid_points = {self.grid_points!r} must be an "
-                             f"integer >= 2M+1 = {2 * self.modes + 1}")
+                             "integer >= 1")
 
 
 @dataclass(eq=False)
@@ -465,14 +467,16 @@ def forward_transform(samples: np.ndarray, problem: ProblemSpec, params: Spectru
 def inverse_transform(field: FourierField, grid_points: int | None = None) -> np.ndarray:
     """Real samples of the field on an n^N grid (default: params.grid_points).
 
-    Only the k_N >= 0 half is read, so coefficients that are not Hermitian
-    raise SymmetryError instead of silently giving a different field.
+    Any n >= 1 gives exact point values, too few below 2M+1 to recover
+    the coefficients.  Only the k_N >= 0 half is read, so coefficients that
+    are not Hermitian raise SymmetryError instead of silently giving a
+    different field.
     """
     params = field.params
     n = params.grid_points if grid_points is None else int(grid_points)
     M = params.modes
-    if n < 2 * M + 1:
-        raise ValueError(f"grid_points={n} < 2*modes+1 = {2 * M + 1}")
+    if n < 1:
+        raise ValueError(f"grid_points = {n} must be >= 1")
     # the scale is computed only when the defect is not already negligible
     defect = field.hermitian_defect()
     if defect > 1e-8 and defect > 1e-8 * (1.0 + float(np.abs(field.coeffs).max())):

@@ -34,6 +34,7 @@ from .spectral import FourierField
 __all__ = [
     "Nonlinearity",
     "get_nonlinearity",
+    "make_nonlinearity",
     "registry_keys",
     "CheckReport",
     "check_growth",

@@ -415,6 +415,22 @@ def test_solve_dump_fields(capsys, tmp_path):
         str(out / f) for f in files]
 
 
+def test_solve_samples_fields_on_a_grid_below_2m_plus_1(capsys, tmp_path):
+    # the default grid_points = 32 only sets the CSV grid, and sampling a
+    # degree-16 field on 32 points per axis is exact evaluation
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("discretization.M = 16\n")
+    out = tmp_path / "fields"
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg),
+                           "--dump-fields", str(out))
+    assert code == 0 and rep["status"] == "two-solutions"
+    energies = [s["energy"] for s in rep["solutions"]]
+    assert energies == pytest.approx([-2.8909056, 359.83609], rel=1e-7)
+    assert all(s["residual_dual_norm"] < 1e-12 for s in rep["solutions"])
+    for path in rep["diagnostics"]["field_dumps"]:
+        assert len(pathlib.Path(path).read_text().splitlines()) == 1 + 32 * 32
+
+
 # each output flag only on the subcommands that read it, and a dump path that
 # cannot be a directory refused before any work (FILE is a regular file)
 FLAG_MISUSE = [

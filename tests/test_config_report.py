@@ -64,12 +64,14 @@ def test_parse_comments_blanks_and_inline_comments():
     ("problem.s = true\n", "number"),
     ("command = solve\n", "unknown configuration key"),
     ("problem.s = 1.5\n", "0 < s < 1"),
+    ("problem.m = 0\n", "m > 0"),
+    ("problem.N = 4\n", "integer in 1..3"),
     ("problem.s = 0.75\nproblem.N = 1\n", "N > 2s"),
     ("problem.gamma = 2.0\n", "m^(2s)"),
     ("problem.lambda = -0.1\n", "lambda > 0"),
     ("problem.T = 0\n", "T > 0"),
     ("discretization.M = -1\n", ">= 0"),
-    ("discretization.M = 8\ndiscretization.grid_points = 9\n", "2M+1"),
+    ("discretization.grid_points = 0\n", ">= 1"),
     ("solver.rho = -1\n", "rho > 0"),
     ("solver.path_points = 2\n", "path_points"),
     ("solver.max_iter = 0\n", "max_iter must be at least 1"),

@@ -111,6 +111,21 @@ def test_ascent_rejects_fewer_than_one_start(starts):
     assert constants._SIGMA_CACHE == before
 
 
+def test_ascent_grid_formulas():
+    # even r: the smallest grid resolving u^r exactly; odd r: the grid that
+    # dealiases a degree-r product; fractional r: twice the minimal grid
+    for modes in range(130):
+        for r in (1, 1.5, 2, 2.5, 3, 3.25, 3.5, 4, 5, 6, 7, 8):
+            if r % 2 == 0:
+                want = max(r * modes + 1, 2)
+            elif r % 1 == 0:
+                want = (r + 1) * modes + 2
+            else:
+                want = 4 * modes + 2
+            got = _ascent_grid(modes, float(r))
+            assert type(got) is int and got == want, (modes, r)
+
+
 @pytest.mark.parametrize("r", [3.0, 4.0])
 def test_rayleigh_ascent_field_is_exactly_hermitian(r):
     # the ascent steps without re-symmetrizing: real even multipliers,

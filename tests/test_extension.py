@@ -51,6 +51,15 @@ def test_kappa_rejects_bad_order():
             kappa(s)
 
 
+@pytest.mark.parametrize("fn, arg, needle", [
+    (theta, -1.0, "y >= 0"), (theta_prime, 0.0, "y > 0"),
+    (ode_residual, 0.0, "y > 0"), (conormal_limit, 0.0, "mu must be positive"),
+], ids=["theta", "theta_prime", "ode_residual", "conormal_limit"])
+def test_profile_functions_reject_points_off_their_domain(fn, arg, needle):
+    with pytest.raises(ValueError, match=needle):
+        fn(0.5, arg)
+
+
 def test_bessel_and_theta_against_mpmath():
     ys = (0.05, 0.3, 1.0, 4.0, 12.0)
     for s in S_SET:

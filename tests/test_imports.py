@@ -47,3 +47,16 @@ def test_no_module_imports_an_unread_name():
     offenders = {str(path.relative_to(ROOT)): names for path in SOURCES
                  if (names := unused_imports(path.read_text()))}
     assert offenders == {}
+
+
+def test_package_exports_each_library_module_all():
+    import perifrac
+    from perifrac import (config, constants, extension, solvers, spectral,
+                          variational)
+    modules = (config, constants, extension, solvers, spectral, variational)
+    names = [name for module in modules for name in module.__all__]
+    assert sorted(perifrac.__all__) == sorted(names + ["__version__"])
+    assert len(set(names)) == len(names)   # each name has one owner
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(perifrac, name) is getattr(module, name)

@@ -38,17 +38,18 @@ def direct_coefficients(samples, problem, modes):
 
 
 def eval_field_at(field, points):
-    """u(x) = sum_k c_k exp(i omega k.x) / T^(N/2), slow loops."""
+    """u(x) = sum_k c_k exp(i omega k.x) / T^(N/2) at a (P, N) array of
+    points, summed term by term over the whole mode cube, 256 points at a
+    time."""
     problem, M = field.problem, field.params.modes
-    w = problem.omega
-    vals = []
-    for x in points:
-        acc = 0.0 + 0.0j
-        for k in itertools.product(range(-M, M + 1), repeat=problem.N):
-            idx = tuple(ki + M for ki in k)
-            acc += field.coeffs[idx] * np.exp(1j * w * sum(ki * xi for ki, xi in zip(k, x)))
-        vals.append(acc / problem.T ** (problem.N / 2.0))
-    vals = np.asarray(vals)
+    axis = np.arange(-M, M + 1)
+    modes = np.stack(np.meshgrid(*([axis] * problem.N), indexing="ij"),
+                     axis=-1).reshape(-1, problem.N)
+    c = field.coeffs.reshape(-1)
+    vals = np.concatenate([
+        np.exp(1j * problem.omega * (chunk @ modes.T)) @ c
+        for chunk in np.array_split(points, max(1, len(points) // 256))])
+    vals /= problem.T ** (problem.N / 2.0)
     assert np.abs(vals.imag).max() < 1e-10 * (1.0 + np.abs(vals.real).max())
     return vals.real
 
@@ -160,18 +161,34 @@ def test_pruned_kernels_are_bit_identical_to_numpy(N, M, n):
             matrix[0] = 0.0
 
 
-@pytest.mark.parametrize("N, M, n", GRID_CASES, ids=GRID_IDS)
+# a field is a trigonometric polynomial, so any n >= 1 samples it exactly;
+# only recovering coefficients from the samples needs n >= 2M+1
+SAMPLE_CASES = sorted(set(GRID_CASES) | {
+    (N, M, n) for N in (1, 2, 3) for M in (0, 1, 3, 6)
+    for n in (1, 2, 3, 5, 7, 2 * M + 1, 2 * M + 3)})
+
+
+@pytest.mark.parametrize("N, M, n", SAMPLE_CASES,
+                         ids=[f"N{N}-M{M}-n{n}" for N, M, n in SAMPLE_CASES])
 def test_inverse_transform_matches_pointwise_sum(N, M, n):
     problem = oracle_problem(N)
     rng = np.random.default_rng([N, M, n, 1])
     u = FourierField(random_symmetric_coeffs(rng, M, N), problem,
                      SpectrumParams(M, n))
     samples = inverse_transform(u)
+    assert np.array_equal(inverse_transform(u, n), samples)
     xs = grid_coordinates(problem, n)
-    pts = list(zip(*(x.reshape(-1) for x in xs)))
-    direct = eval_field_at(u, pts)
-    got = samples.reshape(-1)
-    assert np.abs(got - direct).max() < 1e-11 * (1.0 + np.abs(direct).max())
+    direct = eval_field_at(u, np.stack([x.reshape(-1) for x in xs], axis=-1))
+    assert (np.abs(samples.reshape(-1) - direct).max()
+            <= 1e-13 * np.abs(direct).max())
+
+
+def test_grids_must_hold_a_point():
+    with pytest.raises(ValueError, match=">= 1"):
+        SpectrumParams(2, 0)
+    u = FourierField.zeros(oracle_problem(2), SpectrumParams(2, 1))
+    with pytest.raises(ValueError, match=">= 1"):
+        inverse_transform(u, 0)
 
 
 def test_grid_coordinates_are_cached_and_read_only():
@@ -289,6 +306,19 @@ def test_symmetry_check_covers_every_conjugate_pair(N, M):
                 inverse_transform(u)
 
 
+def test_field_rejects_mismatched_operands(example_problem):
+    params = SpectrumParams(modes=2, grid_points=5)
+    with pytest.raises(ValueError, match="coefficient shape"):
+        FourierField(np.zeros((3, 3)), example_problem, params)
+    u = FourierField.constant(example_problem, params, 1.0)
+    other = ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.2,
+                        T=example_problem.T, N=2)
+    with pytest.raises(ValueError, match="different problems"):
+        u + FourierField.constant(other, params, 1.0)
+    with pytest.raises(TypeError, match="scalars"):
+        u * u
+
+
 def test_from_modes_rejects_out_of_cube(example_problem):
     params = SpectrumParams(modes=2, grid_points=5)
     with pytest.raises(ValueError):
@@ -381,3 +411,6 @@ def test_dual_norm_past_the_range_of_its_squares():
     big = dual_norm(g * 2.0 ** 700)
     assert math.isfinite(big)
     assert big == pytest.approx(2.0 ** 700 * dual_norm(g), rel=1e-14)
+    # past the range of doubles altogether the norm is infinite
+    g.coeffs[3, 3] = math.inf
+    assert dual_norm(g) == math.inf

@@ -69,7 +69,7 @@ def test_nonlinearity_validates_constants():
         get_nonlinearity("cubic_plus_one", a1=-1.0)
 
 
-@pytest.mark.parametrize("zero", ["a1", "a2"])
+@pytest.mark.parametrize("zero", ["a1", "a2", "r0"])
 def test_growth_constants_must_be_positive(zero):
     with pytest.raises(ValueError, match="must be positive"):
         get_nonlinearity("cubic_plus_one", **{zero: 0.0})
@@ -205,6 +205,8 @@ def test_checker_input_validation():
     with pytest.raises(ValueError):
         check_superhomogeneity(nl, t_values=(2.0,), v_values=(0.5,),
                                x_points=X_LATTICE, N=2)
+    with pytest.raises(ValueError, match="2 columns"):
+        check_growth(nl, t_values=(1.0,), x_points=np.zeros((4, 3)), N=2)
 
 
 # -- dealiased evaluation --------------------------------------------------------
