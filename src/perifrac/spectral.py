@@ -94,6 +94,16 @@ __all__ = [
 ]
 
 
+def _count(name: str, value, low: int, high: float = math.inf) -> int:
+    """The one rule for mode and grid counts (N, M, grid points): a Python
+    int, not a bool, in low..high; anything else raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not low <= value <= high):
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} = {value!r} must be an integer {bound}")
+    return value
+
+
 class SymmetryError(ValueError):
     """Coefficients lost Hermitian symmetry: the field is corrupted."""
 
@@ -120,8 +130,7 @@ class ProblemSpec:
             raise ValueError(f"m = {self.m!r} violates m > 0")
         if self.T <= 0.0:
             raise ValueError(f"T = {self.T!r} violates T > 0")
-        if not isinstance(self.N, int) or not 1 <= self.N <= 3:
-            raise ValueError(f"N = {self.N!r} must be an integer in 1..3")
+        _count("N", self.N, 1, 3)
         # the scales of the problem must be finite, positive doubles; m^(2s)
         # lies between 1 and m^2, so it is one when m^2 is
         for name, base, power in (("m^2", self.m, 2.0),
@@ -171,11 +180,8 @@ class SpectrumParams:
     grid_points: int
 
     def __post_init__(self):
-        if not isinstance(self.modes, int) or self.modes < 0:
-            raise ValueError(f"M = {self.modes!r} must be an integer >= 0")
-        if not isinstance(self.grid_points, int) or self.grid_points < 1:
-            raise ValueError(f"grid_points = {self.grid_points!r} must be an "
-                             "integer >= 1")
+        _count("M", self.modes, 0)
+        _count("grid_points", self.grid_points, 1)
 
 
 @dataclass(eq=False)
@@ -473,10 +479,9 @@ def inverse_transform(field: FourierField, grid_points: int | None = None) -> np
     different field.
     """
     params = field.params
-    n = params.grid_points if grid_points is None else int(grid_points)
+    n = (params.grid_points if grid_points is None
+         else _count("grid_points", grid_points, 1))
     M = params.modes
-    if n < 1:
-        raise ValueError(f"grid_points = {n} must be >= 1")
     # the scale is computed only when the defect is not already negligible
     defect = field.hermitian_defect()
     if defect > 1e-8 and defect > 1e-8 * (1.0 + float(np.abs(field.coeffs).max())):

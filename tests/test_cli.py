@@ -328,6 +328,31 @@ def test_solve_reports_one_solution_with_its_certificate(capsys, tmp_path):
         "sigma1", "sigmaq", "ball_radius_hs"}
 
 
+def test_solve_accepts_the_first_saddle_landing_beyond_distinct_tol(
+        capsys, tmp_path):
+    # the saddle lies 14.39 from the ball minimizer in Hs, beyond
+    # distinct_tol = 10, but within 10 of the endpoint, which only anchors
+    # the path: the saddle stage's first polish lands, as the ball's did
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "solver.distinct_tol = 10\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 0 and rep["status"] == "two-solutions"
+    assert rep["timings"]["iterations_path"] == 1
+    assert rep["timings"]["polish_attempts"] == 2
+
+
+def test_solve_lists_one_solution_when_the_saddle_is_not_distinct(
+        capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "solver.distinct_tol = 20\n")
+    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
+    assert code == 3 and rep["status"] == "one-solution-only"
+    assert len(rep["solutions"]) == 1
+    diag = rep["diagnostics"]
+    assert diag["distinct"] is False and diag["hs_distance"] == 0.0
+    assert diag["detail"].startswith("DegeneratePathError: ")
+
+
 def test_solve_counts_every_path_node_as_an_energy_evaluation(capsys):
     # the straight path's 17 node energies come from two transforms, yet
     # each counts: 1 for the ball's start, 2 endpoint probes and 17 nodes;

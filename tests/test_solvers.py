@@ -56,14 +56,15 @@ def test_ball_minimize_hits_small_root():
     params = SpectrumParams(0, 2)
     nl = get_nonlinearity("cubic_plus_one")
     c_low, _ = scalar_roots(problem)
+    counters = {}
     rep = ball_minimize(FourierField.zeros(problem, params),
-                        SolverConfig(rho=1.0), nl)
+                        SolverConfig(rho=1.0), nl, counters)
     assert isinstance(rep, SolutionReport)
     assert rep.method == "ball_min"
     assert abs(rep.mean_value - c_low) < 1e-8 * abs(c_low)
     assert rep.residual_dual_norm <= 1e-8
     assert rep.in_ball
-    assert rep.counters["iterations_ball"] == rep.iterations
+    assert counters["iterations_ball"] == rep.iterations
 
 
 def test_pipeline_two_scalar_solutions():
@@ -74,7 +75,6 @@ def test_pipeline_two_scalar_solutions():
     rep = solve_multiplicity(SolverConfig(rho=1.0), nl, problem, params)
     assert isinstance(rep, MultiplicityReport)
     assert rep.status == "two-solutions"
-    assert rep.distinct and rep.energy_ordering_ok
     low, high = rep.solutions
     assert (low.method, high.method) == ("ball_min", "mountain_pass")
     assert abs(low.mean_value - c_low) < 1e-8 * abs(c_low)
@@ -259,9 +259,38 @@ def test_one_solution_only_when_saddle_stage_fails():
                              problem, params)
     assert rep.status == "one-solution-only"
     assert len(rep.solutions) == 1
-    assert not rep.distinct and rep.hs_distance == 0.0
+    assert rep.hs_distance == 0.0
     assert rep.detail.startswith("EndpointSearchError")
     assert abs(rep.solutions[0].mean_value - c_low) < 1e-8
+
+
+def test_saddle_within_distinct_tol_leaves_one_solution():
+    # the scalar saddle lies 44.24 from the ball minimizer in Hs: at
+    # distinct_tol = 50 the saddle stage's rule rejects it on both routes,
+    # so the pipeline lists the ball solution alone
+    problem = ProblemSpec(lam=0.01, **BASE)
+    rep = solve_multiplicity(SolverConfig(rho=1.0, distinct_tol=50),
+                             get_nonlinearity("cubic_plus_one"), problem,
+                             SpectrumParams(0, 2))
+    assert rep.status == "one-solution-only"
+    assert len(rep.solutions) == 1 and rep.hs_distance == 0.0
+    assert rep.detail.startswith("DegeneratePathError")
+
+
+def test_saddle_fallback_meets_the_polish_rule(monkeypatch):
+    # with no Newton landing, the climbing image converges on the same
+    # saddle, 44.24 from the ball minimizer, and the same rule rejects it
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(0, 2)
+    nl = get_nonlinearity("cubic_plus_one")
+    cfg = SolverConfig(rho=1.0, distinct_tol=50)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda *args, **kwargs: None)
+    with pytest.raises(DegeneratePathError,
+                       match=r"fails the saddle rule.*distinct_tol=50"):
+        mountain_pass(low.field, endpoint, cfg, nl)
 
 
 # -- truncated problem (M = 8): constant subspace is invariant -------------------
@@ -492,11 +521,12 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     )
     problem = ProblemSpec(lam=0.05, **BASE)
     params = SpectrumParams(4, 10)
+    counters = {}
     rep = ball_minimize(FourierField.zeros(problem, params),
-                        SolverConfig(rho=1.0), nl)
-    trials = rep.counters["line_search_trials"]
+                        SolverConfig(rho=1.0), nl, counters)
+    trials = counters["line_search_trials"]
     assert rep.iterations >= 5
-    assert rep.counters["energy_evals"] == 1 + trials
+    assert counters["energy_evals"] == 1 + trials
     assert len(calls) == 1 + trials
     assert rep.energy == real_energy(rep.field, nl)
 
@@ -513,16 +543,17 @@ STAGE_CASES = {
 }
 
 
-def run_stages(case):
-    """Ball stage, endpoint and saddle stage, each with its own counters."""
+def run_stages(case, ball_counters=None, path_counters=None):
+    """Ball stage, endpoint and saddle stage, each with its own counters
+    (the dicts given, or fresh ones)."""
     dims, params, lam, rho = STAGE_CASES[case]
     problem = ProblemSpec(m=1.0, gamma=0.5, lam=lam, T=2.0 * math.pi, **dims)
     nl = get_nonlinearity("cubic_plus_one")
     cfg = SolverConfig(rho=rho)
     low = ball_minimize(FourierField.zeros(problem, params), cfg, nl,
-                        counters={})
+                        counters=ball_counters)
     endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
-    high = mountain_pass(low.field, endpoint, cfg, nl, counters={})
+    high = mountain_pass(low.field, endpoint, cfg, nl, counters=path_counters)
     return cfg, low, high
 
 
@@ -600,11 +631,12 @@ def test_polish_backs_off_after_rejections(monkeypatch):
         return None
 
     monkeypatch.setattr(solvers, "_newton_polish", rejected)
-    _, low, high = run_stages("paper-N2-M8")
-    assert len(attempts) == (low.counters["polish_attempts"]
-                             + high.counters["polish_attempts"])
-    for rep in (low, high):
-        n = rep.counters["polish_attempts"]
+    counts = {}, {}
+    _, low, high = run_stages("paper-N2-M8", *counts)
+    assert len(attempts) == (counts[0]["polish_attempts"]
+                             + counts[1]["polish_attempts"])
+    for rep, counters in zip((low, high), counts):
+        n = counters["polish_attempts"]
         assert n <= math.floor(math.log2(rep.iterations)) + 1
         # attempts fall on iterations 1, 2, 4, ... before the last one
         assert n == sum(1 for k in range(rep.iterations) if 2 ** k < rep.iterations)

@@ -184,11 +184,22 @@ def test_inverse_transform_matches_pointwise_sum(N, M, n):
 
 
 def test_grids_must_hold_a_point():
+    # a count is a Python int in range: not a float, a bool or a string
     with pytest.raises(ValueError, match=">= 1"):
         SpectrumParams(2, 0)
+    for modes, grid in ((True, 5), (2, True), (np.int64(2), 5)):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            SpectrumParams(modes, grid)
     u = FourierField.zeros(oracle_problem(2), SpectrumParams(2, 1))
-    with pytest.raises(ValueError, match=">= 1"):
-        inverse_transform(u, 0)
+    for grid in (0, 2.7, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            inverse_transform(u, grid)
+
+
+@pytest.mark.parametrize("N", [0, 4, True, 2.0, np.int64(2)])
+def test_problem_spec_dimension_is_an_int_in_1_to_3(N):
+    with pytest.raises(ValueError, match=r"must be an integer in 1\.\.3"):
+        ProblemSpec(s=0.75, m=1.0, gamma=0.5, lam=0.1, T=2.0 * np.pi, N=N)
 
 
 def test_grid_coordinates_are_cached_and_read_only():
