@@ -112,11 +112,10 @@ def _check_ball_edge(problem, nl, rho):
                                 f"rho = {rho:.6g}"),
                      ((nl.r0, nl.r0), f"r0 = {nl.r0:.6g}, the endpoint "
                                       f"search's first probe")):
-        t = np.array(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = all(np.all(np.isfinite(np.asarray(fn(x, t), dtype=float)))
-                         for fn in (nl.f, nl.F))
-        if not finite:
+        try:
+            for fn in (nl.f, nl.F):
+                vr._evaluate(fn, x, np.array(t), "f or F")
+        except OverflowError:
             raise ConfigError(f"nonlinearity block invalid: f or F is not "
                               f"finite on the constant field u = {where}")
 

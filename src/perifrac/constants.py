@@ -375,8 +375,6 @@ def sigma_estimate(r: float, problem: ProblemSpec, params: SpectrumParams,
     positive double raises ValueError and is not cached.
     """
     r = float(r)
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
     if r >= problem.critical_exponent:
         raise ValueError(
             f"r={r:g} is not below the critical exponent "

@@ -12,6 +12,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, minres
 
 from perifrac import constants, solvers
+from perifrac import spectral as sp
 from perifrac import variational as vr
 from perifrac.constants import (InadmissibleLambdaError, best_lambda, certify,
                                 sigma_estimate)
@@ -375,6 +376,85 @@ def test_pinned_best_lambda_matches_the_certificate(modes):
     rho_star, lam_star = best_lambda(problem, nl, sigmas)
     assert abs(rho_star - rho) <= 1e-7 * rho
     assert abs(lam_star - problem.lam) <= 1e-15 * problem.lam
+
+
+def manufactured_problem(problem, params, eps):
+    """A forcing whose exact solution is the non-constant field
+    u* = eps (0.4 + 0.3 cos(omega x_0) + 0.2 sin(omega x_{N-1})):
+    f(x, t) = g(x) + t^3 with g = (L u*)/lam - u*^3, where L multiplies
+    mode k by mu_k^s - gamma, so L u* = lam f(., u*).  g has degree 3, so
+    u* is an exact Galerkin solution at every M >= 1 on the cubic
+    dealiasing grid.  The bounds hold with a2 = 1, q = 4 and the rigorous
+    a1 = |L u*|_inf / lam + |u*|_inf^3, each sup norm bounded by the
+    coefficient sum times T^(-N/2); and t f - 3 F = t^4/4 - 2 g t >= 0
+    for |t| >= r0 = (8 a1)^(1/3).  Returns (nl, u*)."""
+    T, N = problem.T, problem.N
+    w = problem.omega
+    amp = eps * T ** (N / 2.0)
+    modes = {(0,) * N: 0.4 * amp}
+    for k, c in (((1,) + (0,) * (N - 1), 0.15 * amp),
+                 ((0,) * (N - 1) + (1,), -0.1j * amp)):
+        modes[k] = modes.get(k, 0.0) + c
+    ustar = FourierField.from_modes(problem, params, modes)
+    L = multiplier_array(problem, params) - problem.gamma
+    # L on u*'s modes: m^(2s) - gamma on k = 0, mu_1^s - gamma on |k| = 1
+    L0 = problem.m ** (2.0 * problem.s) - problem.gamma
+    L1 = (w * w + problem.m ** 2) ** problem.s - problem.gamma
+
+    def u_at(x, w0=1.0, w1=1.0):
+        return eps * (0.4 * w0 + 0.3 * w1 * np.cos(w * x[0])
+                      + 0.2 * w1 * np.sin(w * x[-1]))
+
+    def g(x):
+        return u_at(x, L0, L1) / problem.lam - u_at(x) ** 3
+
+    sup = np.abs(ustar.coeffs).sum() / T ** (N / 2.0)
+    a1 = np.abs(L * ustar.coeffs).sum() / T ** (N / 2.0) / problem.lam + sup ** 3
+    nl = make_nonlinearity(
+        "manufactured_cubic",
+        f=lambda x, t: g(x) + t ** 3,
+        F=lambda x, t: g(x) * t + 0.25 * t ** 4,
+        fprime=lambda x, t: 3.0 * t ** 2,
+        a1=a1, a2=1.0, q=4.0, alpha=3.0, r0=(8.0 * a1) ** (1.0 / 3.0),
+        poly_degree=3,
+    )
+    return nl, ustar
+
+
+# (N, s, eps, lam, M) with m = 1 and gamma = 0.5
+MANUFACTURED_CASES = (
+    [(2, 0.75, eps, lam, M) for eps, lam in ((0.1, 0.05), (0.05, 0.1),
+                                             (0.02, 0.1))
+     for M in (1, 2, 4, 8)]
+    + [(1, 0.4, 0.05, 0.1, M) for M in (1, 2, 4, 8)]
+    + [(3, 0.9, 0.05, 0.05, M) for M in (1, 2, 4)])
+
+
+@pytest.mark.parametrize("N, s, eps, lam, modes", MANUFACTURED_CASES)
+def test_ball_stage_returns_the_manufactured_solution(N, s, eps, lam, modes):
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=lam, T=2.0 * math.pi, N=N)
+    params = SpectrumParams(modes, 4 * modes + 2)
+    nl, ustar = manufactured_problem(problem, params, eps)
+    sigmas = tuple(sigma_estimate(r, problem, params).value for r in (1.0, nl.q))
+    rho, _ = best_lambda(problem, nl, sigmas)
+    certify(rho, problem, nl, sigmas)    # raises unless lam is admissible
+    assert sp.e_norm(ustar) ** 2 < rho
+    cfg = SolverConfig(rho=rho)
+    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    # The stop rule leaves |R(u)|_dual <= grad_tol at u = rep.field, for
+    # the weak residual R(u) = L u - lam f(., u); R(u*) = 0.  With e = u - u*,
+    #   <R(u) - R(u*), e> = sum_k (mu_k^s - gamma) |e_k|^2
+    #                       - lam int (u^2 + u u* + u*^2) e^2 dx
+    #                    >= c |e|_Hs^2,
+    #   c = 1 - gamma / m^(2s) - 3 lam K^2 / m^(2s),
+    # with K = max(|u|_inf, |u*|_inf), as |e|_L2^2 <= |e|_Hs^2 / m^(2s).
+    # The left side is at most |R(u)|_dual |e|_Hs, so |e|_Hs <= grad_tol / c.
+    # The float error of R and of the distance (about 1e-15) is far below.
+    K = (max(np.abs(v.coeffs).sum() for v in (rep.field, ustar))
+         / problem.T ** (N / 2.0))
+    c = 1.0 - problem.gamma_fraction - 3.0 * lam * K ** 2 / problem.m ** (2.0 * s)
+    assert c > 0.0
+    assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
 
 
 def solve_x_dependent_forcing():

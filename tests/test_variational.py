@@ -4,6 +4,7 @@ energy/gradient pair (against central differences)."""
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,18 @@ def test_checkers_fail_on_non_finite_samples():
     assert abs(t * v) > 5.0
 
 
+def test_checkers_fail_on_a_division_by_zero_without_a_warning():
+    # f = 1/t at t = 0 raises numpy's divide flag, not over or invalid; the
+    # checkers judge the value, inf, and fail the check on it
+    nl = replace(get_nonlinearity("cubic_plus_one"), f=lambda x, t: 1.0 / t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_growth(nl, np.linspace(-6.0, 6.0, 121), X_LATTICE, N=2)
+    assert not rep.passed
+    assert rep.worst_margin == -sys.float_info.max
+    assert rep.witness[1] == 0.0
+
+
 def test_checker_input_validation():
     nl = get_nonlinearity("cubic_plus_one")
     with pytest.raises(ValueError):
@@ -274,14 +287,38 @@ def test_overflow_reports_witness(example_problem):
 
 
 def test_non_finite_value_without_a_float_error_raises(example_problem):
-    # an f that writes inf itself raises no FloatingPointError; the
-    # finiteness check of its output still refuses it
+    # an f that writes inf itself raises no float flag; samples are judged
+    # by their values, so it is refused all the same
     nl = replace(get_nonlinearity("pure_cubic"),
                  f=lambda x, t: np.where(t > 0.5, np.inf, t ** 3))
     params = SpectrumParams(modes=1, grid_points=3)
     u = FourierField.constant(example_problem, params, 1.0)
     with pytest.raises(OverflowError, match=r"f\[pure_cubic\] non-finite"):
         nonlinear_image(u, nl)
+
+
+def test_division_by_zero_raises_the_first_non_finite_sample(example_problem):
+    # f = 1/t on the zero field is inf at every sample: the error names the
+    # first in C order, and numpy's divide flag is not turned into a warning
+    nl = replace(get_nonlinearity("pure_cubic"), f=lambda x, t: 1.0 / t)
+    u = FourierField.zeros(example_problem, SpectrumParams(modes=1, grid_points=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=(
+                r"f\[pure_cubic\] non-finite at sample u=0, x=\(0\.0, 0\.0\)")):
+            nonlinear_image(u, nl)
+
+
+def test_finite_value_after_an_intermediate_overflow_is_accepted(example_problem):
+    # exp(800) overflows to inf, and 1/(1 + inf) = 0 is the right value
+    nl = replace(get_nonlinearity("pure_cubic"),
+                 f=lambda x, t: 1.0 / (1.0 + np.exp(t)), poly_degree=None)
+    u = FourierField.constant(example_problem,
+                              SpectrumParams(modes=1, grid_points=3), 800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = nonlinear_image(u, nl).coeffs
+    assert np.all(coeffs == 0.0)
 
 
 def test_overflowing_potential_sum_raises(example_problem):
