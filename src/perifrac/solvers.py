@@ -246,9 +246,9 @@ def _minres(matvec, b, psolve, rtol):
 def _jacobian_operators(u: FourierField, nl):
     """Matrix-free (J, P) at the field u, on flat real views of the mode
     cube, with d = f'(u): nl.fprime at u's samples on the minimal grid n =
-    2M+1 (a scalar is broadcast to it).  J c = (mu_k^s - gamma) c - lam
-    F(d S c), S and F the arithmetic of inverse_transform and
-    forward_transform on that grid, bit for bit but with no symmetry check;
+    2M+1 (a scalar is broadcast to it, as for f and F).  J c = (mu_k^s -
+    gamma) c - lam F(d S c), S and F the arithmetic of inverse_transform
+    and forward_transform on that grid, bit for bit but with no symmetry check;
     S also samples u.  The pair is unitary there up to scale, so J maps
     Hermitian cubes to Hermitian cubes and is symmetric on them in Re sum
     conj(a_k) b_k.  P divides mode k by mu_k^s - gamma + lam max(mean d,
@@ -256,8 +256,7 @@ def _jacobian_operators(u: FourierField, nl):
     problem, params, M = u.problem, u.params, u.params.modes
     n = 2 * M + 1
     v = sp._half_to_samples(u.coeffs[..., M:], problem, n)
-    d = np.broadcast_to(np.asarray(
-        nl.fprime(sp.grid_coordinates(problem, n), v), dtype=float), v.shape)
+    d = vr._values(nl.fprime, sp.grid_coordinates(problem, n), v)
     symbol = sp.multiplier_array(problem, params) - problem.gamma
     inv_prec = np.repeat(  # one entry per real and imaginary part
         1.0 / (symbol + problem.lam * max(float(np.mean(d)), 0.0)), 2)

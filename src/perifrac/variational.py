@@ -17,10 +17,12 @@ grid: >= (p+1)/2 oversampling relative to the minimal 2M + 1 points for a
 polynomial of degree p (the 3/2-rule for quadratics, 2x for cubics), and
 plain 2x for non-polynomial f.
 
-Samples of f and F are judged by their values alone (`_evaluate`): float
-flags are ignored, so a finite value after an intermediate overflow passes,
-and the first non-finite value in C order raises OverflowError naming its
-sample u and point x.  In the checkers a non-finite margin fails its check.
+Samples of f and F are judged by their values alone (`_evaluate`), after
+a result of another shape, a scalar say, is broadcast to the samples'
+(`_values`): float flags are ignored, so a finite value after an
+intermediate overflow passes, and the first non-finite value in C order
+raises OverflowError naming its sample u and point x.  In the checkers a
+non-finite margin fails its check.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .spectral import FourierField
 __all__ = [
     "Nonlinearity",
     "get_nonlinearity",
-    "make_nonlinearity",
     "registry_keys",
     "CheckReport",
     "check_growth",
@@ -59,9 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity:
-    """Forcing profile f(x, t), its primitive F(x, t) = int_0^t f(x, r) dr,
-    its derivative fprime(x, t) = d f / d t (required: the Newton polish's
-    Jacobian samples it), and the declared structural constants:
+    """Forcing profile f(x, t), its primitive F(x, t) = int_0^t f(x, r) dr
+    and its derivative fprime(x, t) = d f / d t, each a callable whose
+    result broadcasts to the shape of t, and the structural constants,
+    declared facts about f and F:
 
       a1, a2, q : growth bound |f(x,t)| <= a1 + a2 |t|^(q-1), a1, a2 > 0
                   (a bound with a zero constant holds with any positive
@@ -81,8 +83,9 @@ class Nonlinearity:
     poly_degree: int | None = None   # degree of t -> f(x, t) when polynomial
 
     def __post_init__(self):
-        if not callable(self.fprime):
-            raise ValueError("fprime must be callable")
+        for name in ("f", "F", "fprime"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable")
         if self.a1 <= 0 or self.a2 <= 0:
             raise ValueError("growth constants a1, a2 must be positive")
         if self.q <= 2.0:
@@ -91,38 +94,6 @@ class Nonlinearity:
             raise ValueError(f"alpha={self.alpha} must exceed 2")
         if self.r0 <= 0.0:
             raise ValueError("r0 must be positive")
-
-
-def _with_quadrature_primitive(f) -> Callable:
-    """Primitive by adaptive quadrature from 0, for f given without one."""
-
-    def F(x, t):
-        from scipy.integrate import quad
-
-        t_arr = np.asarray(t, dtype=float)
-        flat = t_arr.reshape(-1)
-        x_flat = tuple(np.asarray(xi, dtype=float).reshape(-1) for xi in x)
-        out = np.empty_like(flat)
-        for i, ti in enumerate(flat):
-            xi = tuple(np.array([c[i]]) for c in x_flat)
-            out[i] = quad(lambda r: float(f(xi, np.array([r]))[0]), 0.0, ti,
-                          epsabs=1e-12, epsrel=1e-10)[0]
-        return out.reshape(t_arr.shape)
-
-    return F
-
-
-def make_nonlinearity(name, f, F=None, fprime=None, **constants) -> Nonlinearity:
-    """A Nonlinearity; F defaults to f's quadrature primitive and fprime to
-    f's central difference, with step h = 1e-6 (1 + |t|)."""
-    if fprime is None:
-        def fprime(x, t):
-            h = 1e-6 * (1.0 + np.abs(t))
-            return (np.asarray(f(x, t + h), dtype=float)
-                    - np.asarray(f(x, t - h), dtype=float)) / (2.0 * h)
-    if F is None:
-        F = _with_quadrature_primitive(f)
-    return Nonlinearity(name=name, f=f, F=F, fprime=fprime, **constants)
 
 
 def _cubic_plus_one() -> Nonlinearity:
@@ -203,6 +174,13 @@ def _x_tuple(x_points: np.ndarray, N: int):
     return tuple(x_points[:, d] for d in range(N)), x_points
 
 
+def _values(fn, x, t) -> np.ndarray:
+    """fn at the samples t, a result of another shape (a scalar, say)
+    broadcast to t's."""
+    out = np.asarray(fn(x, t), dtype=float)
+    return out if out.shape == t.shape else np.broadcast_to(out, t.shape)
+
+
 class _WorstMargin:
     """Running minimum of sampled margins and the sample that attains it.
 
@@ -238,7 +216,7 @@ def check_growth(nl: Nonlinearity, t_values, x_points, N: int = 1) -> CheckRepor
     worst = _WorstMargin()
     with np.errstate(**_SAMPLING):
         for t in np.asarray(t_values, dtype=float):
-            fv = np.asarray(nl.f(xt, np.full(xp.shape[0], t)), dtype=float)
+            fv = _values(nl.f, xt, np.full(xp.shape[0], t))
             bound = nl.a1 + nl.a2 * abs(t) ** (nl.q - 1.0)
             worst.add(bound - np.abs(fv), lambda i: (tuple(xp[i]), float(t)))
         tol = -1e-12 * (1.0 + nl.a1
@@ -263,8 +241,8 @@ def check_ar(nl: Nonlinearity, t_max: float, x_points, N: int = 1) -> CheckRepor
     with np.errstate(**_SAMPLING):
         for t in ts:
             tv = np.full(xp.shape[0], t)
-            aF = nl.alpha * np.asarray(nl.F(xt, tv), dtype=float)
-            fv = np.asarray(nl.f(xt, tv), dtype=float)
+            aF = nl.alpha * _values(nl.F, xt, tv)
+            fv = _values(nl.f, xt, tv)
             alpha_F.add(aF, lambda i: None)
             worst.add(t * fv - aF, lambda i: (tuple(xp[i]), float(t)))
         scale = 1.0 + np.abs(t_max) ** nl.q
@@ -290,8 +268,8 @@ def check_superhomogeneity(nl: Nonlinearity, t_values, v_values, x_points,
                 if abs(v) < nl.r0:
                     raise ValueError("v_values must satisfy |v| >= r0")
                 vv = np.full(xp.shape[0], v)
-                lhs = np.asarray(nl.F(xt, t * vv), dtype=float)
-                rhs = np.asarray(nl.F(xt, vv), dtype=float) * t ** nl.alpha
+                lhs = _values(nl.F, xt, t * vv)
+                rhs = _values(nl.F, xt, vv) * t ** nl.alpha
                 worst.add(lhs - rhs,
                           lambda i: (tuple(xp[i]), float(t), float(v)))
         scale = 1.0 + abs(np.max(np.abs(t_values))
@@ -328,7 +306,7 @@ def _padded_samples(u: FourierField, nl: Nonlinearity):
 
 def _evaluate(fn, x, samples, what: str) -> np.ndarray:
     with np.errstate(all="ignore"):
-        out = np.asarray(fn(x, samples), dtype=float)
+        out = _values(fn, x, samples)
     if not np.all(np.isfinite(out)):
         i = np.unravel_index(int(np.argmax(~np.isfinite(out))), out.shape)
         raise OverflowError(

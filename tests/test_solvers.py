@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, minres
 
 from perifrac import constants, solvers
@@ -26,11 +28,12 @@ from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                forward_transform, hs_norm, inverse_transform,
                                mean_value, multiplier_array)
-from perifrac.variational import (energy, get_nonlinearity, gradient,
-                                  make_nonlinearity, residual_dual_norm,
+from perifrac.variational import (Nonlinearity, energy, get_nonlinearity,
+                                  gradient, residual_dual_norm,
                                   riesz_representative)
 
 from conftest import random_symmetric_coeffs
+from manufactured import manufactured_forcing, manufactured_problem
 
 BASE = dict(s=0.75, m=1.0, gamma=0.5, T=2.0 * math.pi, N=2)
 
@@ -133,19 +136,14 @@ def test_mountain_pass_rejects_coincident_endpoints():
                       SolverConfig(rho=1.0), nl)
 
 
-# the path oracle's nonlinearities: the registry cubic, the x-dependent
-# forcing of x_dependent_problem, and a cubic with no F (the quadrature
-# primitive, so at small M only)
-PATH_NONLINEARITIES = ("cubic_plus_one", "x_dependent", "quadrature")
+# the path oracle's nonlinearities: the registry cubic and the x-dependent
+# forcing of x_dependent_problem
+PATH_NONLINEARITIES = ("cubic_plus_one", "x_dependent")
 
 
 def path_nonlinearity(name):
     if name == "x_dependent":
         return x_dependent_problem(4, 0.5)[0]
-    if name == "quadrature":
-        return make_nonlinearity("cubic_by_quadrature",
-                                 f=lambda x, t: 1.0 + t ** 3, a1=1.0, a2=1.0,
-                                 q=4.0, alpha=3.0, r0=2.0)
     return get_nonlinearity(name)
 
 
@@ -155,7 +153,7 @@ def test_path_energies_match_the_energy_of_each_node(name, N, s):
     # node i's samples and quadratic part are affine and quadratic in t, so
     # two transforms give every node; the oracle builds each node's field
     nl = path_nonlinearity(name)
-    modes = 1 if name == "quadrature" else 3
+    modes = 3
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.05, T=2.0 * math.pi,
                           N=N)
     params = SpectrumParams(modes, 2 * modes + 1)
@@ -353,8 +351,8 @@ def x_dependent_problem(modes, factor):
     def cx(x):
         return 1.0 + 0.3 * np.cos(omega * x[0])
 
-    nl = make_nonlinearity(
-        "modulated_cubic",
+    nl = Nonlinearity(
+        name="modulated_cubic",
         f=lambda x, t: cx(x) + t ** 3,
         F=lambda x, t: cx(x) * t + 0.25 * t ** 4,
         fprime=lambda x, t: 3.0 * t ** 2,
@@ -378,49 +376,6 @@ def test_pinned_best_lambda_matches_the_certificate(modes):
     assert abs(lam_star - problem.lam) <= 1e-15 * problem.lam
 
 
-def manufactured_problem(problem, params, eps):
-    """A forcing whose exact solution is the non-constant field
-    u* = eps (0.4 + 0.3 cos(omega x_0) + 0.2 sin(omega x_{N-1})):
-    f(x, t) = g(x) + t^3 with g = (L u*)/lam - u*^3, where L multiplies
-    mode k by mu_k^s - gamma, so L u* = lam f(., u*).  g has degree 3, so
-    u* is an exact Galerkin solution at every M >= 1 on the cubic
-    dealiasing grid.  The bounds hold with a2 = 1, q = 4 and the rigorous
-    a1 = |L u*|_inf / lam + |u*|_inf^3, each sup norm bounded by the
-    coefficient sum times T^(-N/2); and t f - 3 F = t^4/4 - 2 g t >= 0
-    for |t| >= r0 = (8 a1)^(1/3).  Returns (nl, u*)."""
-    T, N = problem.T, problem.N
-    w = problem.omega
-    amp = eps * T ** (N / 2.0)
-    modes = {(0,) * N: 0.4 * amp}
-    for k, c in (((1,) + (0,) * (N - 1), 0.15 * amp),
-                 ((0,) * (N - 1) + (1,), -0.1j * amp)):
-        modes[k] = modes.get(k, 0.0) + c
-    ustar = FourierField.from_modes(problem, params, modes)
-    L = multiplier_array(problem, params) - problem.gamma
-    # L on u*'s modes: m^(2s) - gamma on k = 0, mu_1^s - gamma on |k| = 1
-    L0 = problem.m ** (2.0 * problem.s) - problem.gamma
-    L1 = (w * w + problem.m ** 2) ** problem.s - problem.gamma
-
-    def u_at(x, w0=1.0, w1=1.0):
-        return eps * (0.4 * w0 + 0.3 * w1 * np.cos(w * x[0])
-                      + 0.2 * w1 * np.sin(w * x[-1]))
-
-    def g(x):
-        return u_at(x, L0, L1) / problem.lam - u_at(x) ** 3
-
-    sup = np.abs(ustar.coeffs).sum() / T ** (N / 2.0)
-    a1 = np.abs(L * ustar.coeffs).sum() / T ** (N / 2.0) / problem.lam + sup ** 3
-    nl = make_nonlinearity(
-        "manufactured_cubic",
-        f=lambda x, t: g(x) + t ** 3,
-        F=lambda x, t: g(x) * t + 0.25 * t ** 4,
-        fprime=lambda x, t: 3.0 * t ** 2,
-        a1=a1, a2=1.0, q=4.0, alpha=3.0, r0=(8.0 * a1) ** (1.0 / 3.0),
-        poly_degree=3,
-    )
-    return nl, ustar
-
-
 # (N, s, eps, lam, M) with m = 1 and gamma = 0.5
 MANUFACTURED_CASES = (
     [(2, 0.75, eps, lam, M) for eps, lam in ((0.1, 0.05), (0.05, 0.1),
@@ -441,19 +396,71 @@ def test_ball_stage_returns_the_manufactured_solution(N, s, eps, lam, modes):
     assert sp.e_norm(ustar) ** 2 < rho
     cfg = SolverConfig(rho=rho)
     rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    # The stop rule leaves |R(u)|_dual <= grad_tol at u = rep.field, for
-    # the weak residual R(u) = L u - lam f(., u); R(u*) = 0.  With e = u - u*,
-    #   <R(u) - R(u*), e> = sum_k (mu_k^s - gamma) |e_k|^2
-    #                       - lam int (u^2 + u u* + u*^2) e^2 dx
-    #                    >= c |e|_Hs^2,
-    #   c = 1 - gamma / m^(2s) - 3 lam K^2 / m^(2s),
-    # with K = max(|u|_inf, |u*|_inf), as |e|_L2^2 <= |e|_Hs^2 / m^(2s).
-    # The left side is at most |R(u)|_dual |e|_Hs, so |e|_Hs <= grad_tol / c.
-    # The float error of R and of the distance (about 1e-15) is far below.
-    K = (max(np.abs(v.coeffs).sum() for v in (rep.field, ustar))
-         / problem.T ** (N / 2.0))
-    c = 1.0 - problem.gamma_fraction - 3.0 * lam * K ** 2 / problem.m ** (2.0 * s)
+    c = coercivity(rep.field, ustar)
     assert c > 0.0
+    assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
+
+
+def coercivity(u, ustar):
+    """The stop rule leaves |R(u)|_dual <= grad_tol at u, for the weak
+    residual R(u) = L u - lam f(., u); R(u*) = 0.  With e = u - u*,
+      <R(u) - R(u*), e> = sum_k (mu_k^s - gamma) |e_k|^2
+                          - lam int (u^2 + u u* + u*^2) e^2 dx
+                       >= c |e|_Hs^2,
+      c = 1 - gamma / m^(2s) - 3 lam K^2 / m^(2s),
+    with K = max(|u|_inf, |u*|_inf), as |e|_L2^2 <= |e|_Hs^2 / m^(2s).
+    The left side is at most |R(u)|_dual |e|_Hs, so |e|_Hs <= grad_tol / c
+    when c > 0.  The float error of R and of the distance (about 1e-15) is
+    far below.  Returns c."""
+    problem = u.problem
+    K = (max(np.abs(v.coeffs).sum() for v in (u, ustar))
+         / problem.T ** (problem.N / 2.0))
+    return (1.0 - problem.gamma_fraction
+            - 3.0 * problem.lam * K ** 2 / problem.m ** (2.0 * problem.s))
+
+
+@st.composite
+def manufactured_inputs(draw):
+    """(problem, params, modes): N, an s in [N/4 + 0.05, min(N/2 - 0.05,
+    0.95)], so that q = 4 is subcritical, a lambda, and u* of degree <= 2
+    (a nonzero mean and up to two modes k with |k_i| <= 2, amplitudes up
+    to eps), at M = deg u* or 4."""
+    N = draw(st.sampled_from([1, 2, 3]))
+    s = draw(st.floats(N / 4.0 + 0.05, min(N / 2.0 - 0.05, 0.95)))
+    lam = draw(st.floats(0.01, 0.2))
+    eps = draw(st.floats(0.001, 0.2)) * (2.0 * math.pi) ** (N / 2.0)
+    unit = st.floats(-1.0, 1.0)
+    modes = {(0,) * N: eps * draw(st.sampled_from([-1.0, 1.0]))
+             * draw(st.floats(0.1, 1.0))}
+    for _ in range(draw(st.integers(0, 2))):
+        k = tuple(draw(st.lists(st.integers(-2, 2), min_size=N, max_size=N)))
+        if any(k):
+            modes[k] = eps * complex(draw(unit), draw(unit))
+    degree = max(max(abs(ki) for ki in k) for k in modes)
+    M = draw(st.sampled_from([degree, 4]))
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=lam, T=2.0 * math.pi, N=N)
+    return problem, SpectrumParams(M, 4 * M + 2), modes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(manufactured_inputs())
+def test_ball_stage_returns_any_certified_manufactured_solution(inputs):
+    # the property behind the cases above: whenever certify admits lambda
+    # at best_lambda's rho* and u* lies in that ball, the ball stage from
+    # zero returns u* within grad_tol / c
+    problem, params, modes = inputs
+    nl, ustar = manufactured_forcing(problem, params, modes)
+    sigmas = tuple(sigma_estimate(r, problem, params).value for r in (1.0, nl.q))
+    rho, _ = best_lambda(problem, nl, sigmas)
+    try:
+        certify(rho, problem, nl, sigmas)
+    except InadmissibleLambdaError:
+        assume(False)
+    assume(sp.e_norm(ustar) ** 2 < rho)
+    cfg = SolverConfig(rho=rho)
+    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    c = coercivity(rep.field, ustar)
+    assume(c > 0.0)
     assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
 
 
@@ -591,8 +598,8 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     monkeypatch.setattr(solvers.vr, "energy", spy)
     monkeypatch.setattr(solvers, "_newton_polish",
                         lambda *args, **kwargs: None)
-    nl = make_nonlinearity(
-        "modulated_cubic",
+    nl = Nonlinearity(
+        name="modulated_cubic",
         f=lambda x, t: 1.0 + 0.3 * np.cos(x[0]) + t ** 3,
         F=lambda x, t: (1.0 + 0.3 * np.cos(x[0])) * t + 0.25 * t ** 4,
         fprime=lambda x, t: 3.0 * t ** 2,
@@ -1034,24 +1041,6 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
             assert events[i + 1] == "report"
     points = [key for kind, key in log if kind == "gradient"]
     assert len(points) == len(set(points))
-
-
-def test_polish_without_fprime_uses_a_finite_difference_jacobian():
-    # with no fprime make_nonlinearity differentiates f by central
-    # differences; both stages must still land on iteration 1, on the
-    # solutions that the exact Jacobian finds
-    problem = ProblemSpec(lam=0.02, **BASE)
-    params = SpectrumParams(4, 10)
-    nl = get_nonlinearity("cubic_plus_one")
-    fd_nl = make_nonlinearity(nl.name, nl.f, nl.F, a1=nl.a1, a2=nl.a2, q=nl.q,
-                              alpha=nl.alpha, r0=nl.r0,
-                              poly_degree=nl.poly_degree)
-    exact, fd = (solve_multiplicity(SolverConfig(rho=1.0), n, problem, params)
-                 for n in (nl, fd_nl))
-    assert fd.status == "two-solutions"
-    assert [s.iterations for s in fd.solutions] == [1, 1]
-    for a, b in zip(exact.solutions, fd.solutions):
-        assert hs_norm(a.field - b.field) <= 1e-10
 
 
 # -- config validation ------------------------------------------------------------

@@ -2,7 +2,6 @@
 evaluation (against an exact coefficient-convolution oracle), and the
 energy/gradient pair (against central differences)."""
 
-import math
 import sys
 import warnings
 from dataclasses import replace
@@ -14,10 +13,10 @@ from scipy.signal import convolve
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                dual_norm, forward_transform, hs_norm,
                                inverse_transform, multiplier_array, pairing)
-from perifrac.variational import (CheckReport, check_ar, check_growth,
-                                  check_superhomogeneity, dealias_points,
-                                  energy, get_nonlinearity, gradient,
-                                  integral_of_potential, make_nonlinearity,
+from perifrac.variational import (CheckReport, Nonlinearity, check_ar,
+                                  check_growth, check_superhomogeneity,
+                                  dealias_points, energy, get_nonlinearity,
+                                  gradient, integral_of_potential,
                                   nonlinear_image,
                                   registry_keys, residual_dual_norm,
                                   riesz_representative,
@@ -76,31 +75,15 @@ def test_growth_constants_must_be_positive(zero):
         get_nonlinearity("cubic_plus_one", **{zero: 0.0})
 
 
-def test_make_nonlinearity_quadrature_primitive():
-    nl = make_nonlinearity("cosine", f=lambda x, t: np.cos(t),
-                           a1=1.0, a2=1.0, q=3.0, alpha=3.0, r0=1.0)
-    x = (np.array([0.0, 1.0]),)
-    for t in (-2.0, 0.3, 1.7):
-        got = nl.F(x, np.array([t, t]))
-        assert np.abs(got - math.sin(t)).max() < 1e-9
-
-
 def test_nonlinearity_requires_a_callable_fprime():
     with pytest.raises(ValueError, match="fprime must be callable"):
         get_nonlinearity("cubic_plus_one", fprime=None)
 
 
-def test_make_nonlinearity_central_difference_fprime():
-    # without fprime, f' is the central difference with h = 1e-6 (1 + |t|)
-    f = lambda x, t: 1.0 + t ** 3
-    nl = make_nonlinearity("cubic", f=f, F=lambda x, t: t + 0.25 * t ** 4,
-                           a1=1.0, a2=1.0, q=4.0, alpha=3.0, r0=2.0)
-    x = (np.array([0.0, 1.0, 2.0]),)
-    t = np.array([-2.0, 0.3, 1.7])
-    h = 1e-6 * (1.0 + np.abs(t))
-    assert np.array_equal(nl.fprime(x, t),
-                          (f(x, t + h) - f(x, t - h)) / (2.0 * h))
-    assert np.abs(nl.fprime(x, t) - 3.0 * t ** 2).max() < 1e-8
+@pytest.mark.parametrize("name", ["f", "F"])
+def test_nonlinearity_requires_callable_f_and_F(name):
+    with pytest.raises(ValueError, match=f"^{name} must be callable"):
+        get_nonlinearity("cubic_plus_one", **{name: None})
 
 
 def test_validate_growth_exponent():
@@ -148,10 +131,11 @@ def test_ar_check_fails_above_true_alpha():
 
 
 def test_ar_check_fails_on_nonpositive_primitive():
-    nl = make_nonlinearity("shifted", f=lambda x, t: t ** 3,
-                           F=lambda x, t: 0.25 * t ** 4 - 10.0,
-                           a1=1.0, a2=1.0, q=4.0, alpha=4.0, r0=1.0,
-                           poly_degree=3)
+    nl = Nonlinearity(name="shifted", f=lambda x, t: t ** 3,
+                      F=lambda x, t: 0.25 * t ** 4 - 10.0,
+                      fprime=lambda x, t: 3.0 * t ** 2,
+                      a1=1.0, a2=1.0, q=4.0, alpha=4.0, r0=1.0,
+                      poly_degree=3)
     rep = check_ar(nl, t_max=3.0, x_points=X_LATTICE, N=2)
     assert not rep.passed
 
@@ -165,10 +149,11 @@ def test_superhomogeneity_passes_for_quartic():
 
 
 def test_superhomogeneity_fails_for_subhomogeneous_primitive():
-    nl = make_nonlinearity("quadratic", f=lambda x, t: t,
-                           F=lambda x, t: 0.5 * t ** 2,
-                           a1=1.0, a2=1.0, q=3.0, alpha=3.0, r0=1.0,
-                           poly_degree=1)
+    nl = Nonlinearity(name="quadratic", f=lambda x, t: t,
+                      F=lambda x, t: 0.5 * t ** 2,
+                      fprime=lambda x, t: np.ones_like(t),
+                      a1=1.0, a2=1.0, q=3.0, alpha=3.0, r0=1.0,
+                      poly_degree=1)
     rep = check_superhomogeneity(nl, t_values=(2.0,), v_values=(1.0,),
                                  x_points=X_LATTICE, N=2)
     assert not rep.passed
@@ -319,6 +304,53 @@ def test_finite_value_after_an_intermediate_overflow_is_accepted(example_problem
         warnings.simplefilter("error")
         coeffs = nonlinear_image(u, nl).coeffs
     assert np.all(coeffs == 0.0)
+
+
+def test_scalar_non_finite_value_names_its_sample(example_problem):
+    # a scalar result is broadcast to the samples, so an inf names the first
+    # of them, as an array of inf does
+    nl = replace(get_nonlinearity("pure_cubic"), f=lambda x, t: np.inf)
+    u = FourierField.zeros(example_problem, SpectrumParams(modes=1, grid_points=3))
+    with pytest.raises(OverflowError, match=(
+            r"f\[pure_cubic\] non-finite at sample u=0, x=\(0\.0, 0\.0\)")):
+        nonlinear_image(u, nl)
+
+
+def test_scalar_primitive_integrates_like_its_array_twin(example_problem):
+    # F = 1 counts once per sample, so it integrates to T^N
+    rng = np.random.default_rng(53)
+    params = SpectrumParams(modes=2, grid_points=5)
+    u = FourierField(random_symmetric_coeffs(rng, 2, 2), example_problem, params)
+    base = get_nonlinearity("cubic_plus_one")
+    scalar = replace(base, F=lambda x, t: 1.0)
+    array = replace(base, F=lambda x, t: np.ones_like(t))
+    got = integral_of_potential(u, scalar)
+    assert got == integral_of_potential(u, array)
+    TN = example_problem.T ** 2
+    assert abs(got - TN) <= 1e-12 * TN
+    kw = dict(t_values=(1.0, 2.0), v_values=(2.0, -4.0), x_points=X_LATTICE,
+              N=2)
+    assert (check_superhomogeneity(scalar, **kw)
+            == check_superhomogeneity(array, **kw))
+
+
+def test_scalar_forcing_gives_the_gradient_and_verdicts_of_its_array_twin(
+        example_problem):
+    base = get_nonlinearity("cubic_plus_one")
+    scalar = replace(base, f=lambda x, t: 2.0, F=lambda x, t: 2.0 * t,
+                     fprime=lambda x, t: 0.0)
+    array = replace(base, f=lambda x, t: np.full_like(t, 2.0),
+                    F=lambda x, t: 2.0 * t, fprime=lambda x, t: np.zeros_like(t))
+    rng = np.random.default_rng(59)
+    params = SpectrumParams(modes=2, grid_points=5)
+    u = FourierField(random_symmetric_coeffs(rng, 2, 2), example_problem, params)
+    assert np.array_equal(gradient(u, scalar).coeffs, gradient(u, array).coeffs)
+
+    def verdicts(nl):
+        return [check_growth(nl, np.linspace(-6.0, 6.0, 25), X_LATTICE, N=2),
+                check_ar(nl, t_max=8.0, x_points=X_LATTICE, N=2)]
+
+    assert verdicts(scalar) == verdicts(array)
 
 
 def test_overflowing_potential_sum_raises(example_problem):
