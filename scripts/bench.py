@@ -18,21 +18,29 @@ lambda_max over rho), the Newton polish's operator build at each step
 layer (the public pair and the pruned DFT kernels under it) and the
 variational layer (energy, gradient and the dealiased nonlinear_image) from
 the outside; src/ holds no timing code.  Each child also times its own
-`import perifrac.cli` (import_s).  After that fresh-process run it runs the
-command WARM_REPEATS more times in the same process, with the sigma cache
-cleared before each, so every repeat pays for its ascent, and reports under
-`warm` the minimum over those repeats of the wall and of each span: first-call
-costs and host noise move a fresh process's millisecond stages by up to a
-third, the warm minimum far less.
+`import perifrac.cli` (import_s) and reports its peak resident set size
+once all its runs are done (maxrss_mb, see peak_rss_mb).  After that
+fresh-process run it runs the command WARM_REPEATS more times in the same
+process, with the sigma cache cleared before each, so every repeat pays for
+its ascent, and reports under `warm` the minimum over those repeats of
+the wall and of each span: first-call costs and host noise move a fresh
+process's millisecond stages by up to a third, the warm minimum far less.
 Writes BENCH_<label>.json:
 
-    python scripts/bench.py --label LABEL [--repeats 3]
+    python scripts/bench.py --label LABEL [--repeats 3] [--before PATH]
+
+--before keeps a BENCH file made by this script on another tree (say the
+parent commit, in a checkout of its own) under the key "before", so one
+file holds both sides of a change.
 
 For each command the file holds the median over the repeats of its wall
-time, of its import time and of each stage's and layer's inclusive time
-and call count, the same medians of the warm minima, the exit code, the
-report status and the report's operation counters.  Wall clock stays out
-of the stdout reports, as everywhere in perifrac.
+time, of its import time, of its peak RSS and of each stage's and layer's
+inclusive time and call count, the same medians of the warm minima, the
+exit code, the report status and the report's operation counters.  The
+header names the BLAS build numpy reports (for OpenBLAS with DYNAMIC_ARCH,
+the core it picked for the CPU it runs on, whose kernels set the last bits
+of every report).  Wall clock stays out of the stdout reports, as
+everywhere in perifrac.
 """
 
 from __future__ import annotations
@@ -158,11 +166,29 @@ def run_one(command: str, config_path: str, golden_path: str) -> dict:
         warm.append(timed()[2])
     report = json.loads(out)
     return {"exit_code": code, "status": report.get("status"),
-            "import_s": import_s, **fresh,
+            "import_s": import_s, "maxrss_mb": peak_rss_mb(), **fresh,
             "warm": {"wall_s": min(w["wall_s"] for w in warm),
                      "stages": min_spans(warm, "stages"),
                      "layers": min_spans(warm, "layers")},
             "timings": report.get("timings", {})}
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB: Linux's VmHWM, which
+    starts anew at exec, or else getrusage's ru_maxrss.  On Linux ru_maxrss
+    also keeps the peak of the parent whose memory a vfork shared until
+    the exec, and this script's parent holds numpy, scipy and the ladder's
+    golden ascents, more than a small command's child."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def min_spans(runs: list[dict], key: str) -> dict:
@@ -186,6 +212,7 @@ def median_run(runs: list[dict]) -> dict:
     return {"exit_code": first["exit_code"], "status": first["status"],
             "wall_s": statistics.median(r["wall_s"] for r in runs),
             "import_s": statistics.median(r["import_s"] for r in runs),
+            "maxrss_mb": statistics.median(r["maxrss_mb"] for r in runs),
             "stages": median_spans(runs, "stages"),
             "layers": median_spans(runs, "layers"),
             "warm": {"wall_s": statistics.median(r["warm"]["wall_s"]
@@ -193,6 +220,15 @@ def median_run(runs: list[dict]) -> dict:
                      "stages": median_spans([r["warm"] for r in runs], "stages"),
                      "layers": median_spans([r["warm"] for r in runs], "layers")},
             "timings": first["timings"]}
+
+
+def blas_build() -> str | None:
+    """The BLAS configuration string numpy reports, or None without one."""
+    import numpy
+
+    blas = (numpy.show_config(mode="dicts").get("Build Dependencies", {})
+            .get("blas", {}))
+    return blas.get("openblas configuration") or blas.get("name")
 
 
 def src_lines() -> int:
@@ -204,6 +240,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--before", type=pathlib.Path,
+                    help="a BENCH file to keep under 'before'")
     ap.add_argument("--one", nargs=3, metavar=("COMMAND", "CONFIG", "GOLDEN"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -238,7 +276,8 @@ def main() -> int:
                 print(f"{name:14s} {command:9s} {rung[command]['status']:24s} "
                       f"{rung[command]['wall_s']:8.3f} s  warm "
                       f"{rung[command]['warm']['wall_s']:8.3f} s  import "
-                      f"{rung[command]['import_s']:6.3f} s", file=sys.stderr)
+                      f"{rung[command]['import_s']:6.3f} s  rss "
+                      f"{rung[command]['maxrss_mb']:6.2f} MB", file=sys.stderr)
             rungs[name] = rung
     result = {
         "label": args.label,
@@ -250,12 +289,15 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "blas": blas_build(),
         "src_lines": src_lines(),
         "stages": [attr for _, attr in STAGES] + ["climb_coarse",
                                                    "climb_fine"],
         "layers": [attr for _, attr in LAYERS],
         "rungs": rungs,
     }
+    if args.before:
+        result["before"] = json.loads(args.before.read_text())
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(path.name, file=sys.stderr)

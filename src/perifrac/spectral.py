@@ -8,9 +8,10 @@ symmetric mode cube max_i |k_i| <= M, with the convention
 so c_k = T^(-N/2) * int u(x) exp(-i omega k.x) dx.  Real fields carry the
 Hermitian symmetry c_{-k} = conj(c_k).  _hermitian_half, under
 forward_transform, the sigma ascent and the Newton matvec, is the one place
-that imposes it; every other operation (real even multipliers, real
-scalars, sums) preserves it bit for bit, and inverse_transform refuses
-coefficients that lost it.
+that imposes it on transformed samples (the ascent draws its starts with
+it, in constants._gaussian_starts); every other operation (real even
+multipliers, real scalars, sums) preserves it bit for bit, and
+inverse_transform refuses coefficients that lost it.
 
 The pseudodifferential operator acts diagonally: mode k is multiplied by
 mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family

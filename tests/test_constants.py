@@ -215,14 +215,16 @@ def full_cube_climb(problem, r, modes, c, step, max_iter=2000, tol=1e-12):
     return lr / hs_norm(FourierField(c, problem, params)), c, iters
 
 
-def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12):
+def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12,
+                     ripple_tol=1e-14):
     """The nested ascent's finish on whole FourierFields: L-BFGS on the
     H^s unit sphere, written out with full-cube transforms, float powers
     and H^s products over the whole cube.  The last `memory` pairs
     s = c+ - c, y = g - g+, projected onto the new tangent space, are kept
     when <s, y> > 0; the two-loop recursion scales by <s, y> / <y, y>.
     The first trial step is 1 after a recursion and 0.5 along g, halved on
-    each rejection.  Returns (ratio, coefficients, iterations)."""
+    each rejection.  A value change stops it below tol for even r and below
+    ripple_tol otherwise.  Returns (ratio, coefficients, iterations)."""
     n = _ascent_grid(modes, r)
     params = SpectrumParams(modes, n)
     mu_s = spectral.multiplier_array(problem, params)
@@ -274,7 +276,8 @@ def full_cube_finish(problem, r, modes, c, memory=5, tol=1e-12):
             step *= 0.5
         else:
             break
-        settled = abs(lr_try - lr) <= tol * max(1.0, abs(lr_try))
+        settle = tol if r % 2 == 0 else ripple_tol
+        settled = abs(lr_try - lr) <= settle * max(1.0, abs(lr_try))
         c_old, c, u, lr = c, c_try, u_try, lr_try
         if settled:
             break
@@ -290,14 +293,10 @@ def full_cube_ascent(problem, r, modes, seed, starts):
     iterations)."""
     coarse = modes // 2 if modes >= constants._NESTED_MIN_MODES else modes
     tol = 1e-4 if coarse < modes else 1e-12
-    n = _ascent_grid(coarse, r)
-    params = SpectrumParams(coarse, n)
-    climbs = []
-    for ss in np.random.SeedSequence(seed).spawn(starts):
-        u0 = forward_transform(np.random.default_rng(ss).standard_normal(
-            (n,) * problem.N), problem, params)
-        climbs.append(full_cube_climb(problem, r, coarse, u0.coeffs, 0.5,
-                                      tol=tol))
+    stack = seeded_starts(problem, coarse, seed, starts)
+    climbs = [full_cube_climb(problem, r, coarse,
+                              spectral._full_cube(stack[..., i, :]), 0.5, tol=tol)
+              for i in range(starts)]
     ratio, c, _ = max(climbs, key=lambda climb: climb[0])
     iters = sum(climb[2] for climb in climbs)
     if coarse < modes:
@@ -322,14 +321,10 @@ def test_half_cube_ascent_matches_full_cube_ascent(N, s, modes, r):
     assert field.hermitian_defect() == 0.0
 
 
-def seeded_starts(problem, r, modes, seed, starts):
+def seeded_starts(problem, modes, seed, starts):
     """The stack of half cubes that rayleigh_ascent's seeded starts climb
     from at level `modes`, one per row of the axis before the last."""
-    n = _ascent_grid(modes, r)
-    noise = np.stack([np.random.default_rng(ss).standard_normal((n,) * problem.N)
-                      for ss in np.random.SeedSequence(seed).spawn(starts)],
-                     axis=-2)
-    return spectral._hermitian_half(noise, problem, modes)
+    return constants._gaussian_starts(problem.N, modes, seed, starts)
 
 
 def best_climb(problem, r, modes, seed, starts, tol=1e-12):
@@ -338,7 +333,7 @@ def best_climb(problem, r, modes, seed, starts, tol=1e-12):
     nested one (tol = 1e-4): (best ratio, its half cube, total
     iterations)."""
     ratios, c, iters = constants._climb(
-        problem, r, modes, seeded_starts(problem, r, modes, seed, starts), tol)
+        problem, r, modes, seeded_starts(problem, modes, seed, starts), tol)
     best = max(range(starts), key=lambda i: ratios[i])
     return ratios[best], c[..., best, :], int(iters.sum())
 
@@ -410,7 +405,7 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
     # the stacked climb changes only the roundoff of a start's own path:
     # the same iterations, whichever other starts share its rounds
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
-    stack = seeded_starts(problem, r, modes, seed=6, starts=16)
+    stack = seeded_starts(problem, modes, seed=6, starts=16)
     ratios, _, iters = constants._climb(problem, r, modes, stack, 1e-12)
     for i in (0, 7, 15):
         alone = constants._climb(problem, r, modes, stack[..., i:i + 1, :],
@@ -423,7 +418,7 @@ def test_start_climbs_alike_alone_and_in_the_stack(N, s, modes, r):
 @pytest.mark.parametrize("r", [3.0, 3.5, 4.0, 6.0])
 def test_each_stacked_start_matches_a_full_cube_climb(N, s, modes, r):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
-    stack = seeded_starts(problem, r, modes, seed=8, starts=4)
+    stack = seeded_starts(problem, modes, seed=8, starts=4)
     ratios, _, iters = constants._climb(problem, r, modes, stack, 1e-12)
     for i in range(4):
         want, _, want_iters = full_cube_climb(
@@ -487,6 +482,101 @@ def test_finish_from_the_maximizer_stops_after_one_iteration(N, s):
     assert iters == 1
     assert abs(ratio - problem.m ** (-s)) <= 1e-14
     assert np.count_nonzero(c) == 1 and c[(modes,) * (N - 1) + (0,)].real > 0
+
+
+# -- the starts' Gaussian stream -------------------------------------------------
+
+
+def splitmix64_reference(state, count):
+    """SplitMix64 in Python integers, reduced mod 2^64 by hand."""
+    mask, out = 2 ** 64 - 1, []
+    for j in range(1, count + 1):
+        z = (state + j * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_wraps_like_python_integers_mod_2_64():
+    states = [0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15]
+    got = constants._splitmix64(np.array(states, dtype=np.uint64), 6)
+    assert got.dtype == np.uint64
+    assert [[int(x) for x in row] for row in got] == [
+        splitmix64_reference(state, 6) for state in states]
+    # the published first outputs of the stream at 0
+    assert [int(x) for x in got[0, :3]] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("N, modes", [(1, 0), (1, 5), (2, 3), (3, 2)])
+def test_gaussian_starts_repeat_bitwise_and_keep_their_prefix(N, modes):
+    # start i depends on (seed, i) alone: 3 starts are the first 3 of 16
+    many = constants._gaussian_starts(N, modes, 5, 16)
+    assert many.shape == (2 * modes + 1,) * (N - 1) + (16, modes + 1)
+    assert many.tobytes() == constants._gaussian_starts(N, modes, 5, 16).tobytes()
+    assert np.array_equal(constants._gaussian_starts(N, modes, 5, 3),
+                          many[..., :3, :])
+
+
+def test_gaussian_starts_differ_across_seeds_and_starts():
+    # 2**64 and 2**64 + 5 differ from 0 and 5 only in a second 64-bit word
+    seeds = (0, 1, 5, 2 ** 63, 2 ** 64, 2 ** 64 + 5)
+    rows = [row.tobytes() for seed in seeds
+            for row in np.moveaxis(constants._gaussian_starts(2, 2, seed, 4), -2, 0)]
+    assert len(set(rows)) == len(rows) == 4 * len(seeds)
+
+
+@pytest.mark.parametrize("seed", [-1, -2 ** 70])
+def test_ascent_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        rayleigh_ascent(PROBLEM, 4.0, modes=2, seed=seed, starts=2)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+@pytest.mark.parametrize("N, modes", [(1, 3), (2, 2), (3, 2)])
+def test_gaussian_starts_are_finite_and_exactly_hermitian(N, modes, seed):
+    problem = ProblemSpec(s=0.3 * N, m=1.0, gamma=0.0, lam=0.1,
+                          T=2.0 * math.pi, N=N)
+    params = SpectrumParams(modes, 2 * modes + 1)
+    stack = constants._gaussian_starts(N, modes, seed, 8)
+    assert np.isfinite(stack).all()
+    for i in range(8):
+        field = FourierField(spectral._full_cube(stack[..., i, :]), problem, params)
+        assert field.hermitian_defect() == 0.0
+        assert field.coeffs[(modes,) * N].imag == 0.0
+
+
+def second_moments(half, modes):
+    """Mean squares of the parts of a stack of N=2 half cubes (k_1 on the
+    first axis, the stack on the second), each over the mean square of the
+    off-plane real parts, with the sample counts: the k = 0 entry, the real
+    and imaginary parts of the independent k_2 = 0 pairs (k_1 > 0) and the
+    imaginary parts off the plane."""
+    off = half[:, :, 1:]
+    pairs = half[modes + 1:, :, 0]
+    parts = {"k=0": half[modes, :, 0].real, "plane re": pairs.real,
+             "plane im": pairs.imag, "off-plane im": off.imag}
+    base = np.mean(off.real ** 2)
+    return {name: (np.mean(x ** 2) / base, x.size, off.size)
+            for name, x in parts.items()}
+
+
+def test_gaussian_starts_have_the_law_of_transformed_white_noise():
+    # oracle: _hermitian_half of numpy.random white noise on the smallest
+    # grid.  With known mean 0, a mean square over n Gaussian samples has
+    # relative standard error sqrt(2/n); a ratio of two adds the squares,
+    # and the two sources' ratios must agree to four standard errors of
+    # their difference.  The ratios are about 2, 1, 1 and 1.
+    N, modes, starts = 2, 2, 2000
+    problem = ProblemSpec(s=0.75, m=1.0, gamma=0.0, lam=0.1, T=2.0 * math.pi, N=N)
+    n = 2 * modes + 1
+    noise = np.random.default_rng(12).standard_normal((n, starts, n))
+    want = second_moments(spectral._hermitian_half(noise, problem, modes), modes)
+    got = second_moments(constants._gaussian_starts(N, modes, 12, starts), modes)
+    for name, (ratio, size, base) in got.items():
+        error = ratio * math.sqrt(2.0 * (2.0 / size + 2.0 / base))
+        assert abs(ratio - want[name][0]) <= 4.0 * error, name
 
 
 @pytest.mark.parametrize("s, N, modes", [(0.75, 2, 8), (0.75, 2, 0),
