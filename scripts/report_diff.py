@@ -5,8 +5,10 @@ Runs every command of the three benchmark workloads (solve-3d, sweep-2d,
 certify-3d) at seeds 0 and 7, then `solve` on the configs of CONFIGURED
 (one-solution-only, non-convergence, a configured seed, a seed that is
 a config error, a saddle that the climbing image reaches and the saddle
-rule rejects, and an r0 on which F is not finite, each at M = 2 on a
-5-point grid), then
+rule rejects, an r0 on which F is not finite, and six parse errors: an
+unknown key, a fractional integer, "auto" for a number, a number for the
+nonlinearity's name, "auto" for an integer and an infinite float; each
+at M = 2 on a 5-point grid), then
 `reproduce-example --smoke`, `verify` and
 `reproduce-example --modes 4 --grid 18`, once in each checkout (a
 fresh process each, BLAS pinned to one thread, perifrac imported from
@@ -42,7 +44,10 @@ SEEDS = (0, 7)
 SMALL = "discretization.M = 2\ndiscretization.grid_points = 5\n"
 CONFIGURED = ("solver.max_doublings = 0", "solver.grad_tol = 1e-300",
               "solver.seed = 3", "solver.seed = -2",
-              "solver.distinct_tol = 20", "nonlinearity.r0 = 1e103")
+              "solver.distinct_tol = 20", "nonlinearity.r0 = 1e103",
+              "problem.zeta = 1", "problem.N = 2.5", "problem.s = auto",
+              "nonlinearity.key = 5", "solver.max_iter = auto",
+              "nonlinearity.q = 1e400")
 EXTRA = (["reproduce-example", "--smoke"], ["verify"],
          ["reproduce-example", "--modes", "4", "--grid", "18"])
 ONE_THREAD = {key: "1" for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -6,8 +6,8 @@ and reproduce-example take --dump-fields DIR.  One JSON report
 goes to stdout; wall-clock chatter goes to stderr only (report timings are
 deterministic operation counts).  Exit codes: 0 success (certified /
 two-solutions / all-checks-pass), 2 refused-inadmissible-lambda,
-3 non-convergence or one-solution-only, 4 config error, 5 verification or
-certification failure.
+3 non-convergence or one-solution-only, 4 config error (out of memory
+included), 5 verification or certification failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from . import report as rp
 from . import spectral as sp
 from . import variational as vr
-from .config import (AUTO, ConfigError, RunConfig, default_example_text,
-                     load_config, parse_config)
+from .config import AUTO, ConfigError, RunConfig, load_config
 from .constants import (InadmissibleLambdaError, ball_radius, best_lambda,
                         certify, golden_key, lambda_table, load_golden,
                         sigma_estimate)
@@ -90,7 +89,7 @@ def _load(args) -> RunConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        cfg = parse_config(default_example_text())
+        cfg = RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.override_seed(args.seed)
     return cfg
@@ -162,11 +161,12 @@ def _fill_constants(rep, problem, params, nl, seed):
 
 
 def cmd_constants(cfg: RunConfig, golden_path: str | None = None) -> dict:
-    rep = rp.empty_report("constants", cfg.to_mapping(), cfg.seed)
+    seed = cfg.values["solver.seed"]
+    rep = rp.empty_report("constants", cfg.values, seed)
     nl = cfg.nonlinearity()
     problem = cfg.lambda_free_problem()
     params = cfg.params()
-    *_, sigq = _fill_constants(rep, problem, params, nl, cfg.seed)
+    *_, sigq = _fill_constants(rep, problem, params, nl, seed)
 
     if sigq.status == "truncated-lower-bound":
         key = golden_key(nl.q, problem, params.modes)
@@ -210,14 +210,16 @@ def cmd_solve(cfg: RunConfig, dump_dir: str | None = None) -> dict:
     lambda_max at the best rho) and rho (auto: the best rho), run
     _check_ball_edge, certify lambda on the constants section's sigmas,
     run the pipeline, map errors to statuses."""
-    rep = rp.empty_report("solve", cfg.to_mapping(), cfg.seed)
+    seed = cfg.values["solver.seed"]
+    rep = rp.empty_report("solve", cfg.values, seed)
     nl = cfg.nonlinearity()
     params = cfg.params()
     problem0 = cfg.lambda_free_problem()
     sigmas, rho_star, lam_star, _ = _fill_constants(
-        rep, problem0, params, nl, cfg.seed)
-    rho = rho_star if cfg.rho_raw == AUTO else float(cfg.rho_raw)
-    lam = 0.5 * lam_star if cfg.lam == AUTO else float(cfg.lam)
+        rep, problem0, params, nl, seed)
+    rho, lam = cfg.values["solver.rho"], cfg.values["problem.lambda"]
+    rho = rho_star if rho == AUTO else float(rho)
+    lam = 0.5 * lam_star if lam == AUTO else float(lam)
     problem = cfg.problem(lam=lam)
     scfg = cfg.solver(rho=rho)
     rep["constants"]["resolved_lambda"] = float(lam)
@@ -294,13 +296,14 @@ def _checker_entry(report) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    rep = rp.empty_report("verify", cfg.to_mapping(), cfg.seed)
+    seed = cfg.values["solver.seed"]
+    rep = rp.empty_report("verify", cfg.values, seed)
     nl = cfg.nonlinearity()
     problem = cfg.lambda_free_problem()
     rep["constants"]["kappa"] = kappa(problem.s)
     checks = []
     s_values = sorted({0.3, 0.5, 0.7, 0.9, float(problem.s)})
-    fault = cfg.inject_theta_fault
+    fault = cfg.values["verify.inject_theta_fault"]
     for s in s_values:
         wq = WeightedQuadrature(1.0 - 2.0 * s)
         exact = math.gamma(2.0 - 2.0 * s) / 2.0 ** (2.0 - 2.0 * s)
@@ -329,7 +332,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
 
     n_tr = 11
     params_tr = SpectrumParams(5, n_tr)
-    rng = np.random.default_rng([cfg.seed, 101])
+    rng = np.random.default_rng([seed, 101])
     u_tr = sp.forward_transform(
         rng.standard_normal((n_tr,) * problem.N) * 0.5, problem, params_tr)
     checks.append(_measured("trace_identity", 1e-5,
@@ -337,7 +340,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
 
     # gradient versus central differences, in a random direction
     params_g = SpectrumParams(4, 9)
-    rng = np.random.default_rng([cfg.seed, 202])
+    rng = np.random.default_rng([seed, 202])
     u_g = sp.forward_transform(
         rng.standard_normal((9,) * problem.N) * 0.3, problem, params_g)
     phi = sp.forward_transform(
@@ -362,7 +365,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         x_points=x_points, N=problem.N)))
 
     # norm coherence on a random field: kappa(1-g) hs^2 <= e^2 <= kappa hs^2
-    rng = np.random.default_rng([cfg.seed, 303])
+    rng = np.random.default_rng([seed, 303])
     u_n = sp.forward_transform(
         rng.standard_normal((9,) * problem.N), problem, params_g)
     hs2 = sp.hs_norm(u_n) ** 2
@@ -384,8 +387,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
     rep["verification"]["all_passed"] = all_passed
     rep["timings"]["checks_run"] = len(checks)
     rep["status"] = "all-checks-pass" if all_passed else "verification-failure"
-    if cfg.inject_theta_fault:
-        rep["diagnostics"]["injected_theta_fault"] = float(cfg.inject_theta_fault)
+    if fault:
+        rep["diagnostics"]["injected_theta_fault"] = float(fault)
     return rep
 
 
@@ -401,13 +404,14 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     interval (0.01 under --smoke, which truncates to the constant mode).
     Adds the benchmark's own diagnostics and requires both solutions to be
     non-trivial."""
-    cfg = parse_config(default_example_text())
+    cfg = RunConfig()
     if seed is not None:
         cfg.override_seed(seed)
     if smoke:
         modes, grid = 0, 1
-        cfg.lam = 0.01
-    cfg.modes, cfg.grid_points = modes, grid
+        cfg.values["problem.lambda"] = 0.01
+    cfg.values["discretization.M"] = modes
+    cfg.values["discretization.grid_points"] = grid
     rep = cmd_solve(cfg, dump_dir=dump_dir)
     rep["command"] = "reproduce-example"
     diag = rep["diagnostics"]
@@ -418,7 +422,7 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     # the benchmark's forcing does not vanish at zero, so u = 0 is never a
     # solution; record the checked value
     nl = cfg.nonlinearity()
-    x0 = tuple(np.zeros(1) for _ in range(cfg.N))
+    x0 = tuple(np.zeros(1) for _ in range(cfg.values["problem.N"]))
     f0 = float(np.asarray(nl.f(x0, np.zeros(1)))[0])
     diag["f_at_zero"] = f0
     diag["f_at_zero_nonzero"] = bool(f0 != 0.0)
@@ -464,10 +468,14 @@ def main(argv=None) -> int:
                 rep = cmd_solve(cfg, dump_dir=args.dump_fields)
             else:
                 rep = cmd_verify(cfg)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # a discretization too big for memory is a configuration this
+        # machine cannot run
         rep = rp.empty_report(command, {}, 0)
         rep["status"] = "config-error"
-        rep["diagnostics"]["error"] = str(exc)
+        rep["diagnostics"]["error"] = (
+            str(exc) if isinstance(exc, ConfigError)
+            else f"out of memory: {exc}")
     sys.stdout.write(rp.to_json(rep))
     elapsed = time.perf_counter() - t0
     print(f"[perifrac] {command or 'usage'}: status={rep['status']} "

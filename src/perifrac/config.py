@@ -8,24 +8,15 @@ once, by the model types (ProblemSpec, SpectrumParams, SolverConfig, the
 nonlinearity registry) and, for the seed, by _check_seed; parsing
 realizes each block so that a bad value fails with that type's message.
 
-Sections and keys:
-
-    problem.s .m .gamma .lambda .T .N
-    discretization.M .grid_points               (grid_points sets only the
-                                                 --dump-fields CSV grid, any
-                                                 n >= 1; no reported number
-                                                 uses it.  Below 2M+1 the
-                                                 CSV holds exact point
-                                                 values, too few to recover
-                                                 the coefficients)
-    nonlinearity.key .a1 .a2 .q .alpha .r0      (params optional: registry
-                                                 defaults apply when absent)
-    solver.rho .grad_tol .max_iter .distinct_tol .max_doublings
-                                                (the SolverConfig fields;
-                                                 rho also accepts "auto")
-    solver.seed                                 (RunConfig.seed, the sigma
-                                                 ascent's; --seed overrides)
-    verify.inject_theta_fault
+The keys are those of _DEFAULTS, each of its default's type (an int
+default makes an integer key, and a key that defaults to "auto" takes a
+float too), plus the float overrides _OVERRIDES of the nonlinearity's
+parameters, which have no default: the registry's apply when absent.
+discretization.grid_points sets only the --dump-fields CSV grid, any
+n >= 1; no reported number uses it, and below 2M+1 the CSV holds exact
+point values, too few to recover the coefficients.  solver.seed seeds the
+sigma ascent, and --seed overrides it; the other solver keys are the
+SolverConfig fields.
 
 Any other key, `command` among them, is an unknown-key error: the
 subcommand is chosen on the command line only.
@@ -34,7 +25,7 @@ subcommand is chosen on the command line only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import fields
 
 from .solvers import SolverConfig
 from .spectral import ProblemSpec, SpectrumParams
@@ -46,12 +37,25 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config",
 
 AUTO = "auto"
 
-def _integer_fields(cls) -> dict:
-    """Dataclass field name -> whether its declared type is int."""
-    return {f.name: f.type in (int, "int") for f in dataclass_fields(cls)}
-
-
-_SOLVER_FIELDS = _integer_fields(SolverConfig)
+# every key with its default: the benchmark problem, lambda and rho
+# resolved automatically
+_DEFAULTS = {
+    "problem.s": 0.75,
+    "problem.m": 1.0,
+    "problem.gamma": 0.5,
+    "problem.lambda": AUTO,
+    "problem.T": 2.0 * math.pi,
+    "problem.N": 2,
+    "discretization.M": 8,
+    "discretization.grid_points": 32,
+    "nonlinearity.key": "cubic_plus_one",
+    **{f"solver.{f.name}": f.default for f in fields(SolverConfig)},
+    "solver.rho": AUTO,
+    "solver.seed": 0,
+    "verify.inject_theta_fault": 0.0,
+}
+_OVERRIDES = {f"nonlinearity.{name}"
+              for name in ("a1", "a2", "q", "alpha", "r0")}
 
 
 class ConfigError(ValueError):
@@ -78,111 +82,70 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-@dataclass
 class RunConfig:
-    # problem block
-    s: float = 0.75
-    m: float = 1.0
-    gamma: float = 0.5
-    lam: float | str = AUTO
-    T: float = 2.0 * math.pi
-    N: int = 2
-    # discretization block
-    modes: int = 8
-    grid_points: int = 32
-    # nonlinearity block
-    nonlinearity_key: str = "cubic_plus_one"
-    nl_overrides: dict = field(default_factory=dict)   # a1/a2/q/alpha/r0
-    # solver block (raw values; rho may be "auto")
-    solver_values: dict = field(default_factory=dict)
-    # verification block
-    inject_theta_fault: float = 0.0
-    # the sigma ascent's master seed (key solver.seed, or --seed)
-    seed: int = 0
+    """`values` maps every key of _DEFAULTS, and each override that was
+    set, to its value; reports echo it as it is."""
+
+    def __init__(self):
+        self.values = dict(_DEFAULTS)
 
     # -- builders ---------------------------------------------------------
 
     def problem(self, lam: float | None = None) -> ProblemSpec:
         """Realize the ProblemSpec; an explicit lam resolves 'auto'."""
-        value = lam if lam is not None else self.lam
+        v = self.values
+        value = lam if lam is not None else v["problem.lambda"]
         if value == AUTO:
             raise ConfigError(
                 "problem.lambda is 'auto' and no resolved value was supplied"
             )
         try:
-            return ProblemSpec(s=self.s, m=self.m, gamma=self.gamma,
-                               lam=float(value), T=self.T, N=self.N)
+            return ProblemSpec(s=v["problem.s"], m=v["problem.m"],
+                               gamma=v["problem.gamma"], lam=float(value),
+                               T=v["problem.T"], N=v["problem.N"])
         except ValueError as exc:
             raise ConfigError(f"problem block invalid: {exc}") from exc
 
     def lambda_free_problem(self) -> ProblemSpec:
         """The ProblemSpec of lambda-independent work (sigmas, tables,
         validation): 'auto' takes the placeholder lambda = 1.0."""
-        return self.problem(lam=1.0 if self.lam == AUTO else None)
+        return self.problem(
+            lam=1.0 if self.values["problem.lambda"] == AUTO else None)
 
     def params(self) -> SpectrumParams:
         try:
-            return SpectrumParams(self.modes, self.grid_points)
+            return SpectrumParams(self.values["discretization.M"],
+                                  self.values["discretization.grid_points"])
         except ValueError as exc:
             raise ConfigError(f"discretization block invalid: {exc}") from exc
 
     def nonlinearity(self) -> Nonlinearity:
+        v = self.values
+        overrides = {key.split(".", 1)[1]: v[key] for key in v
+                     if key in _OVERRIDES}
         try:
-            return get_nonlinearity(self.nonlinearity_key, **self.nl_overrides)
+            return get_nonlinearity(v["nonlinearity.key"], **overrides)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
 
     def solver(self, rho: float | None = None) -> SolverConfig:
         """Realize the SolverConfig; an explicit rho resolves 'auto'."""
-        values = dict(self.solver_values)
-        raw_rho = values.get("rho", AUTO)
+        values = {f.name: self.values[f"solver.{f.name}"]
+                  for f in fields(SolverConfig)}
         if rho is not None:
             values["rho"] = float(rho)
-        elif raw_rho == AUTO:
+        elif values["rho"] == AUTO:
             raise ConfigError("solver.rho is 'auto' and no resolved value "
                               "was supplied")
         try:
             return SolverConfig(**values)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"solver block invalid: {exc}") from exc
 
     def override_seed(self, seed: int) -> None:
         """Apply --seed, checked like solver.seed."""
         _check_seed(seed)
-        self.seed = int(seed)
-
-    @property
-    def rho_raw(self):
-        return self.solver_values.get("rho", AUTO)
-
-    # -- flat mapping ------------------------------------------------------
-
-    def to_mapping(self) -> dict:
-        out = {key: getattr(self, name) for key, name in _NUMBER_KEYS.items()}
-        out["problem.lambda"] = self.lam
-        out["nonlinearity.key"] = self.nonlinearity_key
-        for k, v in self.nl_overrides.items():
-            out[f"nonlinearity.{k}"] = v
-        defaults = SolverConfig()
-        for f in dataclass_fields(SolverConfig):
-            out[f"solver.{f.name}"] = self.solver_values.get(
-                f.name, AUTO if f.name == "rho" else getattr(defaults, f.name))
-        return out
-
-
-# flat key -> RunConfig field, for every key that holds one plain number
-_NUMBER_KEYS = {
-    "problem.s": "s",
-    "problem.m": "m",
-    "problem.gamma": "gamma",
-    "problem.T": "T",
-    "problem.N": "N",
-    "discretization.M": "modes",
-    "discretization.grid_points": "grid_points",
-    "verify.inject_theta_fault": "inject_theta_fault",
-    "solver.seed": "seed",
-}
-_RUN_FIELDS = _integer_fields(RunConfig)
+        self.values["solver.seed"] = int(seed)
 
 
 def _require_number(key: str, value, integer: bool = False):
@@ -223,41 +186,27 @@ def parse_config(text: str) -> RunConfig:
                 f"{seen[key]})")
         seen[key] = lineno
         try:
-            _apply(cfg, key, value)
+            cfg.values[key] = _checked(key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     _validate(cfg)
     return cfg
 
 
-def _apply(cfg: RunConfig, key: str, value) -> None:
-    if key in _NUMBER_KEYS:
-        name = _NUMBER_KEYS[key]
-        setattr(cfg, name, _require_number(key, value,
-                                                integer=_RUN_FIELDS[name]))
-    elif key == "problem.lambda":
-        cfg.lam = value if value == AUTO else _require_number(key, value)
-    elif key == "nonlinearity.key":
+def _checked(key: str, value):
+    """value as key's type takes it: the type of the key's default, a
+    float for an override."""
+    default = _DEFAULTS.get(key, 0.0 if key in _OVERRIDES else None)
+    if default is None:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    if key == "nonlinearity.key":
         if not isinstance(value, str):
             raise ConfigError(f"nonlinearity.key must be a registry name, "
                               f"got {value!r}")
-        cfg.nonlinearity_key = value
-    elif key.startswith("nonlinearity."):
-        name = key.split(".", 1)[1]
-        if name not in ("a1", "a2", "q", "alpha", "r0"):
-            raise ConfigError(f"unknown configuration key {key!r}")
-        cfg.nl_overrides[name] = _require_number(key, value)
-    elif key.startswith("solver."):
-        name = key.split(".", 1)[1]
-        if name not in _SOLVER_FIELDS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        if name == "rho" and value == AUTO:
-            cfg.solver_values["rho"] = AUTO
-        else:
-            cfg.solver_values[name] = _require_number(
-                key, value, integer=_SOLVER_FIELDS[name])
-    else:
-        raise ConfigError(f"unknown configuration key {key!r}")
+        return value
+    if default == AUTO == value:
+        return value
+    return _require_number(key, value, integer=isinstance(default, int))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -270,8 +219,8 @@ def _validate(cfg: RunConfig) -> None:
         validate_growth_exponent(nl, problem)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
-    cfg.solver(rho=1.0 if cfg.rho_raw == AUTO else None)
-    _check_seed(cfg.seed)
+    cfg.solver(rho=1.0 if cfg.values["solver.rho"] == AUTO else None)
+    _check_seed(cfg.values["solver.seed"])
 
 
 def _check_seed(seed: int) -> None:
@@ -281,9 +230,8 @@ def _check_seed(seed: int) -> None:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    mapping = cfg.to_mapping()
-    lines = [f"{k} = {_format_value(v)}" for k, v in sorted(mapping.items())]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k} = {_format_value(v)}\n"
+                   for k, v in sorted(cfg.values.items()))
 
 
 def load_config(path: str) -> RunConfig:

@@ -525,7 +525,8 @@ def test_reproduce_example_downgrades_a_numerically_trivial_solution(
     # a two-solution solve with one solution below distinct_tol in H^s
     # norm is not the benchmark's pair of non-trivial solutions
     def solve(cfg, dump_dir=None):
-        rep = perifrac.report.empty_report("solve", cfg.to_mapping(), cfg.seed)
+        rep = perifrac.report.empty_report("solve", cfg.values,
+                                           cfg.values["solver.seed"])
         rep["status"] = "two-solutions"
         rep["constants"]["resolved_rho"] = 1.0
         rep["solutions"] = [{"hs_norm": 0.5}, {"hs_norm": 1e-6}]
@@ -573,6 +574,24 @@ def test_config_error_paths(capsys, tmp_path):
 
     code, rep, _ = run_cli(capsys, "solve", "--frobnicate")
     assert code == 4 and rep["status"] == "config-error"
+
+
+@pytest.mark.parametrize("command", ["constants", "solve"])
+def test_running_out_of_memory_is_a_config_error(capsys, monkeypatch,
+                                                 command):
+    # a discretization too big for memory first fails where the sigma
+    # ascent allocates its starts, with numpy's MemoryError
+    text = "Unable to allocate 37.3 GiB for an array with shape (16, 6001)"
+
+    def allocate(*args):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(constants, "_SIGMA_CACHE", {})
+    monkeypatch.setattr(constants, "_gaussian_starts", allocate)
+    code, rep, captured = run_cli(capsys, command)
+    assert code == 4 and rep["status"] == "config-error"
+    assert rep["diagnostics"]["error"] == f"out of memory: {text}"
+    assert "status=config-error" in captured.err
 
 
 @pytest.mark.parametrize("line, message", [

@@ -1,11 +1,12 @@
 """Flat key-value configuration round-trips and the canonical JSON report."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from perifrac.config import (_NUMBER_KEYS, AUTO, ConfigError, RunConfig,
+from perifrac.config import (_DEFAULTS, AUTO, ConfigError, RunConfig,
                              default_example_text, load_config, parse_config,
                              serialize_config)
 from perifrac.report import (EXIT_CODES, dump_fields, empty_report,
@@ -37,11 +38,13 @@ def test_parse_scalars_and_sentinels():
         "solver.seed = 3\n"
         "verify.inject_theta_fault = 0.001\n"
     )
-    assert cfg.s == 0.6 and cfg.lam == AUTO and cfg.modes == 4
-    assert cfg.rho_raw == AUTO
-    assert cfg.solver_values["max_iter"] == 500
-    assert cfg.seed == 3
-    assert cfg.inject_theta_fault == 0.001
+    v = cfg.values
+    assert v["problem.s"] == 0.6 and v["problem.lambda"] == AUTO
+    assert v["discretization.M"] == 4
+    assert v["solver.rho"] == AUTO
+    assert v["solver.max_iter"] == 500
+    assert v["solver.seed"] == 3
+    assert v["verify.inject_theta_fault"] == 0.001
 
 
 def test_parse_comments_blanks_and_inline_comments():
@@ -51,7 +54,7 @@ def test_parse_comments_blanks_and_inline_comments():
         "problem.s = 0.7   # inline comment\n"
         "   \n"
     )
-    assert cfg.s == 0.7
+    assert cfg.values["problem.s"] == 0.7
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -88,34 +91,64 @@ def test_parse_rejects_with_diagnostic(text, needle):
     assert needle in str(exc_info.value)
 
 
-# every flat number key at a value other than its default
-NUMBER_VALUES = {
+# every key at a value other than its default, of its default's type
+# ("auto" keys take a float); the overrides have no default and take floats
+OVERRIDES = {"nonlinearity.a1": 2.0, "nonlinearity.a2": 3.0,
+             "nonlinearity.q": 4.5, "nonlinearity.alpha": 3.5,
+             "nonlinearity.r0": 1.5}
+EVERY_VALUE = {
     "problem.s": 0.9, "problem.m": 1.5, "problem.gamma": 0.25,
-    "problem.T": 3.0, "problem.N": 3, "discretization.M": 4,
-    "discretization.grid_points": 12, "verify.inject_theta_fault": 0.002,
-    "solver.seed": 3,
+    "problem.lambda": 0.05, "problem.T": 3.0, "problem.N": 3,
+    "discretization.M": 4, "discretization.grid_points": 12,
+    "nonlinearity.key": "pure_cubic", "solver.rho": 1.25,
+    "solver.grad_tol": 1e-9, "solver.max_iter": 500,
+    "solver.distinct_tol": 0.002, "solver.max_doublings": 20,
+    "solver.seed": 3, "verify.inject_theta_fault": 0.002, **OVERRIDES,
 }
 
 
-def test_number_key_table_round_trips():
-    assert set(NUMBER_VALUES) == set(_NUMBER_KEYS)
-    text = "".join(f"{k} = {v!r}\n" for k, v in NUMBER_VALUES.items())
+def types(mapping: dict) -> dict:
+    return {key: type(value) for key, value in mapping.items()}
+
+
+def test_every_key_round_trips():
+    assert set(EVERY_VALUE) == set(_DEFAULTS) | set(OVERRIDES)
+    for key, default in _DEFAULTS.items():
+        assert EVERY_VALUE[key] != default
+        if default != AUTO:
+            assert type(EVERY_VALUE[key]) is type(default)
+    text = "".join(f"{k} = {v}\n" for k, v in EVERY_VALUE.items())
     cfg = parse_config(text)
-    defaults = RunConfig()
-    for key, name in _NUMBER_KEYS.items():
-        value = getattr(cfg, name)
-        assert value == NUMBER_VALUES[key] != getattr(defaults, name)
-        assert type(value) is type(NUMBER_VALUES[key])
-    assert {k: cfg.to_mapping()[k] for k in NUMBER_VALUES} == NUMBER_VALUES
+    assert cfg.values == EVERY_VALUE
+    assert types(cfg.values) == types(EVERY_VALUE)
+    echo = json.loads(to_json(empty_report("solve", cfg.values, 3)))["config"]
+    assert echo == EVERY_VALUE and types(echo) == types(EVERY_VALUE)
     serialized = serialize_config(cfg)
-    for key, value in NUMBER_VALUES.items():
-        assert f"{key} = {value!r}\n" in serialized
+    assert serialized == "".join(sorted(text.splitlines(keepends=True)))
     assert serialize_config(parse_config(serialized)) == serialized
     # the integer keys still reject a fraction
-    for key, value in NUMBER_VALUES.items():
-        if isinstance(value, int):
-            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
-                parse_config(f"{key} = 2.5\n")
+    integer_keys = [k for k, v in _DEFAULTS.items() if isinstance(v, int)]
+    assert sorted(integer_keys) == ["discretization.M",
+                                    "discretization.grid_points", "problem.N",
+                                    "solver.max_doublings", "solver.max_iter",
+                                    "solver.seed"]
+    for key in integer_keys:
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            parse_config(f"{key} = 2.5\n")
+
+
+def test_readme_lists_every_key_at_its_default():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md")
+    section = readme.read_text().split("\n## Configuration\n")[1]
+    listed = {}
+    for line in section.split("\n## ")[0].splitlines():
+        entry = line.split("#", 1)[0]
+        if line.startswith("    ") and "=" in entry:
+            key, _, value = entry.partition("=")
+            listed[key.strip()] = value.strip()
+    del listed["nonlinearity.a1"]   # the example of an override
+    defaults = serialize_config(RunConfig()).splitlines()
+    assert listed == dict(line.split(" = ") for line in defaults)
 
 
 def test_line_numbers_in_diagnostics():
@@ -162,10 +195,11 @@ def test_load_config_missing_file():
 
 def test_serialize_formats_floats_reversibly():
     cfg = RunConfig()
-    cfg.T = 1.0 / 3.0
+    cfg.values["problem.T"] = 1.0 / 3.0
     text = serialize_config(cfg)
     assert f"problem.T = {1.0 / 3.0!r}" in text
-    assert parse_config(text).T == cfg.T  # bit-exact through repr
+    # bit-exact through repr
+    assert parse_config(text).values["problem.T"] == cfg.values["problem.T"]
 
 
 # -- report ----------------------------------------------------------------------
@@ -206,8 +240,8 @@ def test_to_json_is_canonical():
 
 
 def test_to_json_identical_for_identical_reports():
-    r1 = empty_report("solve", parse_config("").to_mapping(), 0)
-    r2 = empty_report("solve", parse_config("").to_mapping(), 0)
+    r1 = empty_report("solve", parse_config("").values, 0)
+    r2 = empty_report("solve", parse_config("").values, 0)
     assert to_json(r1) == to_json(r2)
 
 

@@ -607,14 +607,30 @@ def test_constants_loads_no_scipy():
 
 
 @pytest.mark.parametrize("N, s, modes, seed", [(2, 0.6, 8, 29), (3, 0.9, 5, 17)])
-def test_finish_is_not_stalled_by_a_failed_coarse_line_search(N, s, modes, seed):
-    # at these seeds the best coarse start ends its climb on 40 rejected
-    # halvings; the finish used to inherit the collapsed step (about
-    # 3e-12) and stop near the coarse value, 3.8% and 7.7% short
+def test_finish_is_not_stalled_by_a_failed_coarse_line_search(
+        N, s, modes, seed, monkeypatch):
+    # with the coarse tolerance at 0 neither the tangent nor the value-change
+    # stop can fire, so every coarse climb that does not reach _MAX_ITER or
+    # a value that is not finite ends on 40 rejected halvings, its step
+    # collapsed to about 3e-12.  The finish used to inherit that step and
+    # stop near the coarse value, 3.8% and 7.7% short; it must still reach
+    # the maximum the unpatched ascent finds from other seeds
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
+    wants = [rayleigh_ascent(problem, 4.0, modes, seed=other)[0]
+             for other in range(10)]
+    climb, climbs = constants._climb, []
+
+    def spy(*args):
+        climbs.append(climb(*args))
+        return climbs[-1]
+
+    monkeypatch.setattr(constants, "_RANK_TOL", 0.0)
+    monkeypatch.setattr(constants, "_climb", spy)
     ratio, _, _ = rayleigh_ascent(problem, 4.0, modes, seed=seed)
-    for other in range(10):
-        want, _, _ = rayleigh_ascent(problem, 4.0, modes, seed=other)
+    [(ratios, _, iterations)] = climbs
+    assert iterations.size == 16 and (iterations < constants._MAX_ITER).all()
+    assert np.all((0.0 < ratios) & (ratios < math.inf))
+    for want in wants:
         assert abs(ratio - want) <= 1e-10 * want
 
 
