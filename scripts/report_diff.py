@@ -4,8 +4,8 @@
 Runs every command of the three benchmark workloads (solve-3d, sweep-2d,
 certify-3d) at seeds 0 and 7, then `solve` on the configs of CONFIGURED
 (one-solution-only, non-convergence, a configured seed, a seed that is
-a config error, a saddle that the climbing image reaches and the saddle
-rule rejects, an r0 on which F is not finite, and six parse errors: an
+a config error, a saddle that Newton reaches and the saddle rule
+rejects, an r0 on which F is not finite, and six parse errors: an
 unknown key, a fractional integer, "auto" for a number, a number for the
 nonlinearity's name, "auto" for an integer and an infinite float; each
 at M = 2 on a 5-point grid), then

@@ -1,46 +1,50 @@
-"""Two-solution solvers: constrained descent in the energy ball and a
-climbing-image search for the saddle between the ball minimizer and a far
-downhill endpoint.
+"""Two-solution solvers: constrained descent in the energy ball, and
+Newton from the nodes of the straight path between the ball minimizer and
+a far downhill endpoint for the saddle.
 
 Both return stationary points of the reduced functional measured by the
 dual norm of the weak residual
 
     R_k = (mu_k^s - gamma) c_k - lam g_k,         g = f(., u),
 
-which is what residual_dual_norm reports.  Each stage tries Newton first:
-it attempts a damped inexact Newton polish on iteration 1, and after each
-rejected attempt the wait before the next one doubles (iterations 1, 2, 4,
-8, ...), so a polish that keeps failing costs a logarithmic number of
-attempts.  Between attempts runs a fallback that converges by itself:
-projected Armijo descent in the ball, a climbing image between the two
-fixed endpoints (mountain_pass) for the saddle, from the highest of 17
-path nodes, whose energies come from the endpoints' samples (while that
-is the ball minimizer, the first segment is sampled again).  A fallback
-step that stalls brings the next attempt forward to the following
-iteration before the stage gives up.
+which is what residual_dual_norm reports.  Both stages end on a damped
+inexact Newton polish.  The ball stage tries it first: it attempts the
+polish on iteration 1, and after each rejected attempt the wait before the
+next one doubles (iterations 1, 2, 4, 8, ...), so a polish that keeps
+failing costs a logarithmic number of attempts.  Between attempts runs
+projected Armijo descent, which converges by itself; a descent step that
+stalls brings the next attempt forward to the following iteration before
+the stage gives up.  The saddle stage (mountain_pass) has no other route:
+it starts the polish from each interior node of the path in a fixed
+order, highest energy first, then from the nodes of the same path sampled
+four times finer.  The node energies come from the endpoints' samples
+(while the highest node is the ball minimizer, the first segment is
+sampled again).
 
-One rule, mountain_pass's accept, takes the saddle from either route, a
-Newton landing or the climbing image: energy above both endpoints' and
-Hs distance from the ball minimizer above distinct_tol.
+One rule, mountain_pass's accept, takes the saddle from any start: energy
+above both endpoints' and Hs distance from the ball minimizer above
+distinct_tol.
 
 The polish solves for the Newton step in mode space, where the principal
 part mu_k^s - gamma is diagonal.  Its Jacobian at a field u, that
 multiplier minus lam f'(u), has one builder, _jacobian_operators(u, nl),
-which samples nl.fprime at u on the minimal grid n = 2M+1.  It is never
-formed: preconditioned MINRES applies it through spectral's half-cube
-helpers, with the shifted multiplier's inverse as SPD preconditioner.
-Newton is inexact: each step's MINRES stops at an Eisenstat-Walker
-forcing term, loose far from the root and tightening as the residual
-falls.  A step is accepted only if it decreases the true residual within
-the stage's trust radius, and the landing only if the stage's acceptance
-test takes it.  Each point's weak residual and energy are evaluated once:
-the stage passes lam times its gradient as the first right-hand side, an
-accepted trial's is the next, and a landing returns its residual norm and
-the energy its acceptance test evaluated, which the stage reports.
+which samples nl.fprime at u on the residual's dealiased grid, so it is
+the exact derivative of the discrete residual.  It is never formed:
+preconditioned MINRES applies it through spectral's half-cube helpers,
+with the shifted multiplier's inverse as SPD preconditioner.  Newton is
+inexact: each step's MINRES stops at an Eisenstat-Walker forcing term,
+loose far from the root and tightening as the residual falls.  A step is
+accepted only if it decreases the true residual (within the ball stage's
+trust radius), and the landing only if the stage's acceptance test takes
+it.  Each point's weak residual and energy are evaluated once: the stage
+passes lam times its gradient as the first right-hand side, an accepted
+trial's is the next, and a landing returns its residual norm and the
+energy its acceptance test evaluated, which the stage reports.
 
 The counters energy_evals and gradient_evals count solver events, not
-calls: a sampled path adds P + 1 = 17 energies, endpoints included, and
-the stages' acceptance energies and the polish's weak_residual calls go
+calls: a sampled path adds P + 1 energies (17, or 65 on the refined
+path), endpoints included, each saddle start one gradient, and the
+stages' acceptance energies and the polish's weak_residual calls go
 uncounted.  On the default `solve --seed 0` they read 20 and 2 while
 vr.energy runs 5 times (plus one 15-node batch) and vr.gradient 8 times.
 
@@ -92,7 +96,7 @@ class PathCollapseError(SolverError):
 
 
 class DegeneratePathError(SolverError):
-    """Endpoints coincide, or the converged node fails the saddle rule."""
+    """Endpoints coincide, or every Newton landing fails the saddle rule."""
 
 
 class EndpointSearchError(SolverError):
@@ -128,6 +132,7 @@ class SolverConfig:
 
 # Fixed tuning of the descent stages and the Newton polish.
 _PATH_POINTS = 16          # segments P of the straight start path
+_FINE_POINTS = 64          # segments of its refined sampling, a multiple of P
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_HALVINGS = 30
@@ -245,16 +250,20 @@ def _minres(matvec, b, psolve, rtol):
 
 def _jacobian_operators(u: FourierField, nl):
     """Matrix-free (J, P) at the field u, on flat real views of the mode
-    cube, with d = f'(u): nl.fprime at u's samples on the minimal grid n =
-    2M+1 (a scalar is broadcast to it, as for f and F).  J c = (mu_k^s -
-    gamma) c - lam F(d S c), S and F the arithmetic of inverse_transform
-    and forward_transform on that grid, bit for bit but with no symmetry check;
-    S also samples u.  The pair is unitary there up to scale, so J maps
-    Hermitian cubes to Hermitian cubes and is symmetric on them in Re sum
-    conj(a_k) b_k.  P divides mode k by mu_k^s - gamma + lam max(mean d,
-    0), with no transform; the clamp keeps it SPD when d dips negative."""
+    cube, with d = f'(u): nl.fprime at u's samples on the residual's grid,
+    the n = dealias_points(M, nl.poly_degree) of nonlinear_image (a scalar
+    is broadcast to it, as for f and F).  J c = (mu_k^s - gamma) c - lam
+    F(d S c), S and F the arithmetic of inverse_transform and
+    forward_transform on that grid, bit for bit but with no symmetry
+    check; S also samples u.  The residual samples f at S u on the same
+    grid and maps it back with the same F, so J is the exact derivative of
+    the discrete residual, whatever f is.  F S is the identity on the cube
+    and F is S's adjoint up to scale, so J maps Hermitian cubes to
+    Hermitian cubes and is symmetric on them in Re sum conj(a_k) b_k.  P
+    divides mode k by mu_k^s - gamma + lam max(mean d, 0), with no
+    transform; the clamp keeps it SPD when d dips negative."""
     problem, params, M = u.problem, u.params, u.params.modes
-    n = 2 * M + 1
+    n = vr.dealias_points(M, nl.poly_degree)
     v = sp._half_to_samples(u.coeffs[..., M:], problem, n)
     d = vr._values(nl.fprime, sp.grid_coordinates(problem, n), v)
     symbol = sp.multiplier_array(problem, params) - problem.gamma
@@ -273,15 +282,14 @@ def _jacobian_operators(u: FourierField, nl):
     return jac, prec
 
 
-def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move):
+def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move=math.inf):
     """Damped inexact Newton in mode space on the weak residual, R at u
     (lam times the stage's gradient there).  Returns (field, energy,
     residual_norm) if every step decreased the true residual, the final
     point meets grad_tol and accept, a field -> its energy or None, takes
     it with that energy; otherwise None.  max_move is a trust radius (Hs
-    distance from u): Newton from a point with a near-singular Jacobian
-    can jump into the basin of a different critical point, and residual
-    backtracking alone does not notice.
+    distance from u), which the ball stage sets to keep its landing near
+    the ball; the saddle stage, which tries many starts, sets none.
 
     Each step solves J delta = -R inexactly by preconditioned MINRES on
     _jacobian_operators(cur, nl), which samples f'(cur) itself, to the
@@ -460,10 +468,11 @@ def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
     )
 
 
-# -- path-climbing saddle search --------------------------------------------------
+# -- saddle search from the path's nodes -------------------------------------------
 
 
-def _path_energies(u_a: FourierField, u_b: FourierField, nl) -> list:
+def _path_energies(u_a: FourierField, u_b: FourierField, nl,
+                   P: int = _PATH_POINTS) -> list:
     """Energies of the nodes (1 - t) u_a + t u_b, t = i/P for 0 < i < P, from
     two transforms: a node's samples are (1 - t) S(u_a) + t S(u_b)."""
     problem = u_a.problem
@@ -474,43 +483,35 @@ def _path_energies(u_a: FourierField, u_b: FourierField, nl) -> list:
                   for v, w in ((u_a, u_a), (u_a, u_b), (u_b, u_b)))
     return [0.5 * ((1.0 - t) ** 2 * aa + 2.0 * t * (1.0 - t) * ab + t * t * bb)
             - vr._rectangle_rule(nl, x, (1.0 - t) * S_a + t * S_b, problem)
-            for t in (i / _PATH_POINTS for i in range(1, _PATH_POINTS))]
+            for t in (i / P for i in range(1, P))]
+
+
+def _highest_first(energies: list) -> list:
+    """Indices of the interior nodes of a sampled path, endpoints included
+    in energies: descending energy, ties by index."""
+    return sorted(range(1, len(energies) - 1), key=lambda i: -energies[i])
 
 
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                   counters: dict | None = None,
                   ends: tuple | None = None) -> SolutionReport:
-    """Climbing-image search for the saddle between the fixed endpoints u_a
-    and u_b (Henkelman, Uberuaga & Jonsson 2000).
+    """Saddle between the fixed endpoints u_a and u_b by Newton from the
+    nodes of the straight path between them.
 
-    The straight path from u_a to u_b is sampled at _PATH_POINTS + 1 evenly
-    spaced nodes; its highest node (smallest index on ties) is the climbing
-    image, or, while that is u_a, the first segment is sampled again, unless
-    its first node would lie within distinct_tol of u_a.  ends is the pair
-    (energy(u_a), energy(u_b)) if the caller has it.  Each iteration
-    attempts the trust-region Newton polish from the
-    climber when due (first on iteration 1), and otherwise steps the
-    climber along the Riesz representative of its weak residual with the
-    component along the tangent reflected: downhill across the path, uphill
-    along it.  The tangent is the sum of the unit directions from u_a to
-    the climber and from the climber to the sampled path's far end (u_b,
-    or the refined endpoint), and the node spacing is the length of that
-    two-segment path over _PATH_POINTS.  A step is accepted
-    when the residual drops and is halved otherwise; it never moves the
-    climber more than one node spacing, and the polish's trust radius is
-    two.  Near a saddle whose unstable direction the tangent follows, the
-    reflected step contracts every direction, so this fallback reaches
-    grad_tol with no Newton step.  Near a saddle with further unstable
-    directions no step lowers the residual.  Such a stall moves the
-    climber one Armijo step downhill across the path and retries the
-    polish from there on the next iteration; a second stall before any
-    climbing step is accepted raises NonConvergenceError.  One rule,
-    accept, takes the saddle on both routes: energy above both endpoint
-    energies, Hs distance from u_a (the ball minimizer; u_b only anchors
-    the path) above distinct_tol.  A landing it rejects is a failed
-    attempt; a fallback point it rejects raises DegeneratePathError."""
+    The path is sampled at _PATH_POINTS + 1 evenly spaced nodes; while its
+    highest node (smallest index on ties) is u_a, the first segment is
+    sampled again, unless its first node would lie within distinct_tol of
+    u_a.  ends is the pair (energy(u_a), energy(u_b)) if the caller has it.
+    The Newton polish starts from each interior node in turn, highest
+    energy first and ties by index, then from the nodes of the same path
+    sampled at _FINE_POINTS + 1 that the first sampling lacks, in the same
+    order; the first landing ends the search, and its start's rank is the
+    report's iteration count.  One rule, accept, takes a landing: energy
+    above both endpoint energies, Hs distance from u_a (the ball
+    minimizer; u_b only anchors the path) above distinct_tol.  When no
+    start lands, the search raises DegeneratePathError if the rule
+    rejected a landing, and NonConvergenceError otherwise."""
     problem = u_a.problem
-    lam = problem.lam
     if counters is None:
         counters = {}
     if sp.hs_distance(u_a, u_b) <= cfg.distinct_tol:
@@ -530,85 +531,42 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
                                     f"interior ridge between the given endpoints")
         far, I_far = u_a * (1.0 - 1.0 / P) + far * (1.0 / P), energies[1]
 
+    rejected = []
+
     def accept(w):
         I_w = vr.energy(w, nl)
-        apart = sp.hs_distance(w, u_a) > cfg.distinct_tol
-        return I_w if I_w > end_max and apart else None
+        if I_w > end_max and sp.hs_distance(w, u_a) > cfg.distinct_tol:
+            return I_w
+        rejected.append((I_w, w))
+        return None
 
-    u = u_a * (1.0 - j / P) + far * (j / P)
-    r = _gradient(u, nl, counters)
-    res = lam * sp.dual_norm(r)
-    step = 1.0
-    history = []
-    due = 1
-    stalled = False
-    for it in range(1, cfg.max_iter + 1):
+    def starts():
+        # t of each start node; the refined path is sampled only if needed
+        yield from (i / P for i in _highest_first(energies))
+        _bump(counters, "energy_evals", _FINE_POINTS + 1)
+        fine = [I_a, *_path_energies(u_a, far, nl, _FINE_POINTS), I_far]
+        yield from (i / _FINE_POINTS for i in _highest_first(fine)
+                    if i % (_FINE_POINTS // P))
+
+    for it, t in enumerate(starts(), 1):
         _bump(counters, "iterations_path")
-        history.append(res)
-        if res <= cfg.grad_tol:
-            res, I_cand = sp.dual_norm(lam * r), accept(u)
-            if I_cand is None:
-                raise DegeneratePathError(
-                    f"converged node fails the saddle rule: energy "
-                    f"{vr.energy(u, nl):.6g} (endpoints {end_max:.6g}), Hs "
-                    f"distance {sp.hs_distance(u, u_a):.6g} from the ball "
-                    f"minimizer (distinct_tol={cfg.distinct_tol})")
-            break
-        to_u, to_b = u - u_a, far - u
-        d_a, d_b = sp.hs_norm(to_u), sp.hs_norm(to_b)
-        spacing = (d_a + d_b) / P
-        if it == due:
-            _bump(counters, "polish_attempts")
-            landed = _newton_polish(u, lam * r, nl, cfg, counters,
-                                    accept=accept, max_move=2.0 * spacing)
-            if landed is not None:
-                u, I_cand, res = landed
-                break
-            due *= 2
-        tangent = (to_u * (1.0 / max(d_a, 1e-300))
-                   + to_b * (1.0 / max(d_b, 1e-300)))
-        tangent = tangent * (1.0 / max(sp.hs_norm(tangent), 1e-300))
-        # Riesz representative of r and its part across the path; the Hs
-        # product of riesz(r) with the tangent is the mode pairing of r
-        riesz, along = vr.riesz_representative(r), sp.pairing(r, tangent)
-        across = riesz - tangent * along
-        drift = (riesz - tangent * (2.0 * along)) * lam
-        tau = min(step, spacing / max(sp.hs_norm(drift), 1e-300))
-        for _ in range(_MAX_HALVINGS):
-            _bump(counters, "line_search_trials")
-            u_try = u - drift * tau
-            r_try = _gradient(u_try, nl, counters)
-            res_try = lam * sp.dual_norm(r_try)
-            if res_try < res:
-                step, stalled = min(1.0, tau / _BACKTRACK), False
-                break
-            tau *= _BACKTRACK
-        else:
-            # stalled: one Armijo step downhill across the path gives the
-            # polish a new start on the next iteration; a second stall
-            # before any climbing step is accepted ends the search
-            cap = spacing / max(sp.hs_norm(across), 1e-300)
-            moved = None if stalled else _armijo(
-                u, across, _energy(u, nl, counters), min(1.0, cap), nl,
-                counters)
-            if moved is None:
-                raise NonConvergenceError(
-                    f"saddle search stalled at residual {res:.3e} "
-                    f"(node {j}, iteration {it})",
-                    residual_history=history,
-                )
-            stalled, due = True, it + 1
-            u_try = moved[0]
-            r_try = _gradient(u_try, nl, counters)
-            res_try = lam * sp.dual_norm(r_try)
-        u, r, res = u_try, r_try, res_try
-    else:
-        raise NonConvergenceError(
-            f"saddle search did not reach grad_tol={cfg.grad_tol:.1e} in "
-            f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
-            residual_history=history,
-        )
-    return _solution_report(u, "mountain_pass", cfg.rho, it, I_cand, res)
+        _bump(counters, "polish_attempts")
+        u = u_a * (1.0 - t) + far * t
+        landed = _newton_polish(u, problem.lam * _gradient(u, nl, counters),
+                                nl, cfg, counters, accept=accept)
+        if landed is not None:
+            u, I_cand, res = landed
+            return _solution_report(u, "mountain_pass", cfg.rho, it, I_cand,
+                                    res)
+    if rejected:
+        I_w, w = rejected[0]
+        raise DegeneratePathError(
+            f"{len(rejected)} Newton landings fail the saddle rule, the first "
+            f"at energy {I_w:.6g} (endpoints {end_max:.6g}), Hs "
+            f"distance {sp.hs_distance(w, u_a):.6g} from the ball minimizer "
+            f"(distinct_tol={cfg.distinct_tol})")
+    raise NonConvergenceError(
+        f"saddle search: Newton landed from none of {it} path nodes")
 
 
 # -- full pipeline ---------------------------------------------------------------

@@ -390,28 +390,6 @@ def test_solve_refines_the_start_path_when_r0_lies_past_the_ridge(
     assert timings["energy_evals"] == 2 + 17 * R0_PAST_THE_RIDGE[r0]
 
 
-def test_saddle_polish_trust_radius_follows_the_refined_path(
-        capsys, tmp_path, monkeypatch):
-    # at r0 = 1e50 the path is refined 42 times toward u_a; the climber's
-    # node spacing, and with it the polish's trust radius (twice the
-    # spacing), comes from the refined path, not from the far endpoint
-    # u = r0, which made it about 7.9e49
-    moves = []
-    real = solvers._newton_polish
-
-    def spy(*args, **kwargs):
-        moves.append(kwargs["max_move"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "_newton_polish", spy)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_CFG + "nonlinearity.r0 = 1e50\n")
-    code, rep, _ = run_cli(capsys, "solve", "--config", str(cfg))
-    assert code == 0 and rep["status"] == "two-solutions"
-    assert len(moves) == 2   # the ball stage's polish, then the saddle's
-    assert 0.0 < moves[1] < 4.0
-
-
 def test_overflowing_energy_sum_leaves_one_solution(capsys, tmp_path):
     # at r0 = 1e77 F is finite on each sample of the first endpoint probe,
     # but their sum overflows: the probe raises OverflowError instead of

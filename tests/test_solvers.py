@@ -1,5 +1,5 @@
-"""Constrained minimization, path-climbing saddle search, and the
-multiplicity pipeline.  At M = 0 (and on the constant-invariant subspace
+"""Constrained minimization, the saddle search by Newton from a path's
+nodes, and the multiplicity pipeline.  At M = 0 (and on the constant-invariant subspace
 at any M) the Euler-Lagrange equation collapses to a scalar cubic whose
 roots a plain Newton iteration delivers to machine precision; those roots
 are the oracles here."""
@@ -119,7 +119,7 @@ def test_mountain_pass_needs_interior_ridge():
     params = SpectrumParams(0, 2)
     nl = get_nonlinearity("cubic_plus_one")
     # both endpoints beyond the ridge: energy decreases monotonically from
-    # node 0, so there is no interior maximum to climb
+    # node 0, so there is no interior maximum to start from
     u_a = FourierField.constant(problem, params, 8.0)
     u_b = FourierField.constant(problem, params, 16.0)
     with pytest.raises(PathCollapseError):
@@ -134,6 +134,38 @@ def test_mountain_pass_rejects_coincident_endpoints():
     with pytest.raises(DegeneratePathError):
         mountain_pass(u, u + FourierField.constant(problem, params, 1e-9),
                       SolverConfig(rho=1.0), nl)
+
+
+def test_saddle_search_tries_every_node_highest_first(monkeypatch):
+    # with no landing, the polish starts from the 15 interior nodes of the
+    # path, highest energy first, then from the 48 nodes of the path
+    # sampled at 65 that the first sampling lacks, in the same order
+    problem = ProblemSpec(lam=0.01, **BASE)
+    params = SpectrumParams(2, 6)
+    nl = get_nonlinearity("cubic_plus_one")
+    cfg = SolverConfig(rho=1.0)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
+    starts = []
+    monkeypatch.setattr(solvers, "_newton_polish",
+                        lambda u, *args, **kwargs: starts.append(u))
+    counters = {}
+    with pytest.raises(NonConvergenceError,
+                       match="Newton landed from none of 63 path nodes"):
+        mountain_pass(low.field, endpoint, cfg, nl, counters)
+    assert counters["iterations_path"] == counters["polish_attempts"] == 63
+    assert counters["energy_evals"] == 17 + 65
+    coarse, fine = starts[:15], starts[15:]
+    for nodes, P in ((coarse, 16), (fine, 64)):
+        grid = [low.field * (1.0 - i / P) + endpoint * (i / P)
+                for i in range(1, P)]
+        ranks = [next(i for i, w in enumerate(grid)
+                      if np.array_equal(w.coeffs, u.coeffs)) for u in nodes]
+        assert len(set(ranks)) == len(nodes)
+        values = [energy(u, nl) for u in nodes]
+        assert values == sorted(values, reverse=True)
+    assert not any(np.array_equal(u.coeffs, w.coeffs)
+                   for u in fine for w in coarse)
 
 
 # the path oracle's nonlinearities: the registry cubic and the x-dependent
@@ -265,7 +297,7 @@ def test_one_solution_only_when_saddle_stage_fails():
 
 def test_saddle_within_distinct_tol_leaves_one_solution():
     # the scalar saddle lies 44.24 from the ball minimizer in Hs: at
-    # distinct_tol = 50 the saddle stage's rule rejects it on both routes,
+    # distinct_tol = 50 the saddle stage's rule rejects it from every start,
     # so the pipeline lists the ball solution alone
     problem = ProblemSpec(lam=0.01, **BASE)
     rep = solve_multiplicity(SolverConfig(rho=1.0, distinct_tol=50),
@@ -274,22 +306,6 @@ def test_saddle_within_distinct_tol_leaves_one_solution():
     assert rep.status == "one-solution-only"
     assert len(rep.solutions) == 1 and rep.hs_distance == 0.0
     assert rep.detail.startswith("DegeneratePathError")
-
-
-def test_saddle_fallback_meets_the_polish_rule(monkeypatch):
-    # with no Newton landing, the climbing image converges on the same
-    # saddle, 44.24 from the ball minimizer, and the same rule rejects it
-    problem = ProblemSpec(lam=0.01, **BASE)
-    params = SpectrumParams(0, 2)
-    nl = get_nonlinearity("cubic_plus_one")
-    cfg = SolverConfig(rho=1.0, distinct_tol=50)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
-    monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda *args, **kwargs: None)
-    with pytest.raises(DegeneratePathError,
-                       match=r"fails the saddle rule.*distinct_tol=50"):
-        mountain_pass(low.field, endpoint, cfg, nl)
 
 
 # -- truncated problem (M = 8): constant subspace is invariant -------------------
@@ -401,6 +417,23 @@ def test_ball_stage_returns_the_manufactured_solution(N, s, eps, lam, modes):
     assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
 
 
+@pytest.mark.parametrize("N, s", [(1, 0.4), (2, 0.75), (3, 0.9)])
+def test_manufactured_forcing_samples_equal_the_resummed_ones(N, s):
+    # f and F sum g's trigonometric terms once per point set; a copy of the
+    # grid is a new point set, summed afresh, and must give the same bits
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi, N=N)
+    params = SpectrumParams(2, 10)
+    nl, ustar = manufactured_problem(problem, params, 0.1)
+    n = vr.dealias_points(2, nl.poly_degree)
+    x = sp.grid_coordinates(problem, n)
+    t = inverse_transform(ustar, n)
+    for fn in (nl.f, nl.F):
+        cached = [fn(x, t), fn(x, 2.0 * t)]
+        fresh = [fn(tuple(c.copy() for c in x), v) for v in (t, 2.0 * t)]
+        for a, b in zip(cached, fresh):
+            assert np.array_equal(a, b)
+
+
 def coercivity(u, ustar):
     """The stop rule leaves |R(u)|_dual <= grad_tol at u, for the weak
     residual R(u) = L u - lam f(., u); R(u*) = 0.  With e = u - u*,
@@ -487,10 +520,8 @@ def test_pipeline_x_dependent_forcing():
 def test_pipeline_survives_two_rejected_attempts_per_stage(monkeypatch):
     # the polish does its work and is then rejected from the first two
     # points each stage tries it from, and again whenever it is retried from
-    # one of them, as a deterministic failure would be.  The climbing image
-    # stalls on this problem right after its second attempt, so the path
-    # stage lands only because its across-path step gives the retry a new
-    # start
+    # one of them, as a deterministic failure would be.  The saddle stage
+    # lands from its third path node
     real = solvers._newton_polish
     rejected = {"ball": [], "path": []}
 
@@ -618,7 +649,7 @@ def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
     assert rep.energy == real_energy(rep.field, nl)
 
 
-# -- Newton first, with back-off; the fallbacks converge alone ---------------------
+# -- Newton first, with back-off; the ball stage's descent converges alone ---------
 
 # lambda at half the seed-0 lambda_max, at its rho: the paper's example
 # (N=2, M=8) and a 3-D problem (N=3, s=0.9, M=5)
@@ -630,85 +661,34 @@ STAGE_CASES = {
 }
 
 
-def run_stages(case, ball_counters=None, path_counters=None):
-    """Ball stage, endpoint and saddle stage, each with its own counters
-    (the dicts given, or fresh ones)."""
+def stage_inputs(case):
+    """(zero field, solver config, nonlinearity) of a STAGE_CASES problem."""
     dims, params, lam, rho = STAGE_CASES[case]
     problem = ProblemSpec(m=1.0, gamma=0.5, lam=lam, T=2.0 * math.pi, **dims)
-    nl = get_nonlinearity("cubic_plus_one")
-    cfg = SolverConfig(rho=rho)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl,
-                        counters=ball_counters)
-    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
-    high = mountain_pass(low.field, endpoint, cfg, nl, counters=path_counters)
-    return cfg, low, high
+    return (FourierField.zeros(problem, params), SolverConfig(rho=rho),
+            get_nonlinearity("cubic_plus_one"))
 
 
 @pytest.mark.parametrize("case", sorted(STAGE_CASES))
 def test_stages_converge_without_the_polish(monkeypatch, case):
-    _, low_ref, high_ref = run_stages(case)
+    # Newton lands on iteration 1 of each stage; without it the ball
+    # stage's descent reaches the same minimizer alone (the saddle stage
+    # has no route but the polish)
+    zero, cfg, nl = stage_inputs(case)
+    low_ref = ball_minimize(zero, cfg, nl)
+    endpoint, _ = find_descent_endpoint(low_ref.field, cfg, nl)
+    high_ref = mountain_pass(low_ref.field, endpoint, cfg, nl)
     assert low_ref.iterations == high_ref.iterations == 1
     monkeypatch.setattr(solvers, "_newton_polish",
                         lambda *args, **kwargs: None)
-    cfg, low, high = run_stages(case)
+    low = ball_minimize(zero, cfg, nl)
     assert low.residual_dual_norm <= cfg.grad_tol
-    assert high.residual_dual_norm <= cfg.grad_tol
-    assert high.iterations > 1
-    # the climbing-image fallback lands on the saddle that Newton finds
-    assert hs_norm(high.field - high_ref.field) <= 1e-6
+    assert low.iterations > 1
     assert hs_norm(low.field - low_ref.field) <= 1e-6
 
 
-@pytest.mark.parametrize("modes", [4, 8])
-def test_saddle_fallback_converges_off_the_constant_subspace(monkeypatch,
-                                                             modes):
-    # x-dependent forcing at 0.9 of the best lambda_max: the ball stage
-    # keeps the polish, the saddle stage runs on the climbing image alone
-    nl, problem, params, rho, _ = x_dependent_problem(modes, 0.9)
-    cfg = SolverConfig(rho=rho)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
-    monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda *args, **kwargs: None)
-    high = mountain_pass(low.field, endpoint, cfg, nl)
-    assert high.residual_dual_norm <= cfg.grad_tol
-    assert high.energy > max(low.energy, energy(endpoint, nl))
-    for end in (low.field, endpoint):
-        assert hs_norm(high.field - end) > cfg.distinct_tol
-
-
-def saddle_without_the_polish(monkeypatch, **cfg):
-    """The saddle stage on the x-dependent forcing at 0.5 of the best
-    lambda_max, from the ball stage's minimizer (which keeps the polish),
-    with the polish switched off for the saddle stage alone."""
-    nl, problem, params, rho, _ = x_dependent_problem(4, 0.5)
-    cfg = SolverConfig(rho=rho, **cfg)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
-    monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda *args, **kwargs: None)
-    return mountain_pass(low.field, endpoint, cfg, nl)
-
-
-def test_saddle_search_raises_on_a_second_stall(monkeypatch):
-    # no climbing step lowers the residual here, and after the one Armijo
-    # step across the path none does either: the stage ends as a stall
-    with pytest.raises(NonConvergenceError,
-                       match=r"^saddle search stalled at residual") as info:
-        saddle_without_the_polish(monkeypatch)
-    assert info.value.residual_history
-
-
-def test_saddle_search_raises_when_the_budget_runs_out(monkeypatch):
-    with pytest.raises(NonConvergenceError,
-                       match=r"^saddle search did not reach grad_tol=1\.0e-08 "
-                             r"in 2 iterations") as info:
-        saddle_without_the_polish(monkeypatch, max_iter=2)
-    assert len(info.value.residual_history) == 2
-
-
 def test_polish_backs_off_after_rejections(monkeypatch):
-    # every attempt does its work and is then rejected
+    # every attempt of the ball stage does its work and is then rejected
     real = solvers._newton_polish
     attempts = []
 
@@ -718,25 +698,24 @@ def test_polish_backs_off_after_rejections(monkeypatch):
         return None
 
     monkeypatch.setattr(solvers, "_newton_polish", rejected)
-    counts = {}, {}
-    _, low, high = run_stages("paper-N2-M8", *counts)
-    assert len(attempts) == (counts[0]["polish_attempts"]
-                             + counts[1]["polish_attempts"])
-    for rep, counters in zip((low, high), counts):
-        n = counters["polish_attempts"]
-        assert n <= math.floor(math.log2(rep.iterations)) + 1
-        # attempts fall on iterations 1, 2, 4, ... before the last one
-        assert n == sum(1 for k in range(rep.iterations) if 2 ** k < rep.iterations)
+    zero, cfg, nl = stage_inputs("paper-N2-M8")
+    counters = {}
+    low = ball_minimize(zero, cfg, nl, counters)
+    n = counters["polish_attempts"]
+    assert len(attempts) == n
+    assert n <= math.floor(math.log2(low.iterations)) + 1
+    # attempts fall on iterations 1, 2, 4, ... before the last one
+    assert n == sum(1 for k in range(low.iterations) if 2 ** k < low.iterations)
 
 
 # -- matrix-free Newton operator against the dense basis assembly ----------------
 
 
 def dense_jacobian(problem, params, d):
-    """L - lam diag(d) in the sample basis of the minimal grid, assembled
-    column by column: transform each sample basis vector to coefficients,
-    multiply mode k by mu_k^s - gamma, transform back."""
-    n, N = params.grid_points, problem.N
+    """L - lam diag(d) in the sample basis of d's grid, assembled column by
+    column: transform each sample basis vector to coefficients, multiply
+    mode k by mu_k^s - gamma, transform back to that grid."""
+    n, N = d.shape[0], problem.N
     D = n ** N
     sym = multiplier_array(problem, params) - problem.gamma
     L = np.empty((D, D))
@@ -745,8 +724,8 @@ def dense_jacobian(problem, params, d):
         idx = np.unravel_index(j, basis.shape)
         basis[idx] = 1.0
         c = forward_transform(basis, problem, params).coeffs
-        L[:, j] = inverse_transform(FourierField(sym * c, problem,
-                                                 params)).reshape(-1)
+        L[:, j] = inverse_transform(FourierField(sym * c, problem, params),
+                                    n).reshape(-1)
         basis[idx] = 0.0
     return L - problem.lam * np.diag(d.reshape(-1))
 
@@ -756,28 +735,38 @@ def flat(c):
     return np.ascontiguousarray(c).reshape(-1).view(float)
 
 
-def in_samples(problem, params, x):
-    """Flattened minimal-grid samples of the cube whose flat view is x."""
-    c = x.view(complex).reshape((params.grid_points,) * problem.N)
-    return inverse_transform(FourierField(c, problem, params)).reshape(-1)
+def in_samples(problem, params, x, n):
+    """Flattened n^N-grid samples of the cube whose flat view is x."""
+    c = x.view(complex).reshape((2 * params.modes + 1,) * problem.N)
+    return inverse_transform(FourierField(c, problem, params), n).reshape(-1)
 
 
-def in_modes(problem, params, samples):
-    """Flat view of the coefficients of flattened minimal-grid samples."""
-    grid = samples.reshape((params.grid_points,) * problem.N)
+def in_modes(problem, params, samples, n):
+    """Flat view of the coefficients of flattened n^N-grid samples."""
+    grid = samples.reshape((n,) * problem.N)
     return flat(forward_transform(grid, problem, params).coeffs)
+
+
+def residual_grid(modes):
+    """Points per axis of the grid on which cubic_plus_one's residual, and
+    with it the Jacobian, samples f and f'."""
+    return vr.dealias_points(modes, get_nonlinearity("cubic_plus_one")
+                             .poly_degree)
 
 
 @pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
                                          (3, 0.9, 2)])
 @pytest.mark.parametrize("shift", [1.0, -2.0])
 def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
-    # shift = -2 makes mean(d) negative, which the preconditioner clamps
+    # shift = -2 makes mean(d) negative, which the preconditioner clamps.
+    # The operator acts on the mode cube, the dense reference on the
+    # samples of the residual's grid: J x = F (J_ref S x), S and F the
+    # public transform pair on that grid
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
                           T=2.0 * math.pi, N=N)
     params = SpectrumParams(modes, 2 * modes + 1)
-    n = params.grid_points
-    D = n ** N
+    n = residual_grid(modes)
+    D = (2 * modes + 1) ** N
     rng = np.random.default_rng(N)
     d = 3.0 * rng.standard_normal((n,) * N) ** 2 * shift
     J_ref = dense_jacobian(problem, params, d)
@@ -788,7 +777,7 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     X = np.column_stack(xs)
     J = np.column_stack([jac(x) for x in xs])
     want = np.column_stack([
-        in_modes(problem, params, J_ref @ in_samples(problem, params, x))
+        in_modes(problem, params, J_ref @ in_samples(problem, params, x, n), n)
         for x in xs])
     scale = np.abs(want).max()
     assert np.abs(J - want).max() <= 1e-12 * scale
@@ -799,9 +788,11 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     diagonal = prec(np.ones(2 * D))
     assert diagonal.min() > 0.0
     assert all(np.array_equal(prec(x), diagonal * x) for x in xs)
+    # the solution of J y = b in the span of the Hermitian cubes xs, from
+    # the reference's images of them
     b = xs[0]
-    want = in_modes(problem, params,
-                    np.linalg.solve(J_ref, in_samples(problem, params, b)))
+    z = np.linalg.lstsq(want, b, rcond=None)[0]
+    want = X @ z
     got, info, iterations = solvers._minres(jac, b, prec, 1e-12)
     assert info == 0 and 1 <= iterations <= 5 * b.size
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -813,6 +804,38 @@ def test_matrix_free_jacobian_matches_dense_assembly(N, s, modes, shift):
     assert np.linalg.norm(got - theirs) <= 1e-10 * np.linalg.norm(theirs)
 
 
+@pytest.mark.parametrize("N, s, modes", [(1, 0.4, 4), (2, 0.75, 3),
+                                         (3, 0.9, 2)])
+def test_jacobian_is_the_derivative_of_the_weak_residual(N, s, modes):
+    # on the non-constant manufactured solution, J v against the central
+    # difference of the weak residual along v.  The residual is cubic in
+    # h, so the gap is exactly h^2 R'''[v, v, v] / 6 up to roundoff, and
+    # halving h quarters it; a Jacobian sampled on another grid than the
+    # residual leaves a gap that does not shrink
+    problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.1, T=2.0 * math.pi,
+                          N=N)
+    params = SpectrumParams(modes, 2 * modes + 1)
+    nl, u = manufactured_problem(problem, params, 0.5)
+    rng = np.random.default_rng(N)
+    xs = [flat(random_symmetric_coeffs(rng, modes, N)) for _ in range(4)]
+    jac, _ = solvers._jacobian_operators(u, nl)
+    v = FourierField(xs[0].view(complex).reshape(u.coeffs.shape), problem,
+                     params)
+    Jv = jac(xs[0])
+    gaps = []
+    for h in (0.04, 0.02, 0.01):
+        fd = (vr.weak_residual(u + v * h, nl)
+              - vr.weak_residual(u - v * h, nl)).coeffs / (2.0 * h)
+        gaps.append(np.linalg.norm(flat(fd) - Jv) / np.linalg.norm(Jv))
+    assert gaps[0] < 1e-3
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 3.99 < wide / narrow < 4.01
+    # symmetric in Re sum conj(a_k) b_k on the same field
+    X = np.column_stack(xs)
+    gram = X.T @ np.column_stack([jac(x) for x in xs])
+    assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
+
+
 @pytest.mark.parametrize("N, s, modes", [(1, 0.4, 5), (2, 0.75, 3),
                                          (3, 0.9, 2)])
 def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
@@ -820,7 +843,7 @@ def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
     problem = ProblemSpec(s=s, m=1.0, gamma=0.5, lam=0.2,
                           T=2.0 * math.pi, N=N)
     params = SpectrumParams(modes, 2 * modes + 1)
-    n = params.grid_points
+    n = residual_grid(modes)
     rng = np.random.default_rng(N)
     d = 3.0 * rng.standard_normal((n,) * N) ** 2
     symbol = multiplier_array(problem, params) - problem.gamma
