@@ -428,7 +428,7 @@ def cmd_reproduce_example(seed: int | None = None, modes: int = 8,
     diag["f_at_zero_nonzero"] = bool(f0 != 0.0)
 
     if rep["solutions"]:
-        tol = cfg.solver(rho=rep["constants"]["resolved_rho"]).distinct_tol
+        tol = cfg.values["solver.distinct_tol"]
         nontrivial = [bool(s["hs_norm"] > tol) for s in rep["solutions"]]
         diag["nontrivial"] = nontrivial
         if rep["status"] == "two-solutions" and not all(nontrivial):

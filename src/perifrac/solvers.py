@@ -34,12 +34,12 @@ preconditioned MINRES applies it through spectral's half-cube helpers,
 with the shifted multiplier's inverse as SPD preconditioner.  Newton is
 inexact: each step's MINRES stops at an Eisenstat-Walker forcing term,
 loose far from the root and tightening as the residual falls.  A step is
-accepted only if it decreases the true residual (within the ball stage's
-trust radius), and the landing only if the stage's acceptance test takes
-it.  Each point's weak residual and energy are evaluated once: the stage
-passes lam times its gradient as the first right-hand side, an accepted
-trial's is the next, and a landing returns its residual norm and the
-energy its acceptance test evaluated, which the stage reports.
+accepted only if it decreases the true residual, and the landing only if
+the stage's acceptance test takes it.  Each point's weak residual and
+energy are evaluated once: the stage passes lam times its gradient as the
+first right-hand side, an accepted trial's is the next, and a landing
+returns its residual norm and the energy its acceptance test evaluated,
+which the stage reports.
 
 The counters energy_evals and gradient_evals count solver events, not
 calls: a sampled path adds P + 1 energies (17, or 65 on the refined
@@ -61,7 +61,6 @@ import numpy as np
 
 from . import spectral as sp
 from . import variational as vr
-from .constants import ball_radius
 from .spectral import FourierField, ProblemSpec, SpectrumParams
 
 __all__ = [
@@ -282,14 +281,13 @@ def _jacobian_operators(u: FourierField, nl):
     return jac, prec
 
 
-def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move=math.inf):
+def _newton_polish(u, R, nl, cfg, counters, *, accept):
     """Damped inexact Newton in mode space on the weak residual, R at u
     (lam times the stage's gradient there).  Returns (field, energy,
     residual_norm) if every step decreased the true residual, the final
     point meets grad_tol and accept, a field -> its energy or None, takes
-    it with that energy; otherwise None.  max_move is a trust radius (Hs
-    distance from u), which the ball stage sets to keep its landing near
-    the ball; the saddle stage, which tries many starts, sets none.
+    it with that energy; otherwise None.  The final point may be u itself
+    when R already meets grad_tol.
 
     Each step solves J delta = -R inexactly by preconditioned MINRES on
     _jacobian_operators(cur, nl), which samples f'(cur) itself, to the
@@ -300,7 +298,7 @@ def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move=math.inf):
     symmetry has been checked before the operator samples it unchecked."""
     problem, params = u.problem, u.params
     cur, eta = u, _ETA_MAX
-    res_cur = res_start = sp.dual_norm(R)
+    res_cur = sp.dual_norm(R)
     for _ in range(_POLISH_MAX_STEPS):
         if res_cur <= cfg.grad_tol:
             break
@@ -317,9 +315,6 @@ def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move=math.inf):
         tau, accepted = 1.0, False
         for _ in range(_MAX_HALVINGS):
             u_try = cur + delta * tau
-            if sp.hs_distance(u_try, u) > max_move:
-                tau *= _BACKTRACK
-                continue
             R_try = vr.weak_residual(u_try, nl)
             res_try = sp.dual_norm(R_try)
             if res_try < res_cur * (1.0 - 1e-4):
@@ -329,19 +324,18 @@ def _newton_polish(u, R, nl, cfg, counters, *, accept, max_move=math.inf):
             tau *= _BACKTRACK
         if not accepted:
             break
-    energy = (accept(cur) if res_cur <= cfg.grad_tol and res_cur < res_start
-              else None)
+    energy = accept(cur) if res_cur <= cfg.grad_tol else None
     return None if energy is None else (cur, energy, res_cur)
 
 
 # -- descent stages ----------------------------------------------------------------
 
 
-def _armijo(u, riesz, I_cur, tau, nl, counters, project=None):
-    """Backtracking Armijo search from u along -riesz, starting at step tau.
-    project, if given, maps each trial point back to the feasible set.
-    Returns the accepted (u, I, tau), or None (a stall) when every halving
-    fails or the step falls below the float resolution of u."""
+def _armijo(u, riesz, I_cur, tau, rho, nl, counters):
+    """Backtracking Armijo search from u along -riesz, starting at step tau,
+    each trial projected back to the ball e(u)^2 <= rho.  Returns the
+    accepted (u, I, tau), or None (a stall) when every halving fails or the
+    step falls below the float resolution of u."""
     norm = sp.hs_norm(riesz)
     decrease = -norm ** 2   # <r, -riesz> in the duality pairing
     # a move shorter than this cannot change u in floating point
@@ -349,9 +343,7 @@ def _armijo(u, riesz, I_cur, tau, nl, counters, project=None):
     for _ in range(_MAX_HALVINGS):
         if tau * norm <= floor:
             return None
-        u_try = u + riesz * (-tau)
-        if project is not None:
-            u_try = project(u_try)
+        u_try = _project_to_ball(u + riesz * (-tau), rho)
         _bump(counters, "line_search_trials")
         I_try = _energy(u_try, nl, counters)
         if I_try <= I_cur + _ARMIJO_C1 * tau * decrease:
@@ -374,8 +366,10 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     The Newton polish is tried first, with back-off (module docstring); its
     result must lie in the open ball and not above the start's energy.  A
     stalled descent step is retried once through the polish unless it was
-    just tried from the same point.  Raises BoundaryActiveError if the converged point has the constraint
-    active, NonConvergenceError when the budget runs out."""
+    just tried from the same point.  The stop test, the residual history
+    and the report use |R|, R = lam r the weak residual the polish starts
+    from.  Raises BoundaryActiveError if the converged point has the
+    constraint active, NonConvergenceError when the budget runs out."""
     problem = start.problem
     if counters is None:
         counters = {}
@@ -397,23 +391,21 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     for it in range(1, cfg.max_iter + 1):
         _bump(counters, "iterations_ball")
         r = _gradient(u, nl, counters)
-        res = problem.lam * sp.dual_norm(r)
+        R = problem.lam * r
+        res = sp.dual_norm(R)
         history.append(res)
         if res <= cfg.grad_tol:
-            res = sp.dual_norm(problem.lam * r)   # report |lam r|, not lam |r|
             break
         tried = it == due
         if tried:
             _bump(counters, "polish_attempts")
-            landed = _newton_polish(u, problem.lam * r, nl, cfg, counters,
-                                    accept=accept,
-                                    max_move=2.0 * ball_radius(rho, problem))
+            landed = _newton_polish(u, R, nl, cfg, counters, accept=accept)
             if landed is not None:
                 u, I_cur, res = landed
                 break
             due *= 2
-        accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, nl,
-                           counters, project=lambda w: _project_to_ball(w, rho))
+        accepted = _armijo(u, vr.riesz_representative(r), I_cur, step, rho,
+                           nl, counters)
         if accepted is None:
             if not tried:
                 due = it + 1    # a Newton attempt from here may still land

@@ -1,7 +1,9 @@
 """No module imports a name it never reads.  Every module of the package,
 the tests and the scripts is parsed with ast; each name bound by a
 module-level import must be read somewhere in that module, or be listed in
-its __all__ (a re-export)."""
+its __all__ (a re-export).  The numerical core (spectral, variational,
+solvers) imports nothing from the layers built on it (constants, config,
+cli)."""
 
 import ast
 import pathlib
@@ -30,6 +32,41 @@ def unused_imports(source: str) -> list:
                        if isinstance(node, ast.Name)
                        and isinstance(node.ctx, ast.Load)}
     return [name for name in imported if name not in used]
+
+
+def package_imports(source: str) -> set:
+    """Modules of the package that source imports, at any depth, through a
+    relative import or the package name."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("perifrac.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "perifrac":
+                    continue
+                module = module.partition(".")[2]
+            modules |= ({module.split(".")[0]} if module
+                        else {a.name for a in node.names})
+    return modules
+
+
+def test_package_import_checker_sees_every_form():
+    source = ("import numpy\nimport perifrac.cli\n"
+              "from . import spectral as sp\nfrom .config import X\n"
+              "from perifrac.solvers import Y\nfrom perifrac import report\n"
+              "from json import dumps\n"
+              "def f():\n    from .constants import ball_radius\n")
+    assert package_imports(source) == {"cli", "spectral", "config", "solvers",
+                                       "report", "constants"}
+
+
+def test_numerical_core_imports_no_higher_layer():
+    for name in ("spectral", "variational", "solvers"):
+        source = (ROOT / "src/perifrac" / f"{name}.py").read_text()
+        assert not package_imports(source) & {"constants", "config", "cli"}
 
 
 def test_checker_flags_only_unread_names():

@@ -586,7 +586,7 @@ def test_ball_polish_must_land_downhill_from_the_start(monkeypatch):
     # (F(t) = t + t^4/4), a small positive one below it; both are in the ball
     accepts = []
     monkeypatch.setattr(solvers, "_newton_polish",
-                        lambda u, R, nl, cfg, counters, *, accept, max_move:
+                        lambda u, R, nl, cfg, counters, *, accept:
                         accepts.append(accept))
     problem = ProblemSpec(lam=0.01, **BASE)
     params = SpectrumParams(2, 6)
@@ -861,12 +861,11 @@ def test_half_cube_operators_match_the_transform_pair_bitwise(N, s, modes):
         assert np.array_equal(prec(flat(c)), flat(inv_prec * c))
 
 
-def polish_alone(u, nl, cfg, counters, max_move=math.inf):
+def polish_alone(u, nl, cfg, counters):
     """The Newton polish from u outside a stage: R is the weak residual at
     u, and any landing is accepted, with its energy."""
     return solvers._newton_polish(u, vr.weak_residual(u, nl), nl, cfg,
-                                  counters, accept=lambda w: energy(w, nl),
-                                  max_move=max_move)
+                                  counters, accept=lambda w: energy(w, nl))
 
 
 def test_polish_steps_keep_the_hermitian_symmetry_exact(monkeypatch):
@@ -962,25 +961,23 @@ def test_polish_rejects_failed_krylov_solve(monkeypatch, failure):
     assert counters["newton_steps"] == 1
 
 
-def test_polish_trust_radius_rejects_every_trial(monkeypatch):
-    # the same start, with a trust radius of zero: every trial lies outside
-    # it, so the line search evaluates no residual and the polish does not
-    # land; only the start's residual is computed
+def test_polish_lands_at_a_start_that_already_meets_grad_tol():
+    # the same start polished to a root, then polished again from that
+    # root: no Newton step is taken, and accept decides the landing
     problem = ProblemSpec(lam=0.01, **BASE)
     params = SpectrumParams(2, 8)
     nl = get_nonlinearity("cubic_plus_one")
     c_low, _ = scalar_roots(problem)
     u = (FourierField.constant(problem, params, 1.01 * c_low)
          + FourierField.from_modes(problem, params, {(1, 0): 1e-3}))
-    calls = []
-    real = vr.weak_residual
-    monkeypatch.setattr(vr, "weak_residual",
-                        lambda w, nl: (calls.append(w), real(w, nl))[1])
+    cfg = SolverConfig(rho=1.0)
+    root, I_root, res_root = polish_alone(u, nl, cfg, {})
+    assert res_root <= cfg.grad_tol
     counters = {}
-    assert polish_alone(u, nl, SolverConfig(rho=1.0), counters,
-                        max_move=0.0) is None
-    assert len(calls) == 1 and calls[0] is u
-    assert counters["newton_steps"] == 1
+    again = polish_alone(root, nl, cfg, counters)
+    assert again is not None and again[0] is root
+    assert again[1:] == (I_root, res_root)
+    assert counters == {}
 
 
 @pytest.mark.parametrize("root", [0, 1])
@@ -1100,18 +1097,21 @@ def test_armijo_accepts_descent_and_reports_stall():
     riesz = riesz_representative(gradient(u, nl))
     I0 = energy(u, nl)
     counters = {}
-    u_new, I_new, tau = solvers._armijo(u, riesz, I0, 1.0, nl, counters)
+    u_new, I_new, tau = solvers._armijo(u, riesz, I0, 1.0, math.inf, nl,
+                                        counters)
     assert I_new == energy(u_new, nl) < I0
     assert 0.0 < tau <= 1.0
     assert counters["line_search_trials"] == counters["energy_evals"] >= 1
     # uphill along +riesz no step length passes the sufficient-decrease test
     counters = {}
-    assert solvers._armijo(u, -riesz, I0, 1.0, nl, counters) is None
+    assert solvers._armijo(u, -riesz, I0, 1.0, math.inf, nl,
+                           counters) is None
     assert counters["line_search_trials"] == solvers._MAX_HALVINGS
     # from a nonzero field, a step too short to move it in floating point
     # is a stall, reported before any trial
     u1 = FourierField.constant(problem, params, 1.0)
     tiny = riesz * (0.5 * np.finfo(float).eps * hs_norm(u1) / hs_norm(riesz))
     counters = {}
-    assert solvers._armijo(u1, tiny, energy(u1, nl), 1.0, nl, counters) is None
+    assert solvers._armijo(u1, tiny, energy(u1, nl), 1.0, math.inf, nl,
+                           counters) is None
     assert counters == {}
