@@ -29,10 +29,10 @@ from .constants import (InadmissibleLambdaError, ball_radius, best_lambda,
                         certify, golden_key, lambda_table, load_golden,
                         sigma_estimate)
 from .extension import (ExtrapolationError, QuadratureError,
-                        WeightedQuadrature, conormal_limit, kappa,
-                        ode_residual, profile_energy, verify_trace_identity)
+                        WeightedQuadrature, conormal_limit, ode_residual,
+                        profile_energy, verify_trace_identity)
 from .solvers import NonConvergenceError, SolverError, solve_multiplicity
-from .spectral import SpectrumParams
+from .spectral import SpectrumParams, kappa
 
 __all__ = ["main", "cmd_constants", "cmd_solve", "cmd_verify",
            "cmd_reproduce_example"]

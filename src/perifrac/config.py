@@ -91,17 +91,12 @@ class RunConfig:
 
     # -- builders ---------------------------------------------------------
 
-    def problem(self, lam: float | None = None) -> ProblemSpec:
-        """Realize the ProblemSpec; an explicit lam resolves 'auto'."""
+    def problem(self, lam: float) -> ProblemSpec:
+        """Realize the ProblemSpec at the resolved lambda lam."""
         v = self.values
-        value = lam if lam is not None else v["problem.lambda"]
-        if value == AUTO:
-            raise ConfigError(
-                "problem.lambda is 'auto' and no resolved value was supplied"
-            )
         try:
             return ProblemSpec(s=v["problem.s"], m=v["problem.m"],
-                               gamma=v["problem.gamma"], lam=float(value),
+                               gamma=v["problem.gamma"], lam=float(lam),
                                T=v["problem.T"], N=v["problem.N"])
         except ValueError as exc:
             raise ConfigError(f"problem block invalid: {exc}") from exc
@@ -109,8 +104,8 @@ class RunConfig:
     def lambda_free_problem(self) -> ProblemSpec:
         """The ProblemSpec of lambda-independent work (sigmas, tables,
         validation): 'auto' takes the placeholder lambda = 1.0."""
-        return self.problem(
-            lam=1.0 if self.values["problem.lambda"] == AUTO else None)
+        lam = self.values["problem.lambda"]
+        return self.problem(1.0 if lam == AUTO else lam)
 
     def params(self) -> SpectrumParams:
         try:
@@ -128,15 +123,11 @@ class RunConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
 
-    def solver(self, rho: float | None = None) -> SolverConfig:
-        """Realize the SolverConfig; an explicit rho resolves 'auto'."""
+    def solver(self, rho: float) -> SolverConfig:
+        """Realize the SolverConfig at the resolved rho."""
         values = {f.name: self.values[f"solver.{f.name}"]
                   for f in fields(SolverConfig)}
-        if rho is not None:
-            values["rho"] = float(rho)
-        elif values["rho"] == AUTO:
-            raise ConfigError("solver.rho is 'auto' and no resolved value "
-                              "was supplied")
+        values["rho"] = float(rho)
         try:
             return SolverConfig(**values)
         except ValueError as exc:
@@ -219,7 +210,8 @@ def _validate(cfg: RunConfig) -> None:
         validate_growth_exponent(nl, problem)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity block invalid: {exc}") from exc
-    cfg.solver(rho=1.0 if cfg.values["solver.rho"] == AUTO else None)
+    rho = cfg.values["solver.rho"]
+    cfg.solver(1.0 if rho == AUTO else rho)
     _check_seed(cfg.values["solver.seed"])
 
 

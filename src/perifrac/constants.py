@@ -35,14 +35,14 @@ a1=a2=1) through the profile h(rho) = sqrt(rho) / (4 sigma_1 (1-g)^{3/2}
 from __future__ import annotations
 
 import math
+import pathlib
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import spectral as sp
-from .extension import kappa
-from .spectral import FourierField, ProblemSpec, SpectrumParams
+from .spectral import FourierField, ProblemSpec, SpectrumParams, kappa
 from .variational import dealias_points
 
 __all__ = [
@@ -597,11 +597,8 @@ def default_golden_path():
 
 def load_golden(path=None) -> dict[str, float]:
     """Parse the golden-value file: '#' comments, 'key = value' lines."""
-    if path is None:
-        text = default_golden_path().read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    source = default_golden_path() if path is None else pathlib.Path(path)
+    text = source.read_text()
     out: dict[str, float] = {}
     for line in text.splitlines():
         line = line.strip()

@@ -25,9 +25,10 @@ The derivative uses d/dy [y^s K_s(y)] = -y^s K_{s-1}(y) and K_{-v} = K_v:
 
     theta'(y) = -(2^(1-s) / Gamma(s)) y^s K_{1-s}(y).
 
-kappa is on the path of every command and takes Gamma from math, so it
-needs no scipy.  scipy's kv and quad, behind theta and the quadrature
-checks, are imported when those are first called.
+kappa and the rule 0 < s < 1 live in spectral, which every command
+loads; this module checks the identities against them.  scipy's kv and
+quad, behind theta and the quadrature checks, are imported when those are
+first called.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _check_order, hs_norm, kappa
+
 __all__ = [
-    "kappa",
     "theta",
     "theta_prime",
     "ode_residual",
@@ -51,17 +53,6 @@ __all__ = [
     "TraceIdentityReport",
     "verify_trace_identity",
 ]
-
-
-def _check_order(s: float):
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"order s={s} outside (0, 1)")
-
-
-def kappa(s: float) -> float:
-    """Normalization constant 2^(1-2s) Gamma(1-s) / Gamma(s); kappa(1/2) = 1."""
-    _check_order(s)
-    return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
 
 
 def theta(s: float, y, fault: float = 0.0) -> float | np.ndarray:
@@ -180,7 +171,7 @@ class WeightedQuadrature:
         return float(value)
 
 
-def _dprofile_sq(s: float, y: float, scale: float = 1.0) -> float:
+def _dprofile_sq(s: float, y: float, scale: float) -> float:
     """Smooth factor y^(2-4s) theta'(scale*y)^2 of the derivative integrand.
 
     The adaptive rule evaluates at the y=0 endpoint, where theta' itself
@@ -201,7 +192,7 @@ def _mode_quadrature(s: float, mu: float, fault: float) -> float:
     wa = WeightedQuadrature(1.0 - 2.0 * s)
     a = wa.integrate(lambda y: mu * theta(s, rt * y, fault) ** 2)
     wb = WeightedQuadrature(2.0 * s - 1.0)
-    b = wb.integrate(lambda y: mu * _dprofile_sq(s, y, scale=rt))
+    b = wb.integrate(lambda y: mu * _dprofile_sq(s, y, rt))
     return a + b
 
 
@@ -264,8 +255,6 @@ def verify_trace_identity(u, fault: float = 0.0) -> TraceIdentityReport:
     Modes with negligible coefficients are skipped; mode energies are
     cached per |k|^2 since they depend on k only through mu_k.
     """
-    from . import spectral as sp  # imported here to keep this module a leaf
-
     problem, params = u.problem, u.params
     M = params.modes
     c = u.coeffs
@@ -281,7 +270,7 @@ def verify_trace_identity(u, fault: float = 0.0) -> TraceIdentityReport:
             cache[ksq] = mode_energy(k, problem, fault)
         mode_sum += cache[ksq] * float(np.abs(c[tuple(idx)]) ** 2)
         used += 1
-    norm_side = kappa(problem.s) * sp.hs_norm(u) ** 2
+    norm_side = kappa(problem.s) * hs_norm(u) ** 2
     denom = max(abs(norm_side), 1e-30)
     return TraceIdentityReport(
         mode_sum=mode_sum,

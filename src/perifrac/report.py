@@ -14,6 +14,8 @@ import csv
 import json
 import os
 
+from . import spectral as sp
+
 __all__ = [
     "EXIT_CODES",
     "exit_code_for",
@@ -96,8 +98,6 @@ def to_json(report: dict) -> str:
 def dump_fields(directory: str, solutions) -> list:
     """Write one CSV per solution: columns are the x coordinates then the
     sampled value of u at that grid point.  Returns the paths written."""
-    from . import spectral as sp
-
     os.makedirs(directory, exist_ok=True)
     paths = []
     for i, sol in enumerate(solutions):

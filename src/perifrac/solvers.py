@@ -360,7 +360,7 @@ def _project_to_ball(u, rho):
 
 
 def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
-                  counters: dict | None = None) -> SolutionReport:
+                  counters: dict) -> SolutionReport:
     """Projected Armijo descent for the reduced functional on the closed
     ball e(u)^2 <= cfg.rho (radial rescaling keeps iterates feasible).
     The Newton polish is tried first, with back-off (module docstring); its
@@ -371,8 +371,6 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
     from.  Raises BoundaryActiveError if the converged point has the
     constraint active, NonConvergenceError when the budget runs out."""
     problem = start.problem
-    if counters is None:
-        counters = {}
     rho = cfg.rho
     u = _project_to_ball(start.copy(), rho)
     I_cur = _energy(u, nl, counters)   # carried: each accepted step returns it
@@ -433,17 +431,12 @@ def ball_minimize(start: FourierField, cfg: SolverConfig, nl,
 
 
 def find_descent_endpoint(u_loc: FourierField, cfg: SolverConfig, nl,
-                          counters: dict | None = None,
-                          I_loc: float | None = None):
+                          counters: dict, I_loc: float):
     """March t -> 2t along the constant field of height r0 until the energy
-    drops below I_loc - _ENDPOINT_MARGIN, I_loc = energy(u_loc) (evaluated
-    here if not given).  Returns (endpoint, its energy).  The superlinear
-    potential guarantees success; the doubling budget guards against a
-    nonlinearity that is not actually superlinear."""
-    if counters is None:
-        counters = {}
-    if I_loc is None:
-        I_loc = vr.energy(u_loc, nl)
+    drops below I_loc - _ENDPOINT_MARGIN, I_loc = energy(u_loc).  Returns
+    (endpoint, its energy).  The superlinear potential guarantees success;
+    the doubling budget guards against a nonlinearity that is not actually
+    superlinear."""
     v0 = FourierField.constant(u_loc.problem, u_loc.params, nl.r0)
     t = 1.0
     for _ in range(cfg.max_doublings):
@@ -485,15 +478,14 @@ def _highest_first(energies: list) -> list:
 
 
 def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
-                  counters: dict | None = None,
-                  ends: tuple | None = None) -> SolutionReport:
+                  counters: dict, ends: tuple) -> SolutionReport:
     """Saddle between the fixed endpoints u_a and u_b by Newton from the
     nodes of the straight path between them.
 
     The path is sampled at _PATH_POINTS + 1 evenly spaced nodes; while its
     highest node (smallest index on ties) is u_a, the first segment is
     sampled again, unless its first node would lie within distinct_tol of
-    u_a.  ends is the pair (energy(u_a), energy(u_b)) if the caller has it.
+    u_a.  ends is the pair (energy(u_a), energy(u_b)).
     The Newton polish starts from each interior node in turn, highest
     energy first and ties by index, then from the nodes of the same path
     sampled at _FINE_POINTS + 1 that the first sampling lacks, in the same
@@ -504,13 +496,11 @@ def mountain_pass(u_a: FourierField, u_b: FourierField, cfg: SolverConfig, nl,
     start lands, the search raises DegeneratePathError if the rule
     rejected a landing, and NonConvergenceError otherwise."""
     problem = u_a.problem
-    if counters is None:
-        counters = {}
     if sp.hs_distance(u_a, u_b) <= cfg.distinct_tol:
         raise DegeneratePathError("path endpoints coincide")
 
     P = _PATH_POINTS
-    I_a, I_far = ends or (vr.energy(u_a, nl), vr.energy(u_b, nl))
+    I_a, I_far = ends
     end_max, far = max(I_a, I_far), u_b
     while True:
         _bump(counters, "energy_evals", P + 1)
@@ -573,8 +563,7 @@ def solve_multiplicity(cfg: SolverConfig, nl, spec: ProblemSpec,
     reports one solution if a later one fails."""
     vr.validate_growth_exponent(nl, spec)
     counters: dict = {}
-    low = ball_minimize(FourierField.zeros(spec, params), cfg, nl,
-                        counters=counters)
+    low = ball_minimize(FourierField.zeros(spec, params), cfg, nl, counters)
     try:
         endpoint, I_end = find_descent_endpoint(low.field, cfg, nl, counters,
                                                 low.energy)

@@ -21,6 +21,9 @@ mu_k^s with mu_k = omega^2 |k|^2 + m^2, which gives the norm family
     |g|_{dual}^2 = sum |g_k|^2 / mu_k^s        (dual norm)
     ||u||_e^2    = kappa(s) (|u|_{Hs}^2 - gamma |u|_{L2}^2)
 
+with kappa(s) = 2^(1-2s) Gamma(1-s) / Gamma(s), the normalization constant
+of the Bessel profile (extension); it takes Gamma from math.
+
 A field is a trigonometric polynomial of degree M per axis: its samples
 on any n^N grid, n >= 1, are exact point values, and only recovering
 coefficients needs n >= 2M+1, which forward_transform checks on the grid
@@ -73,9 +76,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .extension import kappa
-
 __all__ = [
+    "kappa",
     "ProblemSpec",
     "SpectrumParams",
     "FourierField",
@@ -105,6 +107,18 @@ def _count(name: str, value, low: int, high: float = math.inf) -> int:
     return value
 
 
+def _check_order(s: float) -> None:
+    """The one rule for the order s of the operator."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"s = {s!r} violates 0 < s < 1")
+
+
+def kappa(s: float) -> float:
+    """Normalization constant 2^(1-2s) Gamma(1-s) / Gamma(s); kappa(1/2) = 1."""
+    _check_order(s)
+    return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
+
+
 class SymmetryError(ValueError):
     """Coefficients lost Hermitian symmetry: the field is corrupted."""
 
@@ -125,8 +139,7 @@ class ProblemSpec:
     N: int
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s = {self.s!r} violates 0 < s < 1")
+        _check_order(self.s)
         if self.m <= 0.0:
             raise ValueError(f"m = {self.m!r} violates m > 0")
         if self.T <= 0.0:

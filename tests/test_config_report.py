@@ -164,27 +164,21 @@ def test_gamma_threshold_message_carries_value():
     assert "0.353" in str(exc_info.value)
 
 
-def test_auto_values_must_be_resolved():
-    cfg = parse_config("problem.lambda = auto\nsolver.rho = auto\n")
-    with pytest.raises(ConfigError):
-        cfg.problem()
-    assert cfg.problem(lam=0.05).lam == 0.05
-    with pytest.raises(ConfigError):
-        cfg.solver()
-    assert cfg.solver(rho=2.0).rho == 2.0
-
-
 def test_builders_realize_blocks():
     cfg = parse_config("problem.lambda = 0.05\n"
                        "nonlinearity.key = pure_cubic\n"
                        "nonlinearity.r0 = 1.5\n"
                        "solver.rho = 1.25\n")
-    p = cfg.problem()
+    p = cfg.lambda_free_problem()
     assert (p.s, p.lam) == (0.75, 0.05)
     nl = cfg.nonlinearity()
     assert nl.name == "pure_cubic" and nl.r0 == 1.5
-    assert cfg.solver().rho == 1.25
+    assert cfg.solver(cfg.values["solver.rho"]).rho == 1.25
     assert cfg.params().modes == 8
+    # a resolved value realizes 'auto'
+    auto = parse_config("problem.lambda = auto\nsolver.rho = auto\n")
+    assert auto.problem(lam=0.05).lam == 0.05
+    assert auto.solver(rho=2.0).rho == 2.0
 
 
 def test_load_config_missing_file():

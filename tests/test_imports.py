@@ -3,7 +3,9 @@ the tests and the scripts is parsed with ast; each name bound by a
 module-level import must be read somewhere in that module, or be listed in
 its __all__ (a re-export).  The numerical core (spectral, variational,
 solvers) imports nothing from the layers built on it (constants, config,
-cli)."""
+cli) nor from the identity checks and the reports (extension, report), and
+no module of the package imports one of its own modules inside a function:
+only third-party imports (scipy's) are deferred."""
 
 import ast
 import pathlib
@@ -37,8 +39,19 @@ def unused_imports(source: str) -> list:
 def package_imports(source: str) -> set:
     """Modules of the package that source imports, at any depth, through a
     relative import or the package name."""
+    return _package_modules(ast.parse(source))
+
+
+def function_package_imports(source: str) -> set:
+    """Modules of the package that source imports inside a function."""
+    return {module for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for module in _package_modules(node)}
+
+
+def _package_modules(tree: ast.AST) -> set:
     modules = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {a.name.split(".")[1] for a in node.names
                         if a.name.startswith("perifrac.")}
@@ -61,12 +74,23 @@ def test_package_import_checker_sees_every_form():
               "def f():\n    from .constants import ball_radius\n")
     assert package_imports(source) == {"cli", "spectral", "config", "solvers",
                                        "report", "constants"}
+    assert function_package_imports(
+        source + "def g():\n    from scipy.special import kv\n") == {
+        "constants"}
 
 
 def test_numerical_core_imports_no_higher_layer():
     for name in ("spectral", "variational", "solvers"):
         source = (ROOT / "src/perifrac" / f"{name}.py").read_text()
-        assert not package_imports(source) & {"constants", "config", "cli"}
+        assert not package_imports(source) & {"constants", "config", "cli",
+                                              "extension", "report"}
+
+
+def test_no_module_imports_a_package_module_inside_a_function():
+    offenders = {path.name: modules
+                 for path in sorted((ROOT / "src/perifrac").glob("*.py"))
+                 if (modules := function_package_imports(path.read_text()))}
+    assert offenders == {}
 
 
 def test_checker_flags_only_unread_names():

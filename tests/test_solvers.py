@@ -18,7 +18,6 @@ from perifrac import spectral as sp
 from perifrac import variational as vr
 from perifrac.constants import (InadmissibleLambdaError, best_lambda, certify,
                                 sigma_estimate)
-from perifrac.extension import kappa
 from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
                               EndpointSearchError, MultiplicityReport,
                               NonConvergenceError,
@@ -27,7 +26,7 @@ from perifrac.solvers import (BoundaryActiveError, DegeneratePathError,
                               mountain_pass, solve_multiplicity)
 from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                forward_transform, hs_norm, inverse_transform,
-                               mean_value, multiplier_array)
+                               kappa, mean_value, multiplier_array)
 from perifrac.variational import (Nonlinearity, energy, get_nonlinearity,
                                   gradient, residual_dual_norm,
                                   riesz_representative)
@@ -123,7 +122,8 @@ def test_mountain_pass_needs_interior_ridge():
     u_a = FourierField.constant(problem, params, 8.0)
     u_b = FourierField.constant(problem, params, 16.0)
     with pytest.raises(PathCollapseError):
-        mountain_pass(u_a, u_b, SolverConfig(rho=1.0), nl)
+        mountain_pass(u_a, u_b, SolverConfig(rho=1.0), nl, {},
+                      (energy(u_a, nl), energy(u_b, nl)))
 
 
 def test_mountain_pass_rejects_coincident_endpoints():
@@ -131,9 +131,10 @@ def test_mountain_pass_rejects_coincident_endpoints():
     params = SpectrumParams(0, 2)
     nl = get_nonlinearity("cubic_plus_one")
     u = FourierField.constant(problem, params, 0.02)
+    v = u + FourierField.constant(problem, params, 1e-9)
     with pytest.raises(DegeneratePathError):
-        mountain_pass(u, u + FourierField.constant(problem, params, 1e-9),
-                      SolverConfig(rho=1.0), nl)
+        mountain_pass(u, v, SolverConfig(rho=1.0), nl, {},
+                      (energy(u, nl), energy(v, nl)))
 
 
 def test_saddle_search_tries_every_node_highest_first(monkeypatch):
@@ -144,15 +145,17 @@ def test_saddle_search_tries_every_node_highest_first(monkeypatch):
     params = SpectrumParams(2, 6)
     nl = get_nonlinearity("cubic_plus_one")
     cfg = SolverConfig(rho=1.0)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    endpoint, _ = find_descent_endpoint(low.field, cfg, nl)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
+    endpoint, _ = find_descent_endpoint(low.field, cfg, nl, {},
+                                        energy(low.field, nl))
     starts = []
     monkeypatch.setattr(solvers, "_newton_polish",
                         lambda u, *args, **kwargs: starts.append(u))
     counters = {}
     with pytest.raises(NonConvergenceError,
                        match="Newton landed from none of 63 path nodes"):
-        mountain_pass(low.field, endpoint, cfg, nl, counters)
+        mountain_pass(low.field, endpoint, cfg, nl, counters,
+                      (energy(low.field, nl), energy(endpoint, nl)))
     assert counters["iterations_path"] == counters["polish_attempts"] == 63
     assert counters["energy_evals"] == 17 + 65
     coarse, fine = starts[:15], starts[15:]
@@ -225,7 +228,7 @@ def test_boundary_active_detection():
                * c_low ** 2 * problem.T ** problem.N)
     cfg = SolverConfig(rho=e2_star)
     with pytest.raises(BoundaryActiveError):
-        ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+        ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
 
 
 def test_endpoint_search_budget():
@@ -235,29 +238,29 @@ def test_endpoint_search_budget():
     zero = FourierField.zeros(problem, params)
     # one doubling only tries t = 1, where the quartic well is not yet deep
     with pytest.raises(EndpointSearchError):
-        find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl)
-    ep, _ = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl)
+        find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl,
+                              {}, energy(zero, nl))
+    ep, _ = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl, {},
+                                  energy(zero, nl))
     assert energy(ep, nl) < energy(zero, nl) - 1.0
     assert abs(mean_value(ep)) >= nl.r0
 
 
 def test_endpoint_search_returns_the_endpoint_energy():
     # the returned energy is the last probe's, bit for bit; only probes are
-    # counted, whether the caller gives energy(u_loc) or not, and a failed
-    # search quotes the energy it had to undercut
+    # counted, and a failed search quotes the energy it had to undercut
     problem = ProblemSpec(lam=0.1, **BASE)
     params = SpectrumParams(2, 6)
     nl = get_nonlinearity("cubic_plus_one")
     zero = FourierField.zeros(problem, params)
-    for I_loc in (None, 0.0):
-        counters = {}
-        ep, I_ep = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl,
-                                         counters, I_loc)
-        assert I_ep == energy(ep, nl)
-        assert counters["energy_evals"] == counters["endpoint_probes"] >= 2
+    counters = {}
+    ep, I_ep = find_descent_endpoint(zero, SolverConfig(rho=1.0), nl,
+                                     counters, 0.0)
+    assert I_ep == energy(ep, nl)
+    assert counters["energy_evals"] == counters["endpoint_probes"] >= 2
     with pytest.raises(EndpointSearchError, match=r"below -123\.5 - 1 within"):
         find_descent_endpoint(zero, SolverConfig(rho=1.0, max_doublings=1), nl,
-                              I_loc=-123.5)
+                              {}, -123.5)
 
 
 def test_nonconvergence_carries_history():
@@ -266,7 +269,7 @@ def test_nonconvergence_carries_history():
     nl = get_nonlinearity("cubic_plus_one")
     cfg = SolverConfig(rho=1.0, max_iter=3, grad_tol=1e-300)
     with pytest.raises(NonConvergenceError) as exc_info:
-        ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+        ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
     assert len(exc_info.value.residual_history) == 3
 
 
@@ -411,7 +414,7 @@ def test_ball_stage_returns_the_manufactured_solution(N, s, eps, lam, modes):
     certify(rho, problem, nl, sigmas)    # raises unless lam is admissible
     assert sp.e_norm(ustar) ** 2 < rho
     cfg = SolverConfig(rho=rho)
-    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
     c = coercivity(rep.field, ustar)
     assert c > 0.0
     assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
@@ -491,7 +494,7 @@ def test_ball_stage_returns_any_certified_manufactured_solution(inputs):
         assume(False)
     assume(sp.e_norm(ustar) ** 2 < rho)
     cfg = SolverConfig(rho=rho)
-    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
+    rep = ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
     c = coercivity(rep.field, ustar)
     assume(c > 0.0)
     assert hs_norm(rep.field - ustar) <= cfg.grad_tol / c
@@ -573,10 +576,10 @@ def test_stalled_ball_descent_retries_the_polish(monkeypatch, stall_at,
     start = FourierField.zeros(problem, params)
     if not lands:
         with pytest.raises(NonConvergenceError, match="stalled"):
-            ball_minimize(start, SolverConfig(rho=1.0), nl)
+            ball_minimize(start, SolverConfig(rho=1.0), nl, {})
         assert calls["polish"] == 2
         return
-    rep = ball_minimize(start, SolverConfig(rho=1.0), nl)
+    rep = ball_minimize(start, SolverConfig(rho=1.0), nl, {})
     assert rep.iterations == 4 and calls["polish"] == 3
     assert rep.residual_dual_norm <= 1e-8
 
@@ -592,7 +595,7 @@ def test_ball_polish_must_land_downhill_from_the_start(monkeypatch):
     params = SpectrumParams(2, 6)
     nl = get_nonlinearity("cubic_plus_one")
     ball_minimize(FourierField.zeros(problem, params), SolverConfig(rho=1.0),
-                  nl)
+                  nl, {})
     accept = accepts[0]
     small = FourierField.constant(problem, params, 1e-3)
     assert energy(small * -1.0, nl) > 0.0 > energy(small, nl)
@@ -610,7 +613,8 @@ def test_ball_descent_stalls_when_steps_cannot_move_the_field(monkeypatch):
     nl, problem, params, rho, _ = x_dependent_problem(8, 0.5)
     with pytest.raises(NonConvergenceError, match="stalled"):
         ball_minimize(FourierField.zeros(problem, params),
-                      SolverConfig(rho=rho, max_iter=100, grad_tol=1e-12), nl)
+                      SolverConfig(rho=rho, max_iter=100, grad_tol=1e-12), nl,
+                      {})
 
 
 def test_ball_minimize_evaluates_each_point_energy_once(monkeypatch):
@@ -675,13 +679,15 @@ def test_stages_converge_without_the_polish(monkeypatch, case):
     # stage's descent reaches the same minimizer alone (the saddle stage
     # has no route but the polish)
     zero, cfg, nl = stage_inputs(case)
-    low_ref = ball_minimize(zero, cfg, nl)
-    endpoint, _ = find_descent_endpoint(low_ref.field, cfg, nl)
-    high_ref = mountain_pass(low_ref.field, endpoint, cfg, nl)
+    low_ref = ball_minimize(zero, cfg, nl, {})
+    endpoint, _ = find_descent_endpoint(low_ref.field, cfg, nl, {},
+                                        energy(low_ref.field, nl))
+    high_ref = mountain_pass(low_ref.field, endpoint, cfg, nl, {},
+                             (energy(low_ref.field, nl), energy(endpoint, nl)))
     assert low_ref.iterations == high_ref.iterations == 1
     monkeypatch.setattr(solvers, "_newton_polish",
                         lambda *args, **kwargs: None)
-    low = ball_minimize(zero, cfg, nl)
+    low = ball_minimize(zero, cfg, nl, {})
     assert low.residual_dual_norm <= cfg.grad_tol
     assert low.iterations > 1
     assert hs_norm(low.field - low_ref.field) <= 1e-6
@@ -1051,9 +1057,11 @@ def test_no_residual_between_landed_polish_and_report(monkeypatch):
 
     monkeypatch.setattr(solvers, "_newton_polish", logged_polish)
     monkeypatch.setattr(solvers, "_solution_report", logged_report)
-    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl)
-    end, _ = find_descent_endpoint(low.field, cfg, nl)
-    mountain_pass(low.field, end, cfg, nl)
+    low = ball_minimize(FourierField.zeros(problem, params), cfg, nl, {})
+    end, _ = find_descent_endpoint(low.field, cfg, nl, {},
+                                   energy(low.field, nl))
+    mountain_pass(low.field, end, cfg, nl, {},
+                  (energy(low.field, nl), energy(end, nl)))
     events = [kind for kind, _ in log]
     assert events.count("landed") == 2
     for i, kind in enumerate(events):

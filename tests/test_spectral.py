@@ -14,9 +14,8 @@ from perifrac.spectral import (FourierField, ProblemSpec, SpectrumParams,
                                _last_axis_dft, _leading_axis_dft,
                                apply_fractional_op, dual_norm,
                                e_norm, forward_transform, grid_coordinates,
-                               hs_norm, inverse_transform, l2_norm,
+                               hs_norm, inverse_transform, kappa, l2_norm,
                                mean_value, multiplier_array, pairing)
-from perifrac.extension import kappa
 
 from conftest import random_symmetric_coeffs
 
